@@ -288,17 +288,10 @@ def reprojection_rmse(corrs, intr, extrinsic, t_robot_from_ips, subset=None) -> 
     idx = np.arange(len(corrs)) if subset is None else np.asarray(list(subset), dtype=int)
     if idx.size == 0:
         raise EmptySubset("empty correspondence subset")
-    t_cam_from_ips = compose(extrinsic, t_robot_from_ips)
+    t = compose(extrinsic, t_robot_from_ips)
     beacons = np.stack([corrs[i].beacon_ips for i in idx])
     pixels = np.stack([corrs[i].pixel for i in idx])
-    pc = t_cam_from_ips.apply(beacons)
-    err = np.full(idx.size, np.inf)
-    front = pc[:, 2] > MIN_DEPTH
-    if front.any():
-        uv = _project_cam(intr, pc[front])
-        d = uv - pixels[front]
-        err[front] = np.hypot(d[:, 0], d[:, 1])
-    return _rmse(err)
+    return _rmse(_pixel_errors(intr, t.rotation, t.translation, beacons, pixels))
 
 
 def solve_pnp_ransac(

@@ -16,17 +16,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .calib import (
-    CameraIntrinsics,
-    apply_planar_constraint,
-    solve_pnp_ransac,
-)
+from .calib import apply_planar_constraint, solve_pnp_ransac
 from .cloud import read_ply
 from .config import PipelineConfig, load_config
 from .errors import (
@@ -49,10 +45,9 @@ from .errors import (
     TooFewPoints,
 )
 from .eval import compare_labels, downsample_study, study_means
-from .fileio import atomic_write_text, dump_json, read_text
+from .fileio import atomic_write_text, dump_json, ordered_map, read_text
 from .geom import RigidTransform, average_beacon_readings, frame_from_beacons, inverse
 from .labelgen import (
-    ObjectSpec,
     OrientedBox3,
     box_to_camera,
     box_to_lidar,
@@ -64,9 +59,11 @@ from .labelgen import (
 from .refine import kinds_for_class, refine_label
 from .rng import NS_JOB, derive_seed
 from .sim import (
+    SceneConfig,
     generate_dataset,
     parse_beacons_csv,
     parse_correspondences_csv,
+    scene_from_dict,
 )
 
 # Errors from bad inputs or configuration -> exit 2.
@@ -96,6 +93,13 @@ _NUMERICAL_ERRORS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    n = int(text) if text.isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipslabel",
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", metavar="FILE", help="YAML pipeline config")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write a synthetic dataset with ground truth")
@@ -152,25 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
 # shared input helpers
 
 
-def _load_manifest(path: str) -> dict:
-    return json.loads(read_text(path))
+def _manifest_scene(path: str) -> SceneConfig:
+    return scene_from_dict(json.loads(read_text(path))["scene"])
 
 
-def _manifest_intrinsics(manifest: dict) -> CameraIntrinsics:
-    return CameraIntrinsics(**manifest["scene"]["intrinsics"])
-
-
-def _manifest_lidar_from_cam(manifest: dict) -> RigidTransform:
-    sec = manifest["scene"]["lidar_from_cam"]
-    return RigidTransform(sec["rotation"], sec["translation"], src="cam", dst="lidar")
-
-
-def _manifest_specs(manifest: dict) -> dict:
-    out = {}
-    for o in manifest["scene"]["objects"]:
-        dims = o["dims"]
-        out[o["id"]] = ObjectSpec(o["class"], dims[0], dims[1], dims[2])
-    return out
+def _object_specs(scene: SceneConfig) -> dict:
+    """{object id: ObjectSpec}, in id order."""
+    return dict(sorted({o.object_id: o.spec for o in scene.objects}.items()))
 
 
 def _robot_transform_from_readings(readings, n: int):
@@ -243,11 +235,7 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> int:
     if "robot" not in readings:
         print(f"{beacon_path} has no 'robot' frame rows", file=sys.stderr)
         return 2
-    intr = (
-        _manifest_intrinsics(_load_manifest(manifest_path))
-        if manifest_path
-        else cfg.scene.intrinsics
-    )
+    intr = (_manifest_scene(manifest_path) if manifest_path else cfg.scene).intrinsics
     averaging_n = ns.averaging_n if ns.averaging_n is not None else cfg.calibration.averaging_n
     planar = ns.planar if ns.planar is not None else cfg.calibration.planar
     delta_px = ns.delta_px if ns.delta_px is not None else cfg.calibration.delta_px
@@ -280,22 +268,14 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> int:
 # generate
 
 
-def _generate_sample(args) -> tuple:
-    (sid, beacons_text, specs_items, extrinsic_mat, lidar_mat, intr_args, averaging_n) = args
-    intr = CameraIntrinsics(**intr_args)
-    extrinsic = RigidTransform(
-        np.array(extrinsic_mat)[:3, :3], np.array(extrinsic_mat)[:3, 3], src="robot", dst="cam"
-    )
-    lidar_from_cam = RigidTransform(
-        np.array(lidar_mat)[:3, :3], np.array(lidar_mat)[:3, 3], src="cam", dst="lidar"
-    )
+def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr, averaging_n) -> tuple:
+    sid, beacons_text = task
     readings = parse_beacons_csv(beacons_text)
     if "robot" not in readings:
         raise ValueError(f"sample {sid}: beacons.csv has no 'robot' frame rows")
     t_robot_from_ips = _robot_transform_from_readings(readings["robot"], averaging_n)
     entries = []
-    for object_id, spec_args in specs_items:
-        spec = ObjectSpec(*spec_args)
+    for object_id, spec in specs.items():
         try:
             pairs = [r.noisy for r in readings[object_id]]
             pair = average_beacon_readings(pairs, min(averaging_n, len(pairs)))
@@ -326,34 +306,20 @@ def _generate_sample(args) -> tuple:
 
 
 def cmd_generate(ns, cfg: PipelineConfig) -> int:
-    manifest = _load_manifest(os.path.join(ns.dataset, "manifest.json"))
-    intr = _manifest_intrinsics(manifest)
-    lidar_from_cam = _manifest_lidar_from_cam(manifest)
-    specs = _manifest_specs(manifest)
-    extrinsic = _extrinsic_from_report(ns.calibration)
-    intr_args = manifest["scene"]["intrinsics"]
-    specs_items = [
-        (oid, (s.class_name, s.length, s.width, s.height)) for oid, s in sorted(specs.items())
+    scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
+    tasks = [
+        (sid, read_text(os.path.join(ns.dataset, "samples", sid, "beacons.csv")))
+        for sid in _sample_ids(ns.dataset)
     ]
-    tasks = []
-    for sid in _sample_ids(ns.dataset):
-        beacons_text = read_text(os.path.join(ns.dataset, "samples", sid, "beacons.csv"))
-        tasks.append(
-            (
-                sid,
-                beacons_text,
-                specs_items,
-                extrinsic.matrix.tolist(),
-                lidar_from_cam.matrix.tolist(),
-                intr_args,
-                cfg.collection_averaging_n,
-            )
-        )
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            results = list(pool.map(_generate_sample, tasks))
-    else:
-        results = [_generate_sample(t) for t in tasks]
+    worker = partial(
+        _generate_sample,
+        specs=_object_specs(scene),
+        extrinsic=_extrinsic_from_report(ns.calibration),
+        lidar_from_cam=scene.lidar_from_cam,
+        intr=scene.intrinsics,
+        averaging_n=cfg.collection.averaging_n,
+    )
+    results = ordered_map(worker, tasks, ns.jobs)
     for sid, text in results:
         atomic_write_text(os.path.join(ns.out, f"{sid}.json"), text)
     print(f"labeled {len(results)} samples -> {ns.out}")
@@ -364,12 +330,9 @@ def cmd_generate(ns, cfg: PipelineConfig) -> int:
 # refine
 
 
-def _refine_sample(args) -> tuple:
-    (sid, sample_index, cloud_text, label_doc, specs_items, refine_args, seed) = args
-    from .refine import RefineConfig
-
+def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
+    sid, sample_index, cloud_text, label_doc = task
     cloud = read_ply(cloud_text)
-    specs = {oid: ObjectSpec(*spec_args) for oid, spec_args in specs_items}
     objects = []
     for obj_index, entry in enumerate(label_doc["objects"]):
         entry = dict(entry)
@@ -389,9 +352,7 @@ def _refine_sample(args) -> tuple:
                 )
             spec = matching[0]
         unrefined = OrientedBox3.from_dict(entry["box3d_lidar"], frame=cloud.frame)
-        cfg = RefineConfig(
-            **refine_args, seed=derive_seed(seed, NS_JOB, sample_index, obj_index)
-        )
+        cfg = replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index, obj_index))
         try:
             refined = refine_label(cloud, unrefined, spec, kinds, cfg)
             entry["box3d_lidar"] = refined.to_dict()
@@ -404,31 +365,18 @@ def _refine_sample(args) -> tuple:
 
 
 def cmd_refine(ns, cfg: PipelineConfig) -> int:
-    manifest = _load_manifest(os.path.join(ns.dataset, "manifest.json"))
-    specs = _manifest_specs(manifest)
-    specs_items = [
-        (oid, (s.class_name, s.length, s.width, s.height)) for oid, s in sorted(specs.items())
-    ]
-    refine_args = {
-        "radius": cfg.refine.radius,
-        "shell_delta": cfg.refine.shell_delta,
-        "iterations": cfg.refine.iterations,
-        "ground_threshold": cfg.refine.ground_threshold,
-        "table_min_height": cfg.refine.table_min_height,
-        "plane_iterations": cfg.refine.plane_iterations,
-    }
+    scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
     label_files = sorted(f for f in os.listdir(ns.labels) if f.endswith(".json"))
     tasks = []
     for sample_index, fname in enumerate(label_files):
         sid = fname[: -len(".json")]
         cloud_text = read_text(os.path.join(ns.dataset, "samples", sid, "cloud.ply"))
         label_doc = json.loads(read_text(os.path.join(ns.labels, fname)))
-        tasks.append((sid, sample_index, cloud_text, label_doc, specs_items, refine_args, cfg.seed))
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            results = list(pool.map(_refine_sample, tasks))
-    else:
-        results = [_refine_sample(t) for t in tasks]
+        tasks.append((sid, sample_index, cloud_text, label_doc))
+    worker = partial(
+        _refine_sample, specs=_object_specs(scene), refine_cfg=cfg.refine, seed=cfg.seed
+    )
+    results = ordered_map(worker, tasks, ns.jobs)
     for sid, text in results:
         atomic_write_text(os.path.join(ns.out, f"{sid}.json"), text)
     print(f"refined {len(results)} samples -> {ns.out}")
@@ -456,8 +404,7 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> int:
                 file=sys.stderr,
             )
             return 2
-        manifest = _load_manifest(os.path.join(ns.dataset, "manifest.json"))
-        specs = _manifest_specs(manifest)
+        specs = _object_specs(_manifest_scene(os.path.join(ns.dataset, "manifest.json")))
         cloud = read_ply(
             read_text(os.path.join(ns.dataset, "samples", ns.sample, "cloud.ply"))
         )

@@ -27,9 +27,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def subset(self, indices) -> "PointCloud":
-        return PointCloud(self.points[np.asarray(indices)], frame=self.frame)
-
 
 def write_ply(cloud: PointCloud) -> str:
     n = len(cloud)

@@ -1,7 +1,8 @@
 """Layered pipeline configuration: defaults < config file < CLI flags.
 
-The config file is YAML. Unknown keys are rejected with the offending
-section named, and YAML syntax errors surface with their line/column.
+The config file is YAML; its shape is the dict form of PipelineConfig (see
+fileio.from_dict). Unknown keys and mistyped values are rejected with the
+dotted key named, and YAML syntax errors surface with their line/column.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ConfigError
-from .fileio import read_text
+from .fileio import from_dict, read_text
 from .refine import RefineConfig
-from .sim import SceneConfig, scene_from_dict
+from .sim import SceneConfig
 
 
 @dataclass(frozen=True)
@@ -31,59 +32,25 @@ class CalibOptions:
 
 
 @dataclass(frozen=True)
+class CollectionOptions:
+    averaging_n: int = 1  # readings averaged per sample by generate
+
+    def __post_init__(self):
+        if self.averaging_n < 1:
+            raise ValueError("averaging_n must be >= 1")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
     calibration: CalibOptions = CalibOptions()
-    collection_averaging_n: int = 1
+    collection: CollectionOptions = CollectionOptions()
     refine: RefineConfig = RefineConfig()
     scene: SceneConfig = field(default_factory=SceneConfig)
 
 
-_TOP_KEYS = {"seed", "calibration", "collection", "refine", "scene"}
-_CALIB_KEYS = {"delta_px", "iterations", "planar", "averaging_n"}
-_REFINE_KEYS = {
-    "radius",
-    "shell_delta",
-    "iterations",
-    "ground_threshold",
-    "table_min_height",
-    "plane_iterations",
-}
-
-
-def _check_keys(d: dict, allowed, section: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in section {section!r}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
 def config_from_dict(d: dict) -> PipelineConfig:
-    if d is None:
-        d = {}
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys(d, _TOP_KEYS, "<root>")
-    kwargs = {}
-    if "seed" in d:
-        kwargs["seed"] = int(d["seed"])
-    try:
-        if "calibration" in d:
-            _check_keys(d["calibration"], _CALIB_KEYS, "calibration")
-            kwargs["calibration"] = CalibOptions(**d["calibration"])
-        if "collection" in d:
-            _check_keys(d["collection"], {"averaging_n"}, "collection")
-            kwargs["collection_averaging_n"] = int(d["collection"]["averaging_n"])
-        if "refine" in d:
-            _check_keys(d["refine"], _REFINE_KEYS, "refine")
-            kwargs["refine"] = RefineConfig(**d["refine"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    if "scene" in d:
-        kwargs["scene"] = scene_from_dict(d["scene"])
-    return PipelineConfig(**kwargs)
+    return from_dict(PipelineConfig, {} if d is None else d, "")
 
 
 def load_config(path: str | None) -> PipelineConfig:

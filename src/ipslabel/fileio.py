@@ -1,15 +1,125 @@
-"""Atomic file writes and deterministic serialization helpers."""
+"""Atomic file writes, deterministic serialization helpers, the dict form of
+the config dataclasses, and the ordered worker map whose results the
+writers consume.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import sys
 import tempfile
+import typing
+from concurrent.futures import ProcessPoolExecutor
+
+from .errors import ConfigError
 
 
 def dump_json(obj) -> str:
     """Deterministic JSON: sorted keys, 2-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _dict_fields(cls) -> list:
+    """Fields with a dict form; ``metadata={"dict": False}`` opts a field out."""
+    return [f for f in dataclasses.fields(cls) if f.metadata.get("dict", True)]
+
+
+def to_dict(obj):
+    """The dict form of a dataclass: its fields by name, recursively.
+
+    A value with its own ``to_dict`` uses it; tuples become lists.
+    """
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_dict(getattr(obj, f.name)) for f in _dict_fields(type(obj))}
+    if isinstance(obj, tuple):
+        return [to_dict(v) for v in obj]
+    return obj
+
+
+def _check_keys(d: dict, allowed, section: str) -> None:
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) {sorted(unknown)} in section {section or '<root>'!r}; "
+            f"allowed: {sorted(allowed)}"
+        )
+
+
+def _reject(path: str, expected: str, value):
+    raise ConfigError(f"{path or '<root>'}: expected {expected}, got {value!r}")
+
+
+def _build(types: dict, make, value, path: str):
+    """``make`` the checked values of mapping ``value``, whose keys and types are ``types``."""
+    if not isinstance(value, dict):
+        _reject(path, "a mapping", value)
+    _check_keys(value, types, path)
+    kwargs = {k: from_dict(types[k], v, f"{path}.{k}" if path else k) for k, v in value.items()}
+    try:
+        return make(kwargs)
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path or '<root>'}: {e}") from e
+
+
+_SCALARS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def from_dict(typ, value, path: str):
+    """Inverse of to_dict: build ``typ`` from ``value``, checking every key and value.
+
+    Each value must match its field's type: bool for bool, int (not bool) for
+    int, a finite int or float (stored as float) for float, str for str, a
+    list for a tuple, a mapping for a nested dataclass. A type whose dict form
+    is not shaped like its fields declares that form as ``FORM`` ({key: type})
+    and builds itself in ``from_dict(d, *args)``, with the args of an
+    ``Annotated[type, *args]`` field. A bad key or value raises ConfigError
+    naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
+    """
+    args = ()
+    if typing.get_origin(typ) is typing.Annotated:
+        typ, *args = typing.get_args(typ)
+    if hasattr(typ, "FORM"):
+        return _build(typ.FORM, lambda kw: typ.from_dict(kw, *args), value, path)
+    if dataclasses.is_dataclass(typ):
+        hints = typing.get_type_hints(typ, include_extras=True)
+        types = {f.name: hints[f.name] for f in _dict_fields(typ)}
+        return _build(types, lambda kw: typ(**kw), value, path)
+    if typing.get_origin(typ) is tuple:
+        if not isinstance(value, list):
+            _reject(path, "a list", value)
+        args = typing.get_args(typ)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            _reject(path, f"a list of {len(args)}", value)
+        return tuple(from_dict(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if typ not in _SCALARS:
+        raise TypeError(f"{path}: no dict form for type {typ!r}")
+    if typ is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, typ)
+    if not ok or isinstance(value, bool) != (typ is bool):
+        _reject(path, _SCALARS[typ], value)
+    return float(value) if typ is float else value
+
+
+def ordered_map(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]``, on ``jobs`` worker processes when jobs > 1.
+
+    Results come back in input order, so a caller that writes them in turn
+    writes the same files for every ``jobs``.
+    """
+    if jobs == 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -30,6 +30,8 @@ REORTHO_TRIGGER = 1e-7
 
 EPS_BEACON = 1e-3  # meters; minimum planar beacon separation
 
+_VEC3 = tuple[float, float, float]
+
 
 def _as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
@@ -63,6 +65,16 @@ class RigidTransform:
             raise ValueError(f"rotation not orthonormal (|R^T R - I| = {err:.3e})")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
+
+    # Dict form: rotation rows and translation; the reader supplies the frames.
+    FORM = {"rotation": tuple[_VEC3, _VEC3, _VEC3], "translation": _VEC3}
+
+    def to_dict(self) -> dict:
+        return {"rotation": self.rotation.tolist(), "translation": self.translation.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict, src: str, dst: str) -> "RigidTransform":
+        return cls(d["rotation"], d["translation"], src=src, dst=dst)
 
     @classmethod
     def identity(cls, frame: str) -> "RigidTransform":

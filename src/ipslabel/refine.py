@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +103,8 @@ class RefineConfig:
     ground_threshold: float = 0.03  # plane inlier / ground strip distance, meters
     table_min_height: float = 0.3  # drop points below this height for tables
     plane_iterations: int = 100
-    seed: int = 0
+    # Set per object by the caller, so it is not part of the config file.
+    seed: int = field(default=0, metadata={"dict": False})
 
     def __post_init__(self):
         for name in (

@@ -18,7 +18,8 @@ NS_POSE = 3
 NS_BEACON = 4
 NS_CALSET = 5
 NS_DOWNSAMPLE = 6
-NS_PIXEL = 7
+# 7 is retired (it named a pixel-noise stream nothing drew from). Do not
+# reuse it: reusing a namespace changes seeded outputs.
 NS_JOB = 8
 
 

@@ -14,15 +14,16 @@ beacon noise, and pixel noise all draw from dedicated substreams.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Annotated
 
 import numpy as np
 
 from .calib import CameraIntrinsics, Correspondence, _project_cam
 from .cloud import PointCloud, write_ply
-from .errors import AllVerticesBehindCamera, ConfigError
-from .fileio import atomic_write_text, dump_json
+from .errors import AllVerticesBehindCamera
+from .fileio import atomic_write_text, dump_json, from_dict, ordered_map, to_dict
 from .geom import BeaconPair, RigidTransform, compose, frame_from_beacons, inverse
 from .labelgen import (
     ObjectSpec,
@@ -75,9 +76,9 @@ class LidarConfig:
 
     def __post_init__(self):
         if self.channels < 1:
-            raise ValueError("LiDAR needs at least one channel")
+            raise ValueError("channels must be >= 1")
         if self.azimuth_step_deg <= 0 or self.max_range <= 0:
-            raise ValueError("azimuth step and max range must be positive")
+            raise ValueError("azimuth_step_deg and max_range must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,33 @@ class ObjectPlacement:
     yaw: float
     beacon_sep: float = 0.4
 
+    # Dict form: flat, with the spec's class and dims beside the pose.
+    FORM = {
+        "id": str,
+        "class": str,
+        "dims": tuple[float, float, float],
+        "x": float,
+        "y": float,
+        "yaw": float,
+        "beacon_sep": float,
+    }
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.object_id,
+            "class": self.spec.class_name,
+            "dims": list(self.spec.dims),
+            "x": self.x,
+            "y": self.y,
+            "yaw": self.yaw,
+            "beacon_sep": self.beacon_sep,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ObjectPlacement":
+        spec = ObjectSpec(d["class"], *d["dims"])
+        return cls(d["id"], spec, d["x"], d["y"], d["yaw"], d.get("beacon_sep", cls.beacon_sep))
+
 
 def _default_objects() -> tuple:
     return (
@@ -101,10 +129,11 @@ def _default_objects() -> tuple:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    objects: tuple = field(default_factory=_default_objects)
+    objects: tuple[ObjectPlacement, ...] = field(default_factory=_default_objects)
     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-    cam_from_robot: RigidTransform = DEFAULT_CAM_FROM_ROBOT
-    lidar_from_cam: RigidTransform = DEFAULT_LIDAR_FROM_CAM
+    # Annotated with the frames (src, dst), which their dict form leaves out.
+    cam_from_robot: Annotated[RigidTransform, "robot", "cam"] = DEFAULT_CAM_FROM_ROBOT
+    lidar_from_cam: Annotated[RigidTransform, "cam", "lidar"] = DEFAULT_LIDAR_FROM_CAM
     lidar: LidarConfig = LidarConfig()
     beacon_noise: float = 0.02  # uniform half-width per axis, meters
     pixel_noise_sigma: float = 0.0  # Gaussian, pixels (calibration pixels only)
@@ -573,151 +602,12 @@ def render_sample_files(scene: SceneConfig, seed: int, index: int) -> dict:
     }
 
 
-def _render_sample_worker(args) -> dict:
-    scene, seed, index = args
-    return render_sample_files(scene, seed, index)
-
-
 def scene_to_dict(scene: SceneConfig) -> dict:
-    return {
-        "objects": [
-            {
-                "id": o.object_id,
-                "class": o.spec.class_name,
-                "dims": [o.spec.length, o.spec.width, o.spec.height],
-                "x": o.x,
-                "y": o.y,
-                "yaw": o.yaw,
-                "beacon_sep": o.beacon_sep,
-            }
-            for o in scene.objects
-        ],
-        "intrinsics": {
-            "fx": scene.intrinsics.fx,
-            "fy": scene.intrinsics.fy,
-            "cx": scene.intrinsics.cx,
-            "cy": scene.intrinsics.cy,
-            "width": scene.intrinsics.width,
-            "height": scene.intrinsics.height,
-        },
-        "cam_from_robot": {
-            "rotation": scene.cam_from_robot.rotation.tolist(),
-            "translation": scene.cam_from_robot.translation.tolist(),
-        },
-        "lidar_from_cam": {
-            "rotation": scene.lidar_from_cam.rotation.tolist(),
-            "translation": scene.lidar_from_cam.translation.tolist(),
-        },
-        "lidar": {
-            "channels": scene.lidar.channels,
-            "vfov_min_deg": scene.lidar.vfov_min_deg,
-            "vfov_max_deg": scene.lidar.vfov_max_deg,
-            "azimuth_step_deg": scene.lidar.azimuth_step_deg,
-            "max_range": scene.lidar.max_range,
-        },
-        "beacon_noise": scene.beacon_noise,
-        "pixel_noise_sigma": scene.pixel_noise_sigma,
-        "robot_beacon_height": scene.robot_beacon_height,
-        "robot_beacon_sep": scene.robot_beacon_sep,
-        "collection_readings": scene.collection_readings,
-        "calibration_readings": scene.calibration_readings,
-        "calibration_points": scene.calibration_points,
-        "floor_z": scene.floor_z,
-        "table_z": scene.table_z,
-        "robot_radius_min": scene.robot_radius_min,
-        "robot_radius_max": scene.robot_radius_max,
-        "heading_jitter_deg": scene.heading_jitter_deg,
-    }
-
-
-def _check_keys(d: dict, allowed, section: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in section {section!r}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def _transform_from_dict(d: dict, src: str, dst: str, section: str) -> RigidTransform:
-    _check_keys(d, {"rotation", "translation"}, section)
-    try:
-        return RigidTransform(d["rotation"], d["translation"], src=src, dst=dst)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad transform in section {section!r}: {e}") from e
+    return to_dict(scene)
 
 
 def scene_from_dict(d: dict) -> SceneConfig:
-    _check_keys(d, set(scene_to_dict(SceneConfig())), "scene")
-    kwargs = {}
-    if "objects" in d:
-        objects = []
-        for i, o in enumerate(d["objects"]):
-            _check_keys(
-                o, {"id", "class", "dims", "x", "y", "yaw", "beacon_sep"}, f"scene.objects[{i}]"
-            )
-            try:
-                dims = o["dims"]
-                spec = ObjectSpec(o["class"], dims[0], dims[1], dims[2])
-                objects.append(
-                    ObjectPlacement(
-                        o.get("id", f"obj{i}"),
-                        spec,
-                        float(o["x"]),
-                        float(o["y"]),
-                        float(o["yaw"]),
-                        beacon_sep=float(o.get("beacon_sep", 0.4)),
-                    )
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as e:
-                raise ConfigError(f"bad scene.objects[{i}]: {e}") from e
-        kwargs["objects"] = tuple(objects)
-    if "intrinsics" in d:
-        sec = d["intrinsics"]
-        _check_keys(sec, {"fx", "fy", "cx", "cy", "width", "height"}, "scene.intrinsics")
-        try:
-            kwargs["intrinsics"] = CameraIntrinsics(**sec)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad scene.intrinsics: {e}") from e
-    if "cam_from_robot" in d:
-        kwargs["cam_from_robot"] = _transform_from_dict(
-            d["cam_from_robot"], "robot", "cam", "scene.cam_from_robot"
-        )
-    if "lidar_from_cam" in d:
-        kwargs["lidar_from_cam"] = _transform_from_dict(
-            d["lidar_from_cam"], "cam", "lidar", "scene.lidar_from_cam"
-        )
-    if "lidar" in d:
-        sec = d["lidar"]
-        _check_keys(
-            sec,
-            {"channels", "vfov_min_deg", "vfov_max_deg", "azimuth_step_deg", "max_range"},
-            "scene.lidar",
-        )
-        try:
-            kwargs["lidar"] = LidarConfig(**sec)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad scene.lidar: {e}") from e
-    for key in (
-        "beacon_noise",
-        "pixel_noise_sigma",
-        "robot_beacon_height",
-        "robot_beacon_sep",
-        "floor_z",
-        "table_z",
-        "robot_radius_min",
-        "robot_radius_max",
-        "heading_jitter_deg",
-    ):
-        if key in d:
-            kwargs[key] = float(d[key])
-    for key in ("collection_readings", "calibration_readings", "calibration_points"):
-        if key in d:
-            kwargs[key] = int(d[key])
-    try:
-        return SceneConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"bad scene config: {e}") from e
+    return from_dict(SceneConfig, d, "scene")
 
 
 def render_calibration_files(scene: SceneConfig, seed: int) -> dict:
@@ -759,14 +649,7 @@ def generate_dataset(
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rendered: list
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rendered = list(
-                pool.map(_render_sample_worker, [(scene, seed, i) for i in range(n_samples)])
-            )
-    else:
-        rendered = [render_sample_files(scene, seed, i) for i in range(n_samples)]
+    rendered = ordered_map(partial(render_sample_files, scene, seed), range(n_samples), jobs)
     for files in rendered:
         for rel, text in sorted(files.items()):
             atomic_write_text(os.path.join(out_dir, rel), text)

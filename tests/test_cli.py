@@ -84,6 +84,61 @@ class TestSimulate:
         assert "i/o error" in err
 
 
+MALFORMED_CONFIGS = [
+    # (config text, key the error must name)
+    ("scene: null", "scene"),
+    ("scene: {lidar: null}", "scene.lidar"),
+    ("scene: {beacon_noise: [1]}", "scene.beacon_noise"),
+    ("seed: [1]", "seed"),
+    ("scene: {lidar: {channels: 2.5}}", "scene.lidar.channels"),
+    ("refine: {iterations: 2.5}", "refine.iterations"),
+    ('calibration: {planar: "no"}', "calibration.planar"),
+    ("collection: {averaging_n: 0}", "averaging_n"),
+    ("scene: {beacon_noise: abc}", "scene.beacon_noise"),
+    ("refine: {seed: 3}", "seed"),
+    ("sede: 4", "sede"),
+]
+
+SUBCOMMANDS = [
+    ["simulate", "--out", "{d}/ds"],
+    ["calibrate", "--dataset", "{d}/ds", "--out", "{d}/cal.json"],
+    ["generate", "--dataset", "{d}/ds", "--calibration", "{d}/cal.json", "--out", "{d}/labels"],
+    ["refine", "--dataset", "{d}/ds", "--labels", "{d}/labels", "--out", "{d}/refined"],
+    ["evaluate", "--auto", "{d}/refined", "--reference", "{d}/labels", "--out", "{d}/rep.json"],
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("text, key", MALFORMED_CONFIGS)
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, text, key, argv):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text + "\n")
+        code, _, err = run_cli(["--config", str(cfg), *(a.format(d=tmp_path) for a in argv)])
+        assert code == 2, err
+        assert "error:" in err and key in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["bad.yaml"]  # rejected before any work
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, jobs):
+        out = tmp_path / "ds"
+        code, _, err = run_cli(["--jobs", jobs, "simulate", "--out", str(out), "--samples", "1"])
+        assert code == 2
+        assert "--jobs" in err
+        assert not out.exists()
+
+    def test_int_for_a_float_field_is_written_as_a_float(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scene: {beacon_noise: 0}\n")
+        out = tmp_path / "ds"
+        code, _, err = run_cli(["--config", str(cfg), "simulate", "--out", str(out), "--samples", "1"])
+        assert code == 0, err
+        manifest = read(out / "manifest.json")
+        assert '"beacon_noise": 0.0,' in manifest
+        assert json.loads(manifest)["scene"]["beacon_noise"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
