@@ -76,7 +76,6 @@ class CalibrationResult:
     rmse_px: float
     solver: str = "dlt+gauss-newton"
     delta_px: float | None = None
-    planar: bool = False
 
     def __post_init__(self):
         if self.rmse_px < 0:
@@ -301,7 +300,6 @@ def solve_pnp_ransac(
     delta_px: float = 8.0,
     iterations: int = 2000,
     seed: int = 0,
-    planar: bool = False,
 ) -> CalibrationResult:
     """RANSAC over 6-point PnP hypotheses.
 
@@ -310,9 +308,6 @@ def solve_pnp_ransac(
     ``delta_px``. Ties break toward lower inlier RMSE, then the earlier
     iteration. The final model is a PnP refit on the winning inlier set;
     ``rmse_px`` is reported over those inliers only.
-
-    ``planar`` is result metadata recording whether the caller applied
-    the planar constraint to ``corrs``; it does not change the solve.
     """
     corrs = list(corrs)
     n = len(corrs)
@@ -355,5 +350,4 @@ def solve_pnp_ransac(
         inlier_indices=inliers,
         rmse_px=rmse,
         delta_px=float(delta_px),
-        planar=bool(planar),
     )

@@ -6,52 +6,40 @@ output files, including with --jobs > 1 (workers compute, the parent writes
 in order). The calibration report is also byte-identical across BLAS builds;
 see REPORT_DECIMALS.
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numerical
-failure.
+Exit codes: 0 success, 2 UsageError (bad arguments, config or input file),
+3 OSError, 4 NumericalError (a computation on well-formed input failed); any
+other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
-
-import numpy as np
 
 from . import __version__
 from .calib import apply_planar_constraint, solve_pnp_ransac
 from .cloud import read_ply
-from .config import PipelineConfig, load_config
+from .config import CalibOptions, PipelineConfig, load_config
 from .errors import (
-    AllProposalsDegenerate,
     AllVerticesBehindCamera,
-    BehindCamera,
-    ClassMismatch,
     ConfigError,
     DegenerateBeaconPair,
-    DegenerateConfiguration,
-    EmptyNeighborhood,
     EmptyReadings,
-    EmptySubset,
-    FrameMismatch,
-    MissingPlaneTag,
-    MissingSample,
-    NoConvergence,
-    NoPlaneFound,
-    TooFewInliers,
-    TooFewPoints,
+    NumericalError,
+    UsageError,
 )
 from .eval import compare_labels, downsample_study, study_means
-from .fileio import atomic_write_text, dump_json, ordered_map, read_text
+from .fileio import atomic_write_text, dump_json, ordered_map, read_input, read_json
 from .geom import RigidTransform, average_beacon_readings, frame_from_beacons, inverse
 from .labelgen import (
-    OrientedBox3,
     box_to_camera,
     box_to_lidar,
     label_object_entry,
+    label_objects,
     labels_to_dict,
     object_box_ips,
     project_box,
@@ -66,38 +54,30 @@ from .sim import (
     scene_from_dict,
 )
 
-# Errors from bad inputs or configuration -> exit 2.
-_USAGE_ERRORS = (
-    ConfigError,
-    MissingPlaneTag,
-    MissingSample,
-    ClassMismatch,
-    FrameMismatch,
-    EmptyReadings,
-    EmptySubset,
-    ValueError,
-    KeyError,
-)
-# Numerical failures -> exit 4.
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    TooFewInliers,
-    DegenerateConfiguration,
-    DegenerateBeaconPair,
-    NoPlaneFound,
-    AllProposalsDegenerate,
-    EmptyNeighborhood,
-    TooFewPoints,
-    BehindCamera,
-    AllVerticesBehindCamera,
-)
+
+def _checked(convert, valid, expected: str):
+    """argparse type: ``convert(text)``, which must be ``valid``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    n = int(text) if text.isdecimal() else 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_PROPORTIONS = _checked(
+    lambda text: [float(p) for p in text.split(",") if p],
+    lambda ps: ps and all(0.0 < p <= 1.0 for p in ps),
+    "comma-separated numbers in (0, 1]",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", metavar="FILE", help="YAML pipeline config")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
+    parser.add_argument("--seed", type=_SEED, default=None, help="override config seed")
+    parser.add_argument("--jobs", type=_COUNT, default=1, help="parallel workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write a synthetic dataset with ground truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_COUNT, default=20)
 
     p = sub.add_parser("calibrate", help="estimate the camera extrinsic from beacon pixels")
     p.add_argument("--dataset", help="dataset dir (uses its calibration CSVs and manifest)")
@@ -123,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="manifest JSON supplying intrinsics")
     p.add_argument("--out", required=True, help="calibration report JSON")
     p.add_argument("--planar", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--delta-px", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--averaging-n", type=int, default=None)
+    p.add_argument("--delta-px", type=_POSITIVE, default=None)
+    p.add_argument("--iterations", type=_COUNT, default=None)
+    p.add_argument("--averaging-n", type=_COUNT, default=None)
 
     p = sub.add_parser("generate", help="produce 2D/3D labels from beacons + calibration")
     p.add_argument("--dataset", required=True)
@@ -146,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="unrefined label dir (study mode)")
     p.add_argument("--sample", help="sample id (study mode)")
     p.add_argument("--object-id", default=None, help="object id (study mode)")
-    p.add_argument("--proportions", default="0.05,0.1,0.25,0.5,1.0")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--proportions", type=_PROPORTIONS, default="0.05,0.1,0.25,0.5,1.0")
+    p.add_argument("--trials", type=_COUNT, default=50)
     p.add_argument("--csv", default=None, help="also write the per-trial table as CSV")
     return parser
 
@@ -157,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest_scene(path: str) -> SceneConfig:
-    return scene_from_dict(json.loads(read_text(path))["scene"])
+    return read_json(path, lambda manifest: scene_from_dict(manifest["scene"]))
 
 
 def _object_specs(scene: SceneConfig) -> dict:
@@ -165,16 +145,18 @@ def _object_specs(scene: SceneConfig) -> dict:
     return dict(sorted({o.object_id: o.spec for o in scene.objects}.items()))
 
 
-def _robot_transform_from_readings(readings, n: int):
-    pairs = [r.noisy for r in readings]
+def _robot_transform_from_readings(readings: dict, n: int, path: str):
+    if "robot" not in readings:
+        raise UsageError(f"{path} has no 'robot' frame rows")
+    pairs = [r.noisy for r in readings["robot"]]
     pair = average_beacon_readings(pairs, min(n, len(pairs)))
     return inverse(frame_from_beacons(pair, frame="robot"))
 
 
 def _extrinsic_from_report(path: str) -> RigidTransform:
-    report = json.loads(read_text(path))
-    m = np.array(report["extrinsic"], dtype=float).reshape(4, 4)
-    return RigidTransform(m[:3, :3], m[:3, 3], src="robot", dst="cam")
+    return read_json(
+        path, lambda report: RigidTransform.from_matrix(report["extrinsic"], src="robot", dst="cam")
+    )
 
 
 def _sample_ids(dataset: str) -> list:
@@ -190,10 +172,9 @@ def _sample_ids(dataset: str) -> list:
 # simulate
 
 
-def cmd_simulate(ns, cfg: PipelineConfig) -> int:
+def cmd_simulate(ns, cfg: PipelineConfig) -> None:
     generate_dataset(cfg.scene, ns.out, ns.samples, cfg.seed, jobs=ns.jobs)
     print(f"wrote {ns.samples} samples to {ns.out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +194,7 @@ def _report_float(x) -> float:
     return round(float(x), REPORT_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-def cmd_calibrate(ns, cfg: PipelineConfig) -> int:
+def cmd_calibrate(ns, cfg: PipelineConfig) -> None:
     corr_path = ns.correspondences
     beacon_path = ns.robot_beacons
     manifest_path = ns.manifest
@@ -222,34 +203,24 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> int:
         beacon_path = beacon_path or os.path.join(ns.dataset, "calibration", "robot_beacons.csv")
         manifest_path = manifest_path or os.path.join(ns.dataset, "manifest.json")
     if not corr_path or not beacon_path:
-        print(
-            "calibrate needs --dataset or both --correspondences and --robot-beacons",
-            file=sys.stderr,
-        )
-        return 2
-    corrs = parse_correspondences_csv(read_text(corr_path))
+        raise UsageError("calibrate needs --dataset or both --correspondences and --robot-beacons")
+    corrs = read_input(corr_path, parse_correspondences_csv)
     if len(corrs) < 6:
-        print(f"need at least 6 correspondences, got {len(corrs)}", file=sys.stderr)
-        return 2
-    readings = parse_beacons_csv(read_text(beacon_path))
-    if "robot" not in readings:
-        print(f"{beacon_path} has no 'robot' frame rows", file=sys.stderr)
-        return 2
+        raise UsageError(f"{corr_path}: need at least 6 correspondences, got {len(corrs)}")
+    readings = read_input(beacon_path, parse_beacons_csv)
     intr = (_manifest_scene(manifest_path) if manifest_path else cfg.scene).intrinsics
-    averaging_n = ns.averaging_n if ns.averaging_n is not None else cfg.calibration.averaging_n
-    planar = ns.planar if ns.planar is not None else cfg.calibration.planar
-    delta_px = ns.delta_px if ns.delta_px is not None else cfg.calibration.delta_px
-    iterations = ns.iterations if ns.iterations is not None else cfg.calibration.iterations
-    t_robot_from_ips = _robot_transform_from_readings(readings["robot"], averaging_n)
-    solve_corrs = apply_planar_constraint(corrs) if planar else corrs
+    # the calibrate flags are named after the CalibOptions fields they override
+    flags = {f.name: getattr(ns, f.name) for f in fields(CalibOptions)}
+    opts = replace(cfg.calibration, **{k: v for k, v in flags.items() if v is not None})
+    t_robot_from_ips = _robot_transform_from_readings(readings, opts.averaging_n, beacon_path)
+    solve_corrs = apply_planar_constraint(corrs) if opts.planar else corrs
     result = solve_pnp_ransac(
         solve_corrs,
         intr,
         t_robot_from_ips,
-        delta_px=delta_px,
-        iterations=iterations,
+        delta_px=opts.delta_px,
+        iterations=opts.iterations,
         seed=cfg.seed,
-        planar=planar,
     )
     report = {
         "extrinsic": [_report_float(v) for v in result.extrinsic.matrix.reshape(-1)],
@@ -257,11 +228,10 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> int:
         "rmse_px": _report_float(result.rmse_px),
         "method": result.solver,
         "delta_px": result.delta_px,
-        "planar": result.planar,
+        "planar": opts.planar,
     }
     atomic_write_text(ns.out, dump_json(report))
     print(f"inliers: {len(result.inlier_indices)}/{len(corrs)}  rmse_px: {result.rmse_px:.6g}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +239,13 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> int:
 
 
 def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr, averaging_n) -> tuple:
-    sid, beacons_text = task
-    readings = parse_beacons_csv(beacons_text)
-    if "robot" not in readings:
-        raise ValueError(f"sample {sid}: beacons.csv has no 'robot' frame rows")
-    t_robot_from_ips = _robot_transform_from_readings(readings["robot"], averaging_n)
+    sid, beacons_path = task
+    readings = read_input(beacons_path, parse_beacons_csv)
+    t_robot_from_ips = _robot_transform_from_readings(readings, averaging_n, beacons_path)
     entries = []
     for object_id, spec in specs.items():
         try:
-            pairs = [r.noisy for r in readings[object_id]]
+            pairs = [r.noisy for r in readings.get(object_id, ())]
             pair = average_beacon_readings(pairs, min(averaging_n, len(pairs)))
             box_ips = object_box_ips(pair, spec)
             verts_cam = box_to_camera(box_ips, extrinsic, t_robot_from_ips)
@@ -298,17 +266,17 @@ def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr, averaging_n) 
                     box2d_reason=reason,
                 )
             )
-        except (KeyError, DegenerateBeaconPair, EmptyReadings) as e:
+        except (DegenerateBeaconPair, EmptyReadings) as e:
             entries.append(
                 {"id": object_id, "class": spec.class_name, "error": f"{type(e).__name__}: {e}"}
             )
     return sid, dump_json(labels_to_dict(sid, entries))
 
 
-def cmd_generate(ns, cfg: PipelineConfig) -> int:
+def cmd_generate(ns, cfg: PipelineConfig) -> None:
     scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
     tasks = [
-        (sid, read_text(os.path.join(ns.dataset, "samples", sid, "beacons.csv")))
+        (sid, os.path.join(ns.dataset, "samples", sid, "beacons.csv"))
         for sid in _sample_ids(ns.dataset)
     ]
     worker = partial(
@@ -323,7 +291,6 @@ def cmd_generate(ns, cfg: PipelineConfig) -> int:
     for sid, text in results:
         atomic_write_text(os.path.join(ns.out, f"{sid}.json"), text)
     print(f"labeled {len(results)} samples -> {ns.out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +298,18 @@ def cmd_generate(ns, cfg: PipelineConfig) -> int:
 
 
 def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
-    sid, sample_index, cloud_text, label_doc = task
-    cloud = read_ply(cloud_text)
+    sid, sample_index, cloud_path, label_path = task
+    cloud = read_input(cloud_path, read_ply)
     objects = []
-    for obj_index, entry in enumerate(label_doc["objects"]):
+    for obj_index, (entry, unrefined, _) in enumerate(read_json(label_path, label_objects)):
         entry = dict(entry)
-        if "error" in entry or entry.get("box3d_lidar") is None:
+        if unrefined is None:
             objects.append(entry)
             continue
         try:
             kinds = kinds_for_class(entry["class"])
         except KeyError as e:
-            raise ConfigError(e.args[0]) from e
+            raise ConfigError(f"{label_path}: {e.args[0]}") from e
         spec = specs.get(entry.get("id"))
         if spec is None:
             matching = [s for s in specs.values() if s.class_name == entry["class"]]
@@ -351,28 +318,26 @@ def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
                     f"sample {sid}: no object spec for class {entry['class']!r}"
                 )
             spec = matching[0]
-        unrefined = OrientedBox3.from_dict(entry["box3d_lidar"], frame=cloud.frame)
         cfg = replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index, obj_index))
         try:
             refined = refine_label(cloud, unrefined, spec, kinds, cfg)
             entry["box3d_lidar"] = refined.to_dict()
             entry["refined"] = True
-        except (EmptyNeighborhood, AllProposalsDegenerate, NoPlaneFound, TooFewPoints) as e:
+        except NumericalError as e:
             entry["refined"] = False
             entry["refine_error"] = f"{type(e).__name__}: {e}"
         objects.append(entry)
     return sid, dump_json(labels_to_dict(sid, objects))
 
 
-def cmd_refine(ns, cfg: PipelineConfig) -> int:
+def cmd_refine(ns, cfg: PipelineConfig) -> None:
     scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
     label_files = sorted(f for f in os.listdir(ns.labels) if f.endswith(".json"))
     tasks = []
     for sample_index, fname in enumerate(label_files):
         sid = fname[: -len(".json")]
-        cloud_text = read_text(os.path.join(ns.dataset, "samples", sid, "cloud.ply"))
-        label_doc = json.loads(read_text(os.path.join(ns.labels, fname)))
-        tasks.append((sid, sample_index, cloud_text, label_doc))
+        cloud_path = os.path.join(ns.dataset, "samples", sid, "cloud.ply")
+        tasks.append((sid, sample_index, cloud_path, os.path.join(ns.labels, fname)))
     worker = partial(
         _refine_sample, specs=_object_specs(scene), refine_cfg=cfg.refine, seed=cfg.seed
     )
@@ -380,7 +345,6 @@ def cmd_refine(ns, cfg: PipelineConfig) -> int:
     for sid, text in results:
         atomic_write_text(os.path.join(ns.out, f"{sid}.json"), text)
     print(f"refined {len(results)} samples -> {ns.out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,37 +360,29 @@ def _study_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_evaluate(ns, cfg: PipelineConfig) -> int:
+def cmd_evaluate(ns, cfg: PipelineConfig) -> None:
     if ns.study == "downsample":
         if not (ns.dataset and ns.labels and ns.sample):
-            print(
-                "--study downsample needs --dataset, --labels and --sample",
-                file=sys.stderr,
-            )
-            return 2
+            raise UsageError("--study downsample needs --dataset, --labels and --sample")
         specs = _object_specs(_manifest_scene(os.path.join(ns.dataset, "manifest.json")))
-        cloud = read_ply(
-            read_text(os.path.join(ns.dataset, "samples", ns.sample, "cloud.ply"))
-        )
-        label_doc = json.loads(read_text(os.path.join(ns.labels, f"{ns.sample}.json")))
-        entries = [e for e in label_doc["objects"] if e.get("box3d_lidar")]
-        if ns.object_id is not None:
-            entries = [e for e in entries if e.get("id") == ns.object_id]
+        cloud = read_input(os.path.join(ns.dataset, "samples", ns.sample, "cloud.ply"), read_ply)
+        objects = read_json(os.path.join(ns.labels, f"{ns.sample}.json"), label_objects)
+        entries = [
+            (entry, box)
+            for entry, box, _ in objects
+            if box is not None and ns.object_id in (None, entry.get("id"))
+        ]
         if not entries:
-            print(f"no usable object entry in {ns.sample}", file=sys.stderr)
-            return 2
-        entry = entries[0]
+            raise UsageError(f"no usable object entry in {ns.sample}")
+        entry, unrefined = entries[0]
         spec = specs.get(entry.get("id"))
         if spec is None:
-            print(f"manifest has no spec for object {entry.get('id')!r}", file=sys.stderr)
-            return 2
-        unrefined = OrientedBox3.from_dict(entry["box3d_lidar"], frame=cloud.frame)
-        proportions = [float(p) for p in ns.proportions.split(",") if p]
+            raise UsageError(f"manifest has no spec for object {entry.get('id')!r}")
         rows = downsample_study(
             cloud,
             unrefined,
             spec,
-            proportions,
+            ns.proportions,
             ns.trials,
             replace(cfg.refine, seed=cfg.seed),
         )
@@ -434,7 +390,7 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> int:
             "study": "downsample",
             "sample": ns.sample,
             "object": entry.get("id"),
-            "proportions": proportions,
+            "proportions": ns.proportions,
             "trials": ns.trials,
             "rows": rows,
             "mean_fitness": {repr(p): m for p, m in sorted(study_means(rows).items())},
@@ -443,15 +399,13 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> int:
         if ns.csv:
             atomic_write_text(ns.csv, _study_csv(rows))
         print(f"downsample study: {len(rows)} trials -> {ns.out}")
-        return 0
+        return
     if not (ns.auto and ns.reference):
-        print("evaluate needs --auto and --reference (or --study downsample)", file=sys.stderr)
-        return 2
+        raise UsageError("evaluate needs --auto and --reference (or --study downsample)")
     report = compare_labels(ns.auto, ns.reference)
     atomic_write_text(ns.out, dump_json(report.to_dict()))
     mean2 = "n/a" if report.mean_iou_2d is None else f"{report.mean_iou_2d:.4f}"
     print(f"matched {report.matched} objects  mean IoU3D {report.mean_iou_3d:.4f}  mean IoU2D {mean2}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +421,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         cfg = load_config(ns.config)
         if ns.seed is not None:
             cfg = replace(cfg, seed=ns.seed)
-        return _COMMANDS[ns.command](ns, cfg)
-    except _NUMERICAL_ERRORS as e:
+        _COMMANDS[ns.command](ns, cfg)
+        return 0
+    except NumericalError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
-    except _USAGE_ERRORS as e:
-        msg = e.args[0] if e.args else str(e)
-        print(f"error: {msg}", file=sys.stderr)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -45,31 +47,44 @@ def write_ply(cloud: PointCloud) -> str:
 
 
 def read_ply(text: str, frame: str = "lidar") -> PointCloud:
+    """Parse an ASCII PLY file with one ``vertex`` element.
+
+    The point columns are found by the names of the ``property`` lines, so
+    any column order reads the same cloud; other properties are ignored. A
+    malformed header or row, or a non-finite point, raises UsageError.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
-        raise ValueError("not a PLY file (missing 'ply' magic)")
-    n = None
-    header_end = None
-    for i, line in enumerate(lines[1:], start=1):
-        tok = line.strip().split()
-        if not tok:
-            continue
-        if tok[0] == "format":
-            if tok[1] != "ascii":
-                raise ValueError("only ascii PLY is supported")
-        elif tok[0] == "element":
-            if tok[1] != "vertex":
-                raise ValueError(f"unsupported PLY element {tok[1]!r}")
-            n = int(tok[2])
-        elif tok[0] == "end_header":
-            header_end = i
+        raise UsageError("not a PLY file (missing 'ply' magic)")
+    n, names = None, []
+    for end, line in enumerate(lines[1:], start=1):
+        tok = line.split()
+        if tok == ["end_header"]:
             break
-    if n is None or header_end is None:
-        raise ValueError("malformed PLY header")
-    body = lines[header_end + 1 : header_end + 1 + n]
+        if tok[:2] == ["element", "vertex"] and len(tok) == 3 and tok[2].isdecimal() and n is None:
+            n = int(tok[2])
+        elif tok[:1] == ["property"] and len(tok) == 3 and n is not None:
+            names.append(tok[2])
+        elif tok and tok[0] not in ("comment", "obj_info") and tok[:2] != ["format", "ascii"]:
+            raise UsageError(f"PLY header line {end + 1}: unsupported {line.strip()!r}")
+    else:
+        raise UsageError("PLY header has no end_header line")
+    if n is None or not set("xyz") <= set(names) or len(set(names)) != len(names):
+        raise UsageError(f"PLY header needs a vertex element with x, y, z once each: {names}")
+    body = [line.split() for line in lines[end + 1 : end + 1 + n]]
     if len(body) != n:
-        raise ValueError(f"PLY body has {len(body)} rows, header promised {n}")
-    if n == 0:
-        return PointCloud(np.zeros((0, 3)), frame=frame)
-    pts = np.array([[float(v) for v in row.split()[:3]] for row in body])
+        raise UsageError(f"PLY body has {len(body)} rows, header promised {n}")
+    try:
+        values = np.array(body, dtype=float).reshape(n, len(names))
+    except ValueError:  # name the first row that does not parse on its own
+        for line_no, row in enumerate(body, start=end + 2):
+            try:
+                np.array(row, dtype=float).reshape(len(names))
+            except ValueError as e:
+                raise UsageError(f"PLY line {line_no}: {e}") from None
+        raise
+    pts = values[:, [names.index(axis) for axis in "xyz"]]
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise UsageError(f"PLY line {end + 2 + bad[0]}: non-finite point")
     return PointCloud(pts, frame=frame)

@@ -48,6 +48,10 @@ class PipelineConfig:
     refine: RefineConfig = RefineConfig()
     scene: SceneConfig = field(default_factory=SceneConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 def config_from_dict(d: dict) -> PipelineConfig:
     return from_dict(PipelineConfig, {} if d is None else d, "")
@@ -58,6 +62,6 @@ def load_config(path: str | None) -> PipelineConfig:
         return PipelineConfig()
     try:
         raw = yaml.safe_load(read_text(path))
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
     return config_from_dict(raw)

@@ -1,87 +1,97 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline: every leaf is a UsageError
+(the CLI exits 2) or a NumericalError (exit 4); any other exception is a bug.
+"""
 
 
 class IpsLabelError(Exception):
     """Base class for all ipslabel errors."""
 
 
-class ConfigError(IpsLabelError):
+class UsageError(IpsLabelError, ValueError):
+    """The input, configuration or arguments are wrong; the caller can fix them."""
+
+
+class NumericalError(IpsLabelError):
+    """The input is well formed, but the computation on it failed."""
+
+
+class ConfigError(UsageError):
     """Bad or inconsistent configuration input."""
 
 
 # --- geometry ---------------------------------------------------------------
 
-class DegenerateBeaconPair(IpsLabelError):
+class DegenerateBeaconPair(NumericalError):
     """Beacons coincide in the xy-plane; heading is undefined."""
 
 
-class FrameMismatch(IpsLabelError):
+class FrameMismatch(UsageError):
     """Transform frames do not chain."""
 
 
-class EmptyReadings(IpsLabelError):
+class EmptyReadings(UsageError):
     """No beacon readings to average."""
 
 
 # --- camera / calibration ---------------------------------------------------
 
-class BehindCamera(IpsLabelError):
+class BehindCamera(NumericalError):
     """Point has non-positive depth in the camera frame."""
 
 
-class MissingPlaneTag(IpsLabelError):
+class MissingPlaneTag(UsageError):
     """Correspondence lacks a plane tag while the planar constraint is on."""
 
 
-class DegenerateConfiguration(IpsLabelError):
+class DegenerateConfiguration(NumericalError):
     """Point configuration leaves the pose underdetermined."""
 
 
-class NoConvergence(IpsLabelError):
+class NoConvergence(NumericalError):
     """Pose refinement failed numerically."""
 
 
-class TooFewInliers(IpsLabelError):
+class TooFewInliers(NumericalError):
     """RANSAC consensus too small to refit a pose."""
 
 
-class EmptySubset(IpsLabelError):
+class EmptySubset(UsageError):
     """RMSE requested over an empty index set."""
 
 
 # --- label generation -------------------------------------------------------
 
-class AllVerticesBehindCamera(IpsLabelError):
+class AllVerticesBehindCamera(NumericalError):
     """Every box vertex projects behind the camera."""
 
 
 # --- refinement -------------------------------------------------------------
 
-class TooFewPoints(IpsLabelError):
+class TooFewPoints(NumericalError):
     """Not enough points for the requested fit."""
 
 
-class NoPlaneFound(IpsLabelError):
+class NoPlaneFound(NumericalError):
     """Plane RANSAC never reached the minimum inlier ratio."""
 
 
-class EmptyNeighborhood(IpsLabelError):
+class EmptyNeighborhood(NumericalError):
     """No points survive cropping around the unrefined label."""
 
 
-class DegenerateSample(IpsLabelError):
+class DegenerateSample(NumericalError):
     """Sampled points cannot form a box proposal."""
 
 
-class AllProposalsDegenerate(IpsLabelError):
+class AllProposalsDegenerate(NumericalError):
     """Every RANSAC iteration produced a degenerate proposal."""
 
 
 # --- evaluation / IO --------------------------------------------------------
 
-class MissingSample(IpsLabelError):
+class MissingSample(UsageError):
     """Sample ids do not match between label directories."""
 
 
-class ClassMismatch(IpsLabelError):
+class ClassMismatch(UsageError):
     """Labelled object classes cannot be paired."""

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ClassMismatch, FrameMismatch, IpsLabelError, MissingSample
-from .fileio import read_text
-from .labelgen import Box2, ObjectSpec, OrientedBox3
+from .errors import ClassMismatch, FrameMismatch, IpsLabelError, MissingSample, UsageError
+from .fileio import read_json
+from .labelgen import Box2, ObjectSpec, OrientedBox3, label_objects
 from .refine import RefineConfig, fitness, kinds_for_class, refine_label
 from .rng import NS_DOWNSAMPLE, derive_seed, substream
 
@@ -176,23 +176,15 @@ class EvalReport:
 
 
 def _load_label_dir(path: str) -> dict:
-    import json
-
+    """{sample id: [(class, 3D box, 2D box or None), ...]} of a label directory."""
     out = {}
-    for name in sorted(os.listdir(path)):
-        if name.endswith(".json"):
-            out[name[: -len(".json")]] = json.loads(read_text(os.path.join(path, name)))
+    for name in sorted(f for f in os.listdir(path) if f.endswith(".json")):
+        file = os.path.join(path, name)
+        objects = read_json(file, label_objects)
+        if any(box3 is None for _, box3, _ in objects):
+            raise UsageError(f"{file}: an object has no box3d_lidar to evaluate")
+        out[name[: -len(".json")]] = [(entry["class"], box3, box2) for entry, box3, box2 in objects]
     return out
-
-
-def _entry_box3(entry: dict) -> OrientedBox3:
-    return OrientedBox3.from_dict(entry["box3d_lidar"], frame="lidar")
-
-
-def _entry_box2(entry: dict) -> Box2 | None:
-    if entry.get("box2d") is None:
-        return None
-    return Box2.from_dict(entry["box2d"])
 
 
 def compare_labels(auto_dir: str, reference_dir: str) -> EvalReport:
@@ -211,35 +203,32 @@ def compare_labels(auto_dir: str, reference_dir: str) -> EvalReport:
     for sid in sorted(ref):
         if sid not in auto:
             raise MissingSample(f"reference sample {sid!r} has no auto labels")
-        ref_objs = ref[sid]["objects"]
-        auto_objs = list(auto[sid]["objects"])
+        auto_objs = auto[sid]
         used = [False] * len(auto_objs)
         matches = []
-        for robj in ref_objs:
-            rbox = _entry_box3(robj)
+        for rclass, rbox, rbox2 in ref[sid]:
             best_j, best_d = None, MATCH_GATE
-            for j, aobj in enumerate(auto_objs):
-                if used[j] or aobj["class"] != robj["class"]:
+            for j, (aclass, abox, _) in enumerate(auto_objs):
+                if used[j] or aclass != rclass:
                     continue
-                d = float(np.linalg.norm(_entry_box3(aobj).center - rbox.center))
+                d = float(np.linalg.norm(abox.center - rbox.center))
                 if d <= best_d:
                     best_j, best_d = j, d
             if best_j is None:
                 raise ClassMismatch(
-                    f"sample {sid!r}: no auto label of class {robj['class']!r} "
+                    f"sample {sid!r}: no auto label of class {rclass!r} "
                     f"within {MATCH_GATE} m of the reference box"
                 )
             used[best_j] = True
             matched += 1
-            aobj = auto_objs[best_j]
-            i3 = iou_3d(_entry_box3(aobj), rbox)
-            rbox2, abox2 = _entry_box2(robj), _entry_box2(aobj)
+            _, abox, abox2 = auto_objs[best_j]
+            i3 = iou_3d(abox, rbox)
             i2 = iou_2d(abox2, rbox2) if (rbox2 is not None and abox2 is not None) else None
             all_3d.append(i3)
             if i2 is not None:
                 all_2d.append(i2)
             matches.append(
-                {"class": robj["class"], "iou_3d": i3, "iou_2d": i2}
+                {"class": rclass, "iou_3d": i3, "iou_2d": i2}
             )
         unmatched_auto += used.count(False)
         per_sample.append({"sample": sid, "matches": matches})

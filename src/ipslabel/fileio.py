@@ -1,19 +1,21 @@
-"""Atomic file writes, deterministic serialization helpers, the dict form of
-the config dataclasses, and the ordered worker map whose results the
-writers consume.
+"""Atomic file writes, the checked reading of input files, deterministic
+serialization helpers, the dict form of the config dataclasses, and the
+ordered worker map whose results the writers consume.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
 import typing
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 
 
 def dump_json(obj) -> str:
@@ -140,3 +142,30 @@ def atomic_write_text(path: str, text: str) -> None:
 def read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def read_input(path: str, parse):
+    """``parse(text)`` of the input file at ``path``. What ``parse`` raises on
+    bad text (KeyError, TypeError, ValueError, OverflowError) and a decode
+    error are faults of the file: they become a UsageError naming ``path``.
+    """
+    try:
+        return parse(read_text(path))
+    except KeyError as e:
+        raise UsageError(f"{path}: missing key {e.args[0]!r}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise UsageError(f"{path}: {e}") from e
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_json(path: str, parse):
+    """read_input for a JSON file; NaN, Infinity and numbers beyond the float
+    range are rejected."""
+    decode = partial(json.loads, parse_float=_finite, parse_constant=_finite)
+    return read_input(path, lambda text: parse(decode(text)))

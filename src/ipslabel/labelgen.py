@@ -174,7 +174,7 @@ class Box2:
     @classmethod
     def from_dict(cls, d: dict, is_truncated=False, behind_camera_vertices=0) -> "Box2":
         return cls(
-            d["u0"], d["v0"], d["u1"], d["v1"],
+            *(float(d[k]) for k in ("u0", "v0", "u1", "v1")),
             is_truncated=is_truncated,
             behind_camera_vertices=behind_camera_vertices,
         )
@@ -245,6 +245,27 @@ def box_to_lidar(vertices_cam, t_lidar_from_cam: RigidTransform) -> OrientedBox3
 
 def labels_to_dict(sample_id: str, objects: list) -> dict:
     return {"sample": sample_id, "objects": objects}
+
+
+def label_objects(doc: dict) -> list:
+    """(entry, 3D box or None, 2D box or None) for each object of a label document.
+
+    Every entry needs a string ``class``; its ``id`` (a string),
+    ``box3d_lidar`` and ``box2d`` may be missing or null, and an entry with an
+    ``error`` has no boxes. A missing key or a value of the wrong type raises
+    KeyError, TypeError or ValueError.
+    """
+    out = []
+    for entry in doc["objects"]:
+        if not isinstance(entry["class"], str) or not isinstance(entry.get("id", ""), str):
+            raise TypeError(f"label object {entry.get('id')!r}: 'class' and 'id' must be strings")
+        if "error" in entry:
+            out.append((entry, None, None))
+            continue
+        box3, box2 = entry.get("box3d_lidar"), entry.get("box2d")
+        box3 = None if box3 is None else OrientedBox3.from_dict(box3)
+        out.append((entry, box3, None if box2 is None else Box2.from_dict(box2)))
+    return out
 
 
 def label_object_entry(

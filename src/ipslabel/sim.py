@@ -22,7 +22,7 @@ import numpy as np
 
 from .calib import CameraIntrinsics, Correspondence, _project_cam
 from .cloud import PointCloud, write_ply
-from .errors import AllVerticesBehindCamera
+from .errors import AllVerticesBehindCamera, UsageError
 from .fileio import atomic_write_text, dump_json, from_dict, ordered_map, to_dict
 from .geom import BeaconPair, RigidTransform, compose, frame_from_beacons, inverse
 from .labelgen import (
@@ -153,6 +153,10 @@ class SceneConfig:
             raise ValueError("noise levels must be >= 0")
         if not self.objects:
             raise ValueError("scene needs at least one object")
+        if self.collection_readings < 1:
+            raise ValueError("collection_readings must be >= 1")
+        if self.robot_radius_min > self.robot_radius_max:
+            raise ValueError("robot_radius_min must be <= robot_radius_max")
 
 
 def default_scene() -> SceneConfig:
@@ -527,27 +531,41 @@ def beacons_csv(readings: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_rows(text: str, header: str, numeric: slice, what: str):
+    """(line number, fields, ``numeric`` fields as finite floats) of each row
+    after ``header``, skipping blank lines; a bad row is a UsageError naming it."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise UsageError(f"{what} CSV must start with header {header!r}")
+    width = header.count(",") + 1
+    for line_no, ln in lines[1:]:
+        parts = ln.split(",")
+        try:
+            if len(parts) != width:
+                raise ValueError(f"expected {width} fields, got {len(parts)}")
+            values = [float(v) for v in parts[numeric]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite value")
+        except ValueError as e:
+            raise UsageError(f"{what} CSV line {line_no}: {e}") from None
+        yield line_no, parts, values
+
+
 def parse_beacons_csv(text: str) -> dict:
     """Inverse of beacons_csv: {"frame": [BeaconReading, ...]}."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
     header = "frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"
-    if not lines or lines[0] != header:
-        raise ValueError(f"beacon CSV must start with header {header!r}")
     rows = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"bad beacon CSV row: {ln!r}")
-        frame, beacon_id = parts[0], parts[1]
-        vals = [float(v) for v in parts[2:]]
-        rows.setdefault(frame, {"front": [], "rear": []})
+    for line_no, (frame, beacon_id, *_), vals in _csv_rows(text, header, slice(2, 8), "beacon"):
         if beacon_id not in ("front", "rear"):
-            raise ValueError(f"beacon_id must be front or rear, got {beacon_id!r}")
+            raise UsageError(
+                f"beacon CSV line {line_no}: beacon_id must be front or rear, got {beacon_id!r}"
+            )
+        rows.setdefault(frame, {"front": [], "rear": []})
         rows[frame][beacon_id].append((np.array(vals[:3]), np.array(vals[3:])))
     out = {}
     for frame, sides in rows.items():
         if len(sides["front"]) != len(sides["rear"]):
-            raise ValueError(f"frame {frame!r} has unpaired beacon rows")
+            raise UsageError(f"frame {frame!r} has unpaired beacon rows")
         readings = []
         for (fn, fc), (rn, rc) in zip(sides["front"], sides["rear"]):
             readings.append(BeaconReading(BeaconPair(fn, rn), BeaconPair(fc, rc)))
@@ -564,16 +582,9 @@ def correspondences_csv(corrs) -> str:
 
 
 def parse_correspondences_csv(text: str) -> list:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
     header = "beacon_x,beacon_y,beacon_z,u,v,plane_tag"
-    if not lines or lines[0] != header:
-        raise ValueError(f"correspondence CSV must start with header {header!r}")
     out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"bad correspondence CSV row: {ln!r}")
-        vals = [float(v) for v in parts[:5]]
+    for _, parts, vals in _csv_rows(text, header, slice(0, 5), "correspondence"):
         out.append(Correspondence(vals[:3], vals[3:5], parts[5]))
     return out
 

@@ -113,7 +113,7 @@ def test_planar_constraint_reduces_calibration_error():
                 corrs = apply_planar_constraint(cs.correspondences) if planar else cs.correspondences
                 r = solve_pnp_ransac(
                     corrs, scene.intrinsics, t_robot_from_ips,
-                    delta_px=delta, iterations=300, seed=seed, planar=planar,
+                    delta_px=delta, iterations=300, seed=seed,
                 )
                 rmse[(delta, planar)].append(r.rmse_px)
                 if delta == 25.0 and planar and len(r.inlier_indices) == 63:

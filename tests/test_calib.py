@@ -301,10 +301,3 @@ class TestSolvePnpRansac:
         corrs = synth_corrs(10, rng, t_true, t_ri)
         with pytest.raises(ValueError):
             solve_pnp_ransac(corrs, INTR, t_ri, delta_px=0.0)
-
-    def test_planar_flag_recorded(self):
-        rng = np.random.default_rng(17)
-        t_true, t_ri = make_pose_pair(rng)
-        corrs = synth_corrs(12, rng, t_true, t_ri)
-        result = solve_pnp_ransac(corrs, INTR, t_ri, iterations=20, planar=True)
-        assert result.planar is True

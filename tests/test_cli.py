@@ -1,9 +1,11 @@
 """End-to-end command-line pipeline: simulate, calibrate, generate, refine, evaluate."""
 
 import json
+import math
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 import ipslabel
-from ipslabel.cli import _extrinsic_from_report
+from ipslabel import cli
+from ipslabel.cli import _extrinsic_from_report, main
 from ipslabel.eval import compare_labels
 
 from .conftest import FIXTURES, run_cli, tree_digest
@@ -97,6 +100,9 @@ MALFORMED_CONFIGS = [
     ("scene: {beacon_noise: abc}", "scene.beacon_noise"),
     ("refine: {seed: 3}", "seed"),
     ("sede: 4", "sede"),
+    ("seed: -1", "seed"),
+    ("scene: {robot_radius_min: 6.0, robot_radius_max: 3.0}", "robot_radius_min"),
+    ("scene: {collection_readings: 0}", "collection_readings"),
 ]
 
 SUBCOMMANDS = [
@@ -396,3 +402,205 @@ class TestEvaluate:
         )
         assert code == 2
         assert "--sample" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs and the error-to-exit-code mapping
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 1-sample seed-7 dataset with its calibration report and labels."""
+    root = tmp_path_factory.mktemp("small_run")
+    ds, cal, labels = str(root / "ds"), str(root / "cal.json"), str(root / "labels")
+    for argv in (
+        ["--seed", "7", "simulate", "--out", ds, "--samples", "1"],
+        ["--seed", "7", "calibrate", "--dataset", ds, "--iterations", "300", "--out", cal],
+        ["generate", "--dataset", ds, "--calibration", cal, "--out", labels],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+    return root
+
+
+def _json_edit(*path, value=None):
+    """Set the entry at ``path`` of a JSON document, or delete it if value is None."""
+
+    def mutate(text):
+        doc = json.loads(text)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+        return json.dumps(doc)
+
+    return mutate
+
+
+def _field_edit(line_index, field_index, value, sep=","):
+    def mutate(text):
+        lines = text.splitlines()
+        fields = lines[line_index].split(sep)
+        fields[field_index] = value
+        lines[line_index] = sep.join(fields)
+        return "\n".join(lines) + "\n"
+
+    return mutate
+
+
+CLOUD = "ds/samples/sample_000/cloud.ply"
+BEACONS = "ds/samples/sample_000/beacons.csv"
+LABEL = "labels/sample_000.json"
+GENERATE = ["generate", "--dataset", "{d}/ds", "--calibration", "{d}/cal.json", "--out", "{o}"]
+REFINE = ["refine", "--dataset", "{d}/ds", "--labels", "{d}/labels", "--out", "{o}"]
+EVALUATE = ["evaluate", "--auto", "{d}/labels", "--reference", "{d}/ds/truth", "--out", "{o}"]
+CALIBRATE = ["calibrate", "--dataset", "{d}/ds", "--iterations", "20", "--out", "{o}"]
+STUDY = ["evaluate", "--study", "downsample", "--dataset", "{d}/ds", "--labels", "{d}/labels",
+         "--sample", "sample_000", "--trials", "1", "--out", "{o}"]
+
+MALFORMED_INPUTS = [
+    # (id, file to corrupt, corruption, argv, what the error must name)
+    ("nan-ply", CLOUD, _field_edit(16, 0, "nan", sep=" "), REFINE,
+     ["cloud.ply", "line 17", "non-finite"]),
+    ("nan-ply-study", CLOUD, _field_edit(16, 0, "nan", sep=" "), STUDY, ["cloud.ply", "line 17"]),
+    ("ply-without-z", CLOUD, lambda t: t.replace("property double z\n", ""), REFINE,
+     ["cloud.ply", "x, y, z"]),
+    ("truncated-manifest", "ds/manifest.json", lambda t: t[: len(t) // 2], GENERATE,
+     ["manifest.json"]),
+    ("manifest-without-scene", "ds/manifest.json", _json_edit("scene"), REFINE,
+     ["manifest.json", "'scene'"]),
+    ("manifest-bad-scene", "ds/manifest.json", _json_edit("scene", "lidar", "channels", value=0),
+     GENERATE, ["manifest.json", "scene.lidar"]),
+    ("non-orthonormal-extrinsic", "cal.json", _json_edit("extrinsic", 0, value=lambda v: 2 * v),
+     GENERATE, ["cal.json", "orthonormal"]),
+    ("missing-extrinsic", "cal.json", _json_edit("extrinsic"), GENERATE,
+     ["cal.json", "'extrinsic'"]),
+    ("nan-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=math.nan), GENERATE,
+     ["cal.json", "NaN"]),
+    ("huge-int-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=10**400), GENERATE,
+     ["cal.json", "too large"]),
+    ("label-without-class", LABEL, _json_edit("objects", 0, "class"), REFINE,
+     ["sample_000.json", "missing key 'class'"]),
+    ("label-without-class-evaluate", LABEL, _json_edit("objects", 0, "class"), EVALUATE,
+     ["sample_000.json", "missing key 'class'"]),
+    ("label-with-list-id", LABEL, _json_edit("objects", 0, "id", value=["obj0"]), REFINE,
+     ["sample_000.json", "'id'"]),
+    ("label-with-2-dims", LABEL, _json_edit("objects", 0, "box3d_lidar", "dims", value=[1.0, 1.0]),
+     REFINE, ["sample_000.json", "size 2"]),
+    ("label-with-2-dims-evaluate", LABEL,
+     _json_edit("objects", 0, "box3d_lidar", "dims", value=[1.0, 1.0]), EVALUATE,
+     ["sample_000.json", "size 2"]),
+    ("label-error-entry-evaluate", LABEL, _json_edit("objects", 0, "error", value="EmptyReadings: no beacon readings"),
+     EVALUATE, ["sample_000.json", "no box3d_lidar"]),
+    ("beacons-non-numeric", BEACONS, _field_edit(1, 2, "abc"), GENERATE,
+     ["beacons.csv", "line 2", "abc"]),
+    ("beacons-inf", BEACONS, _field_edit(3, 4, "inf"), GENERATE,
+     ["beacons.csv", "line 4", "non-finite"]),
+    ("robot-beacons-inf", "ds/calibration/robot_beacons.csv", _field_edit(2, 3, "-inf"), CALIBRATE,
+     ["robot_beacons.csv", "line 3"]),
+    ("correspondences-non-numeric", "ds/calibration/correspondences.csv", _field_edit(5, 3, "1.0.0"),
+     CALIBRATE, ["correspondences.csv", "line 6"]),
+]
+
+BAD_FLAGS = [
+    (["simulate", "--out", "{o}", "--samples", "0"], "--samples"),
+    ([*STUDY[:-4], "--trials", "0", "--out", "{o}"], "--trials"),
+    ([*STUDY, "--proportions", "abc"], "--proportions"),
+    ([*STUDY, "--proportions", "0.5,1.5"], "--proportions"),
+    ([*CALIBRATE, "--delta-px", "0"], "--delta-px"),
+    ([*CALIBRATE, "--delta-px", "nan"], "--delta-px"),
+    ([*CALIBRATE, "--iterations", "0"], "--iterations"),
+    ([*CALIBRATE, "--averaging-n", "-1"], "--averaging-n"),
+    (["--seed", "-2", "simulate", "--out", "{o}", "--samples", "1"], "--seed"),
+]
+
+
+def _run_in_copy(small_run, tmp_path, argv):
+    d = tmp_path / "in"
+    shutil.copytree(small_run, d)
+    out = tmp_path / "out"
+    code, _, err = run_cli([a.format(d=d, o=out) for a in argv])
+    return d, out, code, err
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "rel, mutate, argv, names", [case[1:] for case in MALFORMED_INPUTS],
+        ids=[case[0] for case in MALFORMED_INPUTS],
+    )
+    def test_exits_2_naming_the_file(self, small_run, tmp_path, rel, mutate, argv, names):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        path = d / rel
+        path.write_text(mutate(path.read_text()))
+        out = tmp_path / "out"
+        code, _, err = run_cli([a.format(d=d, o=out) for a in argv])
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err
+        for name in names:
+            assert name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[flag for _, flag in BAD_FLAGS])
+    def test_bad_flag_exits_2_naming_the_flag(self, small_run, tmp_path, argv, flag):
+        _, out, code, err = _run_in_copy(small_run, tmp_path, argv)
+        assert code == 2
+        assert "error:" in err and f"argument {flag}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_permuted_ply_columns_give_identical_refined_labels(self, small_run, tmp_path):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        ply = d / CLOUD
+        lines = ply.read_text().splitlines()
+        header, body = lines[:7], lines[7:]
+        assert header[3:6] == ["property double x", "property double y", "property double z"]
+        header[3:6] = ["property double z", "property double x", "property double y"]
+        body = [" ".join((z, x, y)) for x, y, z in (row.split() for row in body)]
+        ply.write_text("\n".join(header + body) + "\n")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("refine: {iterations: 300}\n")
+        outs = []
+        for root in (small_run, d):
+            out = str(tmp_path / f"refined_{len(outs)}")
+            code, _, err = run_cli(
+                ["--config", str(cfg), "--seed", "3", "refine", "--dataset", str(root / "ds"),
+                 "--labels", str(root / "labels"), "--out", out]
+            )
+            assert code == 0, err
+            outs.append(tree_digest(out))
+        assert outs[0] == outs[1]
+
+    def test_object_without_beacon_rows_gets_an_error_entry(self, small_run, tmp_path):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        beacons = d / BEACONS
+        beacons.write_text("".join(
+            line for line in beacons.read_text().splitlines(keepends=True)
+            if not line.startswith("obj1,")
+        ))
+        labels, refined = tmp_path / "labels", tmp_path / "refined"
+        code, _, err = run_cli(["generate", "--dataset", str(d / "ds"), "--calibration",
+                                str(d / "cal.json"), "--out", str(labels)])
+        assert code == 0, err
+        entry = json.loads(read(labels / "sample_000.json"))["objects"][1]
+        assert entry == {"id": "obj1", "class": "table", "error": "EmptyReadings: no beacon readings"}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("refine: {iterations: 50}\n")
+        code, _, err = run_cli(["--config", str(cfg), "refine", "--dataset", str(d / "ds"),
+                                "--labels", str(labels), "--out", str(refined)])
+        assert code == 0, err
+        assert json.loads(read(refined / "sample_000.json"))["objects"][1] == entry
+
+    @pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")])
+    def test_a_bug_propagates_instead_of_exiting_2(self, monkeypatch, tmp_path, error):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "generate_dataset", broken)
+        with pytest.raises(type(error), match="a bug"):
+            main(["simulate", "--out", str(tmp_path / "ds"), "--samples", "1"])

@@ -67,7 +67,15 @@ SCENE_KEYS = {
     "robot_radius_max": finite,
     "heading_jitter_deg": finite,
 }
-scene_dicts = st.fixed_dictionaries(SCENE_KEYS)
+
+
+def _ordered_radii(d: dict) -> dict:
+    """A valid scene has robot_radius_min <= robot_radius_max."""
+    low, high = sorted((d["robot_radius_min"], d["robot_radius_max"]))
+    return {**d, "robot_radius_min": low, "robot_radius_max": high}
+
+
+scene_dicts = st.fixed_dictionaries(SCENE_KEYS).map(_ordered_radii)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
