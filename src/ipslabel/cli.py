@@ -26,7 +26,6 @@ from .cloud import read_ply
 from .config import CalibOptions, PipelineConfig, load_config
 from .errors import (
     AllVerticesBehindCamera,
-    ConfigError,
     DegenerateBeaconPair,
     EmptyReadings,
     NumericalError,
@@ -44,7 +43,7 @@ from .labelgen import (
     object_box_ips,
     project_box,
 )
-from .refine import kinds_for_class, refine_label
+from .refine import refine_label
 from .rng import NS_JOB, derive_seed
 from .sim import (
     SceneConfig,
@@ -143,6 +142,17 @@ def _manifest_scene(path: str) -> SceneConfig:
 def _object_specs(scene: SceneConfig) -> dict:
     """{object id: ObjectSpec}, in id order."""
     return dict(sorted({o.object_id: o.spec for o in scene.objects}.items()))
+
+
+def _entry_spec(entry: dict, specs: dict, label_path: str):
+    """The manifest spec of a label entry, whose ``id`` must name an object of its class."""
+    spec = specs.get(entry.get("id"))
+    if spec is None or spec.class_name != entry["class"]:
+        raise UsageError(
+            f"{label_path}: label object {entry.get('id')!r} of class {entry['class']!r} "
+            "names no manifest object of that class"
+        )
+    return spec
 
 
 def _robot_transform_from_readings(readings: dict, n: int, path: str):
@@ -306,21 +316,10 @@ def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
         if unrefined is None:
             objects.append(entry)
             continue
-        try:
-            kinds = kinds_for_class(entry["class"])
-        except KeyError as e:
-            raise ConfigError(f"{label_path}: {e.args[0]}") from e
-        spec = specs.get(entry.get("id"))
-        if spec is None:
-            matching = [s for s in specs.values() if s.class_name == entry["class"]]
-            if not matching:
-                raise ConfigError(
-                    f"sample {sid}: no object spec for class {entry['class']!r}"
-                )
-            spec = matching[0]
+        spec = _entry_spec(entry, specs, label_path)
         cfg = replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index, obj_index))
         try:
-            refined = refine_label(cloud, unrefined, spec, kinds, cfg)
+            refined = refine_label(cloud, unrefined, spec, cfg)
             entry["box3d_lidar"] = refined.to_dict()
             entry["refined"] = True
         except NumericalError as e:
@@ -366,7 +365,8 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> None:
             raise UsageError("--study downsample needs --dataset, --labels and --sample")
         specs = _object_specs(_manifest_scene(os.path.join(ns.dataset, "manifest.json")))
         cloud = read_input(os.path.join(ns.dataset, "samples", ns.sample, "cloud.ply"), read_ply)
-        objects = read_json(os.path.join(ns.labels, f"{ns.sample}.json"), label_objects)
+        label_path = os.path.join(ns.labels, f"{ns.sample}.json")
+        objects = read_json(label_path, label_objects)
         entries = [
             (entry, box)
             for entry, box, _ in objects
@@ -375,9 +375,7 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> None:
         if not entries:
             raise UsageError(f"no usable object entry in {ns.sample}")
         entry, unrefined = entries[0]
-        spec = specs.get(entry.get("id"))
-        if spec is None:
-            raise UsageError(f"manifest has no spec for object {entry.get('id')!r}")
+        spec = _entry_spec(entry, specs, label_path)
         rows = downsample_study(
             cloud,
             unrefined,

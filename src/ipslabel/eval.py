@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ClassMismatch, FrameMismatch, IpsLabelError, MissingSample, UsageError
+from .errors import ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError
 from .fileio import read_json
 from .labelgen import Box2, ObjectSpec, OrientedBox3, label_objects
-from .refine import RefineConfig, fitness, kinds_for_class, refine_label
+from .refine import RefineConfig, fitness, refine_label
 from .rng import NS_DOWNSAMPLE, derive_seed, substream
 
 MATCH_GATE = 2.0  # meters; max center distance when pairing labels
@@ -108,15 +108,15 @@ def downsample_study(
     For each proportion p, each trial keeps a random fraction p of the
     points within cfg.radius of the unrefined label (the rest of the cloud
     is untouched), refines on the down-sampled cloud, and reports the best
-    box plus its fitness evaluated on the original full cloud. Refinement
-    failures are recorded per trial instead of aborting the study.
+    box plus its fitness evaluated on the original full cloud. Numerical
+    refinement failures are recorded per trial instead of aborting the
+    study; a usage error (such as a class without proposal functions) ends it.
     """
     proportions = [float(p) for p in proportions]
     if any(not (0.0 < p <= 1.0) for p in proportions):
         raise ValueError("proportions must lie in (0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    kinds = kinds_for_class(spec.class_name)
     pts = pcd.points
     near_idx = np.flatnonzero(np.linalg.norm(pts - unrefined.center, axis=1) <= cfg.radius)
     far_idx = np.flatnonzero(np.linalg.norm(pts - unrefined.center, axis=1) > cfg.radius)
@@ -132,10 +132,10 @@ def downsample_study(
             trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, NS_DOWNSAMPLE, pi, trial, 1))
             row = {"proportion": proportion, "trial": trial}
             try:
-                box = refine_label(sub, unrefined, spec, kinds, trial_cfg)
+                box = refine_label(sub, unrefined, spec, trial_cfg)
                 row["box3d"] = box.to_dict()
                 row["fitness"] = fitness(box, pcd, trial_cfg.shell_delta)
-            except IpsLabelError as e:
+            except NumericalError as e:
                 row["error"] = f"{type(e).__name__}: {e}"
             rows.append(row)
     return rows

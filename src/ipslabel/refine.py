@@ -18,6 +18,7 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import (
     AllProposalsDegenerate,
+    ConfigError,
     DegenerateSample,
     EmptyNeighborhood,
     NoPlaneFound,
@@ -90,7 +91,7 @@ def kinds_for_class(class_name: str):
             f"{cls}: {', '.join(k.value for k in kinds)}"
             for cls, kinds in sorted(CLASS_KINDS.items())
         )
-        raise KeyError(
+        raise ConfigError(
             f"no model proposal functions for class {class_name!r}; available: {known}"
         ) from None
 
@@ -248,7 +249,6 @@ def mpf_cabinet_two_point(
     p2,
     plane: GroundPlane,
     spec: ObjectSpec,
-    kind: MpfKind = MpfKind.CABINET_TWO_POINT_FACE,
     side: int = 1,
 ) -> OrientedBox3:
     """Cabinet proposal from two points along one face.
@@ -260,8 +260,6 @@ def mpf_cabinet_two_point(
     away from it. This construction is an interpretation: only the
     two-points-on-a-face idea is given, not its geometry.
     """
-    if kind is not MpfKind.CABINET_TWO_POINT_FACE:
-        raise ValueError(f"not the two-point cabinet kind: {kind}")
     q1, q2 = plane.project(np.stack([p1, p2]))
     gap = np.linalg.norm(q1 - q2)
     if gap < _MIN_SEPARATION:
@@ -330,7 +328,7 @@ def _propose(kind: MpfKind, sample: np.ndarray, plane, spec, rng) -> OrientedBox
         side = _away_side(sample[0], sample[1], plane)
         if side == 0:
             side = 1 if rng.integers(2) == 0 else -1
-        return mpf_cabinet_two_point(sample[0], sample[1], plane, spec, kind, side=side)
+        return mpf_cabinet_two_point(sample[0], sample[1], plane, spec, side=side)
     if kind is MpfKind.TABLE_STEM:
         return mpf_table(sample[0], sample[1], sample[2], plane, spec)
     return mpf_cabinet(sample[0], sample[1], sample[2], plane, spec, kind)
@@ -340,7 +338,6 @@ def refine_label(
     pcd: PointCloud,
     unrefined: OrientedBox3,
     spec: ObjectSpec,
-    kinds,
     cfg: RefineConfig,
 ) -> OrientedBox3:
     """Best-of-n proposal search around an unrefined label.
@@ -350,13 +347,12 @@ def refine_label(
     neighborhood can latch onto a horizontal object face such as a table
     top). The neighborhood is then cropped and ground-stripped, and each
     of the ``cfg.iterations`` rounds draws a kind uniformly from
-    ``kinds``, samples the points it needs without replacement, and scores
-    the proposal on the cropped cloud. Degenerate proposals score -inf but
-    still consume an iteration.
+    ``kinds_for_class(spec.class_name)``, samples the points it needs
+    without replacement, and scores the proposal on the cropped cloud.
+    Degenerate proposals score -inf but still consume an iteration. A class
+    without proposal functions raises ConfigError before any work.
     """
-    kinds = list(kinds)
-    if not kinds:
-        raise ValueError("kinds must be non-empty")
+    kinds = kinds_for_class(spec.class_name)
     plane = fit_ground_plane(pcd, cfg)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
     cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)

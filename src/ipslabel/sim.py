@@ -20,7 +20,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .calib import CameraIntrinsics, Correspondence, _project_cam
+from .calib import MIN_PNP_POINTS, CameraIntrinsics, Correspondence, _project_cam
 from .cloud import PointCloud, write_ply
 from .errors import AllVerticesBehindCamera, UsageError
 from .fileio import atomic_write_text, dump_json, from_dict, ordered_map, to_dict
@@ -38,6 +38,9 @@ from .rng import NS_BEACON, NS_CALSET, NS_POSE, substream
 
 TABLE_SLAB_THICKNESS = 0.15  # meters; tabletop plus apron frame, the part the LiDAR sees
 TABLE_STEM_WIDTH = 0.08  # meters; square center column
+# Draws per calibration point before the camera is taken to see none of the
+# target area (on the default rig every point is accepted on its first draw).
+MAX_CALIBRATION_DRAWS = 1000
 
 
 def _default_cam_from_robot(pitch_deg: float = 15.0) -> RigidTransform:
@@ -153,8 +156,11 @@ class SceneConfig:
             raise ValueError("noise levels must be >= 0")
         if not self.objects:
             raise ValueError("scene needs at least one object")
-        if self.collection_readings < 1:
-            raise ValueError("collection_readings must be >= 1")
+        for name in ("collection_readings", "calibration_readings"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.calibration_points < MIN_PNP_POINTS:
+            raise ValueError(f"calibration_points must be >= {MIN_PNP_POINTS}")
         if self.robot_radius_min > self.robot_radius_max:
             raise ValueError("robot_radius_min must be <= robot_radius_max")
 
@@ -388,13 +394,17 @@ def emit_beacons(scene: SceneConfig, pose, seed: int, index: int, readings: int 
     for placement in scene.objects:
         clean[placement.object_id] = object_beacons(placement)
     out = {frame: [] for frame in clean}
-    b = scene.beacon_noise
     for _ in range(readings):
         for frame, pair in clean.items():
-            front = pair.front + rng.uniform(-b, b, size=3)
-            rear = pair.rear + rng.uniform(-b, b, size=3)
-            out[frame].append(BeaconReading(BeaconPair(front, rear), pair))
+            out[frame].append(_noisy_reading(pair, scene.beacon_noise, rng))
     return {frame: tuple(rs) for frame, rs in out.items()}
+
+
+def _noisy_reading(pair: BeaconPair, b: float, rng) -> BeaconReading:
+    """One reading of ``pair``: per-axis uniform noise in [-b, +b], front first."""
+    front = pair.front + rng.uniform(-b, b, size=3)
+    rear = pair.rear + rng.uniform(-b, b, size=3)
+    return BeaconReading(BeaconPair(front, rear), pair)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +480,7 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
     cx = float(np.mean([o.x for o in scene.objects]))
     cy = float(np.mean([o.y for o in scene.objects]))
     pose = (cx - 5.0, cy, 0.0)
-    clean_pair = robot_beacons(scene, pose)
-    t_robot_from_ips = inverse(frame_from_beacons(clean_pair, frame="robot"))
-    t_cam_from_ips = compose(scene.cam_from_robot, t_robot_from_ips)
+    chain = true_transforms(scene, pose)
     n = scene.calibration_points
     n_floor = (n + 1) // 2
     corrs = []
@@ -480,11 +488,11 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
     for i in range(n):
         tag = "floor" if i < n_floor else "table"
         z = scene.floor_z if tag == "floor" else scene.table_z
-        while True:
+        for _ in range(MAX_CALIBRATION_DRAWS):
             forward = rng.uniform(2.0, 6.0)
             lateral = rng.uniform(-0.35, 0.35) * forward
             true_pos = np.array([pose[0] + forward, pose[1] + lateral, z])
-            pc = t_cam_from_ips.apply(true_pos)
+            pc = chain["cam_from_ips"].apply(true_pos)
             if pc[2] <= 0.5:
                 continue
             uv = _project_cam(scene.intrinsics, pc[None, :])[0]
@@ -493,21 +501,25 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
                 and margin <= uv[1] <= scene.intrinsics.height - margin
             ):
                 break
+        else:
+            raise UsageError(
+                f"scene.cam_from_robot: no {tag} calibration point 2-6 m ahead of the "
+                f"robot lands inside the image in {MAX_CALIBRATION_DRAWS} draws"
+            )
         measured = true_pos + rng.uniform(-scene.beacon_noise, scene.beacon_noise, size=3)
         pixel = uv + scene.pixel_noise_sigma * rng.standard_normal(2)
         corrs.append(Correspondence(measured, pixel, tag))
-    robot_reads = []
-    b = scene.beacon_noise
-    for _ in range(scene.calibration_readings):
-        front = clean_pair.front + rng.uniform(-b, b, size=3)
-        rear = clean_pair.rear + rng.uniform(-b, b, size=3)
-        robot_reads.append(BeaconReading(BeaconPair(front, rear), clean_pair))
+    clean_pair = robot_beacons(scene, pose)
+    robot_reads = tuple(
+        _noisy_reading(clean_pair, scene.beacon_noise, rng)
+        for _ in range(scene.calibration_readings)
+    )
     return CalibrationSet(
         correspondences=tuple(corrs),
-        robot_readings=tuple(robot_reads),
+        robot_readings=robot_reads,
         robot_pose=pose,
         cam_from_robot=scene.cam_from_robot,
-        t_robot_from_ips=t_robot_from_ips,
+        t_robot_from_ips=chain["robot_from_ips"],
     )
 
 
@@ -621,8 +633,7 @@ def scene_from_dict(d: dict) -> SceneConfig:
     return from_dict(SceneConfig, d, "scene")
 
 
-def render_calibration_files(scene: SceneConfig, seed: int) -> dict:
-    calset = make_calibration_set(scene, seed)
+def render_calibration_files(calset: CalibrationSet) -> dict:
     return {
         "calibration/correspondences.csv": correspondences_csv(calset.correspondences),
         "calibration/robot_beacons.csv": beacons_csv(
@@ -631,8 +642,7 @@ def render_calibration_files(scene: SceneConfig, seed: int) -> dict:
     }
 
 
-def manifest_json(scene: SceneConfig, seed: int, n_samples: int) -> str:
-    calset = make_calibration_set(scene, seed)
+def manifest_json(scene: SceneConfig, seed: int, n_samples: int, calset: CalibrationSet) -> str:
     return dump_json(
         {
             "format": "ipslabel-dataset-v1",
@@ -660,12 +670,13 @@ def generate_dataset(
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    calset = make_calibration_set(scene, seed)  # first, so a rig that sees no target writes nothing
     rendered = ordered_map(partial(render_sample_files, scene, seed), range(n_samples), jobs)
     for files in rendered:
         for rel, text in sorted(files.items()):
             atomic_write_text(os.path.join(out_dir, rel), text)
-    for rel, text in sorted(render_calibration_files(scene, seed).items()):
+    for rel, text in sorted(render_calibration_files(calset).items()):
         atomic_write_text(os.path.join(out_dir, rel), text)
     atomic_write_text(
-        os.path.join(out_dir, "manifest.json"), manifest_json(scene, seed, n_samples)
+        os.path.join(out_dir, "manifest.json"), manifest_json(scene, seed, n_samples, calset)
     )

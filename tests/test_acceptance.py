@@ -31,7 +31,7 @@ from ipslabel.geom import (
     inverse,
 )
 from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
-from ipslabel.refine import RefineConfig, fitness, kinds_for_class, refine_label
+from ipslabel.refine import RefineConfig, fitness, refine_label
 from ipslabel.rng import substream
 from ipslabel.sim import default_scene, make_calibration_set
 
@@ -155,7 +155,7 @@ def test_refinement_recovers_perturbed_labels(noisy20):
                 normalize_yaw(box.yaw + dyaw), frame=box.frame,
             )
             cfg = RefineConfig(iterations=5000, seed=7)
-            refined = refine_label(pcd, perturbed, specs[cls], kinds_for_class(cls), cfg)
+            refined = refine_label(pcd, perturbed, specs[cls], cfg)
             before.append(iou_3d(perturbed, truth[cls]))
             after.append(iou_3d(refined, truth[cls]))
     elapsed = time.monotonic() - t0

@@ -103,6 +103,9 @@ MALFORMED_CONFIGS = [
     ("seed: -1", "seed"),
     ("scene: {robot_radius_min: 6.0, robot_radius_max: 3.0}", "robot_radius_min"),
     ("scene: {collection_readings: 0}", "collection_readings"),
+    ("scene: {calibration_readings: 0}", "calibration_readings"),
+    ("scene: {calibration_points: -3}", "calibration_points"),
+    ("scene: {calibration_points: 2}", "calibration_points"),
 ]
 
 SUBCOMMANDS = [
@@ -132,6 +135,28 @@ class TestConfigValidation:
         code, _, err = run_cli(["--jobs", jobs, "simulate", "--out", str(out), "--samples", "1"])
         assert code == 2
         assert "--jobs" in err
+        assert not out.exists()
+
+    def test_camera_that_sees_no_calibration_target_exits_2(self, tmp_path):
+        # An upward-looking camera sees none of the target; run in a subprocess
+        # with a timeout, so a draw loop without a bound fails instead of hanging.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scene: {cam_from_robot: {rotation: [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "
+            "translation: [0, 0, 0]}}\n"
+        )
+        out = tmp_path / "ds"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ipslabel.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ipslabel.cli", "--config", str(cfg), "simulate",
+             "--out", str(out), "--samples", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: scene.cam_from_robot")
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_int_for_a_float_field_is_written_as_a_float(self, tmp_path):
@@ -330,13 +355,20 @@ class TestRefine:
         assert tree_digest(par) == tree_digest(pipeline["refined"])
 
     def test_unknown_class_is_a_usage_error(self, pipeline, tmp_path):
+        # refine takes the class from the manifest object the label names,
+        # so the manifest and the label both call obj0 a sofa
+        dataset = tmp_path / "ds"
+        shutil.copytree(pipeline["dataset"], dataset)
+        manifest = json.loads(read(dataset / "manifest.json"))
+        manifest["scene"]["objects"][0]["class"] = "sofa"
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
         labels = tmp_path / "weird"
         labels.mkdir()
         doc = json.loads(read(os.path.join(pipeline["labels"], "sample_000.json")))
         doc["objects"][0]["class"] = "sofa"
         (labels / "sample_000.json").write_text(json.dumps(doc))
         code, _, err = run_cli(
-            ["refine", "--dataset", pipeline["dataset"], "--labels", str(labels),
+            ["refine", "--dataset", str(dataset), "--labels", str(labels),
              "--out", str(tmp_path / "out")]
         )
         assert code == 2
@@ -488,6 +520,12 @@ MALFORMED_INPUTS = [
      ["sample_000.json", "missing key 'class'"]),
     ("label-with-list-id", LABEL, _json_edit("objects", 0, "id", value=["obj0"]), REFINE,
      ["sample_000.json", "'id'"]),
+    ("label-with-wrong-class", LABEL, _json_edit("objects", 0, "class", value="table"), REFINE,
+     ["sample_000.json", "'obj0'", "'table'"]),
+    ("label-with-wrong-class-study", LABEL, _json_edit("objects", 0, "class", value="table"),
+     STUDY, ["sample_000.json", "'obj0'", "'table'"]),
+    ("label-without-id", LABEL, _json_edit("objects", 0, "id"), REFINE,
+     ["sample_000.json", "None"]),
     ("label-with-2-dims", LABEL, _json_edit("objects", 0, "box3d_lidar", "dims", value=[1.0, 1.0]),
      REFINE, ["sample_000.json", "size 2"]),
     ("label-with-2-dims-evaluate", LABEL,
@@ -550,6 +588,21 @@ class TestMalformedInputs:
         _, out, code, err = _run_in_copy(small_run, tmp_path, argv)
         assert code == 2
         assert "error:" in err and f"argument {flag}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_study_on_a_class_without_proposals_exits_2_naming_it(self, small_run, tmp_path):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        for rel, mutate in (
+            ("ds/manifest.json", _json_edit("scene", "objects", 0, "class", value="sofa")),
+            (LABEL, _json_edit("objects", 0, "class", value="sofa")),
+        ):
+            (d / rel).write_text(mutate((d / rel).read_text()))
+        out = tmp_path / "out"
+        code, _, err = run_cli([a.format(d=d, o=out) for a in STUDY])
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "'sofa'" in err and "cabinet_two_point_face" in err
         assert not out.exists()
 
     def test_permuted_ply_columns_give_identical_refined_labels(self, small_run, tmp_path):

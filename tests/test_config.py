@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipslabel.calib import MIN_PNP_POINTS
 from ipslabel.config import PipelineConfig, config_from_dict
 from ipslabel.errors import ConfigError
 from ipslabel.fileio import to_dict
@@ -60,7 +61,7 @@ SCENE_KEYS = {
     "robot_beacon_sep": finite,
     "collection_readings": counts,
     "calibration_readings": counts,
-    "calibration_points": counts,
+    "calibration_points": st.integers(min_value=MIN_PNP_POINTS, max_value=100),
     "floor_z": finite,
     "table_z": finite,
     "robot_radius_min": finite,

@@ -8,6 +8,7 @@ import pytest
 
 from ipslabel.cloud import PointCloud
 from ipslabel.errors import (
+    ConfigError,
     DegenerateSample,
     EmptyNeighborhood,
     NoPlaneFound,
@@ -89,7 +90,7 @@ class TestKinds:
         assert kinds_for_class("table") == (MpfKind.TABLE_STEM,)
 
     def test_unknown_class_lists_available_kinds(self):
-        with pytest.raises(KeyError) as exc:
+        with pytest.raises(ConfigError) as exc:
             kinds_for_class("sofa")
         msg = str(exc.value)
         assert "cabinet_two_point_face" in msg and "table_stem" in msg
@@ -294,11 +295,6 @@ class TestMpfCabinetTwoPoint:
         with pytest.raises(DegenerateSample):
             mpf_cabinet_two_point((0.3, 0.2, 0), (0.3, 0.2, 0.9), FLAT, spec)
 
-    def test_three_point_kind_rejected(self):
-        spec = ObjectSpec("cabinet", 1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            mpf_cabinet_two_point((0, 0, 0), (1, 0, 0), FLAT, spec, kind=MpfKind.TABLE_STEM)
-
 
 class TestMpfTable:
     def test_centered_on_stem_point(self):
@@ -425,7 +421,7 @@ class TestRefineLabel:
         unrefined = OrientedBox3(truth.center + (0.1, -0.08, 0.0), truth.dims, truth.yaw + 0.1)
         spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
         cfg = RefineConfig(iterations=800, seed=3)
-        refined = refine_label(cloud, unrefined, spec, kinds_for_class("cabinet"), cfg)
+        refined = refine_label(cloud, unrefined, spec, cfg)
         assert iou_3d(refined, truth) > iou_3d(unrefined, truth)
         assert iou_3d(refined, truth) > 0.8
 
@@ -435,16 +431,17 @@ class TestRefineLabel:
         cloud = shell_scene(rng, truth)
         spec = ObjectSpec("cabinet", 1.0, 0.6, 1.0)
         cfg = RefineConfig(iterations=1, seed=21)
-        kinds = [MpfKind.CABINET_LEFT_FRONT]
-        got = refine_label(cloud, truth, spec, kinds, cfg)
+        got = refine_label(cloud, truth, spec, cfg)
 
         plane = fit_ground_plane(cloud, cfg)
         cropped = crop_and_strip(cloud, truth, plane, cfg)
         stream = substream(cfg.seed, NS_REFINE)
-        assert int(stream.integers(len(kinds))) == 0
-        idx = stream.choice(len(cropped), size=3, replace=False)
+        kinds = kinds_for_class(spec.class_name)
+        kind = kinds[int(stream.integers(len(kinds)))]
+        assert kind is MpfKind.CABINET_RIGHT_FRONT  # this seed draws a corner kind
+        idx = stream.choice(len(cropped), size=kind.sample_size, replace=False)
         p1, p2, p3 = cropped.points[idx]
-        expected = mpf_cabinet(p1, p2, p3, plane, spec, MpfKind.CABINET_LEFT_FRONT)
+        expected = mpf_cabinet(p1, p2, p3, plane, spec, kind)
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
 
@@ -454,17 +451,10 @@ class TestRefineLabel:
         cloud = shell_scene(rng, truth)
         spec = ObjectSpec("cabinet", 1.0, 0.6, 1.0)
         cfg = RefineConfig(iterations=200, seed=8)
-        a = refine_label(cloud, truth, spec, kinds_for_class("cabinet"), cfg)
-        b = refine_label(cloud, truth, spec, kinds_for_class("cabinet"), cfg)
+        a = refine_label(cloud, truth, spec, cfg)
+        b = refine_label(cloud, truth, spec, cfg)
         np.testing.assert_array_equal(a.center, b.center)
         assert a.yaw == b.yaw
-
-    def test_empty_kinds_rejected(self):
-        rng = np.random.default_rng(13)
-        truth = OrientedBox3((2.0, 0.0, 0.5), (1.0, 0.6, 1.0), 0.2)
-        cloud = shell_scene(rng, truth)
-        with pytest.raises(ValueError):
-            refine_label(cloud, truth, ObjectSpec("cabinet", 1, 0.6, 1), [], RefineConfig())
 
     def test_label_far_from_points_is_empty_neighborhood(self):
         rng = np.random.default_rng(14)
@@ -472,7 +462,7 @@ class TestRefineLabel:
         cloud = shell_scene(rng, truth)
         lost = OrientedBox3((20.0, 20.0, 0.5), truth.dims, 0.0)
         with pytest.raises(EmptyNeighborhood):
-            refine_label(cloud, lost, ObjectSpec("cabinet", 1, 0.6, 1), kinds_for_class("cabinet"), RefineConfig())
+            refine_label(cloud, lost, ObjectSpec("cabinet", 1, 0.6, 1), RefineConfig())
 
     def test_simulated_cabinet_recovers_truth(self):
         from ipslabel.eval import iou_3d
@@ -484,7 +474,7 @@ class TestRefineLabel:
         dims = entry["dims_spec"]
         spec = ObjectSpec("cabinet", dims[0], dims[1], dims[2])
         refined = refine_label(
-            sample.cloud, nudged, spec, kinds_for_class("cabinet"), RefineConfig(iterations=1500, seed=2)
+            sample.cloud, nudged, spec, RefineConfig(iterations=1500, seed=2)
         )
         assert iou_3d(refined, truth) > iou_3d(nudged, truth)
         assert iou_3d(refined, truth) > 0.75
