@@ -20,7 +20,7 @@ from .calib import (
     solve_pnp_ransac,
 )
 from .cloud import PointCloud, read_ply, write_ply
-from .config import CalibOptions, CollectionOptions, PipelineConfig, load_config
+from .config import CalibOptions, PipelineConfig, load_config
 from .eval import EvalReport, compare_labels, downsample_study, iou_2d, iou_3d
 from .geom import (
     BeaconPair,
@@ -125,7 +125,6 @@ __all__ = [
     "iou_2d",
     "iou_3d",
     "CalibOptions",
-    "CollectionOptions",
     "PipelineConfig",
     "load_config",
 ]

@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planar", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--delta-px", type=_POSITIVE, default=None)
     p.add_argument("--iterations", type=_COUNT, default=None)
-    p.add_argument("--averaging-n", type=_COUNT, default=None)
 
     p = sub.add_parser("generate", help="produce 2D/3D labels from beacons + calibration")
     p.add_argument("--dataset", required=True)
@@ -155,11 +154,10 @@ def _entry_spec(entry: dict, specs: dict, label_path: str):
     return spec
 
 
-def _robot_transform_from_readings(readings: dict, n: int, path: str):
+def _robot_transform_from_readings(readings: dict, path: str):
     if "robot" not in readings:
         raise UsageError(f"{path} has no 'robot' frame rows")
-    pairs = [r.noisy for r in readings["robot"]]
-    pair = average_beacon_readings(pairs, min(n, len(pairs)))
+    pair = average_beacon_readings(r.noisy for r in readings["robot"])
     return inverse(frame_from_beacons(pair, frame="robot"))
 
 
@@ -222,7 +220,7 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> None:
     # the calibrate flags are named after the CalibOptions fields they override
     flags = {f.name: getattr(ns, f.name) for f in fields(CalibOptions)}
     opts = replace(cfg.calibration, **{k: v for k, v in flags.items() if v is not None})
-    t_robot_from_ips = _robot_transform_from_readings(readings, opts.averaging_n, beacon_path)
+    t_robot_from_ips = _robot_transform_from_readings(readings, beacon_path)
     solve_corrs = apply_planar_constraint(corrs) if opts.planar else corrs
     result = solve_pnp_ransac(
         solve_corrs,
@@ -248,15 +246,14 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> None:
 # generate
 
 
-def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr, averaging_n) -> tuple:
+def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr) -> tuple:
     sid, beacons_path = task
     readings = read_input(beacons_path, parse_beacons_csv)
-    t_robot_from_ips = _robot_transform_from_readings(readings, averaging_n, beacons_path)
+    t_robot_from_ips = _robot_transform_from_readings(readings, beacons_path)
     entries = []
     for object_id, spec in specs.items():
         try:
-            pairs = [r.noisy for r in readings.get(object_id, ())]
-            pair = average_beacon_readings(pairs, min(averaging_n, len(pairs)))
+            pair = average_beacon_readings(r.noisy for r in readings.get(object_id, ()))
             box_ips = object_box_ips(pair, spec)
             verts_cam = box_to_camera(box_ips, extrinsic, t_robot_from_ips)
             box_lidar = box_to_lidar(verts_cam, lidar_from_cam)
@@ -295,7 +292,6 @@ def cmd_generate(ns, cfg: PipelineConfig) -> None:
         extrinsic=_extrinsic_from_report(ns.calibration),
         lidar_from_cam=scene.lidar_from_cam,
         intr=scene.intrinsics,
-        averaging_n=cfg.collection.averaging_n,
     )
     results = ordered_map(worker, tasks, ns.jobs)
     for sid, text in results:

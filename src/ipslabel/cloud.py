@@ -51,12 +51,13 @@ def read_ply(text: str, frame: str = "lidar") -> PointCloud:
 
     The point columns are found by the names of the ``property`` lines, so
     any column order reads the same cloud; other properties are ignored. A
-    malformed header or row, or a non-finite point, raises UsageError.
+    malformed header or row, a non-blank row past the vertex count, or a
+    non-finite point, raises UsageError.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise UsageError("not a PLY file (missing 'ply' magic)")
-    n, names = None, []
+    n, names, ascii_format = None, [], False
     for end, line in enumerate(lines[1:], start=1):
         tok = line.split()
         if tok == ["end_header"]:
@@ -65,15 +66,22 @@ def read_ply(text: str, frame: str = "lidar") -> PointCloud:
             n = int(tok[2])
         elif tok[:1] == ["property"] and len(tok) == 3 and n is not None:
             names.append(tok[2])
-        elif tok and tok[0] not in ("comment", "obj_info") and tok[:2] != ["format", "ascii"]:
+        elif tok[:2] == ["format", "ascii"]:
+            ascii_format = True
+        elif tok and tok[0] not in ("comment", "obj_info"):
             raise UsageError(f"PLY header line {end + 1}: unsupported {line.strip()!r}")
     else:
         raise UsageError("PLY header has no end_header line")
+    if not ascii_format:
+        raise UsageError("PLY header has no 'format ascii' line")
     if n is None or not set("xyz") <= set(names) or len(set(names)) != len(names):
         raise UsageError(f"PLY header needs a vertex element with x, y, z once each: {names}")
     body = [line.split() for line in lines[end + 1 : end + 1 + n]]
     if len(body) != n:
         raise UsageError(f"PLY body has {len(body)} rows, header promised {n}")
+    for line_no, line in enumerate(lines[end + 1 + n :], start=end + 2 + n):
+        if line.strip():
+            raise UsageError(f"PLY line {line_no}: a row past the {n} vertices the header promised")
     try:
         values = np.array(body, dtype=float).reshape(n, len(names))
     except ValueError:  # name the first row that does not parse on its own

@@ -22,29 +22,18 @@ class CalibOptions:
     delta_px: float = 8.0
     iterations: int = 2000
     planar: bool = True
-    averaging_n: int = 16
 
     def __post_init__(self):
         if self.delta_px <= 0:
             raise ValueError("delta_px must be positive")
-        if self.iterations < 1 or self.averaging_n < 1:
-            raise ValueError("iterations and averaging_n must be >= 1")
-
-
-@dataclass(frozen=True)
-class CollectionOptions:
-    averaging_n: int = 1  # readings averaged per sample by generate
-
-    def __post_init__(self):
-        if self.averaging_n < 1:
-            raise ValueError("averaging_n must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
     calibration: CalibOptions = CalibOptions()
-    collection: CollectionOptions = CollectionOptions()
     refine: RefineConfig = RefineConfig()
     scene: SceneConfig = field(default_factory=SceneConfig)
 

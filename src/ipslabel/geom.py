@@ -179,18 +179,11 @@ def beacon_yaw(pair: BeaconPair) -> float:
     return float(np.arctan2(d[1], d[0]))
 
 
-def average_beacon_readings(readings, n: int | None = None) -> BeaconPair:
-    """Component-wise mean of the first ``n`` readings (all by default)."""
+def average_beacon_readings(readings) -> BeaconPair:
+    """Component-wise mean of every reading."""
     readings = list(readings)
     if not readings:
         raise EmptyReadings("no beacon readings")
-    if n is None:
-        n = len(readings)
-    if n < 1:
-        raise EmptyReadings(f"cannot average {n} readings")
-    if n > len(readings):
-        raise EmptyReadings(f"requested {n} readings, only {len(readings)} available")
-    use = readings[:n]
-    front = np.mean([r.front for r in use], axis=0)
-    rear = np.mean([r.rear for r in use], axis=0)
+    front = np.mean([r.front for r in readings], axis=0)
+    rear = np.mean([r.rear for r in readings], axis=0)
     return BeaconPair(front, rear)

@@ -379,22 +379,19 @@ class BeaconReading:
     clean: BeaconPair
 
 
-def emit_beacons(scene: SceneConfig, pose, seed: int, index: int, readings: int | None = None) -> dict:
+def emit_beacons(scene: SceneConfig, pose, seed: int, index: int) -> dict:
     """Noisy beacon readings per frame: {"robot": [...], "obj0": [...], ...}.
 
-    Noise is per-axis uniform in [-b, +b]. Draw order is fixed (reading,
-    then frame, then front/rear), so outputs are reproducible.
+    Each frame gets ``scene.collection_readings`` readings. Noise is per-axis
+    uniform in [-b, +b]. Draw order is fixed (reading, then frame, then
+    front/rear), so outputs are reproducible.
     """
-    if readings is None:
-        readings = scene.collection_readings
-    if readings < 1:
-        raise ValueError("need at least one reading")
     rng = substream(seed, NS_BEACON, index)
     clean = {"robot": robot_beacons(scene, pose)}
     for placement in scene.objects:
         clean[placement.object_id] = object_beacons(placement)
     out = {frame: [] for frame in clean}
-    for _ in range(readings):
+    for _ in range(scene.collection_readings):
         for frame, pair in clean.items():
             out[frame].append(_noisy_reading(pair, scene.beacon_noise, rng))
     return {frame: tuple(rs) for frame, rs in out.items()}
@@ -670,6 +667,9 @@ def generate_dataset(
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    # writing into an earlier dataset would leave its other samples beside ours
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise UsageError(f"{out_dir} is not empty; simulate into a new or empty directory")
     calset = make_calibration_set(scene, seed)  # first, so a rig that sees no target writes nothing
     rendered = ordered_map(partial(render_sample_files, scene, seed), range(n_samples), jobs)
     for files in rendered:

@@ -16,6 +16,8 @@ import ipslabel
 from ipslabel import cli
 from ipslabel.cli import _extrinsic_from_report, main
 from ipslabel.eval import compare_labels
+from ipslabel.geom import BeaconPair
+from ipslabel.sim import BeaconReading, beacons_csv, parse_beacons_csv
 
 from .conftest import FIXTURES, run_cli, tree_digest
 
@@ -81,6 +83,25 @@ class TestSimulate:
         assert code == 2
         assert "sede" in err
 
+    def test_existing_dataset_is_left_as_it_is(self, tmp_path):
+        # A second dataset written over the first would leave the first's other
+        # samples beside its own, and generate would label them all.
+        ds = str(tmp_path / "ds")
+        code, _, err = run_cli(["--seed", "3", "simulate", "--out", ds, "--samples", "4"])
+        assert code == 0, err
+        before = tree_digest(ds)
+        cfg = tmp_path / "one_object.yaml"
+        cfg.write_text(
+            "scene: {objects: [{id: obj0, class: cabinet, dims: [0.9, 0.5, 1.3], "
+            "x: 4.0, y: 0.9, yaw: 0.4}]}\n"
+        )
+        code, _, err = run_cli(
+            ["--config", str(cfg), "--seed", "4", "simulate", "--out", ds, "--samples", "2"]
+        )
+        assert code == 2
+        assert err.startswith("error: ") and ds in err and "Traceback" not in err
+        assert tree_digest(ds) == before
+
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         code, _, err = run_cli(["--config", str(tmp_path / "nope.yaml"), "simulate", "--out", str(tmp_path / "d"), "--samples", "1"])
         assert code == 3
@@ -96,7 +117,8 @@ MALFORMED_CONFIGS = [
     ("scene: {lidar: {channels: 2.5}}", "scene.lidar.channels"),
     ("refine: {iterations: 2.5}", "refine.iterations"),
     ('calibration: {planar: "no"}', "calibration.planar"),
-    ("collection: {averaging_n: 0}", "averaging_n"),
+    ("collection: {averaging_n: 0}", "collection"),
+    ("calibration: {averaging_n: 16}", "averaging_n"),
     ("scene: {beacon_noise: abc}", "scene.beacon_noise"),
     ("refine: {seed: 3}", "seed"),
     ("sede: 4", "sede"),
@@ -315,6 +337,48 @@ class TestGenerate:
         )
         assert code == 0, err
         assert tree_digest(par) == tree_digest(pipeline["labels"])
+
+    @pytest.mark.parametrize("calibration_readings", [5, 20])
+    def test_every_reading_is_averaged(self, tmp_path, calibration_readings):
+        """calibrate and generate write what they write from one reading per
+        frame that is the mean of all the frame's readings."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"scene: {{collection_readings: 3, calibration_readings: {calibration_readings}}}\n"
+        )
+        ds, mean_ds = tmp_path / "ds", tmp_path / "mean_ds"
+        code, _, err = run_cli(
+            ["--config", str(cfg), "--seed", "5", "simulate", "--out", str(ds), "--samples", "2"]
+        )
+        assert code == 0, err
+        shutil.copytree(ds, mean_ds)
+        csvs = ["calibration/robot_beacons.csv"] + [
+            f"samples/{sid}/beacons.csv" for sid in os.listdir(mean_ds / "samples")
+        ]
+        for rel in csvs:
+            readings = parse_beacons_csv(read(mean_ds / rel))
+            for rs in readings.values():
+                assert len(rs) == (calibration_readings if rel.startswith("calib") else 3)
+                assert not np.array_equal(rs[0].noisy.front, rs[1].noisy.front)
+            mean = {
+                frame: [BeaconReading(BeaconPair(
+                    np.mean([r.noisy.front for r in rs], axis=0),
+                    np.mean([r.noisy.rear for r in rs], axis=0),
+                ), rs[0].clean)]
+                for frame, rs in readings.items()
+            }
+            (mean_ds / rel).write_text(beacons_csv(mean))
+        for root in (ds, mean_ds):
+            for argv in (
+                ["calibrate", "--dataset", str(root), "--iterations", "300",
+                 "--out", str(root / "cal.json")],
+                ["generate", "--dataset", str(root), "--calibration", str(root / "cal.json"),
+                 "--out", str(root / "labels")],
+            ):
+                code, _, err = run_cli(["--config", str(cfg), *argv])
+                assert code == 0, err
+        assert read(ds / "cal.json") == read(mean_ds / "cal.json")
+        assert tree_digest(ds / "labels") == tree_digest(mean_ds / "labels")
 
     def test_every_sample_gets_a_label_file(self, pipeline):
         assert sorted(os.listdir(pipeline["labels"])) == [
@@ -541,6 +605,9 @@ MALFORMED_INPUTS = [
      ["robot_beacons.csv", "line 3"]),
     ("correspondences-non-numeric", "ds/calibration/correspondences.csv", _field_edit(5, 3, "1.0.0"),
      CALIBRATE, ["correspondences.csv", "line 6"]),
+    # 7 header lines, then 10 vertex rows; line 18 is the first row past them
+    ("ply-longer-than-its-header", CLOUD, lambda t: re.sub(r"element vertex \d+", "element vertex 10", t),
+     REFINE, ["cloud.ply", "line 18"]),
 ]
 
 BAD_FLAGS = [
@@ -551,7 +618,6 @@ BAD_FLAGS = [
     ([*CALIBRATE, "--delta-px", "0"], "--delta-px"),
     ([*CALIBRATE, "--delta-px", "nan"], "--delta-px"),
     ([*CALIBRATE, "--iterations", "0"], "--iterations"),
-    ([*CALIBRATE, "--averaging-n", "-1"], "--averaging-n"),
     (["--seed", "-2", "simulate", "--out", "{o}", "--samples", "1"], "--seed"),
 ]
 
@@ -588,6 +654,12 @@ class TestMalformedInputs:
         _, out, code, err = _run_in_copy(small_run, tmp_path, argv)
         assert code == 2
         assert "error:" in err and f"argument {flag}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_averaging_flag_is_gone(self, small_run, tmp_path):
+        _, out, code, err = _run_in_copy(small_run, tmp_path, [*CALIBRATE, "--averaging-n", "16"])
+        assert code == 2
+        assert "error:" in err and "--averaging-n" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_study_on_a_class_without_proposals_exits_2_naming_it(self, small_run, tmp_path):

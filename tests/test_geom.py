@@ -271,24 +271,13 @@ class TestAverageBeaconReadings:
     def test_mean_of_two(self):
         a = BeaconPair((0, 0, 0), (0, -1, 0))
         b = BeaconPair((2, 0, 0), (2, -1, 0))
-        avg = average_beacon_readings([a, b], n=2)
+        avg = average_beacon_readings([a, b])
         np.testing.assert_allclose(avg.front, (1, 0, 0), atol=0)
         np.testing.assert_allclose(avg.rear, (1, -1, 0), atol=0)
 
-    def test_n_takes_a_prefix(self):
-        a = BeaconPair((0, 0, 0), (0, -1, 0))
-        b = BeaconPair((2, 0, 0), (2, -1, 0))
-        avg = average_beacon_readings([a, b], n=1)
-        np.testing.assert_allclose(avg.front, a.front, atol=0)
-
-    def test_empty_and_invalid_counts_rejected(self):
-        pair = BeaconPair((1, 0, 0), (0, 0, 0))
+    def test_empty_rejected(self):
         with pytest.raises(EmptyReadings):
             average_beacon_readings([])
-        with pytest.raises(EmptyReadings):
-            average_beacon_readings([pair], n=0)
-        with pytest.raises(EmptyReadings):
-            average_beacon_readings([pair], n=2)
 
     def test_averaging_beats_single_readings_under_noise(self):
         """Mean of 16 noisy readings is closer to truth than every single

@@ -3,6 +3,7 @@
 import string
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,3 +139,17 @@ def test_corrupted_correspondences_csv_is_parsed_or_a_usage_error(text):
     parsed = _parsed_or_usage_error(parse_correspondences_csv, text)
     for c in parsed or []:
         assert np.isfinite(c.beacon_ips).all() and np.isfinite(c.pixel).all()
+
+
+def test_ply_rows_past_the_vertex_count_are_rejected_naming_the_first():
+    text = write_ply(PointCloud(np.eye(3)))  # 7 header lines, rows on lines 8-10
+    for extra, line in (("1 2 3\n", 11), ("\n1 2 3\n", 12)):
+        with pytest.raises(UsageError, match=f"PLY line {line}:"):
+            read_ply(text + extra)
+    assert write_ply(read_ply(text + "\n \n")) == text  # trailing blank lines are fine
+
+
+def test_ply_without_a_format_line_is_rejected():
+    text = write_ply(PointCloud(np.eye(3)))
+    with pytest.raises(UsageError, match="format ascii"):
+        read_ply(text.replace("format ascii 1.0\n", ""))

@@ -189,7 +189,7 @@ class TestEmitBeacons:
     def test_noise_has_bounded_support(self):
         scene = default_scene()  # beacon_noise = 0.02
         pose = robot_pose_for_sample(scene, seed=4, index=0)
-        readings = emit_beacons(scene, pose, seed=4, index=0, readings=10_000)
+        readings = emit_beacons(replace(scene, collection_readings=10_000), pose, seed=4, index=0)
         errs = np.array(
             [r.noisy.front - r.clean.front for r in readings["robot"]]
             + [r.noisy.rear - r.clean.rear for r in readings["robot"]]
@@ -202,7 +202,7 @@ class TestEmitBeacons:
         scene = default_scene()
         pose = robot_pose_for_sample(scene, seed=5, index=0)
         n = 10_000
-        readings = emit_beacons(scene, pose, seed=5, index=0, readings=n)
+        readings = emit_beacons(replace(scene, collection_readings=n), pose, seed=5, index=0)
         errs = np.array([r.noisy.front - r.clean.front for r in readings["robot"]])
         sigma = scene.beacon_noise / math.sqrt(3.0)  # std of U(-b, b)
         bound = 3.0 * sigma / math.sqrt(n)
@@ -218,10 +218,8 @@ class TestEmitBeacons:
         assert not np.array_equal(a["obj0"][0].noisy.front, c["obj0"][0].noisy.front)
 
     def test_requires_at_least_one_reading(self):
-        scene = default_scene()
-        pose = robot_pose_for_sample(scene, seed=6, index=0)
-        with pytest.raises(ValueError):
-            emit_beacons(scene, pose, seed=6, index=0, readings=0)
+        with pytest.raises(ValueError, match="collection_readings"):
+            replace(default_scene(), collection_readings=0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,7 @@ class TestFileFormats:
     def test_beacons_csv_round_trip(self):
         scene = default_scene()
         pose = robot_pose_for_sample(scene, seed=10, index=0)
-        readings = emit_beacons(scene, pose, seed=10, index=0, readings=3)
+        readings = emit_beacons(replace(scene, collection_readings=3), pose, seed=10, index=0)
         text = beacons_csv(readings)
         assert text.splitlines()[0] == "frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"
         assert beacons_csv(parse_beacons_csv(text)) == text

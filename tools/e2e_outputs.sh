@@ -27,6 +27,7 @@ export PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1
 run_config() {  # run_config NAME JOBS [CONFIG TEXT]; runs inside OUT/NAME
     local name=$1 jobs=$2 text=${3:-}
     local flags=(--seed 7 --jobs "$jobs")
+    rm -rf "${out:?}/$name"  # simulate needs a new or empty dataset directory
     mkdir -p "$out/$name"
     cd "$out/$name"
     : > stdout.txt
