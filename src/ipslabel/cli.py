@@ -24,24 +24,24 @@ from . import __version__
 from .calib import apply_planar_constraint, solve_pnp_ransac
 from .cloud import read_ply
 from .config import CalibOptions, PipelineConfig, load_config
-from .errors import (
-    AllVerticesBehindCamera,
-    DegenerateBeaconPair,
-    EmptyReadings,
-    NumericalError,
-    UsageError,
-)
+from .errors import DegenerateBeaconPair, EmptyReadings, NumericalError, UsageError
 from .eval import compare_labels, downsample_study, study_means
-from .fileio import atomic_write_text, dump_json, ordered_map, read_input, read_json
+from .fileio import (
+    atomic_write_text,
+    dump_json,
+    ordered_map,
+    read_input,
+    read_json,
+    require_empty_dir,
+)
 from .geom import RigidTransform, average_beacon_readings, frame_from_beacons, inverse
 from .labelgen import (
     box_to_camera,
     box_to_lidar,
-    label_object_entry,
+    label_entry,
     label_objects,
     labels_to_dict,
     object_box_ips,
-    project_box,
 )
 from .refine import refine_label
 from .rng import NS_JOB, derive_seed
@@ -257,22 +257,7 @@ def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr) -> tuple:
             box_ips = object_box_ips(pair, spec)
             verts_cam = box_to_camera(box_ips, extrinsic, t_robot_from_ips)
             box_lidar = box_to_lidar(verts_cam, lidar_from_cam)
-            try:
-                box2 = project_box(verts_cam, intr)
-                reason = None
-            except AllVerticesBehindCamera:
-                box2 = None
-                reason = "behind_camera"
-            entries.append(
-                label_object_entry(
-                    spec.class_name,
-                    box_lidar,
-                    box2,
-                    refined=False,
-                    object_id=object_id,
-                    box2d_reason=reason,
-                )
-            )
+            entries.append(label_entry(object_id, spec.class_name, box_lidar, verts_cam, intr))
         except (DegenerateBeaconPair, EmptyReadings) as e:
             entries.append(
                 {"id": object_id, "class": spec.class_name, "error": f"{type(e).__name__}: {e}"}
@@ -281,6 +266,7 @@ def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr) -> tuple:
 
 
 def cmd_generate(ns, cfg: PipelineConfig) -> None:
+    require_empty_dir(ns.out, "generate")
     scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
     tasks = [
         (sid, os.path.join(ns.dataset, "samples", sid, "beacons.csv"))
@@ -326,13 +312,18 @@ def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
 
 
 def cmd_refine(ns, cfg: PipelineConfig) -> None:
+    require_empty_dir(ns.out, "refine")
     scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
-    label_files = sorted(f for f in os.listdir(ns.labels) if f.endswith(".json"))
+    # seeds follow the sample's place in the dataset, so refining some of the
+    # label files writes what refining all of them writes for those files
+    sample_index = {sid: i for i, sid in enumerate(_sample_ids(ns.dataset))}
     tasks = []
-    for sample_index, fname in enumerate(label_files):
-        sid = fname[: -len(".json")]
+    for fname in sorted(f for f in os.listdir(ns.labels) if f.endswith(".json")):
+        sid, label_path = fname[: -len(".json")], os.path.join(ns.labels, fname)
+        if sid not in sample_index:
+            raise UsageError(f"{label_path} names no sample of dataset {ns.dataset}")
         cloud_path = os.path.join(ns.dataset, "samples", sid, "cloud.ply")
-        tasks.append((sid, sample_index, cloud_path, os.path.join(ns.labels, fname)))
+        tasks.append((sid, sample_index[sid], cloud_path, label_path))
     worker = partial(
         _refine_sample, specs=_object_specs(scene), refine_cfg=cfg.refine, seed=cfg.seed
     )

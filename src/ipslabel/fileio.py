@@ -124,6 +124,13 @@ def ordered_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def require_empty_dir(path: str, command: str) -> None:
+    """Refuse an output directory that holds anything: files written beside an
+    earlier run's would be read back as one set."""
+    if os.path.isdir(path) and os.listdir(path):
+        raise UsageError(f"{path} is not empty; {command} into a new or empty directory")
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write a file via temp-then-rename so readers never see partial data."""
     directory = os.path.dirname(os.path.abspath(path))

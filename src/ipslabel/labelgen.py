@@ -172,12 +172,8 @@ class Box2:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, is_truncated=False, behind_camera_vertices=0) -> "Box2":
-        return cls(
-            *(float(d[k]) for k in ("u0", "v0", "u1", "v1")),
-            is_truncated=is_truncated,
-            behind_camera_vertices=behind_camera_vertices,
-        )
+    def from_dict(cls, d: dict) -> "Box2":
+        return cls(*(float(d[k]) for k in ("u0", "v0", "u1", "v1")))
 
 
 def object_box_ips(pair: BeaconPair, spec: ObjectSpec) -> OrientedBox3:
@@ -239,7 +235,7 @@ def box_to_lidar(vertices_cam, t_lidar_from_cam: RigidTransform) -> OrientedBox3
 
 # ---------------------------------------------------------------------------
 # Label JSON schema (one file per sample):
-# {"sample": id, "objects": [{"class", "box3d_lidar": {center,dims,yaw},
+# {"sample": id, "objects": [{"id", "class", "box3d_lidar": {center,dims,yaw},
 #                             "box2d": {...}|null, "truncated", "refined", ...}]}
 
 
@@ -268,26 +264,24 @@ def label_objects(doc: dict) -> list:
     return out
 
 
-def label_object_entry(
-    class_name: str,
-    box3d_lidar: OrientedBox3,
-    box2d: Box2 | None,
-    refined: bool = False,
-    object_id: str | None = None,
-    box2d_reason: str | None = None,
+def label_entry(
+    object_id: str, class_name: str, box3d_lidar: OrientedBox3, vertices_cam, intr
 ) -> dict:
-    entry = {
-        "class": class_name,
-        "box3d_lidar": box3d_lidar.to_dict(),
-        "box2d": box2d.to_dict() if box2d is not None else None,
-        "truncated": bool(box2d.is_truncated) if box2d is not None else False,
-        "behind_camera_vertices": (
-            int(box2d.behind_camera_vertices) if box2d is not None else None
-        ),
-        "refined": bool(refined),
-    }
-    if object_id is not None:
-        entry["id"] = object_id
-    if box2d_reason is not None:
-        entry["box2d_reason"] = box2d_reason
+    """The unrefined label entry of one object: its LiDAR box and the 2D box
+    of its camera-frame vertices, or ``box2d: null`` with ``box2d_reason:
+    "behind_camera"`` when every vertex is behind the camera."""
+    entry = {"id": object_id, "class": class_name, "box3d_lidar": box3d_lidar.to_dict()}
+    try:
+        box2 = project_box(vertices_cam, intr)
+    except AllVerticesBehindCamera:
+        entry.update(
+            box2d=None, truncated=False, behind_camera_vertices=None, box2d_reason="behind_camera"
+        )
+    else:
+        entry.update(
+            box2d=box2.to_dict(),
+            truncated=box2.is_truncated,
+            behind_camera_vertices=box2.behind_camera_vertices,
+        )
+    entry["refined"] = False
     return entry

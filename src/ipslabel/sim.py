@@ -22,17 +22,16 @@ import numpy as np
 
 from .calib import MIN_PNP_POINTS, CameraIntrinsics, Correspondence, _project_cam
 from .cloud import PointCloud, write_ply
-from .errors import AllVerticesBehindCamera, UsageError
-from .fileio import atomic_write_text, dump_json, from_dict, ordered_map, to_dict
+from .errors import UsageError
+from .fileio import atomic_write_text, dump_json, from_dict, ordered_map, require_empty_dir, to_dict
 from .geom import BeaconPair, RigidTransform, compose, frame_from_beacons, inverse
 from .labelgen import (
     ObjectSpec,
     OrientedBox3,
     box_from_vertices,
     box_to_camera,
-    label_object_entry,
+    label_entry,
     labels_to_dict,
-    project_box,
 )
 from .rng import NS_BEACON, NS_CALSET, NS_POSE, substream
 
@@ -426,23 +425,12 @@ def make_sample(scene: SceneConfig, seed: int, index: int) -> GroundTruthSample:
     entries = []
     for placement in scene.objects:
         box_ips = true_object_box_ips(placement)
-        box_lidar = _box_to_frame(box_ips, chain["lidar_from_ips"])
-        try:
-            verts_cam = box_to_camera(
-                box_ips, scene.cam_from_robot, chain["robot_from_ips"]
-            )
-            box2 = project_box(verts_cam, scene.intrinsics)
-            reason = None
-        except AllVerticesBehindCamera:
-            box2 = None
-            reason = "behind_camera"
-        entry = label_object_entry(
+        entry = label_entry(
+            placement.object_id,
             placement.spec.class_name,
-            box_lidar,
-            box2,
-            refined=False,
-            object_id=placement.object_id,
-            box2d_reason=reason,
+            _box_to_frame(box_ips, chain["lidar_from_ips"]),
+            box_to_camera(box_ips, scene.cam_from_robot, chain["robot_from_ips"]),
+            scene.intrinsics,
         )
         entry["box3d_ips"] = box_ips.to_dict()
         entry["dims_spec"] = [float(v) for v in placement.spec.dims]
@@ -667,9 +655,7 @@ def generate_dataset(
 
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    # writing into an earlier dataset would leave its other samples beside ours
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        raise UsageError(f"{out_dir} is not empty; simulate into a new or empty directory")
+    require_empty_dir(out_dir, "simulate")
     calset = make_calibration_set(scene, seed)  # first, so a rig that sees no target writes nothing
     rendered = ordered_map(partial(render_sample_files, scene, seed), range(n_samples), jobs)
     for files in rendered:

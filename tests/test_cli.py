@@ -418,6 +418,21 @@ class TestRefine:
         assert code == 0, err
         assert tree_digest(par) == tree_digest(pipeline["refined"])
 
+    def test_one_label_file_refines_as_in_the_full_run(self, pipeline, tmp_path):
+        # each object's seed follows its sample's place in the dataset, not in --labels
+        labels, out = tmp_path / "labels", tmp_path / "refined"
+        labels.mkdir()
+        shutil.copy(os.path.join(pipeline["labels"], "sample_001.json"), labels)
+        code, _, err = run_cli(
+            ["--config", pipeline["cfg"], "--seed", "9", "refine",
+             "--dataset", pipeline["dataset"], "--labels", str(labels), "--out", str(out)]
+        )
+        assert code == 0, err
+        assert os.listdir(out) == ["sample_001.json"]
+        assert read(out / "sample_001.json") == read(
+            os.path.join(pipeline["refined"], "sample_001.json")
+        )
+
     def test_unknown_class_is_a_usage_error(self, pipeline, tmp_path):
         # refine takes the class from the manifest object the label names,
         # so the manifest and the label both call obj0 a sofa
@@ -654,6 +669,37 @@ class TestMalformedInputs:
         _, out, code, err = _run_in_copy(small_run, tmp_path, argv)
         assert code == 2
         assert "error:" in err and f"argument {flag}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [GENERATE, REFINE, [*REFINE[:-1], "{d}/labels"]],
+        ids=["generate", "refine", "refine-in-place"],
+    )
+    def test_non_empty_out_exits_2_writing_nothing(self, small_run, tmp_path, argv):
+        # label files written beside an earlier run's would be read as one set
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        argv = [a.format(d=d, o=tmp_path / "out") for a in argv]
+        out = argv[-1]
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "sample_001.json"), "w") as fh:
+            fh.write("{}")
+        before = tree_digest(d), tree_digest(out)
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert err.startswith("error: ") and out in err and "Traceback" not in err
+        assert (tree_digest(d), tree_digest(out)) == before
+
+    def test_label_file_of_no_dataset_sample_exits_2(self, small_run, tmp_path):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        stray = d / "labels" / "sample_005.json"
+        shutil.copy(d / LABEL, stray)
+        out = tmp_path / "out"
+        code, _, err = run_cli([a.format(d=d, o=out) for a in REFINE])
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(stray) in err and str(d / "ds") in err
         assert not out.exists()
 
     def test_averaging_flag_is_gone(self, small_run, tmp_path):

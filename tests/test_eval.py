@@ -16,7 +16,7 @@ from ipslabel.eval import (
     iou_3d,
     study_means,
 )
-from ipslabel.labelgen import Box2, ObjectSpec, OrientedBox3, label_object_entry
+from ipslabel.labelgen import Box2, ObjectSpec, OrientedBox3
 from ipslabel.refine import RefineConfig
 
 from .oracles import mc_iou3d_oracle, yaw_rotation
@@ -119,9 +119,11 @@ def write_labels(dirpath, docs):
 
 
 def entry(class_name, center, dims=(1, 1, 1), yaw=0.0, box2=None):
-    return label_object_entry(
-        class_name, OrientedBox3(center, dims, yaw), box2
-    )
+    return {
+        "class": class_name,
+        "box3d_lidar": OrientedBox3(center, dims, yaw).to_dict(),
+        "box2d": None if box2 is None else box2.to_dict(),
+    }
 
 
 class TestCompareLabels:
@@ -165,6 +167,18 @@ class TestCompareLabels:
         ])
         with pytest.raises(MissingSample):
             compare_labels(str(tmp_path / "auto"), str(tmp_path / "ref"))
+
+    def test_only_the_reference_samples_are_scored(self, tmp_path):
+        # a partial reference, such as a human labelling of some samples, is valid
+        write_labels(tmp_path / "auto", [
+            {"sample": "s0", "objects": [entry("cabinet", (2, 0, 0.5))]},
+            {"sample": "s1", "objects": [entry("table", (0, 0, 0))]},
+        ])
+        write_labels(tmp_path / "ref", [{"sample": "s0", "objects": [entry("cabinet", (2, 0, 0.5))]}])
+        report = compare_labels(str(tmp_path / "auto"), str(tmp_path / "ref"))
+        assert [s["sample"] for s in report.per_sample] == ["s0"]
+        assert report.matched == 1
+        assert report.unmatched_auto == 0
 
     def test_wrong_class_within_gate_rejected(self, tmp_path):
         write_labels(tmp_path / "auto", [{"sample": "s0", "objects": [entry("table", (2, 0, 0.5))]}])

@@ -15,7 +15,7 @@ from ipslabel.labelgen import (
     box_from_vertices,
     box_to_camera,
     box_to_lidar,
-    label_object_entry,
+    label_entry,
     labels_to_dict,
     normalize_yaw,
     object_box_ips,
@@ -320,30 +320,36 @@ class TestBoxToLidar:
 
 
 class TestLabelSchema:
-    def test_entry_keys(self):
+    def test_entry_in_view(self):
         box3 = OrientedBox3((1, 2, 0.5), (2, 1, 1), 0.0)
-        box2 = Box2(10, 20, 30, 40, is_truncated=True, behind_camera_vertices=2)
-        entry = label_object_entry("cabinet", box3, box2)
+        # straddles the camera plane and runs off the right edge of the image
+        cube = OrientedBox3((0.5, 0, 0), (1, 1, 1), 0.0, frame="cam")
+        entry = label_entry("obj0", "cabinet", box3, cube.vertices(), INTR)
         assert set(entry) == {
-            "class", "box3d_lidar", "box2d", "truncated", "behind_camera_vertices", "refined",
+            "id", "class", "box3d_lidar", "box2d", "truncated", "behind_camera_vertices", "refined",
         }
+        assert entry["id"] == "obj0"
         assert entry["class"] == "cabinet"
+        assert entry["box3d_lidar"] == box3.to_dict()
+        assert entry["box2d"] == project_box(cube.vertices(), INTR).to_dict()
+        assert entry["box2d"]["u1"] == 640.0
         assert entry["truncated"] is True
-        assert entry["behind_camera_vertices"] == 2
+        assert entry["behind_camera_vertices"] == 4
         assert entry["refined"] is False
-        assert entry["box2d"] == {"u0": 10.0, "v0": 20.0, "u1": 30.0, "v1": 40.0}
 
-    def test_missing_2d_box_keeps_reason(self):
+    def test_entry_behind_camera(self):
         box3 = OrientedBox3((1, 2, 0.5), (2, 1, 1), 0.0)
-        entry = label_object_entry(
-            "table", box3, None, refined=True, object_id="obj1", box2d_reason="behind_camera"
-        )
-        assert entry["box2d"] is None
-        assert entry["truncated"] is False
-        assert entry["behind_camera_vertices"] is None
-        assert entry["refined"] is True
-        assert entry["id"] == "obj1"
-        assert entry["box2d_reason"] == "behind_camera"
+        cube = OrientedBox3((0, 0, -5), (1, 1, 1), 0.0, frame="cam")
+        assert label_entry("obj1", "table", box3, cube.vertices(), INTR) == {
+            "id": "obj1",
+            "class": "table",
+            "box3d_lidar": box3.to_dict(),
+            "box2d": None,
+            "truncated": False,
+            "behind_camera_vertices": None,
+            "refined": False,
+            "box2d_reason": "behind_camera",
+        }
 
     def test_labels_document_shape(self):
         doc = labels_to_dict("sample_000", [{"class": "cabinet"}])

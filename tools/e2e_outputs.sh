@@ -7,8 +7,9 @@
 #   SRC  directory holding the ipslabel package (a checkout's src/)
 #   OUT  output directory (created if missing; an earlier run's files are replaced)
 #
-# For each of three configs (none; pixel_noise_sigma 1.0; the same with a
-# 32-channel 0.1-degree LiDAR at --jobs 2) it runs, at --seed 7:
+# For each of four configs (none; pixel_noise_sigma 1.0; the same with a
+# 32-channel 0.1-degree LiDAR at --jobs 2; the default objects plus a third
+# one that is wholly behind the camera in sample_000) it runs, at --seed 7:
 # simulate --samples 3 -> calibrate --dataset -> generate -> refine ->
 # evaluate --auto refined --reference ds/truth, plus one downsample study.
 # Stages run inside OUT/<config> with relative paths, so the stdout kept in
@@ -50,4 +51,8 @@ run_config default 1
 run_config pixel_noise 1 "scene: {pixel_noise_sigma: 1.0}"
 run_config dense_lidar 2 \
     "scene: {pixel_noise_sigma: 1.0, lidar: {channels: 32, azimuth_step_deg: 0.1}}"
+run_config behind_camera 1 "scene: {objects: [
+    {id: obj0, class: cabinet, dims: [0.9, 0.5, 1.3], x: 4.0, y: 0.9, yaw: 0.4},
+    {id: obj1, class: table, dims: [1.2, 0.8, 0.75], x: 3.4, y: -1.6, yaw: -0.3},
+    {id: obj2, class: cabinet, dims: [0.9, 0.5, 1.3], x: -5.0, y: 0.0, yaw: 1.0}]}"
 echo "wrote outputs to $out"
