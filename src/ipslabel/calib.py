@@ -21,7 +21,7 @@ from .errors import (
     NoConvergence,
     TooFewInliers,
 )
-from .geom import RigidTransform, compose
+from .geom import RigidTransform, chunks, compose
 from .rng import NS_CALIB_RANSAC, substream
 
 MIN_PNP_POINTS = 6
@@ -136,6 +136,17 @@ def _pixel_errors(intr, rotation, translation, pts_robot, pixels) -> np.ndarray:
     return err
 
 
+def _pixel_errors_batch(intr, rot, tra, pts_robot, pixels) -> np.ndarray:
+    """``_pixel_errors`` of each pose (rot[i], tra[i]) on the same points, (B, n)."""
+    pc = np.einsum("nk,bjk->bnj", pts_robot, rot) + tra[:, None, :]
+    z = pc[..., 2]
+    front = z > MIN_DEPTH
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        du = intr.fx * pc[..., 0] / z + intr.cx - pixels[:, 0]
+        dv = intr.fy * pc[..., 1] / z + intr.cy - pixels[:, 1]
+    return np.where(front, np.hypot(du, dv), np.inf)
+
+
 def _rmse(errors: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(errors))))
 
@@ -151,40 +162,41 @@ def _exp_so3(w: np.ndarray) -> np.ndarray:
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+    """Cross-product matrix of a vector, or of each row of an array."""
+    sk = np.zeros(v.shape + (3,))
+    sk[..., 0, 1] = -v[..., 2]
+    sk[..., 0, 2] = v[..., 1]
+    sk[..., 1, 0] = v[..., 2]
+    sk[..., 1, 2] = -v[..., 0]
+    sk[..., 2, 0] = -v[..., 1]
+    sk[..., 2, 1] = v[..., 0]
+    return sk
 
 
 def _dlt_pose(pts_robot: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics):
     """Initial pose from the direct linear transform on normalized pixels."""
-    n = len(pts_robot)
-    xn = (pixels[:, 0] - intr.cx) / intr.fx
-    yn = (pixels[:, 1] - intr.cy) / intr.fy
-    xh = np.hstack([pts_robot, np.ones((n, 1))])
-    a = np.zeros((2 * n, 12))
-    a[0::2, 4:8] = -xh
-    a[0::2, 8:12] = yn[:, None] * xh
-    a[1::2, 0:4] = xh
-    a[1::2, 8:12] = -xn[:, None] * xh
-    _, s, vt = np.linalg.svd(a)
-    if s[10] < 1e-9 * s[0]:
+    rot, tra, degenerate = _dlt_poses(pts_robot[None], pixels[None], intr)
+    if degenerate[0]:
         raise DegenerateConfiguration(
-            "DLT system is rank-deficient (points nearly collinear or coincident)"
+            "DLT system is rank-deficient or its rotation block has zero scale "
+            "(points nearly collinear or coincident)"
         )
-    p = vt[-1].reshape(3, 4)
-    # Cheirality: most points must land in front of the camera.
-    if np.median(xh @ p[2]) < 0:
-        p = -p
-    m = p[:, :3]
-    u, sv, vt_m = np.linalg.svd(m)
-    scale = float(np.mean(sv))
-    if scale < 1e-12:
-        raise DegenerateConfiguration("DLT rotation block has zero scale")
-    rot = u @ vt_m
-    if np.linalg.det(rot) < 0:
-        rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt_m
-    return rot, p[:, 3] / scale
+    return rot[0], tra[0]
+
+
+def _jacobian(pc: np.ndarray, tra: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+    """Pixel Jacobian of camera points pc (..., m, 3), of a pose with
+    translation tra, in the rotation increment and the translation:
+    shape (..., 2m, 6), rows u then v of each point."""
+    apix = np.zeros(pc.shape[:-1] + (2, 3))
+    z = pc[..., 2]
+    apix[..., 0, 0] = intr.fx / z
+    apix[..., 0, 2] = -intr.fx * pc[..., 0] / z**2
+    apix[..., 1, 1] = intr.fy / z
+    apix[..., 1, 2] = -intr.fy * pc[..., 1] / z**2
+    q = pc - tra  # = R @ X, the lever arm of the rotation increment
+    jw = -np.einsum("...ij,...jk->...ik", apix, _skew(q))
+    return np.concatenate([jw, apix], axis=-1).reshape(pc.shape[:-2] + (-1, 6))
 
 
 def _refine_pose(rot, tra, pts_robot, pixels, intr, max_iter=100, tol=1e-10):
@@ -211,24 +223,7 @@ def _refine_pose(rot, tra, pts_robot, pixels, intr, max_iter=100, tol=1e-10):
     pc, front, res, rmse = state
     lam = 0.0
     for _ in range(max_iter):
-        pf = pc[front]
-        z = pf[:, 2]
-        m = len(pf)
-        apix = np.zeros((m, 2, 3))
-        apix[:, 0, 0] = intr.fx / z
-        apix[:, 0, 2] = -intr.fx * pf[:, 0] / z**2
-        apix[:, 1, 1] = intr.fy / z
-        apix[:, 1, 2] = -intr.fy * pf[:, 1] / z**2
-        q = pf - tra  # = R @ X, the lever arm of the rotation increment
-        sk = np.zeros((m, 3, 3))
-        sk[:, 0, 1] = -q[:, 2]
-        sk[:, 0, 2] = q[:, 1]
-        sk[:, 1, 0] = q[:, 2]
-        sk[:, 1, 2] = -q[:, 0]
-        sk[:, 2, 0] = -q[:, 1]
-        sk[:, 2, 1] = q[:, 0]
-        jw = -np.einsum("nij,njk->nik", apix, sk)
-        jac = np.concatenate([jw, apix], axis=2).reshape(2 * m, 6)
+        jac = _jacobian(pc[front], tra, intr)
         jtj = jac.T @ jac
         jtr = jac.T @ res
         accepted = False
@@ -257,6 +252,135 @@ def _refine_pose(rot, tra, pts_robot, pixels, intr, max_iter=100, tol=1e-10):
     u, _, vt = np.linalg.svd(rot)
     rot = u @ vt
     return rot, tra
+
+
+def _dlt_poses(pts: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics):
+    """``_dlt_pose`` of every hypothesis: pts (B, m, 3), pixels (B, m, 2).
+
+    Returns rotations (B, 3, 3), translations (B, 3) and a mask of the
+    degenerate hypotheses: those whose DLT system is rank-deficient or
+    whose rotation block has zero scale.
+    """
+    b, m = pts.shape[:2]
+    xn = (pixels[..., 0] - intr.cx) / intr.fx
+    yn = (pixels[..., 1] - intr.cy) / intr.fy
+    xh = np.concatenate([pts, np.ones((b, m, 1))], axis=2)
+    a = np.zeros((b, 2 * m, 12))
+    a[:, 0::2, 4:8] = -xh
+    a[:, 0::2, 8:12] = yn[..., None] * xh
+    a[:, 1::2, 0:4] = xh
+    a[:, 1::2, 8:12] = -xn[..., None] * xh
+    _, s, vt = np.linalg.svd(a)
+    degenerate = s[:, 10] < 1e-9 * s[:, 0]
+    p = vt[:, -1].reshape(b, 3, 4)
+    # Cheirality: most points must land in front of the camera.
+    behind = np.median(np.einsum("bmk,bk->bm", xh, p[:, 2]), axis=1) < 0
+    p[behind] = -p[behind]
+    u, sv, vt_m = np.linalg.svd(p[:, :, :3])
+    scale = np.mean(sv, axis=1)
+    degenerate |= scale < 1e-12
+    rot = u @ vt_m
+    mirrored = np.linalg.det(rot) < 0
+    rot[mirrored] = u[mirrored] @ np.diag([1.0, 1.0, -1.0]) @ vt_m[mirrored]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tra = p[:, :, 3] / scale[:, None]
+    return rot, tra, degenerate
+
+
+def _exp_so3_batch(w: np.ndarray) -> np.ndarray:
+    """``_exp_so3`` of each row of w."""
+    theta = np.sqrt(np.sum(np.square(w), axis=1))
+    small = theta < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kx = _skew(np.where(small[:, None], w, w / theta[:, None]))
+    eye = np.broadcast_to(np.eye(3), kx.shape)
+    big = (
+        eye
+        + np.sin(theta)[:, None, None] * kx
+        + (1.0 - np.cos(theta))[:, None, None] * (kx @ kx)
+    )
+    return np.where(small[:, None, None], eye + kx, big)
+
+
+def _residuals(rot, tra, pts, pixels, intr):
+    """Camera points, residuals and RMSE of each hypothesis; ``ok`` is False
+    where a point is behind the camera or the RMSE is not finite."""
+    pc = np.einsum("bmk,bjk->bmj", pts, rot) + tra[:, None, :]
+    z = pc[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uv = np.stack([intr.fx * pc[..., 0] / z + intr.cx, intr.fy * pc[..., 1] / z + intr.cy], 2)
+        d = uv - pixels
+        rmse = np.sqrt(np.mean(np.square(d).sum(axis=2), axis=1))
+    ok = np.all(z > MIN_DEPTH, axis=1) & np.isfinite(rmse)
+    return pc, d.reshape(len(pts), -1), rmse, ok
+
+
+def _refine_poses(rot, tra, pts, pixels, intr, max_iter=100, tol=1e-10):
+    """``_refine_pose`` on B hypotheses of MIN_PNP_POINTS points at once.
+
+    Every hypothesis keeps its own damping λ, its own accept, damping and
+    stop decisions, and stops iterating on its own. With exactly
+    MIN_PNP_POINTS points, a pose that puts any point behind the camera
+    leaves too few in front, as in ``_refine_pose``. Returns the refined
+    poses and a mask of the hypotheses for which ``_refine_pose`` raises
+    NoConvergence.
+    """
+    rot, tra = rot.copy(), tra.copy()
+    pc, res, rmse, ok = _residuals(rot, tra, pts, pixels, intr)
+    failed = ~ok
+    lam = np.zeros(len(rot))
+    active = np.flatnonzero(ok)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        jac = _jacobian(pc[active], tra[active, None, :], intr)
+        jac_t = jac.transpose(0, 2, 1)
+        jtj = jac_t @ jac
+        jtr = np.einsum("bkn,bn->bk", jac_t, res[active])
+        diag = np.einsum("bii->bi", jtj)
+        trying = np.arange(len(active))
+        improvement = np.zeros(len(active))
+        for _try in range(25):
+            if trying.size == 0:
+                break
+            h = active[trying]
+            damped = jtj[trying]
+            damped[:, range(6), range(6)] += lam[h, None] * diag[trying]
+            step = _solve_each(damped, -jtr[trying])
+            finite = np.all(np.isfinite(step), axis=1)
+            cand_r = _exp_so3_batch(np.where(finite[:, None], step[:, :3], 0.0)) @ rot[h]
+            cand_t = tra[h] + step[:, 3:]
+            c_pc, c_res, c_rmse, c_ok = _residuals(cand_r, cand_t, pts[h], pixels[h], intr)
+            accept = finite & c_ok & (c_rmse < rmse[h])
+            won, kept = h[accept], trying[accept]
+            improvement[kept] = rmse[won] - c_rmse[accept]
+            rot[won], tra[won] = cand_r[accept], cand_t[accept]
+            pc[won], res[won], rmse[won] = c_pc[accept], c_res[accept], c_rmse[accept]
+            lam[won] = np.where(lam[won] < 1e-10, 0.0, lam[won] / 3.0)
+            lost = h[~accept]
+            lam[lost] = np.where(lam[lost] == 0.0, 1e-6, lam[lost] * 10.0)
+            trying = trying[~accept]
+        stays = np.ones(len(active), dtype=bool)
+        stays[trying] = False
+        stays &= improvement >= tol
+        active = active[stays]
+    # Undo accumulated floating-point drift from the incremental updates.
+    u, _, vt = np.linalg.svd(rot)
+    return u @ vt, tra, failed
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve per system; a singular system gives a NaN step."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def solve_pnp(corrs, intr: CameraIntrinsics, t_robot_from_ips: RigidTransform) -> RigidTransform:
@@ -321,22 +445,33 @@ def solve_pnp_ransac(
 
     best_key = None
     best_mask = None
-    for i in range(iterations):
-        rng = substream(seed, NS_CALIB_RANSAC, i)
-        sample = rng.choice(n, size=MIN_PNP_POINTS, replace=False)
-        try:
-            hyp = solve_pnp([corrs[j] for j in sample], intr, t_robot_from_ips)
-        except (DegenerateConfiguration, NoConvergence):
+    for part in chunks(iterations, n):
+        samples = np.stack(
+            [
+                substream(seed, NS_CALIB_RANSAC, i).choice(n, size=MIN_PNP_POINTS, replace=False)
+                for i in range(part.start, part.stop)
+            ]
+        )
+        rot, tra, degenerate = _dlt_poses(pts_robot[samples], pixels[samples], intr)
+        live = np.flatnonzero(~degenerate)
+        if live.size == 0:
             continue
-        err = _pixel_errors(intr, hyp.rotation, hyp.translation, pts_robot, pixels)
-        mask = err < delta_px
-        count = int(mask.sum())
-        if count == 0:
+        rot, tra, failed = _refine_poses(
+            rot[live], tra[live], pts_robot[samples[live]], pixels[samples[live]], intr
+        )
+        err = _pixel_errors_batch(intr, rot[~failed], tra[~failed], pts_robot, pixels)
+        masks = err < delta_px
+        counts = masks.sum(axis=1)
+        if counts.size == 0 or counts.max() == 0:
             continue
-        key = (count, -_rmse(err[mask]))
+        with np.errstate(invalid="ignore"):
+            rmses = np.sqrt(np.where(masks, np.square(err), 0.0).sum(axis=1) / counts)
+        # the largest count, then the lowest RMSE, then the earliest hypothesis
+        j = np.lexsort((rmses, -counts))[0]
+        key = (int(counts[j]), -float(rmses[j]))
         if best_key is None or key > best_key:
             best_key = key
-            best_mask = mask
+            best_mask = masks[j]
     if best_mask is None or int(best_mask.sum()) < MIN_PNP_POINTS:
         found = 0 if best_mask is None else int(best_mask.sum())
         raise TooFewInliers(

@@ -292,13 +292,17 @@ def cmd_generate(ns, cfg: PipelineConfig) -> None:
 def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
     sid, sample_index, cloud_path, label_path = task
     cloud = read_input(cloud_path, read_ply)
+    # an object's seed follows its place in the manifest, so it does not
+    # depend on which other entries the label file holds
+    position = {object_id: i for i, object_id in enumerate(specs)}
     objects = []
-    for obj_index, (entry, unrefined, _) in enumerate(read_json(label_path, label_objects)):
+    for entry, unrefined, _ in read_json(label_path, label_objects):
         entry = dict(entry)
         if unrefined is None:
             objects.append(entry)
             continue
         spec = _entry_spec(entry, specs, label_path)
+        obj_index = position[entry["id"]]
         cfg = replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index, obj_index))
         try:
             refined = refine_label(cloud, unrefined, spec, cfg)

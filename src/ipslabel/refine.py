@@ -1,10 +1,11 @@
 """Point-cloud label refinement via generalized RANSAC.
 
 Each iteration samples a class-specific model proposal function (MPF) and
-the few points it needs, builds a candidate box of the object's known
-dimensions tangent to the fitted ground plane, and scores it by counting
-cloud points inside a +-delta shell around the box surface. The best
-proposal wins; strict improvement keeps the earliest best.
+the few points it needs, which give a candidate box of the object's known
+dimensions tangent to the fitted ground plane, scored by counting cloud
+points inside a +-delta shell around the box surface. The draws are made in
+order; the candidates are built and scored as arrays. The best proposal
+wins, and among equal scores the earliest.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     NoPlaneFound,
     TooFewPoints,
 )
+from .geom import chunks
 from .labelgen import ObjectSpec, OrientedBox3
 from .rng import NS_PLANE_RANSAC, NS_REFINE, substream
 
@@ -302,32 +304,157 @@ def fitness(box: OrientedBox3, cloud, delta: float) -> int:
     return int((inside[:, None] & near_face).sum())
 
 
-def _away_side(p1, p2, plane: GroundPlane) -> int:
-    """Extrusion side pointing away from the sensor at the cloud origin.
+# RANSAC draws made between two checks for an ambiguous two-point side.
+_DRAW_BLOCK = 64
+
+
+def shell_scores(centers, yaws, dims, points, delta: float) -> np.ndarray:
+    """``fitness`` of the yaw boxes (centers[i], dims, yaws[i]) on one cloud.
+
+    Makes at most CHUNK_TESTS box x point tests at a time.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    yaws = np.asarray(yaws, dtype=float).reshape(-1)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    half = np.asarray(dims, dtype=float).reshape(3) / 2.0
+    outer, inner = half + delta, half - delta
+    scores = np.zeros(len(centers), dtype=np.int64)
+    for part in chunks(len(centers), len(pts)):
+        c = centers[part]
+        cos, sin = np.cos(yaws[part])[:, None], np.sin(yaws[part])[:, None]
+        dx = pts[:, 0] - c[:, 0:1]
+        dy = pts[:, 1] - c[:, 1:2]
+        lx = np.abs(dx * cos + dy * sin)
+        ly = np.abs(dy * cos - dx * sin)
+        lz = np.abs(pts[:, 2] - c[:, 2:3])
+        inside = (lx <= outer[0]) & (ly <= outer[1]) & (lz <= outer[2])
+        faces = (
+            (lx >= inner[0]).astype(np.int8)
+            + (ly >= inner[1]).astype(np.int8)
+            + (lz >= inner[2]).astype(np.int8)
+        )
+        scores[part] = np.where(inside, faces, 0).sum(axis=1)
+    return scores
+
+
+def _away_sides(q1: np.ndarray, q2: np.ndarray, plane: GroundPlane) -> np.ndarray:
+    """Extrusion side pointing away from the sensor, for projected pairs.
 
     The cloud is expressed in the sensor frame, so the sensor sits at the
     origin; points lie on surfaces that face it and the solid extends
-    behind them. A face plane passing through the origin leaves the side
-    genuinely ambiguous, signalled by returning 0.
+    behind them. A face plane passing through the origin, or coincident
+    points, leave the side genuinely ambiguous, signalled by 0.
     """
-    q1, q2 = plane.project(np.stack([p1, p2]))
-    gap = np.linalg.norm(q1 - q2)
-    if gap < _MIN_SEPARATION:
-        return 0
-    u_hat = (q1 - q2) / gap
-    inward = np.cross(plane.normal, u_hat)
-    origin = plane.project(np.zeros((1, 3)))[0]
-    depth = float(np.dot(inward, 0.5 * (q1 + q2) - origin))
-    if abs(depth) < 1e-9:
-        return 0
-    return 1 if depth > 0 else -1
+    gap = np.linalg.norm(q1 - q2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inward = np.cross(plane.normal, (q1 - q2) / gap[:, None])
+    rel = 0.5 * (q1 + q2) - plane.project(np.zeros(3))
+    depth = (inward * rel).sum(axis=1)
+    side = np.where(depth > 0, 1, -1)
+    return np.where((gap < _MIN_SEPARATION) | ~(np.abs(depth) >= 1e-9), 0, side)
 
 
-def _propose(kind: MpfKind, sample: np.ndarray, plane, spec, rng) -> OrientedBox3:
+def _draw(kinds, projected: np.ndarray, plane: GroundPlane, iterations: int, rng):
+    """Every iteration's kind index, sample indices and face side.
+
+    The stream is consumed exactly as one proposal per iteration consumes
+    it: the kind, the sample, and a coin flip for the side of a two-point
+    face whose side the viewpoint leaves ambiguous. Sides are computed a
+    block of draws at a time; at the first ambiguous one the stream is
+    rewound to the block start and replayed up to it, the coin is flipped,
+    and drawing resumes after it. Unused sample columns and the sides of
+    other kinds are 0.
+    """
+    n = len(projected)
+    sizes = [k.sample_size for k in kinds]
+    two_point = np.array([k is MpfKind.CABINET_TWO_POINT_FACE for k in kinds])
+    kind = np.zeros(iterations, dtype=np.intp)
+    idx = np.zeros((iterations, max(sizes)), dtype=np.intp)
+    side = np.zeros(iterations, dtype=np.int64)
+
+    def draw_range(lo, hi):
+        for i in range(lo, hi):
+            k = kind[i] = int(rng.integers(len(kinds)))
+            idx[i] = 0
+            idx[i, : sizes[k]] = rng.choice(n, size=sizes[k], replace=False)
+
+    start = 0
+    while start < iterations:
+        state = rng.bit_generator.state
+        stop = min(iterations, start + _DRAW_BLOCK)
+        draw_range(start, stop)
+        two = two_point[kind[start:stop]]
+        pairs = projected[idx[start:stop, :2]]
+        sides = np.where(two, _away_sides(pairs[:, 0], pairs[:, 1], plane), 0)
+        ambiguous = np.flatnonzero(two & (sides == 0))
+        first = stop if ambiguous.size == 0 else start + int(ambiguous[0])
+        side[start:first] = sides[: first - start]
+        if first < stop:
+            rng.bit_generator.state = state
+            draw_range(start, first + 1)
+            side[first] = 1 if rng.integers(2) == 0 else -1
+            stop = first + 1
+        start = stop
+    return kind, idx, side
+
+
+def _proposals(kinds, kind, idx, side, projected, plane: GroundPlane, spec: ObjectSpec):
+    """Centres, wrapped yaws and a degenerate mask of every drawn proposal.
+
+    Each row is the box that ``_propose`` builds from the same draw, and a
+    row is degenerate exactly where ``_propose`` raises DegenerateSample.
+    """
+    count = len(kind)
+    centers = np.zeros((count, 3))
+    yaws = np.zeros(count)
+    degenerate = np.zeros(count, dtype=bool)
+    up = (spec.height / 2.0) * plane.normal
+    for k, mpf in enumerate(kinds):
+        rows = np.flatnonzero(kind == k)
+        if rows.size == 0:
+            continue
+        q1, q2 = projected[idx[rows, 0]], projected[idx[rows, 1]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if mpf is MpfKind.CABINET_TWO_POINT_FACE:
+                gap = np.linalg.norm(q1 - q2, axis=1)
+                bad = gap < _MIN_SEPARATION
+                length = (q1 - q2) / gap[:, None]
+                inward = side[rows, None] * np.cross(plane.normal, length)
+                bottom = 0.5 * (q1 + q2) + (spec.width / 2.0) * inward
+            else:
+                q3 = projected[idx[rows, 2]]
+                n13, n23 = np.linalg.norm(q1 - q3, axis=1), np.linalg.norm(q2 - q3, axis=1)
+                bad = (
+                    (n13 < _MIN_SEPARATION)
+                    | (n23 < _MIN_SEPARATION)
+                    | (np.linalg.norm(q1 - q2, axis=1) < _MIN_SEPARATION)
+                )
+                s = (q1 - q3) / n13[:, None] + (q2 - q3) / n23[:, None]
+                s_norm = np.linalg.norm(s, axis=1)
+                bad |= s_norm < 1e-9
+                s_hat = s / s_norm[:, None]
+                o_hat = np.cross(plane.normal, s_hat)
+                if mpf is MpfKind.TABLE_STEM:
+                    bottom, length = q3, s_hat + o_hat
+                else:
+                    w_dir, l_dir = s_hat - o_hat, s_hat + o_hat
+                    if mpf is MpfKind.CABINET_RIGHT_FRONT:
+                        w_dir, l_dir = l_dir, w_dir
+                    length = (spec.length / math.sqrt(2.0)) * l_dir
+                    bottom = q3 + 0.5 * ((spec.width / math.sqrt(2.0)) * w_dir + length)
+        degenerate[rows] = bad
+        centers[rows] = bottom + up
+        yaws[rows] = np.arctan2(length[:, 1], length[:, 0])
+    # OrientedBox3's wrap into (-pi, pi]
+    yaws = yaws - 2.0 * math.pi * np.floor((yaws + math.pi) / (2.0 * math.pi))
+    yaws[yaws <= -math.pi] = math.pi
+    return centers, yaws, degenerate
+
+
+def _propose(kind: MpfKind, sample: np.ndarray, plane, spec, side: int) -> OrientedBox3:
     if kind is MpfKind.CABINET_TWO_POINT_FACE:
-        side = _away_side(sample[0], sample[1], plane)
-        if side == 0:
-            side = 1 if rng.integers(2) == 0 else -1
         return mpf_cabinet_two_point(sample[0], sample[1], plane, spec, side=side)
     if kind is MpfKind.TABLE_STEM:
         return mpf_table(sample[0], sample[1], sample[2], plane, spec)
@@ -347,10 +474,12 @@ def refine_label(
     neighborhood can latch onto a horizontal object face such as a table
     top). The neighborhood is then cropped and ground-stripped, and each
     of the ``cfg.iterations`` rounds draws a kind uniformly from
-    ``kinds_for_class(spec.class_name)``, samples the points it needs
-    without replacement, and scores the proposal on the cropped cloud.
-    Degenerate proposals score -inf but still consume an iteration. A class
-    without proposal functions raises ConfigError before any work.
+    ``kinds_for_class(spec.class_name)`` and samples the points it needs
+    without replacement. The draws are made in order; the proposals are
+    then built and scored on the cropped cloud in fixed-size batches, and
+    the earliest best wins. Degenerate proposals never win but still
+    consume an iteration. A class without proposal functions raises
+    ConfigError before any work.
     """
     kinds = kinds_for_class(spec.class_name)
     plane = fit_ground_plane(pcd, cfg)
@@ -362,22 +491,16 @@ def refine_label(
             f"{len(cropped)} points survive cropping, need {needed} to sample"
         )
     pts = cropped.points
-    best_box = None
-    best_fitness = -math.inf
+    projected = plane.project(pts)
     rng = substream(cfg.seed, NS_REFINE)
-    for _ in range(cfg.iterations):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        idx = rng.choice(len(pts), size=kind.sample_size, replace=False)
-        try:
-            box = _propose(kind, pts[idx], plane, spec, rng)
-        except DegenerateSample:
-            continue
-        score = fitness(box, cropped, cfg.shell_delta)
-        if score > best_fitness:
-            best_fitness = score
-            best_box = box
-    if best_box is None:
+    kind, idx, side = _draw(kinds, projected, plane, cfg.iterations, rng)
+    centers, yaws, degenerate = _proposals(kinds, kind, idx, side, projected, plane, spec)
+    live = np.flatnonzero(~degenerate)
+    if live.size == 0:
         raise AllProposalsDegenerate(
             f"all {cfg.iterations} proposals were degenerate"
         )
-    return best_box
+    scores = shell_scores(centers[live], yaws[live], spec.dims, pts, cfg.shell_delta)
+    best = int(live[np.argmax(scores)])
+    k = kinds[kind[best]]
+    return _propose(k, pts[idx[best, : k.sample_size]], plane, spec, int(side[best]))

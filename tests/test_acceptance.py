@@ -31,7 +31,7 @@ from ipslabel.geom import (
     inverse,
 )
 from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
-from ipslabel.refine import RefineConfig, fitness, refine_label
+from ipslabel.refine import RefineConfig, fitness, refine_label, shell_scores
 from ipslabel.rng import substream
 from ipslabel.sim import default_scene, make_calibration_set
 
@@ -198,10 +198,10 @@ def test_refinement_survives_downsampling(noisy20):
 
 
 def test_numerics_match_independent_oracles():
-    """Gate 5: shell fitness == brute force (100 pairs); box IoU within 0.01
-    of a 1e6-sample Monte-Carlo oracle (100 pairs); noise-free pose recovery
-    within 1e-6 (100 poses); beacon-frame orthonormality within 1e-9
-    (1000 pairs). < 2 min total."""
+    """Gate 5: shell fitness and the batched shell scorer == brute force
+    (100 pairs); box IoU within 0.01 of a 1e6-sample Monte-Carlo oracle
+    (100 pairs); noise-free pose recovery within 1e-6 (100 poses);
+    beacon-frame orthonormality within 1e-9 (1000 pairs). < 2 min total."""
     t0 = time.monotonic()
 
     rng = np.random.default_rng(50)
@@ -212,7 +212,9 @@ def test_numerics_match_independent_oracles():
         box = OrientedBox3(center, dims, yaw)
         pts = center + rng.uniform(-1.5, 1.5, size=(400, 3))
         delta = rng.uniform(0.02, 0.15)
-        assert fitness(box, pts, delta) == fitness_oracle(center, dims, yaw, pts, delta)
+        expected = fitness_oracle(center, dims, yaw, pts, delta)
+        assert fitness(box, pts, delta) == expected
+        assert shell_scores([box.center], [box.yaw], dims, pts, delta)[0] == expected
 
     rng = np.random.default_rng(51)
     for _ in range(100):

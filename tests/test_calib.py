@@ -14,14 +14,17 @@ from ipslabel.calib import (
     solve_pnp,
     solve_pnp_ransac,
 )
+from ipslabel.calib import _pixel_errors, _rmse, _solve_each
 from ipslabel.errors import (
     BehindCamera,
     DegenerateConfiguration,
     EmptySubset,
     MissingPlaneTag,
+    NoConvergence,
     TooFewInliers,
 )
 from ipslabel.geom import RigidTransform, compose
+from ipslabel.rng import NS_CALIB_RANSAC, substream
 
 from .oracles import homogeneous_matrix, project_oracle, random_rotation, rmse_oracle
 
@@ -301,3 +304,67 @@ class TestSolvePnpRansac:
         corrs = synth_corrs(10, rng, t_true, t_ri)
         with pytest.raises(ValueError):
             solve_pnp_ransac(corrs, INTR, t_ri, delta_px=0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched solve_pnp_ransac == one solve_pnp per hypothesis
+
+
+def reference_ransac(corrs, intr, t_ri, delta_px, iterations, seed):
+    """Scalar RANSAC loop; returns the inlier tuple, its rmse_px and the
+    number of hypotheses that solve_pnp rejected."""
+    pts = t_ri.apply(np.stack([c.beacon_ips for c in corrs]))
+    pixels = np.stack([c.pixel for c in corrs])
+    best_key, best_mask, failures = None, None, 0
+    for i in range(iterations):
+        sample = substream(seed, NS_CALIB_RANSAC, i).choice(len(corrs), size=6, replace=False)
+        try:
+            hyp = solve_pnp([corrs[j] for j in sample], intr, t_ri)
+        except (DegenerateConfiguration, NoConvergence):
+            failures += 1
+            continue
+        err = _pixel_errors(intr, hyp.rotation, hyp.translation, pts, pixels)
+        mask = err < delta_px
+        if not mask.any():
+            continue
+        key = (int(mask.sum()), -_rmse(err[mask]))
+        if best_key is None or key > best_key:
+            best_key, best_mask = key, mask
+    inliers = tuple(int(j) for j in np.flatnonzero(best_mask))
+    final = solve_pnp([corrs[j] for j in inliers], intr, t_ri)
+    return inliers, reprojection_rmse(corrs, intr, final, t_ri, subset=inliers), failures
+
+
+def corrupted_target(seed, n=40, outliers=12, duplicates=6):
+    """Noisy correspondences with outlier pixels 20-80 px off and a few
+    duplicated correspondences, so that some 6-point samples are
+    rank-deficient."""
+    rng = np.random.default_rng(seed)
+    t_true, t_ri = make_pose_pair(rng)
+    corrs = synth_corrs(n, rng, t_true, t_ri, pixel_sigma=1.0)
+    for j in rng.choice(n, size=outliers, replace=False):
+        direction = rng.uniform(-1, 1, 2)
+        offset = rng.uniform(20.0, 80.0) * direction / np.linalg.norm(direction)
+        corrs[j] = Correspondence(corrs[j].beacon_ips, corrs[j].pixel + offset)
+    return corrs + corrs[:duplicates], t_ri
+
+
+class TestBatchedRansacMatchesScalarLoop:
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    @pytest.mark.parametrize("delta_px", [2.0, 8.0])
+    def test_same_inliers_and_rmse(self, seed, delta_px):
+        corrs, t_ri = corrupted_target(seed)
+        inliers, rmse, failures = reference_ransac(corrs, INTR, t_ri, delta_px, 120, seed)
+        assert failures > 0  # the loop must skip rejected hypotheses as the scalar one does
+        result = solve_pnp_ransac(corrs, INTR, t_ri, delta_px=delta_px, iterations=120, seed=seed)
+        assert result.inlier_indices == inliers
+        assert result.rmse_px == rmse
+
+
+def test_a_singular_system_gives_a_nan_step_and_leaves_the_others_solved():
+    a = np.stack([np.eye(6) * 2.0, np.zeros((6, 6)), np.diag(np.arange(1.0, 7.0))])
+    b = np.ones((3, 6))
+    steps = _solve_each(a, b)
+    np.testing.assert_array_equal(steps[0], np.linalg.solve(a[0], b[0]))
+    assert np.all(np.isnan(steps[1]))
+    np.testing.assert_array_equal(steps[2], np.linalg.solve(a[2], b[2]))

@@ -433,6 +433,23 @@ class TestRefine:
             os.path.join(pipeline["refined"], "sample_001.json")
         )
 
+    def test_removed_entry_leaves_the_others_as_in_the_full_run(self, pipeline, tmp_path):
+        # each object's seed follows its place in the manifest, not in the label file
+        labels, out = tmp_path / "labels", tmp_path / "refined"
+        labels.mkdir()
+        doc = json.loads(read(os.path.join(pipeline["labels"], "sample_000.json")))
+        doc["objects"] = [e for e in doc["objects"] if e["id"] != "obj0"]
+        (labels / "sample_000.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            ["--config", pipeline["cfg"], "--seed", "9", "refine",
+             "--dataset", pipeline["dataset"], "--labels", str(labels), "--out", str(out)]
+        )
+        assert code == 0, err
+        full = json.loads(read(os.path.join(pipeline["refined"], "sample_000.json")))["objects"]
+        part = json.loads(read(out / "sample_000.json"))["objects"]
+        assert [e["id"] for e in part] == ["obj1"]
+        assert part == [e for e in full if e["id"] == "obj1"]
+
     def test_unknown_class_is_a_usage_error(self, pipeline, tmp_path):
         # refine takes the class from the manifest object the label names,
         # so the manifest and the label both call obj0 a sofa

@@ -8,6 +8,7 @@ import pytest
 
 from ipslabel.cloud import PointCloud
 from ipslabel.errors import (
+    AllProposalsDegenerate,
     ConfigError,
     DegenerateSample,
     EmptyNeighborhood,
@@ -28,7 +29,9 @@ from ipslabel.refine import (
     mpf_cabinet_two_point,
     mpf_table,
     refine_label,
+    shell_scores,
 )
+from ipslabel.refine import _propose
 from ipslabel.rng import NS_REFINE, substream
 
 from .oracles import crop_filter_oracle, fitness_oracle, yaw_rotation
@@ -478,3 +481,126 @@ class TestRefineLabel:
         )
         assert iou_3d(refined, truth) > iou_3d(nudged, truth)
         assert iou_3d(refined, truth) > 0.75
+
+
+# ---------------------------------------------------------------------------
+# batched refine_label == one proposal and one fitness call per iteration
+
+
+def reference_side(p1, p2, plane):
+    """The viewpoint rule for a two-point face: the side away from the sensor
+    at the origin, or 0 when the points coincide or their face passes
+    through the sensor."""
+    q1, q2 = plane.project(np.stack([p1, p2]))
+    gap = np.linalg.norm(q1 - q2)
+    if gap < 1e-6:
+        return 0
+    inward = np.cross(plane.normal, (q1 - q2) / gap)
+    depth = float(np.dot(inward, 0.5 * (q1 + q2) - plane.project(np.zeros((1, 3)))[0]))
+    if abs(depth) < 1e-9:
+        return 0
+    return 1 if depth > 0 else -1
+
+
+def reference_refine(pcd, unrefined, spec, cfg):
+    """Scalar best-of-n search; returns the box and the number of side coin flips."""
+    kinds = kinds_for_class(spec.class_name)
+    plane = fit_ground_plane(pcd, cfg)
+    min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
+    cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
+    pts = cropped.points
+    rng = substream(cfg.seed, NS_REFINE)
+    best, best_score, flips = None, -math.inf, 0
+    for _ in range(cfg.iterations):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        sample = pts[rng.choice(len(pts), size=kind.sample_size, replace=False)]
+        side = 0
+        if kind is MpfKind.CABINET_TWO_POINT_FACE:
+            side = reference_side(sample[0], sample[1], plane)
+            if side == 0:
+                flips += 1
+                side = 1 if rng.integers(2) == 0 else -1
+        try:
+            box = _propose(kind, sample, plane, spec, side)
+        except DegenerateSample:
+            continue
+        score = fitness(box, cropped, cfg.shell_delta)
+        if score > best_score:
+            best, best_score = box, score
+    if best is None:
+        raise AllProposalsDegenerate("every reference proposal was degenerate")
+    return best, flips
+
+
+class TestBatchedRefineMatchesScalarLoop:
+    @pytest.mark.parametrize("cls", ["cabinet", "table"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_simulated_object(self, cls, seed):
+        sample = cabinet_sample()
+        entry = next(e for e in sample.truth_objects if e["class"] == cls)
+        truth = OrientedBox3.from_dict(entry["box3d_lidar"])
+        nudged = OrientedBox3(truth.center + (0.06, -0.05, 0), truth.dims, truth.yaw + 0.05)
+        spec = ObjectSpec(cls, *entry["dims_spec"])
+        cfg = RefineConfig(iterations=400, seed=seed)
+        expected, _ = reference_refine(sample.cloud, nudged, spec, cfg)
+        got = refine_label(sample.cloud, nudged, spec, cfg)
+        np.testing.assert_array_equal(got.center, expected.center)
+        assert got.yaw == expected.yaw
+
+    def test_ambiguous_sides_flip_the_same_coins(self):
+        # a noise-free scan puts the points of one LiDAR column on a vertical
+        # face at the same floor position, so two-point faces drawn from one
+        # column have no side and a coin is flipped
+        sample = cabinet_sample()
+        entry = next(e for e in sample.truth_objects if e["class"] == "cabinet")
+        truth = OrientedBox3.from_dict(entry["box3d_lidar"])
+        spec = ObjectSpec("cabinet", *entry["dims_spec"])
+        cfg = RefineConfig(iterations=1500, seed=4)
+        expected, flips = reference_refine(sample.cloud, truth, spec, cfg)
+        assert flips >= 2
+        got = refine_label(sample.cloud, truth, spec, cfg)
+        np.testing.assert_array_equal(got.center, expected.center)
+        assert got.yaw == expected.yaw
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_shell_scene(self, seed):
+        rng = np.random.default_rng(seed)
+        truth = OrientedBox3((2.0, 0.5, 0.65), (0.9, 0.5, 1.3), 0.3)
+        cloud = shell_scene(rng, truth, n_shell=500, n_floor=1500)
+        unrefined = OrientedBox3(truth.center + (0.1, -0.08, 0.0), truth.dims, truth.yaw + 0.1)
+        spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
+        cfg = RefineConfig(iterations=300, seed=seed)
+        expected, _ = reference_refine(cloud, unrefined, spec, cfg)
+        got = refine_label(cloud, unrefined, spec, cfg)
+        np.testing.assert_array_equal(got.center, expected.center)
+        assert got.yaw == expected.yaw
+
+    def test_all_degenerate_proposals_raise(self):
+        # every point above the floor lies on one vertical line, so all
+        # proposals have coincident projected points
+        rng = np.random.default_rng(6)
+        floor = np.column_stack(
+            [rng.uniform(-3, 3, 2000), rng.uniform(-3, 3, 2000), np.zeros(2000)]
+        )
+        pole = np.column_stack([np.full(40, 2.0), np.full(40, 0.5), np.linspace(0.2, 1.2, 40)])
+        cloud = PointCloud(np.vstack([floor, pole]))
+        unrefined = OrientedBox3((2.0, 0.5, 0.65), (0.9, 0.5, 1.3), 0.0)
+        spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
+        cfg = RefineConfig(iterations=200, seed=1)
+        with pytest.raises(AllProposalsDegenerate):
+            reference_refine(cloud, unrefined, spec, cfg)
+        with pytest.raises(AllProposalsDegenerate):
+            refine_label(cloud, unrefined, spec, cfg)
+
+    def test_shell_scores_match_fitness_across_chunks(self):
+        # 200 boxes x 700 points make three chunks of at most 2**16 tests
+        rng = np.random.default_rng(13)
+        boxes = [
+            OrientedBox3(rng.uniform(-1, 1, 3), (1.1, 0.6, 1.4), rng.uniform(-math.pi, math.pi))
+            for _ in range(200)
+        ]
+        pts = rng.uniform(-2, 2, (700, 3))
+        scores = shell_scores(
+            [b.center for b in boxes], [b.yaw for b in boxes], (1.1, 0.6, 1.4), pts, 0.05
+        )
+        assert scores.tolist() == [fitness(b, pts, 0.05) for b in boxes]

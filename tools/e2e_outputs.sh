@@ -7,9 +7,12 @@
 #   SRC  directory holding the ipslabel package (a checkout's src/)
 #   OUT  output directory (created if missing; an earlier run's files are replaced)
 #
-# For each of four configs (none; pixel_noise_sigma 1.0; the same with a
+# For each of five configs (none; pixel_noise_sigma 1.0; the same with a
 # 32-channel 0.1-degree LiDAR at --jobs 2; the default objects plus a third
-# one that is wholly behind the camera in sample_000) it runs, at --seed 7:
+# one that is wholly behind the camera in sample_000; pixel_noise_sigma 1.0
+# with a 2 px inlier gate, so calibration keeps only part of the 63
+# correspondences and its output depends on which RANSAC hypothesis wins)
+# it runs, at --seed 7:
 # simulate --samples 3 -> calibrate --dataset -> generate -> refine ->
 # evaluate --auto refined --reference ds/truth, plus one downsample study.
 # Stages run inside OUT/<config> with relative paths, so the stdout kept in
@@ -55,4 +58,6 @@ run_config behind_camera 1 "scene: {objects: [
     {id: obj0, class: cabinet, dims: [0.9, 0.5, 1.3], x: 4.0, y: 0.9, yaw: 0.4},
     {id: obj1, class: table, dims: [1.2, 0.8, 0.75], x: 3.4, y: -1.6, yaw: -0.3},
     {id: obj2, class: cabinet, dims: [0.9, 0.5, 1.3], x: -5.0, y: 0.0, yaw: 1.0}]}"
+run_config tight_gate 1 "scene: {pixel_noise_sigma: 1.0}
+calibration: {delta_px: 2.0}"
 echo "wrote outputs to $out"
