@@ -21,7 +21,7 @@ from .errors import (
     NoConvergence,
     TooFewInliers,
 )
-from .geom import RigidTransform, chunks, compose
+from .geom import RigidTransform, chunks, compose, row_norms
 from .rng import NS_CALIB_RANSAC, substream
 
 MIN_PNP_POINTS = 6
@@ -111,54 +111,32 @@ def project(intr: CameraIntrinsics, t_cam_from_ips: RigidTransform, p) -> tuple:
     pc = t_cam_from_ips.apply(np.asarray(p, dtype=float))
     if pc[2] <= MIN_DEPTH:
         raise BehindCamera(f"point has camera-frame depth {pc[2]:.3e} m")
-    u = intr.fx * pc[0] / pc[2] + intr.cx
-    v = intr.fy * pc[1] / pc[2] + intr.cy
+    u, v = _project_cam(intr, pc)
     return float(u), float(v)
 
 
 def _project_cam(intr: CameraIntrinsics, pts_cam: np.ndarray):
-    """Vectorized pinhole projection of camera-frame points. No depth checks."""
-    z = pts_cam[:, 2]
-    u = intr.fx * pts_cam[:, 0] / z + intr.cx
-    v = intr.fy * pts_cam[:, 1] / z + intr.cy
-    return np.column_stack([u, v])
+    """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2).
+    No depth checks."""
+    z = pts_cam[..., 2]
+    u = intr.fx * pts_cam[..., 0] / z + intr.cx
+    v = intr.fy * pts_cam[..., 1] / z + intr.cy
+    return np.stack([u, v], axis=-1)
 
 
-def _pixel_errors(intr, rotation, translation, pts_robot, pixels) -> np.ndarray:
-    """Per-point reprojection distances; inf for points behind the camera."""
-    pc = pts_robot @ rotation.T + translation
-    err = np.full(len(pts_robot), np.inf)
-    front = pc[:, 2] > MIN_DEPTH
-    if front.any():
-        uv = _project_cam(intr, pc[front])
-        d = uv - pixels[front]
-        err[front] = np.hypot(d[:, 0], d[:, 1])
-    return err
-
-
-def _pixel_errors_batch(intr, rot, tra, pts_robot, pixels) -> np.ndarray:
-    """``_pixel_errors`` of each pose (rot[i], tra[i]) on the same points, (B, n)."""
-    pc = np.einsum("nk,bjk->bnj", pts_robot, rot) + tra[:, None, :]
-    z = pc[..., 2]
-    front = z > MIN_DEPTH
+def _pixel_errors(intr, rot, tra, pts_robot, pixels) -> np.ndarray:
+    """Reprojection distances of the points (n, 3) under the pose (rot, tra),
+    or under each pose of a stack (..., 3, 3), (..., 3): shape (..., n).
+    Points behind the camera get inf."""
+    # Stacked @, not einsum: einsum's sums differ from BLAS in the last bit.
+    pc = pts_robot @ np.swapaxes(rot, -1, -2) + tra[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        du = intr.fx * pc[..., 0] / z + intr.cx - pixels[:, 0]
-        dv = intr.fy * pc[..., 1] / z + intr.cy - pixels[:, 1]
-    return np.where(front, np.hypot(du, dv), np.inf)
+        d = _project_cam(intr, pc) - pixels
+    return np.where(pc[..., 2] > MIN_DEPTH, np.hypot(d[..., 0], d[..., 1]), np.inf)
 
 
 def _rmse(errors: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(errors))))
-
-
-def _exp_so3(w: np.ndarray) -> np.ndarray:
-    """Rodrigues' formula for a rotation vector."""
-    theta = np.linalg.norm(w)
-    if theta < 1e-12:
-        return np.eye(3) + _skew(w)
-    k = w / theta
-    kx = _skew(k)
-    return np.eye(3) + np.sin(theta) * kx + (1.0 - np.cos(theta)) * (kx @ kx)
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
@@ -173,23 +151,13 @@ def _skew(v: np.ndarray) -> np.ndarray:
     return sk
 
 
-def _dlt_pose(pts_robot: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics):
-    """Initial pose from the direct linear transform on normalized pixels."""
-    rot, tra, degenerate = _dlt_poses(pts_robot[None], pixels[None], intr)
-    if degenerate[0]:
-        raise DegenerateConfiguration(
-            "DLT system is rank-deficient or its rotation block has zero scale "
-            "(points nearly collinear or coincident)"
-        )
-    return rot[0], tra[0]
-
-
-def _jacobian(pc: np.ndarray, tra: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
+def _jacobian(pc: np.ndarray, front: np.ndarray, tra: np.ndarray, intr: CameraIntrinsics):
     """Pixel Jacobian of camera points pc (..., m, 3), of a pose with
     translation tra, in the rotation increment and the translation:
-    shape (..., 2m, 6), rows u then v of each point."""
+    shape (..., 2m, 6), rows u then v of each point. The rows of the
+    points outside ``front`` (..., m) are 0."""
     apix = np.zeros(pc.shape[:-1] + (2, 3))
-    z = pc[..., 2]
+    z = np.where(front, pc[..., 2], np.inf)
     apix[..., 0, 0] = intr.fx / z
     apix[..., 0, 2] = -intr.fx * pc[..., 0] / z**2
     apix[..., 1, 1] = intr.fy / z
@@ -199,63 +167,9 @@ def _jacobian(pc: np.ndarray, tra: np.ndarray, intr: CameraIntrinsics) -> np.nda
     return np.concatenate([jw, apix], axis=-1).reshape(pc.shape[:-2] + (-1, 6))
 
 
-def _refine_pose(rot, tra, pts_robot, pixels, intr, max_iter=100, tol=1e-10):
-    """Damped Gauss-Newton on the 6 pose parameters.
-
-    Left-multiplicative axis-angle increment on the rotation; iterates
-    until the per-iteration RMSE decrease drops below ``tol`` pixels or
-    ``max_iter`` iterations.
-    """
-
-    def residual_state(r, t):
-        pc = pts_robot @ r.T + t
-        front = pc[:, 2] > MIN_DEPTH
-        if front.sum() < MIN_PNP_POINTS:
-            return None
-        uv = _project_cam(intr, pc[front])
-        res = (uv - pixels[front]).ravel()
-        rmse = float(np.sqrt(np.mean(np.square(res.reshape(-1, 2)).sum(axis=1))))
-        return pc, front, res, rmse
-
-    state = residual_state(rot, tra)
-    if state is None or not np.isfinite(state[3]):
-        raise NoConvergence("initial pose leaves too few points in front of the camera")
-    pc, front, res, rmse = state
-    lam = 0.0
-    for _ in range(max_iter):
-        jac = _jacobian(pc[front], tra, intr)
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
-        accepted = False
-        for _try in range(25):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                cand_r = _exp_so3(step[:3]) @ rot
-                cand_t = tra + step[3:]
-                cand = residual_state(cand_r, cand_t)
-                if cand is not None and cand[3] < rmse:
-                    improvement = rmse - cand[3]
-                    rot, tra = cand_r, cand_t
-                    pc, front, res, rmse = cand
-                    lam = 0.0 if lam < 1e-10 else lam / 3.0
-                    accepted = True
-                    break
-            lam = 1e-6 if lam == 0.0 else lam * 10.0
-        if not accepted:
-            break
-        if improvement < tol:
-            break
-    # Undo accumulated floating-point drift from the incremental updates.
-    u, _, vt = np.linalg.svd(rot)
-    rot = u @ vt
-    return rot, tra
-
-
 def _dlt_poses(pts: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics):
-    """``_dlt_pose`` of every hypothesis: pts (B, m, 3), pixels (B, m, 2).
+    """Initial poses from the direct linear transform on normalized pixels,
+    of every hypothesis: pts (B, m, 3), pixels (B, m, 2).
 
     Returns rotations (B, 3, 3), translations (B, 3) and a mask of the
     degenerate hypotheses: those whose DLT system is rank-deficient or
@@ -288,8 +202,8 @@ def _dlt_poses(pts: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics):
 
 
 def _exp_so3_batch(w: np.ndarray) -> np.ndarray:
-    """``_exp_so3`` of each row of w."""
-    theta = np.sqrt(np.sum(np.square(w), axis=1))
+    """Rodrigues' formula for each rotation vector row of w (B, 3)."""
+    theta = row_norms(w)
     small = theta < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         kx = _skew(np.where(small[:, None], w, w / theta[:, None]))
@@ -303,40 +217,49 @@ def _exp_so3_batch(w: np.ndarray) -> np.ndarray:
 
 
 def _residuals(rot, tra, pts, pixels, intr):
-    """Camera points, residuals and RMSE of each hypothesis; ``ok`` is False
-    where a point is behind the camera or the RMSE is not finite."""
-    pc = np.einsum("bmk,bjk->bmj", pts, rot) + tra[:, None, :]
-    z = pc[..., 2]
+    """Camera points, residuals, RMSE and front mask of each hypothesis.
+
+    Only the points in front of the camera count: the residuals of the
+    others are 0 and the RMSE covers the front points. ``ok`` is False
+    where fewer than MIN_PNP_POINTS points are in front or the RMSE is not
+    finite.
+    """
+    # Stacked @, not einsum: einsum's sums differ from BLAS in the last bit.
+    pc = pts @ rot.transpose(0, 2, 1) + tra[:, None, :]
+    front = pc[..., 2] > MIN_DEPTH
+    count = front.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        uv = np.stack([intr.fx * pc[..., 0] / z + intr.cx, intr.fy * pc[..., 1] / z + intr.cy], 2)
-        d = uv - pixels
-        rmse = np.sqrt(np.mean(np.square(d).sum(axis=2), axis=1))
-    ok = np.all(z > MIN_DEPTH, axis=1) & np.isfinite(rmse)
-    return pc, d.reshape(len(pts), -1), rmse, ok
+        d = np.where(front[..., None], _project_cam(intr, pc) - pixels, 0.0)
+        rmse = np.sqrt(np.square(d).sum(axis=2).sum(axis=1) / count)
+    ok = (count >= MIN_PNP_POINTS) & np.isfinite(rmse)
+    return pc, front, d.reshape(len(pts), -1), rmse, ok
 
 
 def _refine_poses(rot, tra, pts, pixels, intr, max_iter=100, tol=1e-10):
-    """``_refine_pose`` on B hypotheses of MIN_PNP_POINTS points at once.
+    """Damped Gauss-Newton on the 6 pose parameters of B hypotheses at once.
 
-    Every hypothesis keeps its own damping λ, its own accept, damping and
-    stop decisions, and stops iterating on its own. With exactly
-    MIN_PNP_POINTS points, a pose that puts any point behind the camera
-    leaves too few in front, as in ``_refine_pose``. Returns the refined
-    poses and a mask of the hypotheses for which ``_refine_pose`` raises
-    NoConvergence.
+    pts (B, m, 3), pixels (B, m, 2). Left-multiplicative axis-angle
+    increment on the rotation. Every hypothesis keeps its own damping λ and
+    its own accept, damping and stop decisions: it iterates until no damped
+    step lowers its RMSE, the RMSE decrease drops below ``tol`` pixels, or
+    ``max_iter`` iterations. Only the points in front of the camera count
+    (see ``_residuals``). Returns the refined poses and a mask of the
+    hypotheses whose initial pose leaves fewer than MIN_PNP_POINTS points
+    in front of the camera or a non-finite RMSE.
     """
     rot, tra = rot.copy(), tra.copy()
-    pc, res, rmse, ok = _residuals(rot, tra, pts, pixels, intr)
+    pc, front, res, rmse, ok = _residuals(rot, tra, pts, pixels, intr)
     failed = ~ok
     lam = np.zeros(len(rot))
     active = np.flatnonzero(ok)
     for _ in range(max_iter):
         if active.size == 0:
             break
-        jac = _jacobian(pc[active], tra[active, None, :], intr)
+        jac = _jacobian(pc[active], front[active], tra[active, None, :], intr)
         jac_t = jac.transpose(0, 2, 1)
         jtj = jac_t @ jac
-        jtr = np.einsum("bkn,bn->bk", jac_t, res[active])
+        # Stacked @, not einsum: einsum's sums differ from BLAS in the last bit.
+        jtr = (jac_t @ res[active][..., None])[..., 0]
         diag = np.einsum("bii->bi", jtj)
         trying = np.arange(len(active))
         improvement = np.zeros(len(active))
@@ -350,12 +273,13 @@ def _refine_poses(rot, tra, pts, pixels, intr, max_iter=100, tol=1e-10):
             finite = np.all(np.isfinite(step), axis=1)
             cand_r = _exp_so3_batch(np.where(finite[:, None], step[:, :3], 0.0)) @ rot[h]
             cand_t = tra[h] + step[:, 3:]
-            c_pc, c_res, c_rmse, c_ok = _residuals(cand_r, cand_t, pts[h], pixels[h], intr)
+            c_pc, c_front, c_res, c_rmse, c_ok = _residuals(cand_r, cand_t, pts[h], pixels[h], intr)
             accept = finite & c_ok & (c_rmse < rmse[h])
             won, kept = h[accept], trying[accept]
             improvement[kept] = rmse[won] - c_rmse[accept]
             rot[won], tra[won] = cand_r[accept], cand_t[accept]
-            pc[won], res[won], rmse[won] = c_pc[accept], c_res[accept], c_rmse[accept]
+            pc[won], front[won] = c_pc[accept], c_front[accept]
+            res[won], rmse[won] = c_res[accept], c_rmse[accept]
             lam[won] = np.where(lam[won] < 1e-10, 0.0, lam[won] / 3.0)
             lost = h[~accept]
             lam[lost] = np.where(lam[lost] == 0.0, 1e-6, lam[lost] * 10.0)
@@ -396,10 +320,17 @@ def solve_pnp(corrs, intr: CameraIntrinsics, t_robot_from_ips: RigidTransform) -
         )
     beacons = np.stack([c.beacon_ips for c in corrs])
     pixels = np.stack([c.pixel for c in corrs])
-    pts_robot = t_robot_from_ips.apply(beacons)
-    rot, tra = _dlt_pose(pts_robot, pixels, intr)
-    rot, tra = _refine_pose(rot, tra, pts_robot, pixels, intr)
-    return RigidTransform(rot, tra, src=t_robot_from_ips.dst, dst="cam")
+    pts_robot = t_robot_from_ips.apply(beacons)[None]
+    rot, tra, degenerate = _dlt_poses(pts_robot, pixels[None], intr)
+    if degenerate[0]:
+        raise DegenerateConfiguration(
+            "DLT system is rank-deficient or its rotation block has zero scale "
+            "(points nearly collinear or coincident)"
+        )
+    rot, tra, failed = _refine_poses(rot, tra, pts_robot, pixels[None], intr)
+    if failed[0]:
+        raise NoConvergence("initial pose leaves too few points in front of the camera")
+    return RigidTransform(rot[0], tra[0], src=t_robot_from_ips.dst, dst="cam")
 
 
 def reprojection_rmse(corrs, intr, extrinsic, t_robot_from_ips, subset=None) -> float:
@@ -459,7 +390,7 @@ def solve_pnp_ransac(
         rot, tra, failed = _refine_poses(
             rot[live], tra[live], pts_robot[samples[live]], pixels[samples[live]], intr
         )
-        err = _pixel_errors_batch(intr, rot[~failed], tra[~failed], pts_robot, pixels)
+        err = _pixel_errors(intr, rot[~failed], tra[~failed], pts_robot, pixels)
         masks = err < delta_px
         counts = masks.sum(axis=1)
         if counts.size == 0 or counts.max() == 0:

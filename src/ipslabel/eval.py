@@ -118,8 +118,8 @@ def downsample_study(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pts = pcd.points
-    near_idx = np.flatnonzero(np.linalg.norm(pts - unrefined.center, axis=1) <= cfg.radius)
-    far_idx = np.flatnonzero(np.linalg.norm(pts - unrefined.center, axis=1) > cfg.radius)
+    near = np.linalg.norm(pts - unrefined.center, axis=1) <= cfg.radius
+    near_idx, far_idx = np.flatnonzero(near), np.flatnonzero(~near)
     rows = []
     for pi, proportion in enumerate(proportions):
         for trial in range(trials):

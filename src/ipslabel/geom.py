@@ -45,6 +45,12 @@ def chunks(count: int, points: int):
         yield slice(lo, min(count, lo + step))
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v (n, k)."""
+    # Stacked dots give the bits of 1-D np.linalg.norm (BLAS ddot); norms along axis=1 do not.
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def _as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3)
     return a

@@ -25,7 +25,7 @@ from .errors import (
     NoPlaneFound,
     TooFewPoints,
 )
-from .geom import chunks
+from .geom import chunks, row_norms
 from .labelgen import ObjectSpec, OrientedBox3
 from .rng import NS_PLANE_RANSAC, NS_REFINE, substream
 
@@ -182,11 +182,12 @@ def crop_and_strip(
     dropped as well.
     """
     pts = pcd.points
-    near = np.linalg.norm(pts - unrefined.center, axis=1) <= cfg.radius
-    above = plane.height(pts) > cfg.ground_threshold
-    keep = near & above
+    height = plane.height(pts)
+    keep = (np.linalg.norm(pts - unrefined.center, axis=1) <= cfg.radius) & (
+        height > cfg.ground_threshold
+    )
     if min_height is not None:
-        keep &= plane.height(pts) >= min_height
+        keep &= height >= min_height
     if not keep.any():
         raise EmptyNeighborhood(
             f"no points within {cfg.radius} m of the label after ground removal"
@@ -194,36 +195,23 @@ def crop_and_strip(
     return PointCloud(pts[keep], frame=pcd.frame)
 
 
-def _bisector_axes(p1, p2, p3, plane: GroundPlane):
-    """Projected corner construction shared by cabinet and table MPFs.
-
-    Returns (q3, s_hat, o_hat): the projected reference point, the unit
-    angle bisector of the two projected edge directions, and the in-plane
-    orthogonal axis n x s.
-    """
-    q1, q2, q3 = plane.project(np.stack([p1, p2, p3]))
-    if (
-        np.linalg.norm(q1 - q3) < _MIN_SEPARATION
-        or np.linalg.norm(q2 - q3) < _MIN_SEPARATION
-        or np.linalg.norm(q1 - q2) < _MIN_SEPARATION
-    ):
-        raise DegenerateSample("projected sample points coincide")
-    v1 = (q1 - q3) / np.linalg.norm(q1 - q3)
-    v2 = (q2 - q3) / np.linalg.norm(q2 - q3)
-    s = v1 + v2
-    s_norm = np.linalg.norm(s)
-    if s_norm < 1e-9:
-        raise DegenerateSample("edge directions are opposite; bisector undefined")
-    s_hat = s / s_norm
-    o_hat = np.cross(plane.normal, s_hat)
-    return q3, s_hat, o_hat
+def _propose_one(kind: MpfKind, points, plane: GroundPlane, spec: ObjectSpec, side: int = 0):
+    """The box ``_proposals`` builds from one sample of raw points."""
+    q = plane.project(np.asarray(points, dtype=float))[None]
+    centers, lengths, degenerate = _proposals(
+        (kind,), np.zeros(1, dtype=np.intp), q, np.array([side]), plane, spec
+    )
+    if degenerate[0]:
+        raise DegenerateSample(
+            "projected sample points coincide or the edge directions are opposite"
+        )
+    return _box(centers[0], lengths[0], spec)
 
 
-def _box_from_bottom_rect(bottom_center, length_dir, spec, plane):
-    """Yaw box with the given bottom-face center, tangent to the plane."""
-    center = bottom_center + (spec.height / 2.0) * plane.normal
-    yaw = math.atan2(length_dir[1], length_dir[0])
-    return OrientedBox3(center, spec.dims, yaw, frame="lidar")
+def _box(center, length, spec: ObjectSpec) -> OrientedBox3:
+    """Yaw box of the spec's dims whose length axis runs along ``length``."""
+    # math.atan2, not np.arctan2: the SIMD arctan2 differs from it in the last bit.
+    return OrientedBox3(center, spec.dims, math.atan2(length[1], length[0]), frame="lidar")
 
 
 def mpf_cabinet(p1, p2, p3, plane: GroundPlane, spec: ObjectSpec, kind: MpfKind) -> OrientedBox3:
@@ -236,14 +224,7 @@ def mpf_cabinet(p1, p2, p3, plane: GroundPlane, spec: ObjectSpec, kind: MpfKind)
     """
     if kind not in (MpfKind.CABINET_LEFT_FRONT, MpfKind.CABINET_RIGHT_FRONT):
         raise ValueError(f"not a three-point cabinet kind: {kind}")
-    q3, s_hat, o_hat = _bisector_axes(p1, p2, p3, plane)
-    w_vec = (spec.width / math.sqrt(2.0)) * (s_hat - o_hat)
-    l_vec = (spec.length / math.sqrt(2.0)) * (s_hat + o_hat)
-    if kind is MpfKind.CABINET_RIGHT_FRONT:
-        w_vec = (spec.width / math.sqrt(2.0)) * (s_hat + o_hat)
-        l_vec = (spec.length / math.sqrt(2.0)) * (s_hat - o_hat)
-    bottom_center = q3 + 0.5 * (w_vec + l_vec)
-    return _box_from_bottom_rect(bottom_center, l_vec, spec, plane)
+    return _propose_one(kind, [p1, p2, p3], plane, spec)
 
 
 def mpf_cabinet_two_point(
@@ -262,15 +243,7 @@ def mpf_cabinet_two_point(
     away from it. This construction is an interpretation: only the
     two-points-on-a-face idea is given, not its geometry.
     """
-    q1, q2 = plane.project(np.stack([p1, p2]))
-    gap = np.linalg.norm(q1 - q2)
-    if gap < _MIN_SEPARATION:
-        raise DegenerateSample("projected sample points coincide")
-    u_hat = (q1 - q2) / gap
-    inward = float(side) * np.cross(plane.normal, u_hat)
-    mid = 0.5 * (q1 + q2)
-    bottom_center = mid + (spec.width / 2.0) * inward
-    return _box_from_bottom_rect(bottom_center, u_hat, spec, plane)
+    return _propose_one(MpfKind.CABINET_TWO_POINT_FACE, [p1, p2], plane, spec, side)
 
 
 def mpf_table(p1, p2, p3, plane: GroundPlane, spec: ObjectSpec) -> OrientedBox3:
@@ -280,9 +253,7 @@ def mpf_table(p1, p2, p3, plane: GroundPlane, spec: ObjectSpec) -> OrientedBox3:
     the box is centered horizontally on the projected stem point. The
     centering is an assumption about where the stem sits.
     """
-    q3, s_hat, o_hat = _bisector_axes(p1, p2, p3, plane)
-    length_dir = s_hat + o_hat
-    return _box_from_bottom_rect(q3, length_dir, spec, plane)
+    return _propose_one(MpfKind.TABLE_STEM, [p1, p2, p3], plane, spec)
 
 
 def fitness(box: OrientedBox3, cloud, delta: float) -> int:
@@ -292,16 +263,8 @@ def fitness(box: OrientedBox3, cloud, delta: float) -> int:
     near, so a corner point contributes 3. Boundary points at exactly
     half-extent +- delta are included.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    if len(pts) == 0:
-        return 0
-    local = np.abs(box.to_local(pts))
-    half = box.dims / 2.0
-    inside = np.all(local <= half + delta, axis=1)
-    near_face = local >= (half - delta)
-    return int((inside[:, None] & near_face).sum())
+    pts = cloud.points if isinstance(cloud, PointCloud) else cloud
+    return int(shell_scores([box.center], [box.yaw], box.dims, pts, delta)[0])
 
 
 # RANSAC draws made between two checks for an ambiguous two-point side.
@@ -400,39 +363,42 @@ def _draw(kinds, projected: np.ndarray, plane: GroundPlane, iterations: int, rng
     return kind, idx, side
 
 
-def _proposals(kinds, kind, idx, side, projected, plane: GroundPlane, spec: ObjectSpec):
-    """Centres, wrapped yaws and a degenerate mask of every drawn proposal.
+def _proposals(kinds, kind, q, side, plane: GroundPlane, spec: ObjectSpec):
+    """Centres, length vectors and a degenerate mask of B proposals.
 
-    Each row is the box that ``_propose`` builds from the same draw, and a
-    row is degenerate exactly where ``_propose`` raises DegenerateSample.
+    Row i is the box of kind ``kinds[kind[i]]`` built from the projected
+    samples q[i] (B, 3, 3; a two-point face uses the first two) and, for a
+    two-point face, extruded to side side[i]. The box's length axis runs
+    along its length vector. A row is degenerate where two projected
+    samples coincide or a corner's two edge directions are opposite.
     """
     count = len(kind)
     centers = np.zeros((count, 3))
-    yaws = np.zeros(count)
+    lengths = np.zeros((count, 3))
     degenerate = np.zeros(count, dtype=bool)
     up = (spec.height / 2.0) * plane.normal
     for k, mpf in enumerate(kinds):
         rows = np.flatnonzero(kind == k)
         if rows.size == 0:
             continue
-        q1, q2 = projected[idx[rows, 0]], projected[idx[rows, 1]]
+        q1, q2 = q[rows, 0], q[rows, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             if mpf is MpfKind.CABINET_TWO_POINT_FACE:
-                gap = np.linalg.norm(q1 - q2, axis=1)
+                gap = row_norms(q1 - q2)
                 bad = gap < _MIN_SEPARATION
                 length = (q1 - q2) / gap[:, None]
                 inward = side[rows, None] * np.cross(plane.normal, length)
                 bottom = 0.5 * (q1 + q2) + (spec.width / 2.0) * inward
             else:
-                q3 = projected[idx[rows, 2]]
-                n13, n23 = np.linalg.norm(q1 - q3, axis=1), np.linalg.norm(q2 - q3, axis=1)
+                q3 = q[rows, 2]
+                n13, n23 = row_norms(q1 - q3), row_norms(q2 - q3)
                 bad = (
                     (n13 < _MIN_SEPARATION)
                     | (n23 < _MIN_SEPARATION)
-                    | (np.linalg.norm(q1 - q2, axis=1) < _MIN_SEPARATION)
+                    | (row_norms(q1 - q2) < _MIN_SEPARATION)
                 )
                 s = (q1 - q3) / n13[:, None] + (q2 - q3) / n23[:, None]
-                s_norm = np.linalg.norm(s, axis=1)
+                s_norm = row_norms(s)
                 bad |= s_norm < 1e-9
                 s_hat = s / s_norm[:, None]
                 o_hat = np.cross(plane.normal, s_hat)
@@ -446,19 +412,8 @@ def _proposals(kinds, kind, idx, side, projected, plane: GroundPlane, spec: Obje
                     bottom = q3 + 0.5 * ((spec.width / math.sqrt(2.0)) * w_dir + length)
         degenerate[rows] = bad
         centers[rows] = bottom + up
-        yaws[rows] = np.arctan2(length[:, 1], length[:, 0])
-    # OrientedBox3's wrap into (-pi, pi]
-    yaws = yaws - 2.0 * math.pi * np.floor((yaws + math.pi) / (2.0 * math.pi))
-    yaws[yaws <= -math.pi] = math.pi
-    return centers, yaws, degenerate
-
-
-def _propose(kind: MpfKind, sample: np.ndarray, plane, spec, side: int) -> OrientedBox3:
-    if kind is MpfKind.CABINET_TWO_POINT_FACE:
-        return mpf_cabinet_two_point(sample[0], sample[1], plane, spec, side=side)
-    if kind is MpfKind.TABLE_STEM:
-        return mpf_table(sample[0], sample[1], sample[2], plane, spec)
-    return mpf_cabinet(sample[0], sample[1], sample[2], plane, spec, kind)
+        lengths[rows] = length
+    return centers, lengths, degenerate
 
 
 def refine_label(
@@ -494,13 +449,13 @@ def refine_label(
     projected = plane.project(pts)
     rng = substream(cfg.seed, NS_REFINE)
     kind, idx, side = _draw(kinds, projected, plane, cfg.iterations, rng)
-    centers, yaws, degenerate = _proposals(kinds, kind, idx, side, projected, plane, spec)
+    centers, lengths, degenerate = _proposals(kinds, kind, projected[idx], side, plane, spec)
     live = np.flatnonzero(~degenerate)
     if live.size == 0:
         raise AllProposalsDegenerate(
             f"all {cfg.iterations} proposals were degenerate"
         )
-    scores = shell_scores(centers[live], yaws[live], spec.dims, pts, cfg.shell_delta)
+    yaws = np.arctan2(lengths[live, 1], lengths[live, 0])
+    scores = shell_scores(centers[live], yaws, spec.dims, pts, cfg.shell_delta)
     best = int(live[np.argmax(scores)])
-    k = kinds[kind[best]]
-    return _propose(k, pts[idx[best, : k.sample_size]], plane, spec, int(side[best]))
+    return _box(centers[best], lengths[best], spec)

@@ -480,7 +480,7 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
             pc = chain["cam_from_ips"].apply(true_pos)
             if pc[2] <= 0.5:
                 continue
-            uv = _project_cam(scene.intrinsics, pc[None, :])[0]
+            uv = _project_cam(scene.intrinsics, pc)
             if (
                 margin <= uv[0] <= scene.intrinsics.width - margin
                 and margin <= uv[1] <= scene.intrinsics.height - margin

@@ -14,7 +14,7 @@ from ipslabel.calib import (
     solve_pnp,
     solve_pnp_ransac,
 )
-from ipslabel.calib import _pixel_errors, _rmse, _solve_each
+from ipslabel.calib import _dlt_poses, _pixel_errors, _refine_poses, _rmse, _solve_each
 from ipslabel.errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -38,17 +38,26 @@ def make_pose_pair(rng):
     return t_true, t_ri
 
 
-def synth_corrs(n, rng, t_true, t_ri, pixel_sigma=0.0, intr=INTR):
-    """Correspondences built by the oracle projection, not the library's."""
+def synth_corrs(n, rng, t_true, t_ri, pixel_sigma=0.0, intr=INTR, behind=0):
+    """Correspondences built by the oracle projection, not the library's.
+
+    The first ``behind`` beacons lie behind the camera; their pixels are
+    where the pinhole formula puts them, which no camera sees.
+    """
     t_cam_from_ips = compose(t_true, t_ri)
     m_ips_from_cam = np.linalg.inv(homogeneous_matrix(t_cam_from_ips.rotation, t_cam_from_ips.translation))
     m_identity = np.eye(4)
     corrs = []
-    for _ in range(n):
+    for i in range(n):
         z = rng.uniform(2.0, 8.0)
         pc = np.array([rng.uniform(-0.5, 0.5) * z, rng.uniform(-0.35, 0.35) * z, z])
+        if i < behind:
+            pc = -pc
+            u = intr.fx * pc[0] / pc[2] + intr.cx
+            v = intr.fy * pc[1] / pc[2] + intr.cy
+        else:
+            u, v = project_oracle(intr.fx, intr.fy, intr.cx, intr.cy, m_identity, pc)
         p_ips = (m_ips_from_cam @ np.append(pc, 1.0))[:3]
-        u, v = project_oracle(intr.fx, intr.fy, intr.cx, intr.cy, m_identity, pc)
         pixel = np.array([u, v]) + pixel_sigma * rng.standard_normal(2)
         corrs.append(Correspondence(p_ips, pixel))
     return corrs
@@ -196,6 +205,46 @@ class TestSolvePnp:
         corrs = synth_corrs(5, rng, t_true, t_ri)
         with pytest.raises(DegenerateConfiguration):
             solve_pnp(corrs, INTR, t_ri)
+
+    @pytest.mark.parametrize("behind, front", [(1, 6), (2, 6), (2, 12)])
+    def test_beacons_behind_the_camera_leave_the_fit(self, behind, front):
+        rng = np.random.default_rng(30 + behind + front)
+        for _ in range(3):
+            t_true, t_ri = make_pose_pair(rng)
+            corrs = synth_corrs(behind + front, rng, t_true, t_ri, behind=behind)
+            est = solve_pnp(corrs, INTR, t_ri)
+            assert rotation_angle(est.rotation, t_true.rotation) <= 1e-6
+            assert np.abs(est.translation - t_true.translation).max() <= 1e-6
+
+    @pytest.mark.parametrize("behind, front", [(1, 5), (3, 5)])
+    def test_fewer_than_six_beacons_in_front_do_not_converge(self, behind, front):
+        rng = np.random.default_rng(40 + behind)
+        t_true, t_ri = make_pose_pair(rng)
+        corrs = synth_corrs(behind + front, rng, t_true, t_ri, behind=behind)
+        with pytest.raises(NoConvergence):
+            solve_pnp(corrs, INTR, t_ri)
+
+
+def test_a_batch_of_gauss_newton_fits_equals_its_single_fits():
+    # 9 beacons each: 2 behind the camera, 4 behind (5 in front, too few),
+    # and none behind; noisy pixels, so that every fit iterates
+    rng = np.random.default_rng(50)
+    pts, pixels = [], []
+    for behind in (2, 4, 0):
+        t_true, t_ri = make_pose_pair(rng)
+        corrs = synth_corrs(9, rng, t_true, t_ri, pixel_sigma=1.0, behind=behind)
+        pts.append(t_ri.apply(np.stack([c.beacon_ips for c in corrs])))
+        pixels.append(np.stack([c.pixel for c in corrs]))
+    pts, pixels = np.stack(pts), np.stack(pixels)
+    rot, tra, degenerate = _dlt_poses(pts, pixels, INTR)
+    assert not degenerate.any()
+    got_rot, got_tra, failed = _refine_poses(rot, tra, pts, pixels, INTR)
+    assert failed.tolist() == [False, True, False]
+    for i in range(3):
+        one = _refine_poses(rot[i : i + 1], tra[i : i + 1], pts[i : i + 1], pixels[i : i + 1], INTR)
+        np.testing.assert_array_equal(one[0][0], got_rot[i])
+        np.testing.assert_array_equal(one[1][0], got_tra[i])
+        assert one[2][0] == failed[i]
 
 
 # ---------------------------------------------------------------------------

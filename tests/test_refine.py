@@ -31,7 +31,6 @@ from ipslabel.refine import (
     refine_label,
     shell_scores,
 )
-from ipslabel.refine import _propose
 from ipslabel.rng import NS_REFINE, substream
 
 from .oracles import crop_filter_oracle, fitness_oracle, yaw_rotation
@@ -307,30 +306,72 @@ class TestMpfTable:
         footprint = sorted((round(x, 9), round(y, 9)) for x, y in box.vertices()[:4, :2])
         assert footprint == [(-0.5, -0.5), (-0.5, 0.5), (0.5, -0.5), (0.5, 0.5)]
 
-    def test_yaw_matches_bisector_oracle(self):
-        rng = np.random.default_rng(7)
-        spec = ObjectSpec("table", 1.2, 0.8, 0.75)
-        for _ in range(10):
-            p3 = np.append(rng.uniform(-2, 2, 2), 0.0)
-            p1 = np.append(rng.uniform(-2, 2, 2), 0.0)
-            p2 = np.append(rng.uniform(-2, 2, 2), 0.0)
-            if min(np.linalg.norm(p1 - p3), np.linalg.norm(p2 - p3)) < 1e-3:
-                continue
-            v1 = (p1 - p3) / np.linalg.norm(p1 - p3)
-            v2 = (p2 - p3) / np.linalg.norm(p2 - p3)
-            if np.linalg.norm(v1 + v2) < 1e-6:
-                continue
-            s = (v1 + v2) / np.linalg.norm(v1 + v2)
-            o = np.cross((0, 0, 1.0), s)
-            expected_yaw = math.atan2((s + o)[1], (s + o)[0])
-            box = mpf_table(p1, p2, p3, FLAT, spec)
-            assert normalize_yaw(box.yaw - expected_yaw) == pytest.approx(0.0, abs=1e-9)
-            np.testing.assert_allclose(box.center[:2], p3[:2], atol=1e-12)
-
     def test_coincident_projections_degenerate(self):
         spec = ObjectSpec("table", 1.0, 1.0, 0.75)
         with pytest.raises(DegenerateSample):
             mpf_table((1, 0, 0), (1, 0, 0.5), (0, 0, 0), FLAT, spec)
+
+
+def propose(kind, sample, plane, spec, side):
+    """The public proposal function of ``kind`` on the sample's points."""
+    if kind is MpfKind.CABINET_TWO_POINT_FACE:
+        return mpf_cabinet_two_point(*sample, plane, spec, side=side)
+    if kind is MpfKind.TABLE_STEM:
+        return mpf_table(*sample, plane, spec)
+    return mpf_cabinet(*sample, plane, spec, kind)
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def turned(v, normal, angle):
+    """v, perpendicular to the unit normal, turned by angle about it."""
+    return math.cos(angle) * v + math.sin(angle) * np.cross(normal, v)
+
+
+def proposal_oracle(kind, points, plane, spec, side):
+    """Centre and yaw of a proposal, built from the box's geometry: the
+    bottom face lies on the plane, and a corner or stem sample fixes the
+    footprint by the bisector of the two projected edge directions, with
+    the length axis turned 45 degrees from it."""
+    n = plane.normal
+    q = [p - (p @ n - plane.d) * n for p in np.asarray(points, dtype=float)]
+    if kind is MpfKind.CABINET_TWO_POINT_FACE:
+        length_axis = unit(q[0] - q[1])
+        width_axis = side * np.cross(n, length_axis)
+        bottom = (q[0] + q[1]) / 2 + spec.width / 2 * width_axis
+    else:
+        bisector = unit(unit(q[0] - q[2]) + unit(q[1] - q[2]))
+        turn = -math.pi / 4 if kind is MpfKind.CABINET_RIGHT_FRONT else math.pi / 4
+        length_axis = turned(bisector, n, turn)
+        width_axis = turned(bisector, n, -turn)
+        bottom = q[2]
+        if kind is not MpfKind.TABLE_STEM:
+            bottom = q[2] + spec.length / 2 * length_axis + spec.width / 2 * width_axis
+    return bottom + spec.height / 2 * n, math.atan2(length_axis[1], length_axis[0])
+
+
+@pytest.mark.parametrize(
+    "kind, side",
+    [
+        (MpfKind.CABINET_LEFT_FRONT, 0),
+        (MpfKind.CABINET_RIGHT_FRONT, 0),
+        (MpfKind.CABINET_TWO_POINT_FACE, 1),
+        (MpfKind.CABINET_TWO_POINT_FACE, -1),
+        (MpfKind.TABLE_STEM, 0),
+    ],
+)
+def test_proposal_matches_its_geometric_construction(kind, side):
+    rng = np.random.default_rng(7)
+    plane = GroundPlane((0.08, -0.05, 1.0), 0.2)
+    spec = ObjectSpec("cabinet", 1.2, 0.8, 0.75)
+    for _ in range(20):
+        points = rng.uniform(-2, 2, (kind.sample_size, 3))
+        box = propose(kind, points, plane, spec, side)
+        center, yaw = proposal_oracle(kind, points, plane, spec, side)
+        np.testing.assert_allclose(box.center, center, atol=1e-9)
+        assert normalize_yaw(box.yaw - yaw) == pytest.approx(0.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +562,7 @@ def reference_refine(pcd, unrefined, spec, cfg):
                 flips += 1
                 side = 1 if rng.integers(2) == 0 else -1
         try:
-            box = _propose(kind, sample, plane, spec, side)
+            box = propose(kind, sample, plane, spec, side)
         except DegenerateSample:
             continue
         score = fitness(box, cropped, cfg.shell_delta)

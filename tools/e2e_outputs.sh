@@ -7,14 +7,17 @@
 #   SRC  directory holding the ipslabel package (a checkout's src/)
 #   OUT  output directory (created if missing; an earlier run's files are replaced)
 #
-# For each of five configs (none; pixel_noise_sigma 1.0; the same with a
+# For each of six configs (none; pixel_noise_sigma 1.0; the same with a
 # 32-channel 0.1-degree LiDAR at --jobs 2; the default objects plus a third
 # one that is wholly behind the camera in sample_000; pixel_noise_sigma 1.0
 # with a 2 px inlier gate, so calibration keeps only part of the 63
-# correspondences and its output depends on which RANSAC hypothesis wins)
+# correspondences and its output depends on which RANSAC hypothesis wins;
+# the fixed 20-sample pixel_noise_sigma 1.0 workload, whose 40 refined
+# objects show last-bit changes in the proposal geometry that 3 samples miss)
 # it runs, at --seed 7:
-# simulate --samples 3 -> calibrate --dataset -> generate -> refine ->
-# evaluate --auto refined --reference ds/truth, plus one downsample study.
+# simulate --samples N (3, or 20 for the last) -> calibrate --dataset ->
+# generate -> refine -> evaluate --auto refined --reference ds/truth, plus
+# one downsample study.
 # Stages run inside OUT/<config> with relative paths, so the stdout kept in
 # OUT/<config>/stdout.txt does not depend on where OUT is.
 set -euo pipefail
@@ -28,8 +31,8 @@ mkdir -p "$2"
 out=$(cd "$2" && pwd)
 export PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1
 
-run_config() {  # run_config NAME JOBS [CONFIG TEXT]; runs inside OUT/NAME
-    local name=$1 jobs=$2 text=${3:-}
+run_config() {  # run_config NAME JOBS SAMPLES [CONFIG TEXT]; runs inside OUT/NAME
+    local name=$1 jobs=$2 samples=$3 text=${4:-}
     local flags=(--seed 7 --jobs "$jobs")
     rm -rf "${out:?}/$name"  # simulate needs a new or empty dataset directory
     mkdir -p "$out/$name"
@@ -40,7 +43,7 @@ run_config() {  # run_config NAME JOBS [CONFIG TEXT]; runs inside OUT/NAME
         flags=(--config cfg.yaml "${flags[@]}")
     fi
     stage() { python -m ipslabel.cli "${flags[@]}" "$@" >> stdout.txt; }
-    stage simulate --out ds --samples 3
+    stage simulate --out ds --samples "$samples"
     stage calibrate --dataset ds --out cal.json
     stage generate --dataset ds --calibration cal.json --out labels
     stage refine --dataset ds --labels labels --out refined
@@ -50,14 +53,15 @@ run_config() {  # run_config NAME JOBS [CONFIG TEXT]; runs inside OUT/NAME
         --out study.json --csv study.csv
 }
 
-run_config default 1
-run_config pixel_noise 1 "scene: {pixel_noise_sigma: 1.0}"
-run_config dense_lidar 2 \
+run_config default 1 3
+run_config pixel_noise 1 3 "scene: {pixel_noise_sigma: 1.0}"
+run_config dense_lidar 2 3 \
     "scene: {pixel_noise_sigma: 1.0, lidar: {channels: 32, azimuth_step_deg: 0.1}}"
-run_config behind_camera 1 "scene: {objects: [
+run_config behind_camera 1 3 "scene: {objects: [
     {id: obj0, class: cabinet, dims: [0.9, 0.5, 1.3], x: 4.0, y: 0.9, yaw: 0.4},
     {id: obj1, class: table, dims: [1.2, 0.8, 0.75], x: 3.4, y: -1.6, yaw: -0.3},
     {id: obj2, class: cabinet, dims: [0.9, 0.5, 1.3], x: -5.0, y: 0.0, yaw: 1.0}]}"
-run_config tight_gate 1 "scene: {pixel_noise_sigma: 1.0}
+run_config tight_gate 1 3 "scene: {pixel_noise_sigma: 1.0}
 calibration: {delta_px: 2.0}"
+run_config pipeline20 1 20 "scene: {pixel_noise_sigma: 1.0}"
 echo "wrote outputs to $out"
