@@ -41,8 +41,9 @@ def write_ply(cloud: PointCloud) -> str:
         "property double z",
         "end_header",
     ]
-    for x, y, z in cloud.points:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r}")
+    pts = cloud.points
+    for lo in range(0, n, 1024):  # slices keep few Python floats alive at once
+        lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in pts[lo : lo + 1024].tolist())
     return "\n".join(lines) + "\n"
 
 

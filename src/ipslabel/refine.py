@@ -3,9 +3,10 @@
 Each iteration samples a class-specific model proposal function (MPF) and
 the few points it needs, which give a candidate box of the object's known
 dimensions tangent to the fitted ground plane, scored by counting cloud
-points inside a +-delta shell around the box surface. The draws are made in
-order; the candidates are built and scored as arrays. The best proposal
-wins, and among equal scores the earliest.
+points inside a +-delta shell around the box surface. The draws are those
+of one Generator call per draw, computed as arrays from the stream's
+words; the candidates are built and scored as arrays too. The best
+proposal wins, and among equal scores the earliest.
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ from .errors import (
 )
 from .geom import chunks, row_norms
 from .labelgen import ObjectSpec, OrientedBox3
-from .rng import NS_PLANE_RANSAC, NS_REFINE, substream
+from .rng import (
+    NS_PLANE_RANSAC,
+    NS_REFINE,
+    WordStream,
+    choice_bounds,
+    choice_rows,
+    lemire,
+    substream,
+)
 
 _MIN_SEPARATION = 1e-6  # meters between projected sample points
 
@@ -267,8 +276,8 @@ def fitness(box: OrientedBox3, cloud, delta: float) -> int:
     return int(shell_scores([box.center], [box.yaw], box.dims, pts, delta)[0])
 
 
-# RANSAC draws made between two checks for an ambiguous two-point side.
-_DRAW_BLOCK = 64
+# Most RANSAC iterations whose draws one array pass computes.
+_PASS = 1024
 
 
 def shell_scores(centers, yaws, dims, points, delta: float) -> np.ndarray:
@@ -322,44 +331,71 @@ def _away_sides(q1: np.ndarray, q2: np.ndarray, plane: GroundPlane) -> np.ndarra
 def _draw(kinds, projected: np.ndarray, plane: GroundPlane, iterations: int, rng):
     """Every iteration's kind index, sample indices and face side.
 
-    The stream is consumed exactly as one proposal per iteration consumes
-    it: the kind, the sample, and a coin flip for the side of a two-point
-    face whose side the viewpoint leaves ambiguous. Sides are computed a
-    block of draws at a time; at the first ambiguous one the stream is
-    rewound to the block start and replayed up to it, the coin is flipped,
-    and drawing resumes after it. Unused sample columns and the sides of
-    other kinds are 0.
+    The values are those of drawing, iteration by iteration, the kind
+    ``rng.integers(len(kinds))``, the sample ``rng.choice(n, size,
+    replace=False)`` and, for a two-point face whose side the viewpoint
+    leaves ambiguous, a coin ``rng.integers(2)`` for the side. They are
+    computed as arrays from the stream's 32-bit words (see ``rng``), at most
+    _PASS iterations per pass. A pass stops at its first special iteration,
+    one that flips a coin or has a word that might be redrawn. That one is
+    read word by word, and the next pass starts after it. Unused sample
+    columns and the sides of other kinds are 0.
     """
     n = len(projected)
-    sizes = [k.sample_size for k in kinds]
+    sizes = np.array([k.sample_size for k in kinds])
     two_point = np.array([k is MpfKind.CABINET_TWO_POINT_FACE for k in kinds])
+    # Per kind, the bounds of an iteration's draws (the kind, then the
+    # sample's; 0 pads) and which of the iteration's words each one reads.
+    bounds = np.zeros((len(kinds), 2 * sizes.max()), dtype=np.uint64)
+    for k, s in enumerate(sizes):
+        bounds[k, 0] = len(kinds) - 1
+        bounds[k, 1 : 2 * s] = choice_bounds(n, s)
+    reads = bounds > 0
+    offset = np.where(reads, np.cumsum(reads, axis=1) - 1, 0)
+    cost = reads.sum(axis=1)
+    longest = int(cost.max())
+    words = WordStream(rng, ahead=longest * iterations)
     kind = np.zeros(iterations, dtype=np.intp)
-    idx = np.zeros((iterations, max(sizes)), dtype=np.intp)
+    idx = np.zeros((iterations, sizes.max()), dtype=np.intp)
     side = np.zeros(iterations, dtype=np.int64)
-
-    def draw_range(lo, hi):
-        for i in range(lo, hi):
-            k = kind[i] = int(rng.integers(len(kinds)))
-            idx[i] = 0
-            idx[i, : sizes[k]] = rng.choice(n, size=sizes[k], replace=False)
-
     start = 0
     while start < iterations:
-        state = rng.bit_generator.state
-        stop = min(iterations, start + _DRAW_BLOCK)
-        draw_range(start, stop)
-        two = two_point[kind[start:stop]]
-        pairs = projected[idx[start:stop, :2]]
-        sides = np.where(two, _away_sides(pairs[:, 0], pairs[:, 1], plane), 0)
-        ambiguous = np.flatnonzero(two & (sides == 0))
-        first = stop if ambiguous.size == 0 else start + int(ambiguous[0])
-        side[start:first] = sides[: first - start]
-        if first < stop:
-            rng.bit_generator.state = state
-            draw_range(start, first + 1)
-            side[first] = 1 if rng.integers(2) == 0 else -1
-            stop = first + 1
-        start = stop
+        count = min(_PASS, iterations - start)
+        w = words.have(count * longest)[words.pos :]
+        kinds_at = lemire(w[: count * longest], len(kinds) - 1)[0]
+        if len(kinds) == 1:
+            begin = longest * np.arange(count + 1)
+        else:  # each iteration begins where the one before it ends
+            step, at, begin = cost[kinds_at].tolist(), 0, [0]
+            for _ in range(count):
+                at += step[at]
+                begin.append(at)
+            begin = np.array(begin)
+        k = kinds_at[begin[:-1]]
+        values, maybe = lemire(w[begin[:-1, None] + offset[k]], bounds[k])
+        sample = np.zeros((count, idx.shape[1]), dtype=np.intp)
+        for s in set(sizes.tolist()):
+            rows = sizes[k] == s
+            sample[rows, :s] = choice_rows(values[rows, 1 : 2 * s], n, s)
+        two = two_point[k]
+        sides = np.zeros(count, dtype=np.int64)
+        sides[two] = _away_sides(projected[sample[two, 0]], projected[sample[two, 1]], plane)
+        special = maybe.any(axis=1) | (two & (sides == 0))
+        stop = int(np.argmax(special)) if special.any() else count
+        kind[start : start + stop] = k[:stop]
+        idx[start : start + stop] = sample[:stop]
+        side[start : start + stop] = sides[:stop]
+        words.pos += int(begin[stop])
+        start += stop
+        if stop < count:
+            i = start
+            k = kind[i] = words.integer(len(kinds) - 1)
+            idx[i, : sizes[k]] = words.choice(n, int(sizes[k]))
+            if two_point[k]:
+                side[i] = _away_sides(projected[idx[i, :1]], projected[idx[i, 1:2]], plane)[0]
+                if side[i] == 0:
+                    side[i] = 1 if words.integer(1) == 0 else -1
+            start += 1
     return kind, idx, side
 
 
@@ -430,8 +466,8 @@ def refine_label(
     top). The neighborhood is then cropped and ground-stripped, and each
     of the ``cfg.iterations`` rounds draws a kind uniformly from
     ``kinds_for_class(spec.class_name)`` and samples the points it needs
-    without replacement. The draws are made in order; the proposals are
-    then built and scored on the cropped cloud in fixed-size batches, and
+    without replacement (see ``_draw``). The proposals are then built and
+    scored on the cropped cloud in fixed-size batches, and
     the earliest best wins. Degenerate proposals never win but still
     consume an iteration. A class without proposal functions raises
     ConfigError before any work.

@@ -141,6 +141,21 @@ def test_corrupted_correspondences_csv_is_parsed_or_a_usage_error(text):
         assert np.isfinite(c.beacon_ips).all() and np.isfinite(c.pixel).all()
 
 
+def test_ply_rows_are_the_shortest_round_trip_text_of_each_float():
+    cloud = PointCloud([[-0.0, 1e-320, 1e300], [0.1, -2.5, 3.0]])
+    assert write_ply(cloud) == (
+        "ply\n"
+        "format ascii 1.0\n"
+        "element vertex 2\n"
+        "property double x\n"
+        "property double y\n"
+        "property double z\n"
+        "end_header\n"
+        "-0.0 1e-320 1e+300\n"
+        "0.1 -2.5 3.0\n"
+    )
+
+
 def test_ply_rows_past_the_vertex_count_are_rejected_naming_the_first():
     text = write_ply(PointCloud(np.eye(3)))  # 7 header lines, rows on lines 8-10
     for extra, line in (("1 2 3\n", 11), ("\n1 2 3\n", 12)):

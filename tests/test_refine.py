@@ -21,6 +21,9 @@ from ipslabel.refine import (
     GroundPlane,
     MpfKind,
     RefineConfig,
+    _away_sides,
+    _draw,
+    _PASS,
     crop_and_strip,
     fit_ground_plane,
     fitness,
@@ -645,3 +648,73 @@ class TestBatchedRefineMatchesScalarLoop:
             [b.center for b in boxes], [b.yaw for b in boxes], (1.1, 0.6, 1.4), pts, 0.05
         )
         assert scores.tolist() == [fitness(b, pts, 0.05) for b in boxes]
+
+
+# ---------------------------------------------------------------------------
+# _draw == one Generator call per kind, sample and coin
+
+
+def reference_draw(kinds, projected, plane, iterations, rng):
+    """``_draw`` made with one Generator call per draw; also returns the
+    iterations that flipped a side coin."""
+    kind = np.zeros(iterations, dtype=np.intp)
+    idx = np.zeros((iterations, max(k.sample_size for k in kinds)), dtype=np.intp)
+    side = np.zeros(iterations, dtype=np.int64)
+    coins = []
+    for i in range(iterations):
+        k = kind[i] = rng.integers(len(kinds))
+        s = kinds[k].sample_size
+        idx[i, :s] = rng.choice(len(projected), size=s, replace=False)
+        if kinds[k] is MpfKind.CABINET_TWO_POINT_FACE:
+            side[i] = _away_sides(projected[idx[i, :1]], projected[idx[i, 1:2]], plane)[0]
+            if side[i] == 0:
+                coins.append(i)
+                side[i] = 1 if rng.integers(2) == 0 else -1
+    return (kind, idx, side), coins
+
+
+TILTED = GroundPlane((0.02, -0.01, 1.0), 0.1)
+
+
+class TestDrawMatchesGeneratorCalls:
+    @staticmethod
+    def check(cls, points, iterations, seed):
+        kinds = CLASS_KINDS[cls]
+        projected = TILTED.project(points)
+        rng = substream(seed, NS_REFINE)
+        expected, coins = reference_draw(kinds, projected, TILTED, iterations, rng)
+        got = _draw(kinds, projected, TILTED, iterations, substream(seed, NS_REFINE))
+        for name, g, e in zip(("kind", "idx", "side"), got, expected):
+            np.testing.assert_array_equal(g, e, err_msg=name)
+        return expected, coins, rng
+
+    def test_table_reads_no_word_for_its_kind(self):
+        points = np.random.default_rng(1).uniform(-2, 2, (200, 3))
+        self.check("table", points, 300, seed=1)
+
+    @pytest.mark.parametrize("cls", ["cabinet", "table"])
+    def test_three_points_give_floyd_a_first_bound_of_zero(self, cls):
+        points = np.random.default_rng(2).uniform(-2, 2, (3, 3))
+        self.check(cls, points, 200, seed=2)
+
+    def test_coincident_points_flip_coins_in_consecutive_iterations(self):
+        points = np.random.default_rng(3).uniform(-2, 2, (60, 3))
+        points[:30] = points[0]
+        _, coins, _ = self.check("cabinet", points, 1500, seed=3)
+        assert any(b == a + 1 for a, b in zip(coins, coins[1:]))
+
+    @pytest.mark.parametrize("cls", ["cabinet", "table"])
+    def test_a_run_longer_than_one_pass(self, cls):
+        points = np.random.default_rng(4).uniform(-2, 2, (500, 3))
+        self.check(cls, points, 2 * _PASS + 37, seed=4)
+
+    def test_a_redrawn_sample_word(self):
+        # at seed 3 a word of one of these 2000 iterations is redrawn, so the
+        # reference reads more words than one per draw and coin
+        points = np.random.default_rng(5).uniform(-2, 2, (300007, 3))
+        (kind, _, _), coins, rng = self.check("cabinet", points, 2000, seed=3)
+        sizes = np.array([k.sample_size for k in CLASS_KINDS["cabinet"]])
+        one_per_draw = int((2 * sizes[kind]).sum()) + len(coins)
+        fresh = substream(3, NS_REFINE)
+        fresh.integers(0, 2**32, size=one_per_draw, dtype=np.uint64)
+        assert fresh.bit_generator.state != rng.bit_generator.state
