@@ -30,6 +30,7 @@ from .fileio import (
     atomic_write_text,
     dump_json,
     ordered_map,
+    read_bytes,
     read_input,
     read_json,
     require_empty_dir,
@@ -291,7 +292,7 @@ def cmd_generate(ns, cfg: PipelineConfig) -> None:
 
 def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
     sid, sample_index, cloud_path, label_path = task
-    cloud = read_input(cloud_path, read_ply)
+    cloud = read_input(cloud_path, read_ply, read_bytes)
     # an object's seed follows its place in the manifest, so it does not
     # depend on which other entries the label file holds
     position = {object_id: i for i, object_id in enumerate(specs)}
@@ -355,7 +356,9 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> None:
         if not (ns.dataset and ns.labels and ns.sample):
             raise UsageError("--study downsample needs --dataset, --labels and --sample")
         specs = _object_specs(_manifest_scene(os.path.join(ns.dataset, "manifest.json")))
-        cloud = read_input(os.path.join(ns.dataset, "samples", ns.sample, "cloud.ply"), read_ply)
+        cloud = read_input(
+            os.path.join(ns.dataset, "samples", ns.sample, "cloud.ply"), read_ply, read_bytes
+        )
         label_path = os.path.join(ns.labels, f"{ns.sample}.json")
         objects = read_json(label_path, label_objects)
         entries = [

@@ -1,17 +1,23 @@
-"""Point clouds and ASCII PLY serialization.
+"""Point clouds and PLY serialization.
 
-PLY floats are written with repr(), the shortest decimal string that
-round-trips the exact float64 value, so write -> read -> write is
-byte-identical.
+write_ply writes a ``binary_little_endian`` PLY whose body is the float64
+bits of the points, so a cloud reads back bit-for-bit on any host and
+write -> read -> write is byte-identical. read_ply also reads ASCII PLY,
+the format clouds from other tools arrive in.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
+
+# One header line and its terminator; the last line may end at end of file.
+_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n|\Z)")
+_FORMATS = ("ascii", "binary_little_endian")
 
 
 @dataclass(frozen=True)
@@ -30,70 +36,113 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def write_ply(cloud: PointCloud) -> str:
-    n = len(cloud)
-    lines = [
+def write_ply(cloud: PointCloud) -> bytes:
+    header = "\n".join([
         "ply",
-        "format ascii 1.0",
-        f"element vertex {n}",
+        "format binary_little_endian 1.0",
+        f"element vertex {len(cloud)}",
         "property double x",
         "property double y",
         "property double z",
         "end_header",
-    ]
-    pts = cloud.points
-    for lo in range(0, n, 1024):  # slices keep few Python floats alive at once
-        lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in pts[lo : lo + 1024].tolist())
-    return "\n".join(lines) + "\n"
+        "",
+    ])
+    return header.encode("ascii") + cloud.points.astype("<f8").tobytes()
 
 
-def read_ply(text: str, frame: str = "lidar") -> PointCloud:
-    """Parse an ASCII PLY file with one ``vertex`` element.
-
-    The point columns are found by the names of the ``property`` lines, so
-    any column order reads the same cloud; other properties are ignored. A
-    malformed header or row, a non-blank row past the vertex count, or a
-    non-finite point, raises UsageError.
-    """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise UsageError("not a PLY file (missing 'ply' magic)")
-    n, names, ascii_format = None, [], False
-    for end, line in enumerate(lines[1:], start=1):
+def _header(data: bytes) -> tuple:
+    """(format, vertex count, [(type, name)] of the properties, offset of the
+    body, number of header lines) of a PLY file."""
+    pos, line_no = 0, 0
+    fmt, n, props = None, None, []
+    while True:
+        match = _LINE.match(data, pos)
+        if match.end() == pos:  # end of file
+            if line_no == 0:
+                raise UsageError("not a PLY file (missing 'ply' magic)")
+            raise UsageError("PLY header has no end_header line")
+        pos, line_no = match.end(), line_no + 1
+        line = match.group(1).decode("utf-8", "replace")
         tok = line.split()
-        if tok == ["end_header"]:
+        if line_no == 1:
+            if line.strip() != "ply":
+                raise UsageError("not a PLY file (missing 'ply' magic)")
+        elif tok == ["end_header"]:
             break
-        if tok[:2] == ["element", "vertex"] and len(tok) == 3 and tok[2].isdecimal() and n is None:
+        elif tok[:2] == ["element", "vertex"] and len(tok) == 3 and tok[2].isdecimal() and n is None:
             n = int(tok[2])
         elif tok[:1] == ["property"] and len(tok) == 3 and n is not None:
-            names.append(tok[2])
-        elif tok[:2] == ["format", "ascii"]:
-            ascii_format = True
+            props.append((tok[1], tok[2]))
+        elif tok[:1] == ["format"] and len(tok) > 1 and tok[1] in _FORMATS and fmt in (None, tok[1]):
+            fmt = tok[1]
         elif tok and tok[0] not in ("comment", "obj_info"):
-            raise UsageError(f"PLY header line {end + 1}: unsupported {line.strip()!r}")
-    else:
-        raise UsageError("PLY header has no end_header line")
-    if not ascii_format:
-        raise UsageError("PLY header has no 'format ascii' line")
+            raise UsageError(f"PLY header line {line_no}: unsupported {line.strip()!r}")
+    if fmt is None:
+        raise UsageError("PLY header has no 'format ascii' or 'format binary_little_endian' line")
+    names = [name for _, name in props]
     if n is None or not set("xyz") <= set(names) or len(set(names)) != len(names):
         raise UsageError(f"PLY header needs a vertex element with x, y, z once each: {names}")
-    body = [line.split() for line in lines[end + 1 : end + 1 + n]]
-    if len(body) != n:
-        raise UsageError(f"PLY body has {len(body)} rows, header promised {n}")
-    for line_no, line in enumerate(lines[end + 1 + n :], start=end + 2 + n):
+    return fmt, n, props, pos, line_no
+
+
+def _ascii_values(body: bytes, n: int, width: int, first_line: int) -> np.ndarray:
+    """The (n, width) rows of an ASCII body whose first row is line ``first_line``."""
+    try:
+        lines = body.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise UsageError(f"PLY body is not UTF-8 text: {e}") from None
+    rows = [line.split() for line in lines[:n]]
+    if len(rows) != n:
+        raise UsageError(f"PLY body has {len(rows)} rows, header promised {n}")
+    for line_no, line in enumerate(lines[n:], start=first_line + n):
         if line.strip():
             raise UsageError(f"PLY line {line_no}: a row past the {n} vertices the header promised")
     try:
-        values = np.array(body, dtype=float).reshape(n, len(names))
+        return np.array(rows, dtype=float).reshape(n, width)
     except ValueError:  # name the first row that does not parse on its own
-        for line_no, row in enumerate(body, start=end + 2):
+        for line_no, row in enumerate(rows, start=first_line):
             try:
-                np.array(row, dtype=float).reshape(len(names))
+                np.array(row, dtype=float).reshape(width)
             except ValueError as e:
                 raise UsageError(f"PLY line {line_no}: {e}") from None
         raise
+
+
+def _binary_values(data: bytes, offset: int, n: int, props: list) -> np.ndarray:
+    """The (n, len(props)) little-endian doubles of the body at ``data[offset:]``."""
+    for typ, name in props:
+        if typ != "double":
+            raise UsageError(f"PLY property {name!r} is {typ}; a binary body holds doubles only")
+    size = n * len(props) * 8
+    if len(data) - offset != size:
+        raise UsageError(
+            f"PLY binary body has {len(data) - offset} bytes; "
+            f"the header's {n} vertices of {len(props)} doubles take {size}"
+        )
+    return np.frombuffer(data, "<f8", n * len(props), offset).reshape(n, len(props))
+
+
+def read_ply(data: bytes, frame: str = "lidar") -> PointCloud:
+    """Parse the bytes of a PLY file with one ``vertex`` element, ASCII or
+    binary little-endian.
+
+    The point columns are found by the names of the ``property`` lines, so
+    any column order reads the same cloud; other properties are ignored. A
+    malformed header, a non-finite point, an ASCII row that does not parse
+    or is non-blank past the vertex count, a binary property that is not a
+    double, or a binary body of another size than the header promises,
+    raises UsageError. Errors name ASCII rows by line and binary ones by
+    vertex, counted from 0.
+    """
+    fmt, n, props, offset, header_lines = _header(data)
+    names = [name for _, name in props]
+    if fmt == "ascii":
+        values = _ascii_values(data[offset:], n, len(names), header_lines + 1)
+    else:
+        values = _binary_values(data, offset, n, props)
     pts = values[:, [names.index(axis) for axis in "xyz"]]
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
-        raise UsageError(f"PLY line {end + 2 + bad[0]}: non-finite point")
+        where = f"line {header_lines + 1 + bad[0]}" if fmt == "ascii" else f"vertex {bad[0]}"
+        raise UsageError(f"PLY {where}: non-finite point")
     return PointCloud(pts, frame=frame)

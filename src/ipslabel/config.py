@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from .errors import ConfigError
 from .fileio import from_dict, read_text
 from .refine import RefineConfig
@@ -49,6 +47,8 @@ def config_from_dict(d: dict) -> PipelineConfig:
 def load_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
+    import yaml  # imported here: a run without a config file does not pay for it
+
     try:
         raw = yaml.safe_load(read_text(path))
     except (yaml.YAMLError, UnicodeDecodeError) as e:

@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .errors import ConfigError, UsageError
@@ -120,6 +119,8 @@ def ordered_map(fn, items, jobs: int) -> list:
     """
     if jobs == 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only a pool pays it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 
@@ -131,14 +132,14 @@ def require_empty_dir(path: str, command: str) -> None:
         raise UsageError(f"{path} is not empty; {command} into a new or empty directory")
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write a file via temp-then-rename so readers never see partial data."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -146,18 +147,28 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
 def read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def read_input(path: str, parse):
-    """``parse(text)`` of the input file at ``path``. What ``parse`` raises on
-    bad text (KeyError, TypeError, ValueError, OverflowError) and a decode
-    error are faults of the file: they become a UsageError naming ``path``.
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_input(path: str, parse, read=None):
+    """``parse(read(path))`` of the input file at ``path``; ``read`` is
+    read_text unless given. What ``parse`` raises on bad input (KeyError,
+    TypeError, ValueError, OverflowError) and a decode error are faults of
+    the file: they become a UsageError naming ``path``.
     """
     try:
-        return parse(read_text(path))
+        return parse((read or read_text)(path))
     except KeyError as e:
         raise UsageError(f"{path}: missing key {e.args[0]!r}") from e
     except (TypeError, ValueError, OverflowError) as e:

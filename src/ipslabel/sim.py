@@ -23,7 +23,15 @@ import numpy as np
 from .calib import MIN_PNP_POINTS, CameraIntrinsics, Correspondence, _project_cam
 from .cloud import PointCloud, write_ply
 from .errors import UsageError
-from .fileio import atomic_write_text, dump_json, from_dict, ordered_map, require_empty_dir, to_dict
+from .fileio import (
+    atomic_write_bytes,
+    atomic_write_text,
+    dump_json,
+    from_dict,
+    ordered_map,
+    require_empty_dir,
+    to_dict,
+)
 from .geom import BeaconPair, RigidTransform, compose, frame_from_beacons, inverse
 from .labelgen import (
     ObjectSpec,
@@ -600,13 +608,13 @@ def _truth_json(sample: GroundTruthSample) -> str:
 
 
 def render_sample_files(scene: SceneConfig, seed: int, index: int) -> dict:
-    """All files of one sample as {relative path: text}."""
+    """All files of one sample as {relative path: bytes}."""
     sample = make_sample(scene, seed, index)
     sid = sample.sample_id
     return {
         f"samples/{sid}/cloud.ply": write_ply(sample.cloud),
-        f"samples/{sid}/beacons.csv": beacons_csv(sample.readings),
-        f"truth/{sid}.json": _truth_json(sample),
+        f"samples/{sid}/beacons.csv": beacons_csv(sample.readings).encode("utf-8"),
+        f"truth/{sid}.json": _truth_json(sample).encode("utf-8"),
     }
 
 
@@ -659,8 +667,8 @@ def generate_dataset(
     calset = make_calibration_set(scene, seed)  # first, so a rig that sees no target writes nothing
     rendered = ordered_map(partial(render_sample_files, scene, seed), range(n_samples), jobs)
     for files in rendered:
-        for rel, text in sorted(files.items()):
-            atomic_write_text(os.path.join(out_dir, rel), text)
+        for rel, data in sorted(files.items()):
+            atomic_write_bytes(os.path.join(out_dir, rel), data)
     for rel, text in sorted(render_calibration_files(calset).items()):
         atomic_write_text(os.path.join(out_dir, rel), text)
     atomic_write_text(

@@ -175,3 +175,13 @@ def point_on_box_surface_oracle(p, center, dims, yaw, tol) -> bool:
     if np.any(np.abs(local) > half + tol):
         return False
     return bool(np.any(np.abs(np.abs(local) - half) <= tol))
+
+
+def ascii_ply(points) -> str:
+    """An ASCII PLY of (N, 3) points, as tools other than ipslabel write it:
+    7 header lines, then one row per point of the shortest decimal text that
+    round-trips each float (``repr``)."""
+    rows = [f"{x!r} {y!r} {z!r}" for x, y, z in np.asarray(points, dtype=float).tolist()]
+    header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}",
+              "property double x", "property double y", "property double z", "end_header"]
+    return "\n".join(header + rows) + "\n"

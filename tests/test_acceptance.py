@@ -41,7 +41,7 @@ from .test_calib import INTR, make_pose_pair, rotation_angle, synth_corrs
 
 
 def read(path):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return fh.read()
 
 

@@ -15,11 +15,13 @@ import pytest
 import ipslabel
 from ipslabel import cli
 from ipslabel.cli import _extrinsic_from_report, main
+from ipslabel.cloud import PointCloud, read_ply, write_ply
 from ipslabel.eval import compare_labels
 from ipslabel.geom import BeaconPair
 from ipslabel.sim import BeaconReading, beacons_csv, parse_beacons_csv
 
 from .conftest import FIXTURES, run_cli, tree_digest
+from .oracles import ascii_ply
 
 CAL_FLAGS = [
     "--correspondences", os.path.join(FIXTURES, "correspondences.csv"),
@@ -180,6 +182,17 @@ class TestConfigValidation:
         assert proc.stderr.startswith("error: scene.cam_from_robot")
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool(self):
+        # every stage, --version included, pays for what the CLI imports;
+        # yaml is loaded by a config file and the pool by --jobs > 1
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ipslabel.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, ipslabel.cli; print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_int_for_a_float_field_is_written_as_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -580,6 +593,14 @@ def _field_edit(line_index, field_index, value, sep=","):
 
 
 CLOUD = "ds/samples/sample_000/cloud.ply"
+
+
+def _as_text(path):
+    """The text of an input file; a cloud's as ASCII PLY, so that a line edit corrupts it."""
+    if path.suffix == ".ply":
+        return ascii_ply(read_ply(path.read_bytes()).points)
+    return path.read_text()
+
 BEACONS = "ds/samples/sample_000/beacons.csv"
 LABEL = "labels/sample_000.json"
 GENERATE = ["generate", "--dataset", "{d}/ds", "--calibration", "{d}/cal.json", "--out", "{o}"]
@@ -590,7 +611,8 @@ STUDY = ["evaluate", "--study", "downsample", "--dataset", "{d}/ds", "--labels",
          "--sample", "sample_000", "--trials", "1", "--out", "{o}"]
 
 MALFORMED_INPUTS = [
-    # (id, file to corrupt, corruption, argv, what the error must name)
+    # (id, file to corrupt, corruption, argv, what the error must name);
+    # a cloud is turned into ASCII PLY (see _as_text) before it is corrupted
     ("nan-ply", CLOUD, _field_edit(16, 0, "nan", sep=" "), REFINE,
      ["cloud.ply", "line 17", "non-finite"]),
     ("nan-ply-study", CLOUD, _field_edit(16, 0, "nan", sep=" "), STUDY, ["cloud.ply", "line 17"]),
@@ -671,7 +693,7 @@ class TestMalformedInputs:
         d = tmp_path / "in"
         shutil.copytree(small_run, d)
         path = d / rel
-        path.write_text(mutate(path.read_text()))
+        path.write_text(mutate(_as_text(path)))
         out = tmp_path / "out"
         code, _, err = run_cli([a.format(d=d, o=out) for a in argv])
         assert code == 2, err
@@ -679,6 +701,20 @@ class TestMalformedInputs:
         assert str(path) in err
         for name in names:
             assert name in err
+        assert not out.exists()
+
+    def test_nan_in_the_binary_cloud_exits_2_naming_it(self, small_run, tmp_path):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        path = d / CLOUD
+        points = read_ply(path.read_bytes()).points.copy()
+        points[9, 0] = math.nan
+        path.write_bytes(write_ply(PointCloud(points)))
+        out = tmp_path / "out"
+        code, _, err = run_cli([a.format(d=d, o=out) for a in REFINE])
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err and "vertex 9" in err and "non-finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[flag for _, flag in BAD_FLAGS])
@@ -740,16 +776,26 @@ class TestMalformedInputs:
         assert "'sofa'" in err and "cabinet_two_point_face" in err
         assert not out.exists()
 
-    def test_permuted_ply_columns_give_identical_refined_labels(self, small_run, tmp_path):
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_permuted_ply_columns_give_identical_refined_labels(self, small_run, tmp_path, fmt):
         d = tmp_path / "in"
         shutil.copytree(small_run, d)
         ply = d / CLOUD
-        lines = ply.read_text().splitlines()
-        header, body = lines[:7], lines[7:]
-        assert header[3:6] == ["property double x", "property double y", "property double z"]
-        header[3:6] = ["property double z", "property double x", "property double y"]
-        body = [" ".join((z, x, y)) for x, y, z in (row.split() for row in body)]
-        ply.write_text("\n".join(header + body) + "\n")
+        data = ply.read_bytes()
+        if fmt == "ascii":
+            lines = ascii_ply(read_ply(data).points).splitlines()
+            header, body = lines[:7], lines[7:]
+            assert header[3:6] == ["property double x", "property double y", "property double z"]
+            header[3:6] = ["property double z", "property double x", "property double y"]
+            body = [" ".join((z, x, y)) for x, y, z in (row.split() for row in body)]
+            ply.write_text("\n".join(header + body) + "\n")
+        else:
+            xyz = b"property double x\nproperty double y\nproperty double z\n"
+            header, end, body = data.partition(b"end_header\n")
+            assert xyz in header
+            header = header.replace(xyz, b"property double z\nproperty double x\nproperty double y\n")
+            body = np.frombuffer(body, "<f8").reshape(-1, 3)[:, [2, 0, 1]]
+            ply.write_bytes(header + end + body.astype("<f8").tobytes())
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("refine: {iterations: 300}\n")
         outs = []

@@ -1,6 +1,8 @@
-"""The PLY and CSV readers: valid text round-trips, junk text is a UsageError."""
+"""The PLY and CSV readers: valid files round-trip, junk files are a UsageError."""
 
+import math
 import string
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from ipslabel.sim import (
     parse_beacons_csv,
     parse_correspondences_csv,
 )
+
+from .oracles import ascii_ply
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -42,7 +46,8 @@ def beacon_files(draw):
     return {frame: draw(st.lists(readings, min_size=count, max_size=count)) for frame in frames}
 
 
-ply_texts = clouds.map(write_ply)
+ply_files = clouds.map(write_ply)
+ascii_ply_texts = clouds.map(lambda cloud: ascii_ply(cloud.points))
 beacon_texts = beacon_files().map(beacons_csv)
 correspondence_texts = correspondence_lists.map(correspondences_csv)
 
@@ -74,6 +79,17 @@ def _replace_field(text: str, sep: str, line: int, field: int, token: str) -> st
     return "\n".join(lines) + "\n"
 
 
+def _corrupt_bytes(data: bytes, at: int, junk: bytes, cut: int) -> bytes:
+    """``data`` with ``cut`` bytes at position ``at`` replaced by ``junk``."""
+    at %= len(data) + 1
+    return data[:at] + junk + data[at + cut:]
+
+
+# Byte strings that make a float64 body almost, but not quite, valid.
+NON_FINITE = [struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf)]
+BYTE_JUNK = st.sampled_from(NON_FINITE) | st.binary(max_size=9)
+
+
 def corrupted(texts, sep: str):
     """Valid texts with a span of characters, or one field, replaced by junk."""
     index = st.integers(min_value=0)
@@ -89,11 +105,26 @@ def _parsed_or_usage_error(read, text):
         return None
 
 
+def read_ascii_ply(text: str):
+    return read_ply(text.encode("utf-8"))
+
+
 @PROPERTY
 @given(clouds)
 def test_ply_round_trips(cloud):
-    text = write_ply(cloud)
-    assert write_ply(read_ply(text)) == text
+    data = write_ply(cloud)
+    back = read_ply(data)
+    assert back.points.tobytes() == cloud.points.tobytes()
+    assert write_ply(back) == data
+
+
+@PROPERTY
+@given(clouds)
+def test_ascii_ply_reads_the_float64_of_each_row(cloud):
+    text = ascii_ply(cloud.points)
+    back = read_ascii_ply(text)
+    assert back.points.tobytes() == cloud.points.tobytes()
+    assert ascii_ply(back.points) == text
 
 
 @PROPERTY
@@ -109,9 +140,16 @@ def test_correspondences_csv_round_trips(text):
 
 
 @PROPERTY
-@given(corrupted(ply_texts, " "))
+@given(corrupted(ascii_ply_texts, " "))
 def test_corrupted_ply_is_parsed_or_a_usage_error(text):
-    cloud = _parsed_or_usage_error(read_ply, text)
+    cloud = _parsed_or_usage_error(read_ascii_ply, text)
+    assert cloud is None or np.isfinite(cloud.points).all()
+
+
+@PROPERTY
+@given(st.builds(_corrupt_bytes, ply_files, st.integers(min_value=0), BYTE_JUNK, st.integers(0, 9)))
+def test_corrupted_binary_ply_is_parsed_or_a_usage_error(data):
+    cloud = _parsed_or_usage_error(read_ply, data)
     assert cloud is None or np.isfinite(cloud.points).all()
 
 
@@ -119,7 +157,7 @@ def test_corrupted_ply_is_parsed_or_a_usage_error(text):
 @given(st.lists(st.sampled_from(PLY_HEADER_LINES), max_size=8), JUNK)
 def test_junk_ply_header_is_parsed_or_a_usage_error(header, body):
     text = "\n".join(["ply", *header, "end_header", body])
-    cloud = _parsed_or_usage_error(read_ply, text)
+    cloud = _parsed_or_usage_error(read_ascii_ply, text)
     assert cloud is None or np.isfinite(cloud.points).all()
 
 
@@ -141,30 +179,83 @@ def test_corrupted_correspondences_csv_is_parsed_or_a_usage_error(text):
         assert np.isfinite(c.beacon_ips).all() and np.isfinite(c.pixel).all()
 
 
-def test_ply_rows_are_the_shortest_round_trip_text_of_each_float():
+def test_ply_is_its_header_then_the_little_endian_float64_bits():
     cloud = PointCloud([[-0.0, 1e-320, 1e300], [0.1, -2.5, 3.0]])
     assert write_ply(cloud) == (
-        "ply\n"
-        "format ascii 1.0\n"
-        "element vertex 2\n"
-        "property double x\n"
-        "property double y\n"
-        "property double z\n"
-        "end_header\n"
-        "-0.0 1e-320 1e+300\n"
-        "0.1 -2.5 3.0\n"
+        b"ply\n"
+        b"format binary_little_endian 1.0\n"
+        b"element vertex 2\n"
+        b"property double x\n"
+        b"property double y\n"
+        b"property double z\n"
+        b"end_header\n"
+        + bytes.fromhex(
+            "0000000000000080" "e807000000000000" "9c7500883ce4377e"
+            "9a9999999999b93f" "00000000000004c0" "0000000000000840"
+        )
     )
 
 
 def test_ply_rows_past_the_vertex_count_are_rejected_naming_the_first():
-    text = write_ply(PointCloud(np.eye(3)))  # 7 header lines, rows on lines 8-10
+    text = ascii_ply(np.eye(3))  # 7 header lines, rows on lines 8-10
     for extra, line in (("1 2 3\n", 11), ("\n1 2 3\n", 12)):
         with pytest.raises(UsageError, match=f"PLY line {line}:"):
-            read_ply(text + extra)
-    assert write_ply(read_ply(text + "\n \n")) == text  # trailing blank lines are fine
+            read_ascii_ply(text + extra)
+    assert ascii_ply(read_ascii_ply(text + "\n \n").points) == text  # trailing blank lines are fine
 
 
 def test_ply_without_a_format_line_is_rejected():
-    text = write_ply(PointCloud(np.eye(3)))
+    text = ascii_ply(np.eye(3))
     with pytest.raises(UsageError, match="format ascii"):
-        read_ply(text.replace("format ascii 1.0\n", ""))
+        read_ascii_ply(text.replace("format ascii 1.0\n", ""))
+
+
+# The binary reader's own checks, on a 3-vertex file: 7 header lines, then
+# 3 rows of 3 little-endian doubles (72 bytes).
+EYE = write_ply(PointCloud(np.eye(3)))
+
+
+def test_binary_ply_without_a_format_line_is_rejected():
+    with pytest.raises(UsageError, match="no 'format ascii' or 'format binary_little_endian' line"):
+        read_ply(EYE.replace(b"format binary_little_endian 1.0\n", b""))
+
+
+@pytest.mark.parametrize("fmt", ["binary_big_endian", "utf8"])
+def test_ply_of_another_format_is_rejected_naming_it(fmt):
+    data = EYE.replace(b"binary_little_endian", fmt.encode())
+    with pytest.raises(UsageError, match=f"line 2: unsupported 'format {fmt} 1.0'"):
+        read_ply(data)
+
+
+def test_binary_ply_property_that_is_not_double_is_rejected_naming_it():
+    with pytest.raises(UsageError, match="property 'y' is float; a binary body holds doubles only"):
+        read_ply(EYE.replace(b"property double y", b"property float y"))
+
+
+@pytest.mark.parametrize(
+    "data, size",
+    [(EYE[:-1], 71), (EYE[:-24], 48), (EYE + bytes(24), 96),
+     (EYE.replace(b"element vertex 3", b"element vertex 4"), 72)],
+    ids=["one-byte-short", "one-row-short", "one-row-long", "count-larger-than-body"],
+)
+def test_binary_ply_body_of_another_size_is_rejected_naming_both(data, size):
+    promised = 96 if b"vertex 4" in data else 72
+    with pytest.raises(UsageError, match=f"body has {size} bytes; .* take {promised}$"):
+        read_ply(data)
+
+
+@pytest.mark.parametrize("vertex", [0, 2])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_binary_ply_non_finite_point_is_rejected_naming_its_vertex(vertex, value):
+    at = len(EYE) - 72 + vertex * 24 + 8  # the y of ``vertex``
+    data = EYE[:at] + struct.pack("<d", value) + EYE[at + 8:]
+    with pytest.raises(UsageError, match=f"PLY vertex {vertex}: non-finite point"):
+        read_ply(data)
+
+
+def test_binary_ply_columns_are_read_by_property_name():
+    header, body = EYE[: len(EYE) - 72], np.arange(9.0).reshape(3, 3)
+    permuted = header.replace(b"double x\nproperty double y\nproperty double z",
+                              b"double z\nproperty double x\nproperty double y")
+    cloud = read_ply(permuted + body[:, [2, 0, 1]].astype("<f8").tobytes())
+    assert cloud.points.tobytes() == body.tobytes()

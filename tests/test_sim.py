@@ -258,13 +258,13 @@ class TestCalibrationSet:
 class TestFileFormats:
     def test_ply_round_trip_is_byte_identical(self):
         _scene, _pose, cloud = default_pose_and_cloud()
-        text = write_ply(cloud)
-        again = write_ply(read_ply(text))
-        assert text == again
+        data = write_ply(cloud)
+        again = write_ply(read_ply(data))
+        assert data == again
 
     def test_ply_rejects_garbage(self):
         with pytest.raises(ValueError, match="magic"):
-            read_ply("not a ply\n")
+            read_ply(b"not a ply\n")
 
     def test_beacons_csv_round_trip(self):
         scene = default_scene()
@@ -335,11 +335,21 @@ class TestGenerateDataset:
 
     def test_cloud_on_disk_round_trips(self, noise_free_dataset):
         path = os.path.join(noise_free_dataset, "samples", "sample_000", "cloud.ply")
-        with open(path) as fh:
-            text = fh.read()
-        cloud = read_ply(text)
-        assert write_ply(cloud) == text
+        with open(path, "rb") as fh:
+            data = fh.read()
+        cloud = read_ply(data)
+        assert write_ply(cloud) == data
         assert len(cloud) > 10_000
+
+    def test_cloud_on_disk_is_the_float64_bits_of_the_sample(self, noise_free_dataset):
+        for index in range(3):
+            points = make_sample(noise_free_scene(), seed=5, index=index).cloud.points
+            path = os.path.join(noise_free_dataset, "samples", f"sample_{index:03d}", "cloud.ply")
+            with open(path, "rb") as fh:
+                data = fh.read()
+            body = data[data.index(b"end_header\n") + len(b"end_header\n"):]
+            assert body == points.astype("<f8").tobytes()
+            assert read_ply(data).points.tobytes() == points.tobytes()
 
     def test_rejects_empty_request(self, tmp_path):
         with pytest.raises(ValueError):
