@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import UsageError
 
-# One header line and its terminator; the last line may end at end of file.
-_LINE = re.compile(rb"([^\r\n]*)(?:\r\n|\r|\n|\Z)")
+# One header line: it ends where str.splitlines ends a line of UTF-8 text,
+# or at the end of the file.
+_LINE = re.compile(rb"(.*?)(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]|\Z)", re.S)
 _FORMATS = ("ascii", "binary_little_endian")
 
 

@@ -210,6 +210,13 @@ def test_ply_without_a_format_line_is_rejected():
         read_ascii_ply(text.replace("format ascii 1.0\n", ""))
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\x0c", "\x85", "\u2028"])
+def test_ascii_ply_lines_end_where_str_splitlines_ends_them(end):
+    text = ascii_ply([[1.5, -2.0, 3.25], [0.0, 1e-3, 7.0]])
+    cloud = read_ascii_ply(text.replace("\n", end))
+    assert ascii_ply(cloud.points) == text
+
+
 # The binary reader's own checks, on a 3-vertex file: 7 header lines, then
 # 3 rows of 3 little-endian doubles (72 bytes).
 EYE = write_ply(PointCloud(np.eye(3)))
@@ -252,10 +259,3 @@ def test_binary_ply_non_finite_point_is_rejected_naming_its_vertex(vertex, value
     with pytest.raises(UsageError, match=f"PLY vertex {vertex}: non-finite point"):
         read_ply(data)
 
-
-def test_binary_ply_columns_are_read_by_property_name():
-    header, body = EYE[: len(EYE) - 72], np.arange(9.0).reshape(3, 3)
-    permuted = header.replace(b"double x\nproperty double y\nproperty double z",
-                              b"double z\nproperty double x\nproperty double y")
-    cloud = read_ply(permuted + body[:, [2, 0, 1]].astype("<f8").tobytes())
-    assert cloud.points.tobytes() == body.tobytes()
