@@ -44,7 +44,7 @@ from .labelgen import (
     labels_to_dict,
     object_box_ips,
 )
-from .refine import refine_label
+from .refine import fit_ground_plane, refine_label
 from .rng import NS_JOB, derive_seed
 from .sim import (
     SceneConfig,
@@ -290,11 +290,20 @@ def cmd_generate(ns, cfg: PipelineConfig) -> None:
 # refine
 
 
-def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
+def _refine_sample(task, specs, refine_cfg, seed, lidar_from_cam, intr) -> tuple:
     sid, sample_index, cloud_path, label_path = task
     cloud = read_input(cloud_path, read_ply, read_bytes)
-    # an object's seed follows its place in the manifest, so it does not
-    # depend on which other entries the label file holds
+    # the sample's plane and its objects' draws are seeded from their places
+    # in the dataset and the manifest, so they do not depend on which other
+    # samples or entries the run holds
+    plane_error = None
+    try:
+        plane = fit_ground_plane(
+            cloud, replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index))
+        )
+    except NumericalError as e:
+        plane_error = f"{type(e).__name__}: {e}"
+    cam_from_lidar = inverse(lidar_from_cam)
     position = {object_id: i for i, object_id in enumerate(specs)}
     objects = []
     for entry, unrefined, _ in read_json(label_path, label_objects):
@@ -305,13 +314,19 @@ def _refine_sample(task, specs, refine_cfg, seed) -> tuple:
         spec = _entry_spec(entry, specs, label_path)
         obj_index = position[entry["id"]]
         cfg = replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index, obj_index))
-        try:
-            refined = refine_label(cloud, unrefined, spec, cfg)
-            entry["box3d_lidar"] = refined.to_dict()
+        error = plane_error
+        if error is None:
+            try:
+                refined = refine_label(cloud, unrefined, spec, cfg, plane=plane)
+            except NumericalError as e:
+                error = f"{type(e).__name__}: {e}"
+        if error is None:
+            verts_cam = cam_from_lidar.apply(refined.vertices())
+            entry = label_entry(entry["id"], spec.class_name, refined, verts_cam, intr)
             entry["refined"] = True
-        except NumericalError as e:
+        else:
             entry["refined"] = False
-            entry["refine_error"] = f"{type(e).__name__}: {e}"
+            entry["refine_error"] = error
         objects.append(entry)
     return sid, dump_json(labels_to_dict(sid, objects))
 
@@ -330,7 +345,12 @@ def cmd_refine(ns, cfg: PipelineConfig) -> None:
         cloud_path = os.path.join(ns.dataset, "samples", sid, "cloud.ply")
         tasks.append((sid, sample_index[sid], cloud_path, label_path))
     worker = partial(
-        _refine_sample, specs=_object_specs(scene), refine_cfg=cfg.refine, seed=cfg.seed
+        _refine_sample,
+        specs=_object_specs(scene),
+        refine_cfg=cfg.refine,
+        seed=cfg.seed,
+        lidar_from_cam=scene.lidar_from_cam,
+        intr=scene.intrinsics,
     )
     results = ordered_map(worker, tasks, ns.jobs)
     for sid, text in results:

@@ -30,17 +30,17 @@ REORTHO_TRIGGER = 1e-7
 
 EPS_BEACON = 1e-3  # meters; minimum planar beacon separation
 
-# Most hypothesis x point tests that the batched RANSAC loops of refine and
-# calib evaluate in one array; it bounds their buffers to a few MB.
+# Most hypothesis x point tests that calib's batched RANSAC loop evaluates in
+# one array; it bounds its buffers to a few MB.
 CHUNK_TESTS = 1 << 16
 
 _VEC3 = tuple[float, float, float]
 
 
-def chunks(count: int, points: int):
+def chunks(count: int, points: int, tests: int = CHUNK_TESTS):
     """Consecutive slices of ``count`` hypotheses scored on ``points`` points
-    each, at most CHUNK_TESTS tests per slice."""
-    step = max(1, CHUNK_TESTS // max(1, points))
+    each, at most ``tests`` tests per slice (or one hypothesis)."""
+    step = max(1, tests // max(1, points))
     for lo in range(0, count, step):
         yield slice(lo, min(count, lo + step))
 

@@ -102,6 +102,35 @@ class OrientedBox3:
         p = np.asarray(points, dtype=float)
         return (p - self.center) @ self.rotation
 
+    def ray_entry(self, dirs: np.ndarray) -> np.ndarray:
+        """Slab-method entry distance of each ray from the origin along
+        ``dirs`` (N, 3), in units of its direction; inf for misses and for
+        rays that start inside the box."""
+        origin_local = self.to_local(np.zeros(3))
+        d_local = dirs @ self.rotation
+        half = self.dims / 2.0
+        near = np.full(dirs.shape[0], -np.inf)
+        far = np.full(dirs.shape[0], np.inf)
+        for k in range(3):
+            dk = d_local[:, k]
+            ok = origin_local[k]
+            parallel = np.abs(dk) < 1e-15
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (-half[k] - ok) / dk
+                t2 = (half[k] - ok) / dk
+            lo = np.minimum(t1, t2)
+            hi = np.maximum(t1, t2)
+            if abs(ok) <= half[k]:
+                lo = np.where(parallel, -np.inf, lo)
+                hi = np.where(parallel, np.inf, hi)
+            else:
+                lo = np.where(parallel, np.inf, lo)
+                hi = np.where(parallel, -np.inf, hi)
+            near = np.maximum(near, lo)
+            far = np.minimum(far, hi)
+        hit = (far >= near) & (near > 1e-9)
+        return np.where(hit, near, np.inf)
+
     @property
     def volume(self) -> float:
         return float(np.prod(self.dims))

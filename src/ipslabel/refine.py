@@ -3,10 +3,12 @@
 Each iteration samples a class-specific model proposal function (MPF) and
 the few points it needs, which give a candidate box of the object's known
 dimensions tangent to the fitted ground plane, scored by counting cloud
-points inside a +-delta shell around the box surface. The draws are those
-of one Generator call per draw, computed as arrays from the stream's
-words; the candidates are built and scored as arrays too. The best
-proposal wins, and among equal scores the earliest.
+points inside a +-delta shell around the box surface. The draws are plain
+arrays from the object's seeded stream (see ``_draw``); the candidates are
+built and scored as arrays too. The best proposal wins, and among equal
+scores the earliest, unless the sensor's rays cross a solid object's box
+(see ``_first_clear``). The ground plane is fitted once per scan by a
+preemptively scored RANSAC (see ``fit_ground_plane``).
 """
 
 from __future__ import annotations
@@ -28,17 +30,19 @@ from .errors import (
 )
 from .geom import chunks, row_norms
 from .labelgen import ObjectSpec, OrientedBox3
-from .rng import (
-    NS_PLANE_RANSAC,
-    NS_REFINE,
-    WordStream,
-    choice_bounds,
-    choice_rows,
-    lemire,
-    substream,
-)
+from .rng import NS_GROUND_PLANE, NS_REFINE_DRAWS, distinct_rows, substream
 
 _MIN_SEPARATION = 1e-6  # meters between projected sample points
+# Cloud points on which every ground-plane hypothesis is scored; only the
+# winner is scored on the full cloud.
+_PLANE_SUBSET = 1024
+# Most sensor rays that may cross a solid candidate box, shrunk by
+# shell_delta, before they reach their points; a few stray points must not
+# veto the right box.
+_CROSSING_RAYS = 2
+# Most box x point tests that shell_scores makes at a time: its float64 work
+# arrays then take 128 KB each and stay in a core's L2 cache.
+_SHELL_TESTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -134,40 +138,37 @@ class RefineConfig:
 def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig) -> GroundPlane:
     """Three-point RANSAC plane fit, least-squares refit on the inliers.
 
-    Hypotheses tilted more than ~60 degrees from horizontal are rejected:
-    a ground plane faces up, and without this guard a densely scanned
-    vertical object face can out-vote the floor.
+    All ``cfg.plane_iterations`` triples, and then a random subset of
+    _PLANE_SUBSET cloud points, are drawn as arrays from the stream of
+    ``cfg.seed``. Every hypothesis is scored on that subset, and the
+    earliest best wins (preemptive RANSAC: Nister, ICCV 2003); only the
+    winner is scored on the full cloud, and it must hold at least 10% of
+    the points. Hypotheses tilted more than ~60 degrees from horizontal
+    are rejected: a ground plane faces up, and without this guard a
+    densely scanned vertical object face can out-vote the floor.
     """
     pts = pcd.points
     n = len(pts)
     if n < 3:
         raise TooFewPoints(f"plane fit needs >= 3 points, got {n}")
-    best_count = 0
-    best_mask = None
-    for i in range(cfg.plane_iterations):
-        rng = substream(cfg.seed, NS_PLANE_RANSAC, i)
-        idx = rng.choice(n, size=3, replace=False)
-        p1, p2, p3 = pts[idx]
-        normal = np.cross(p2 - p1, p3 - p1)
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            continue
-        normal = normal / norm
-        if normal[2] < 0:
-            normal = -normal
-        if normal[2] <= 0.5:
-            continue
-        d = float(normal @ p1)
-        mask = np.abs(pts @ normal - d) <= cfg.ground_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-    if best_mask is None or best_count < max(3, 0.1 * n):
-        raise NoPlaneFound(
-            f"best plane hypothesis covers {best_count}/{n} points (< 10%)"
-        )
-    inl = pts[best_mask]
+    rng = substream(cfg.seed, NS_GROUND_PLANE)
+    p1, p2, p3 = pts[distinct_rows(rng, n, 3, cfg.plane_iterations).T]
+    normals = np.cross(p2 - p1, p3 - p1)
+    norms = row_norms(normals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals /= np.where(normals[:, 2] < 0, -norms, norms)[:, None]
+    upright = (norms >= 1e-12) & (normals[:, 2] > 0.5)
+    if not upright.any():
+        raise NoPlaneFound(f"no plane hypothesis of {cfg.plane_iterations} faces up")
+    normals, ds = normals[upright], (normals[upright] * p1[upright]).sum(axis=1)
+    subset = pts if n <= _PLANE_SUBSET else pts[rng.choice(n, _PLANE_SUBSET, replace=False)]
+    counts = (np.abs(subset @ normals.T - ds) <= cfg.ground_threshold).sum(axis=0)
+    best = int(np.argmax(counts))
+    mask = np.abs(pts @ normals[best] - ds[best]) <= cfg.ground_threshold
+    count = int(mask.sum())
+    if count < max(3, 0.1 * n):
+        raise NoPlaneFound(f"best plane hypothesis covers {count}/{n} points (< 10%)")
+    inl = pts[mask]
     centroid = inl.mean(axis=0)
     _, _, vt = np.linalg.svd(inl - centroid, full_matrices=False)
     normal = vt[-1]
@@ -276,38 +277,50 @@ def fitness(box: OrientedBox3, cloud, delta: float) -> int:
     return int(shell_scores([box.center], [box.yaw], box.dims, pts, delta)[0])
 
 
-# Most RANSAC iterations whose draws one array pass computes.
-_PASS = 1024
-
-
 def shell_scores(centers, yaws, dims, points, delta: float) -> np.ndarray:
     """``fitness`` of the yaw boxes (centers[i], dims, yaws[i]) on one cloud.
 
-    Makes at most CHUNK_TESTS box x point tests at a time.
+    Makes at most _SHELL_TESTS box x point tests at a time (one box at a
+    time on a larger cloud), into work arrays allocated once per call.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     yaws = np.asarray(yaws, dtype=float).reshape(-1)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    px, py, pz = np.asarray(points, dtype=float).reshape(-1, 3).T.copy()
     half = np.asarray(dims, dtype=float).reshape(3) / 2.0
     outer, inner = half + delta, half - delta
     scores = np.zeros(len(centers), dtype=np.int64)
-    for part in chunks(len(centers), len(pts)):
-        c = centers[part]
-        cos, sin = np.cos(yaws[part])[:, None], np.sin(yaws[part])[:, None]
-        dx = pts[:, 0] - c[:, 0:1]
-        dy = pts[:, 1] - c[:, 1:2]
-        lx = np.abs(dx * cos + dy * sin)
-        ly = np.abs(dy * cos - dx * sin)
-        lz = np.abs(pts[:, 2] - c[:, 2:3])
-        inside = (lx <= outer[0]) & (ly <= outer[1]) & (lz <= outer[2])
-        faces = (
-            (lx >= inner[0]).astype(np.int8)
-            + (ly >= inner[1]).astype(np.int8)
-            + (lz >= inner[2]).astype(np.int8)
-        )
-        scores[part] = np.where(inside, faces, 0).sum(axis=1)
+    cos, sin = np.cos(yaws)[:, None], np.sin(yaws)[:, None]
+    parts = list(chunks(len(centers), len(px), _SHELL_TESTS))
+    rows = parts[0].stop if parts else 0
+    dx, dy, a, b = np.empty((4, rows, len(px)))
+    inside, near = np.empty((2, rows, len(px)), dtype=bool)
+    faces = np.empty((rows, len(px)), dtype=np.uint8)
+    for part in parts:
+        c, k = centers[part], part.stop - part.start
+        dx_, dy_, a_, b_ = dx[:k], dy[:k], a[:k], b[:k]
+        inside_, near_, faces_ = inside[:k], near[:k], faces[:k]
+        np.subtract(px, c[:, 0:1], out=dx_)
+        np.subtract(py, c[:, 1:2], out=dy_)
+        # lx = |dx cos + dy sin|
+        np.multiply(dx_, cos[part], out=a_)
+        np.multiply(dy_, sin[part], out=b_)
+        np.abs(np.add(a_, b_, out=a_), out=a_)
+        np.less_equal(a_, outer[0], out=inside_)
+        np.greater_equal(a_, inner[0], out=faces_.view(bool))
+        # ly = |dy cos - dx sin|
+        np.multiply(dy_, cos[part], out=a_)
+        np.multiply(dx_, sin[part], out=b_)
+        np.abs(np.subtract(a_, b_, out=a_), out=a_)
+        inside_ &= np.less_equal(a_, outer[1], out=near_)
+        faces_ += np.greater_equal(a_, inner[1], out=near_).view(np.uint8)
+        # lz = |pz - cz|
+        np.abs(np.subtract(pz, c[:, 2:3], out=a_), out=a_)
+        inside_ &= np.less_equal(a_, outer[2], out=near_)
+        faces_ += np.greater_equal(a_, inner[2], out=near_).view(np.uint8)
+        faces_ *= inside_.view(np.uint8)
+        scores[part] = faces_.sum(axis=1, dtype=np.int32)
     return scores
 
 
@@ -331,72 +344,43 @@ def _away_sides(q1: np.ndarray, q2: np.ndarray, plane: GroundPlane) -> np.ndarra
 def _draw(kinds, projected: np.ndarray, plane: GroundPlane, iterations: int, rng):
     """Every iteration's kind index, sample indices and face side.
 
-    The values are those of drawing, iteration by iteration, the kind
-    ``rng.integers(len(kinds))``, the sample ``rng.choice(n, size,
-    replace=False)`` and, for a two-point face whose side the viewpoint
-    leaves ambiguous, a coin ``rng.integers(2)`` for the side. They are
-    computed as arrays from the stream's 32-bit words (see ``rng``), at most
-    _PASS iterations per pass. A pass stops at its first special iteration,
-    one that flips a coin or has a word that might be redrawn. That one is
-    read word by word, and the next pass starts after it. Unused sample
-    columns and the sides of other kinds are 0.
+    Three draws from ``rng``, each one array over the iterations, in this
+    order: the kinds ``rng.integers(len(kinds), size=iterations)``; the
+    samples, as ``distinct_rows`` of the largest sample size (a two-point
+    kind uses the first two columns); and one coin per iteration, which
+    gives the side (+1 for 0, -1 for 1) of a two-point face whose side the
+    viewpoint leaves ambiguous. The sides of other kinds are 0.
     """
-    n = len(projected)
-    sizes = np.array([k.sample_size for k in kinds])
-    two_point = np.array([k is MpfKind.CABINET_TWO_POINT_FACE for k in kinds])
-    # Per kind, the bounds of an iteration's draws (the kind, then the
-    # sample's; 0 pads) and which of the iteration's words each one reads.
-    bounds = np.zeros((len(kinds), 2 * sizes.max()), dtype=np.uint64)
-    for k, s in enumerate(sizes):
-        bounds[k, 0] = len(kinds) - 1
-        bounds[k, 1 : 2 * s] = choice_bounds(n, s)
-    reads = bounds > 0
-    offset = np.where(reads, np.cumsum(reads, axis=1) - 1, 0)
-    cost = reads.sum(axis=1)
-    longest = int(cost.max())
-    words = WordStream(rng, ahead=longest * iterations)
-    kind = np.zeros(iterations, dtype=np.intp)
-    idx = np.zeros((iterations, sizes.max()), dtype=np.intp)
+    kind = rng.integers(len(kinds), size=iterations)
+    idx = distinct_rows(rng, len(projected), max(k.sample_size for k in kinds), iterations)
+    coin = rng.integers(2, size=iterations)
+    two = np.array([k is MpfKind.CABINET_TWO_POINT_FACE for k in kinds])[kind]
     side = np.zeros(iterations, dtype=np.int64)
-    start = 0
-    while start < iterations:
-        count = min(_PASS, iterations - start)
-        w = words.have(count * longest)[words.pos :]
-        kinds_at = lemire(w[: count * longest], len(kinds) - 1)[0]
-        if len(kinds) == 1:
-            begin = longest * np.arange(count + 1)
-        else:  # each iteration begins where the one before it ends
-            step, at, begin = cost[kinds_at].tolist(), 0, [0]
-            for _ in range(count):
-                at += step[at]
-                begin.append(at)
-            begin = np.array(begin)
-        k = kinds_at[begin[:-1]]
-        values, maybe = lemire(w[begin[:-1, None] + offset[k]], bounds[k])
-        sample = np.zeros((count, idx.shape[1]), dtype=np.intp)
-        for s in set(sizes.tolist()):
-            rows = sizes[k] == s
-            sample[rows, :s] = choice_rows(values[rows, 1 : 2 * s], n, s)
-        two = two_point[k]
-        sides = np.zeros(count, dtype=np.int64)
-        sides[two] = _away_sides(projected[sample[two, 0]], projected[sample[two, 1]], plane)
-        special = maybe.any(axis=1) | (two & (sides == 0))
-        stop = int(np.argmax(special)) if special.any() else count
-        kind[start : start + stop] = k[:stop]
-        idx[start : start + stop] = sample[:stop]
-        side[start : start + stop] = sides[:stop]
-        words.pos += int(begin[stop])
-        start += stop
-        if stop < count:
-            i = start
-            k = kind[i] = words.integer(len(kinds) - 1)
-            idx[i, : sizes[k]] = words.choice(n, int(sizes[k]))
-            if two_point[k]:
-                side[i] = _away_sides(projected[idx[i, :1]], projected[idx[i, 1:2]], plane)[0]
-                if side[i] == 0:
-                    side[i] = 1 if words.integer(1) == 0 else -1
-            start += 1
-    return kind, idx, side
+    side[two] = _away_sides(projected[idx[two, 0]], projected[idx[two, 1]], plane)
+    return kind, idx, np.where(two & (side == 0), 1 - 2 * coin, side)
+
+
+def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points, around):
+    """The first proposal of ``order`` whose box, shrunk by ``delta``, at
+    most _CROSSING_RAYS rays cross; ``order[0]`` when every one is crossed.
+
+    The cloud is in the sensor frame, so each point's ray runs from the
+    origin to it. Scanned surfaces face the sensor and the solid lies behind
+    them, so no ray crosses a solid object's box before reaching its point;
+    a box standing in front of the scanned face is crossed by the rays to
+    that face (free space, as in Hu et al., "What You See Is What You Get",
+    CVPR 2020). Rays that pass farther from ``around`` than any box of
+    ``order`` reaches cannot cross one, so they are not tested.
+    """
+    reach = row_norms(centers[order] - around).max() + np.linalg.norm(spec.dims) / 2.0
+    along = np.clip(points @ around / np.maximum((points * points).sum(axis=1), 1e-12), 0.0, 1.0)
+    rays = points[row_norms(along[:, None] * points - around) <= reach]
+    shrunk = np.asarray(spec.dims) - 2.0 * delta
+    for i in order:
+        box = OrientedBox3(centers[i], shrunk, math.atan2(lengths[i, 1], lengths[i, 0]))
+        if np.count_nonzero(box.ray_entry(rays) < 1.0) <= _CROSSING_RAYS:
+            return i
+    return order[0]
 
 
 def _proposals(kinds, kind, q, side, plane: GroundPlane, spec: ObjectSpec):
@@ -457,23 +441,30 @@ def refine_label(
     unrefined: OrientedBox3,
     spec: ObjectSpec,
     cfg: RefineConfig,
+    plane: GroundPlane | None = None,
 ) -> OrientedBox3:
     """Best-of-n proposal search around an unrefined label.
 
-    The ground plane is fitted on the full cloud (the floor is the
-    dominant horizontal surface of a scan; fitting only the label's
-    neighborhood can latch onto a horizontal object face such as a table
-    top). The neighborhood is then cropped and ground-stripped, and each
-    of the ``cfg.iterations`` rounds draws a kind uniformly from
+    ``plane`` is the ground plane of the cloud; without it,
+    ``fit_ground_plane(pcd, cfg)`` fits it. Either way it comes from the
+    full cloud (the floor is the dominant horizontal surface of a scan;
+    fitting only the label's neighborhood can latch onto a horizontal
+    object face such as a table top), so all objects of one scan can
+    share one fit. The neighborhood is then cropped and ground-stripped,
+    and each of the ``cfg.iterations`` rounds draws a kind uniformly from
     ``kinds_for_class(spec.class_name)`` and samples the points it needs
     without replacement (see ``_draw``). The proposals are then built and
-    scored on the cropped cloud in fixed-size batches, and
-    the earliest best wins. Degenerate proposals never win but still
+    scored on the cropped cloud in fixed-size batches, and the earliest
+    best wins, except that for a solid class (not a table) the winner is
+    the best proposal, from the best score down to half of it, whose box
+    the sensor's rays do not cross (see ``_first_clear``); the best one when
+    every such box is crossed. Degenerate proposals never win but still
     consume an iteration. A class without proposal functions raises
     ConfigError before any work.
     """
     kinds = kinds_for_class(spec.class_name)
-    plane = fit_ground_plane(pcd, cfg)
+    if plane is None:
+        plane = fit_ground_plane(pcd, cfg)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
     cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
     needed = max(k.sample_size for k in kinds)
@@ -483,7 +474,7 @@ def refine_label(
         )
     pts = cropped.points
     projected = plane.project(pts)
-    rng = substream(cfg.seed, NS_REFINE)
+    rng = substream(cfg.seed, NS_REFINE_DRAWS)
     kind, idx, side = _draw(kinds, projected, plane, cfg.iterations, rng)
     centers, lengths, degenerate = _proposals(kinds, kind, projected[idx], side, plane, spec)
     live = np.flatnonzero(~degenerate)
@@ -493,5 +484,15 @@ def refine_label(
         )
     yaws = np.arctan2(lengths[live, 1], lengths[live, 0])
     scores = shell_scores(centers[live], yaws, spec.dims, pts, cfg.shell_delta)
-    best = int(live[np.argmax(scores)])
+    ranked = np.argsort(-scores, kind="stable")
+    # Below half the best score a box explains too little of the object to
+    # win; this also keeps the best box of a cloud that is not one scan,
+    # whose rays cross every box near the object.
+    order = live[ranked[: np.count_nonzero(2 * scores >= scores[ranked[0]])]]
+    best = order[0]
+    # a table's box is not solid: rays pass under its top, beside the stem
+    if min_height is None and min(spec.dims) > 2.0 * cfg.shell_delta:
+        best = _first_clear(
+            order, centers, lengths, spec, cfg.shell_delta, pcd.points, unrefined.center
+        )
     return _box(centers[best], lengths[best], spec)

@@ -306,35 +306,6 @@ def _box_to_frame(box: OrientedBox3, t: RigidTransform) -> OrientedBox3:
 # LiDAR ray casting
 
 
-def _ray_box_hits(dirs: np.ndarray, box: OrientedBox3) -> np.ndarray:
-    """Slab-method entry distance per ray from the origin; inf for misses."""
-    origin_local = box.to_local(np.zeros(3))
-    d_local = dirs @ box.rotation
-    half = box.dims / 2.0
-    near = np.full(dirs.shape[0], -np.inf)
-    far = np.full(dirs.shape[0], np.inf)
-    for k in range(3):
-        dk = d_local[:, k]
-        ok = origin_local[k]
-        parallel = np.abs(dk) < 1e-15
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-half[k] - ok) / dk
-            t2 = (half[k] - ok) / dk
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
-        if abs(ok) <= half[k]:
-            lo = np.where(parallel, -np.inf, lo)
-            hi = np.where(parallel, np.inf, hi)
-        else:
-            lo = np.where(parallel, np.inf, lo)
-            hi = np.where(parallel, -np.inf, hi)
-        near = np.maximum(near, lo)
-        far = np.minimum(far, hi)
-    hit = (far >= near) & (near > 1e-9)
-    t = np.where(hit, near, np.inf)
-    return t
-
-
 def _lidar_directions(cfg: LidarConfig) -> np.ndarray:
     elevations = np.radians(np.linspace(cfg.vfov_min_deg, cfg.vfov_max_deg, cfg.channels))
     n_az = int(round(360.0 / cfg.azimuth_step_deg))
@@ -370,7 +341,7 @@ def raycast_lidar(scene: SceneConfig, pose) -> PointCloud:
     t_ground = np.where((dz < 0) & (t_ground > 1e-9), t_ground, np.inf)
     best = np.minimum(best, t_ground)
     for solid in solids:
-        best = np.minimum(best, _ray_box_hits(dirs, solid))
+        best = np.minimum(best, solid.ray_entry(dirs))
     valid = best <= scene.lidar.max_range
     points = dirs[valid] * best[valid][:, None]
     return PointCloud(points, frame="lidar")

@@ -17,8 +17,9 @@ from ipslabel import cli
 from ipslabel.cli import _extrinsic_from_report, main
 from ipslabel.cloud import PointCloud, read_ply, write_ply
 from ipslabel.eval import compare_labels
-from ipslabel.geom import BeaconPair
-from ipslabel.sim import BeaconReading, beacons_csv, parse_beacons_csv
+from ipslabel.geom import BeaconPair, inverse
+from ipslabel.labelgen import OrientedBox3, project_box
+from ipslabel.sim import BeaconReading, beacons_csv, parse_beacons_csv, scene_from_dict
 
 from .conftest import FIXTURES, run_cli, tree_digest
 from .oracles import ascii_ply
@@ -333,6 +334,21 @@ class TestGenerate:
         assert report.mean_iou_3d >= 0.999
         assert report.mean_iou_2d >= 0.999
         assert report.unmatched_auto == 0
+
+    def test_refined_box2d_is_the_projection_of_the_refined_box3d(self, pipeline):
+        scene = scene_from_dict(json.loads(read(os.path.join(pipeline["dataset"], "manifest.json")))["scene"])
+        cam_from_lidar = inverse(scene.lidar_from_cam)
+        entries = [
+            e for f in sorted(os.listdir(pipeline["refined"]))
+            for e in json.loads(read(os.path.join(pipeline["refined"], f)))["objects"]
+        ]
+        assert entries and all(e["refined"] is True for e in entries)
+        for entry in entries:
+            box = OrientedBox3.from_dict(entry["box3d_lidar"])
+            box2 = project_box(cam_from_lidar.apply(box.vertices()), scene.intrinsics)
+            assert entry["box2d"] == box2.to_dict()
+            assert entry["truncated"] == box2.is_truncated
+            assert entry["behind_camera_vertices"] == box2.behind_camera_vertices
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         again = str(tmp_path / "labels2")
@@ -829,6 +845,21 @@ class TestMalformedInputs:
                                 "--labels", str(labels), "--out", str(refined)])
         assert code == 0, err
         assert json.loads(read(refined / "sample_000.json"))["objects"][1] == entry
+
+    def test_cloud_without_a_ground_plane_keeps_every_unrefined_entry(self, small_run, tmp_path):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        points = np.random.default_rng(3).uniform(0, 5, (3000, 3))
+        (d / CLOUD).write_bytes(write_ply(PointCloud(points)))
+        out = tmp_path / "out"
+        code, _, err = run_cli([a.format(d=d, o=out) for a in REFINE])
+        assert code == 0, err
+        unrefined = json.loads(read(d / LABEL))["objects"]
+        refined = json.loads(read(out / "sample_000.json"))["objects"]
+        assert len(refined) == len(unrefined) == 2
+        for before, after in zip(unrefined, refined):
+            assert after.pop("refine_error").startswith("NoPlaneFound: ")
+            assert after == before
 
     @pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug")])
     def test_a_bug_propagates_instead_of_exiting_2(self, monkeypatch, tmp_path, error):

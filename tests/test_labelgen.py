@@ -22,7 +22,7 @@ from ipslabel.labelgen import (
     project_box,
 )
 
-from .oracles import project_oracle, yaw_rotation
+from .oracles import project_oracle, ray_box_hit_oracle, yaw_rotation
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=320.0, width=640, height=640)
 
@@ -95,6 +95,24 @@ class TestOrientedBox3:
         box = OrientedBox3((1, -2, 3), (2, 1, 0.5), 0.7)
         local = box.to_local(box.vertices())
         np.testing.assert_allclose(np.abs(local), np.tile(box.dims / 2.0, (8, 1)), atol=1e-12)
+
+    def test_ray_entry_matches_the_slab_oracle(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            box = OrientedBox3(
+                rng.uniform(1, 4, 3) * rng.choice([-1, 1], 3), rng.uniform(0.3, 2.0, 3),
+                rng.uniform(-math.pi, math.pi),
+            )
+            # rays towards points around the box: some hit it, some miss
+            dirs = box.center + rng.uniform(-1.5, 1.5, (50, 3))
+            got = box.ray_entry(dirs)
+            for d, t in zip(dirs, got):
+                hit = ray_box_hit_oracle(np.zeros(3), d, box.center, box.dims, box.yaw)
+                if hit is None:
+                    assert t == math.inf
+                else:
+                    assert t == pytest.approx(hit, abs=1e-12)
+            assert np.isfinite(got).any() and np.isinf(got).any()
 
     def test_volume_and_dict_round_trip(self):
         box = OrientedBox3((1, 2, 3), (2, 3, 4), -1.1, frame="ips")
