@@ -22,7 +22,7 @@ from .errors import (
     TooFewInliers,
 )
 from .geom import RigidTransform, chunks, compose, row_norms
-from .rng import NS_CALIB_RANSAC, substream
+from .rng import NS_CALIB_RANSAC, distinct_rows, substream
 
 MIN_PNP_POINTS = 6
 MIN_DEPTH = 1e-6  # meters; camera-frame z below this counts as behind the camera
@@ -360,9 +360,10 @@ def solve_pnp_ransac(
 
     Each iteration samples 6 correspondences without replacement, solves
     PnP on them, and counts points with reprojection error strictly below
-    ``delta_px``. Ties break toward lower inlier RMSE, then the earlier
-    iteration. The final model is a PnP refit on the winning inlier set;
-    ``rmse_px`` is reported over those inliers only.
+    ``delta_px``. The samples of all iterations are one ``distinct_rows``
+    array from the stream of ``seed``. Ties break toward lower inlier RMSE,
+    then the earlier iteration. The final model is a PnP refit on the
+    winning inlier set; ``rmse_px`` is reported over those inliers only.
     """
     corrs = list(corrs)
     n = len(corrs)
@@ -374,15 +375,11 @@ def solve_pnp_ransac(
     pixels = np.stack([c.pixel for c in corrs])
     pts_robot = t_robot_from_ips.apply(beacons)
 
+    draws = distinct_rows(substream(seed, NS_CALIB_RANSAC), n, MIN_PNP_POINTS, iterations)
     best_key = None
     best_mask = None
     for part in chunks(iterations, n):
-        samples = np.stack(
-            [
-                substream(seed, NS_CALIB_RANSAC, i).choice(n, size=MIN_PNP_POINTS, replace=False)
-                for i in range(part.start, part.stop)
-            ]
-        )
+        samples = draws[part]
         rot, tra, degenerate = _dlt_poses(pts_robot[samples], pixels[samples], intr)
         live = np.flatnonzero(~degenerate)
         if live.size == 0:

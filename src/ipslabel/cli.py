@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 from functools import partial
 
 from . import __version__
-from .calib import apply_planar_constraint, solve_pnp_ransac
+from .calib import MIN_PNP_POINTS, apply_planar_constraint, solve_pnp_ransac
 from .cloud import read_ply
 from .config import CalibOptions, PipelineConfig, load_config
 from .errors import DegenerateBeaconPair, EmptyReadings, NumericalError, UsageError
@@ -29,6 +29,7 @@ from .eval import compare_labels, downsample_study, study_means
 from .fileio import (
     atomic_write_text,
     dump_json,
+    from_dict,
     ordered_map,
     read_bytes,
     read_input,
@@ -46,13 +47,7 @@ from .labelgen import (
 )
 from .refine import fit_ground_plane, refine_label
 from .rng import NS_JOB, derive_seed
-from .sim import (
-    SceneConfig,
-    generate_dataset,
-    parse_beacons_csv,
-    parse_correspondences_csv,
-    scene_from_dict,
-)
+from .sim import SceneConfig, generate_dataset, parse_beacons_csv, parse_correspondences_csv
 
 
 def _checked(convert, valid, expected: str):
@@ -136,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest_scene(path: str) -> SceneConfig:
-    return read_json(path, lambda manifest: scene_from_dict(manifest["scene"]))
+    return read_json(path, lambda manifest: from_dict(SceneConfig, manifest["scene"], "scene"))
 
 
 def _object_specs(scene: SceneConfig) -> dict:
@@ -214,8 +209,10 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> None:
     if not corr_path or not beacon_path:
         raise UsageError("calibrate needs --dataset or both --correspondences and --robot-beacons")
     corrs = read_input(corr_path, parse_correspondences_csv)
-    if len(corrs) < 6:
-        raise UsageError(f"{corr_path}: need at least 6 correspondences, got {len(corrs)}")
+    if len(corrs) < MIN_PNP_POINTS:
+        raise UsageError(
+            f"{corr_path}: need at least {MIN_PNP_POINTS} correspondences, got {len(corrs)}"
+        )
     readings = read_input(beacon_path, parse_beacons_csv)
     intr = (_manifest_scene(manifest_path) if manifest_path else cfg.scene).intrinsics
     # the calibrate flags are named after the CalibOptions fields they override
@@ -298,9 +295,7 @@ def _refine_sample(task, specs, refine_cfg, seed, lidar_from_cam, intr) -> tuple
     # samples or entries the run holds
     plane_error = None
     try:
-        plane = fit_ground_plane(
-            cloud, replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index))
-        )
+        plane = fit_ground_plane(cloud, refine_cfg, derive_seed(seed, NS_JOB, sample_index))
     except NumericalError as e:
         plane_error = f"{type(e).__name__}: {e}"
     cam_from_lidar = inverse(lidar_from_cam)
@@ -313,11 +308,11 @@ def _refine_sample(task, specs, refine_cfg, seed, lidar_from_cam, intr) -> tuple
             continue
         spec = _entry_spec(entry, specs, label_path)
         obj_index = position[entry["id"]]
-        cfg = replace(refine_cfg, seed=derive_seed(seed, NS_JOB, sample_index, obj_index))
+        obj_seed = derive_seed(seed, NS_JOB, sample_index, obj_index)
         error = plane_error
         if error is None:
             try:
-                refined = refine_label(cloud, unrefined, spec, cfg, plane=plane)
+                refined = refine_label(cloud, unrefined, spec, refine_cfg, obj_seed, plane=plane)
             except NumericalError as e:
                 error = f"{type(e).__name__}: {e}"
         if error is None:
@@ -396,7 +391,8 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> None:
             spec,
             ns.proportions,
             ns.trials,
-            replace(cfg.refine, seed=cfg.seed),
+            cfg.refine,
+            cfg.seed,
         )
         report = {
             "study": "downsample",

@@ -8,7 +8,7 @@ clipping, and the vertical extent overlaps as an interval.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,13 +102,15 @@ def downsample_study(
     proportions,
     trials: int,
     cfg: RefineConfig,
+    seed: int = 0,
 ) -> list:
     """Refinement robustness vs point density.
 
     For each proportion p, each trial keeps a random fraction p of the
     points within cfg.radius of the unrefined label (the rest of the cloud
     is untouched), refines on the down-sampled cloud, and reports the best
-    box plus its fitness evaluated on the original full cloud. Numerical
+    box plus its fitness evaluated on the original full cloud. Each trial's
+    subset and refinement draw from streams of ``seed``. Numerical
     refinement failures are recorded per trial instead of aborting the
     study; a usage error (such as a class without proposal functions) ends it.
     """
@@ -123,18 +125,18 @@ def downsample_study(
     rows = []
     for pi, proportion in enumerate(proportions):
         for trial in range(trials):
-            rng = substream(cfg.seed, NS_DOWNSAMPLE, pi, trial)
+            rng = substream(seed, NS_DOWNSAMPLE, pi, trial)
             keep_n = max(1, int(round(proportion * near_idx.size))) if near_idx.size else 0
             keep = rng.choice(near_idx.size, size=keep_n, replace=False)
             sub = PointCloud(
                 np.vstack([pts[near_idx[np.sort(keep)]], pts[far_idx]]), frame=pcd.frame
             )
-            trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, NS_DOWNSAMPLE, pi, trial, 1))
+            trial_seed = derive_seed(seed, NS_DOWNSAMPLE, pi, trial, 1)
             row = {"proportion": proportion, "trial": trial}
             try:
-                box = refine_label(sub, unrefined, spec, trial_cfg)
+                box = refine_label(sub, unrefined, spec, cfg, trial_seed)
                 row["box3d"] = box.to_dict()
-                row["fitness"] = fitness(box, pcd, trial_cfg.shell_delta)
+                row["fitness"] = fitness(box, pcd, cfg.shell_delta)
             except NumericalError as e:
                 row["error"] = f"{type(e).__name__}: {e}"
             rows.append(row)

@@ -22,11 +22,6 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _dict_fields(cls) -> list:
-    """Fields with a dict form; ``metadata={"dict": False}`` opts a field out."""
-    return [f for f in dataclasses.fields(cls) if f.metadata.get("dict", True)]
-
-
 def to_dict(obj):
     """The dict form of a dataclass: its fields by name, recursively.
 
@@ -35,7 +30,7 @@ def to_dict(obj):
     if hasattr(obj, "to_dict"):
         return obj.to_dict()
     if dataclasses.is_dataclass(obj):
-        return {f.name: to_dict(getattr(obj, f.name)) for f in _dict_fields(type(obj))}
+        return {f.name: to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple):
         return [to_dict(v) for v in obj]
     return obj
@@ -89,7 +84,7 @@ def from_dict(typ, value, path: str):
         return _build(typ.FORM, lambda kw: typ.from_dict(kw, *args), value, path)
     if dataclasses.is_dataclass(typ):
         hints = typing.get_type_hints(typ, include_extras=True)
-        types = {f.name: hints[f.name] for f in _dict_fields(typ)}
+        types = {f.name: hints[f.name] for f in dataclasses.fields(typ)}
         return _build(types, lambda kw: typ(**kw), value, path)
     if typing.get_origin(typ) is tuple:
         if not isinstance(value, list):

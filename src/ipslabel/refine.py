@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,10 +69,7 @@ class GroundPlane:
 
     def project(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=float)
-        h = self.height(p)
-        if p.ndim == 1:
-            return p - h * self.normal
-        return p - h[:, None] * self.normal
+        return p - np.asarray(self.height(p))[..., None] * self.normal
 
 
 class MpfKind(enum.Enum):
@@ -119,8 +116,6 @@ class RefineConfig:
     ground_threshold: float = 0.03  # plane inlier / ground strip distance, meters
     table_min_height: float = 0.3  # drop points below this height for tables
     plane_iterations: int = 100
-    # Set per object by the caller, so it is not part of the config file.
-    seed: int = field(default=0, metadata={"dict": False})
 
     def __post_init__(self):
         for name in (
@@ -135,12 +130,12 @@ class RefineConfig:
                 raise ValueError(f"RefineConfig.{name} must be positive")
 
 
-def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig) -> GroundPlane:
+def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig, seed: int = 0) -> GroundPlane:
     """Three-point RANSAC plane fit, least-squares refit on the inliers.
 
     All ``cfg.plane_iterations`` triples, and then a random subset of
     _PLANE_SUBSET cloud points, are drawn as arrays from the stream of
-    ``cfg.seed``. Every hypothesis is scored on that subset, and the
+    ``seed``. Every hypothesis is scored on that subset, and the
     earliest best wins (preemptive RANSAC: Nister, ICCV 2003); only the
     winner is scored on the full cloud, and it must hold at least 10% of
     the points. Hypotheses tilted more than ~60 degrees from horizontal
@@ -151,7 +146,7 @@ def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig) -> GroundPlane:
     n = len(pts)
     if n < 3:
         raise TooFewPoints(f"plane fit needs >= 3 points, got {n}")
-    rng = substream(cfg.seed, NS_GROUND_PLANE)
+    rng = substream(seed, NS_GROUND_PLANE)
     p1, p2, p3 = pts[distinct_rows(rng, n, 3, cfg.plane_iterations).T]
     normals = np.cross(p2 - p1, p3 - p1)
     norms = row_norms(normals)
@@ -441,30 +436,31 @@ def refine_label(
     unrefined: OrientedBox3,
     spec: ObjectSpec,
     cfg: RefineConfig,
+    seed: int = 0,
     plane: GroundPlane | None = None,
 ) -> OrientedBox3:
     """Best-of-n proposal search around an unrefined label.
 
     ``plane`` is the ground plane of the cloud; without it,
-    ``fit_ground_plane(pcd, cfg)`` fits it. Either way it comes from the
-    full cloud (the floor is the dominant horizontal surface of a scan;
+    ``fit_ground_plane(pcd, cfg, seed)`` fits it. Either way it comes from
+    the full cloud (the floor is the dominant horizontal surface of a scan;
     fitting only the label's neighborhood can latch onto a horizontal
     object face such as a table top), so all objects of one scan can
     share one fit. The neighborhood is then cropped and ground-stripped,
     and each of the ``cfg.iterations`` rounds draws a kind uniformly from
     ``kinds_for_class(spec.class_name)`` and samples the points it needs
-    without replacement (see ``_draw``). The proposals are then built and
-    scored on the cropped cloud in fixed-size batches, and the earliest
-    best wins, except that for a solid class (not a table) the winner is
-    the best proposal, from the best score down to half of it, whose box
-    the sensor's rays do not cross (see ``_first_clear``); the best one when
-    every such box is crossed. Degenerate proposals never win but still
-    consume an iteration. A class without proposal functions raises
-    ConfigError before any work.
+    without replacement, from the stream of ``seed`` (see ``_draw``). The
+    proposals are then built and scored on the cropped cloud in fixed-size
+    batches, and the earliest best wins, except that for a solid class
+    (not a table) the winner is the best proposal, from the best score
+    down to half of it, whose box the sensor's rays do not cross (see
+    ``_first_clear``); the best one when every such box is crossed.
+    Degenerate proposals never win but still consume an iteration. A class
+    without proposal functions raises ConfigError before any work.
     """
     kinds = kinds_for_class(spec.class_name)
     if plane is None:
-        plane = fit_ground_plane(pcd, cfg)
+        plane = fit_ground_plane(pcd, cfg, seed)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
     cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
     needed = max(k.sample_size for k in kinds)
@@ -474,7 +470,7 @@ def refine_label(
         )
     pts = cropped.points
     projected = plane.project(pts)
-    rng = substream(cfg.seed, NS_REFINE_DRAWS)
+    rng = substream(seed, NS_REFINE_DRAWS)
     kind, idx, side = _draw(kinds, projected, plane, cfg.iterations, rng)
     centers, lengths, degenerate = _proposals(kinds, kind, projected[idx], side, plane, spec)
     live = np.flatnonzero(~degenerate)

@@ -11,7 +11,6 @@ import numpy as np
 
 # Stream namespaces. Keep these stable: changing them changes every
 # seeded output in the project.
-NS_CALIB_RANSAC = 0
 NS_POSE = 3
 NS_BEACON = 4
 NS_CALSET = 5
@@ -19,10 +18,11 @@ NS_DOWNSAMPLE = 6
 NS_JOB = 8
 NS_GROUND_PLANE = 9
 NS_REFINE_DRAWS = 10
+NS_CALIB_RANSAC = 11
 # Retired; never reuse them, because a reused namespace would change seeded
-# outputs: 1 and 2 named the ground-plane and refine streams of the one
-# Generator call per draw that refine made before its draws became arrays,
-# and 7 named a pixel-noise stream nothing drew from.
+# outputs: 0, 1 and 2 named the calibration, ground-plane and refine streams
+# of the one Generator per draw that RANSAC made before its draws became
+# arrays, and 7 named a pixel-noise stream nothing drew from.
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -27,7 +27,6 @@ from .fileio import (
     atomic_write_bytes,
     atomic_write_text,
     dump_json,
-    from_dict,
     ordered_map,
     require_empty_dir,
     to_dict,
@@ -589,14 +588,6 @@ def render_sample_files(scene: SceneConfig, seed: int, index: int) -> dict:
     }
 
 
-def scene_to_dict(scene: SceneConfig) -> dict:
-    return to_dict(scene)
-
-
-def scene_from_dict(d: dict) -> SceneConfig:
-    return from_dict(SceneConfig, d, "scene")
-
-
 def render_calibration_files(calset: CalibrationSet) -> dict:
     return {
         "calibration/correspondences.csv": correspondences_csv(calset.correspondences),
@@ -612,7 +603,7 @@ def manifest_json(scene: SceneConfig, seed: int, n_samples: int, calset: Calibra
             "format": "ipslabel-dataset-v1",
             "seed": int(seed),
             "n_samples": int(n_samples),
-            "scene": scene_to_dict(scene),
+            "scene": to_dict(scene),
             "calibration_truth": {
                 "cam_from_robot": _transform_row_major(scene.cam_from_robot),
                 "robot_pose": [float(v) for v in calset.robot_pose],

@@ -154,8 +154,8 @@ def test_refinement_recovers_perturbed_labels(noisy20):
                 box.center + np.array([dx, dy, dz]), box.dims,
                 normalize_yaw(box.yaw + dyaw), frame=box.frame,
             )
-            cfg = RefineConfig(iterations=5000, seed=7)
-            refined = refine_label(pcd, perturbed, specs[cls], cfg)
+            cfg = RefineConfig(iterations=5000)
+            refined = refine_label(pcd, perturbed, specs[cls], cfg, seed=7)
             before.append(iou_3d(perturbed, truth[cls]))
             after.append(iou_3d(refined, truth[cls]))
     elapsed = time.monotonic() - t0
@@ -178,8 +178,10 @@ def test_refinement_survives_downsampling(noisy20):
     labels = load_boxes(os.path.join(noisy20["labels"], f"{sid}.json"))
     truth = load_boxes(os.path.join(noisy20["ds"], "truth", f"{sid}.json"))
     spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
-    cfg = RefineConfig(iterations=5000, seed=3)
-    rows = downsample_study(pcd, labels["cabinet"], spec, (0.05, 0.1, 0.25, 0.5, 1.0), 50, cfg)
+    cfg = RefineConfig(iterations=5000)
+    rows = downsample_study(
+        pcd, labels["cabinet"], spec, (0.05, 0.1, 0.25, 0.5, 1.0), 50, cfg, seed=3
+    )
     elapsed = time.monotonic() - t0
     by_prop = {}
     for row in rows:

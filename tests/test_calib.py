@@ -24,7 +24,7 @@ from ipslabel.errors import (
     TooFewInliers,
 )
 from ipslabel.geom import RigidTransform, compose
-from ipslabel.rng import NS_CALIB_RANSAC, substream
+from ipslabel.rng import NS_CALIB_RANSAC, distinct_rows, substream
 
 from .oracles import homogeneous_matrix, project_oracle, random_rotation, rmse_oracle
 
@@ -360,13 +360,13 @@ class TestSolvePnpRansac:
 
 
 def reference_ransac(corrs, intr, t_ri, delta_px, iterations, seed):
-    """Scalar RANSAC loop; returns the inlier tuple, its rmse_px and the
-    number of hypotheses that solve_pnp rejected."""
+    """Scalar RANSAC loop over the samples solve_pnp_ransac draws; returns
+    the inlier tuple, its rmse_px and the number of hypotheses that
+    solve_pnp rejected."""
     pts = t_ri.apply(np.stack([c.beacon_ips for c in corrs]))
     pixels = np.stack([c.pixel for c in corrs])
     best_key, best_mask, failures = None, None, 0
-    for i in range(iterations):
-        sample = substream(seed, NS_CALIB_RANSAC, i).choice(len(corrs), size=6, replace=False)
+    for sample in distinct_rows(substream(seed, NS_CALIB_RANSAC), len(corrs), 6, iterations):
         try:
             hyp = solve_pnp([corrs[j] for j in sample], intr, t_ri)
         except (DegenerateConfiguration, NoConvergence):

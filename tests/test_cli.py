@@ -17,9 +17,10 @@ from ipslabel import cli
 from ipslabel.cli import _extrinsic_from_report, main
 from ipslabel.cloud import PointCloud, read_ply, write_ply
 from ipslabel.eval import compare_labels
+from ipslabel.fileio import from_dict
 from ipslabel.geom import BeaconPair, inverse
 from ipslabel.labelgen import OrientedBox3, project_box
-from ipslabel.sim import BeaconReading, beacons_csv, parse_beacons_csv, scene_from_dict
+from ipslabel.sim import BeaconReading, SceneConfig, beacons_csv, parse_beacons_csv
 
 from .conftest import FIXTURES, run_cli, tree_digest
 from .oracles import ascii_ply
@@ -336,7 +337,8 @@ class TestGenerate:
         assert report.unmatched_auto == 0
 
     def test_refined_box2d_is_the_projection_of_the_refined_box3d(self, pipeline):
-        scene = scene_from_dict(json.loads(read(os.path.join(pipeline["dataset"], "manifest.json")))["scene"])
+        manifest = json.loads(read(os.path.join(pipeline["dataset"], "manifest.json")))
+        scene = from_dict(SceneConfig, manifest["scene"], "scene")
         cam_from_lidar = inverse(scene.lidar_from_cam)
         entries = [
             e for f in sorted(os.listdir(pipeline["refined"]))

@@ -1,17 +1,20 @@
 """The dict form of the config dataclasses: round trips and malformed input."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipslabel.calib import MIN_PNP_POINTS
-from ipslabel.config import PipelineConfig, config_from_dict
+from ipslabel.config import CalibOptions, PipelineConfig, config_from_dict
 from ipslabel.errors import ConfigError
-from ipslabel.fileio import to_dict
-from ipslabel.sim import SceneConfig, scene_from_dict, scene_to_dict
+from ipslabel.fileio import from_dict, to_dict
+from ipslabel.refine import RefineConfig
+from ipslabel.sim import LidarConfig, SceneConfig
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -108,18 +111,28 @@ DEFAULT_CONFIG = to_dict(PipelineConfig())
 
 
 def test_strategy_covers_every_scene_key():
-    assert set(SCENE_KEYS) == set(scene_to_dict(SceneConfig()))
+    assert set(SCENE_KEYS) == set(to_dict(SceneConfig()))
 
 
 def test_default_config_round_trips():
     assert to_dict(config_from_dict(DEFAULT_CONFIG)) == DEFAULT_CONFIG
-    assert "seed" not in DEFAULT_CONFIG["refine"]  # set per object, not by the file
+    assert "seed" not in DEFAULT_CONFIG["refine"]  # an argument of refine_label, not config
+
+
+@pytest.mark.parametrize(
+    "cls", [PipelineConfig, CalibOptions, RefineConfig, SceneConfig, LidarConfig]
+)
+def test_every_field_is_in_the_dict_form_and_round_trips(cls):
+    d = to_dict(cls())
+    assert set(d) == {f.name for f in dataclasses.fields(cls)}
+    back = from_dict(cls, d, cls.__name__)
+    assert to_dict(back) == d
 
 
 @PROPERTY
 @given(scene_dicts)
 def test_scene_dict_round_trips(d):
-    assert scene_to_dict(scene_from_dict(d)) == d
+    assert to_dict(from_dict(SceneConfig, d, "scene")) == d
 
 
 @PROPERTY

@@ -236,8 +236,8 @@ class TestDownsampleStudy:
 
     def test_row_count_and_schema(self):
         cloud, truth, spec = self.scene()
-        cfg = RefineConfig(iterations=150, seed=5)
-        rows = downsample_study(cloud, truth, spec, (0.5, 1.0), trials=3, cfg=cfg)
+        cfg = RefineConfig(iterations=150)
+        rows = downsample_study(cloud, truth, spec, (0.5, 1.0), trials=3, cfg=cfg, seed=5)
         assert len(rows) == 2 * 3
         for row in rows:
             assert {"proportion", "trial"} <= set(row)
@@ -245,21 +245,21 @@ class TestDownsampleStudy:
 
     def test_deterministic(self):
         cloud, truth, spec = self.scene()
-        cfg = RefineConfig(iterations=150, seed=5)
-        a = downsample_study(cloud, truth, spec, (0.25, 1.0), trials=2, cfg=cfg)
-        b = downsample_study(cloud, truth, spec, (0.25, 1.0), trials=2, cfg=cfg)
+        cfg = RefineConfig(iterations=150)
+        a = downsample_study(cloud, truth, spec, (0.25, 1.0), trials=2, cfg=cfg, seed=5)
+        b = downsample_study(cloud, truth, spec, (0.25, 1.0), trials=2, cfg=cfg, seed=5)
         assert a == b
 
     def test_fitness_degrades_as_points_vanish(self):
         cloud, truth, spec = self.scene()
-        cfg = RefineConfig(iterations=250, seed=6)
-        rows = downsample_study(cloud, truth, spec, (0.02, 1.0), trials=6, cfg=cfg)
+        cfg = RefineConfig(iterations=250)
+        rows = downsample_study(cloud, truth, spec, (0.02, 1.0), trials=6, cfg=cfg, seed=6)
         means = study_means(rows)
         assert means[0.02] <= means[1.0]
 
     def test_bad_arguments_rejected(self):
         cloud, truth, spec = self.scene()
-        cfg = RefineConfig(iterations=10, seed=0)
+        cfg = RefineConfig(iterations=10)
         with pytest.raises(ValueError):
             downsample_study(cloud, truth, spec, (0.0, 1.0), trials=1, cfg=cfg)
         with pytest.raises(ValueError):
@@ -272,8 +272,8 @@ class TestDownsampleStudy:
         # going and records the reason
         cloud, _truth, spec = self.scene()
         lost = OrientedBox3((40.0, 40.0, 0.5), (0.9, 0.5, 1.3), 0.0)
-        cfg = RefineConfig(iterations=10, seed=1)
-        rows = downsample_study(cloud, lost, spec, (1.0,), trials=2, cfg=cfg)
+        cfg = RefineConfig(iterations=10)
+        rows = downsample_study(cloud, lost, spec, (1.0,), trials=2, cfg=cfg, seed=1)
         assert len(rows) == 2
         for row in rows:
             assert "error" in row and "EmptyNeighborhood" in row["error"]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ipslabel.cloud import read_ply, write_ply
+from ipslabel.fileio import from_dict, to_dict
 from ipslabel.geom import inverse
 from ipslabel.labelgen import OrientedBox3
 from ipslabel.sim import (
@@ -29,8 +30,6 @@ from ipslabel.sim import (
     correspondences_csv,
     raycast_lidar,
     robot_pose_for_sample,
-    scene_from_dict,
-    scene_to_dict,
     true_transforms,
 )
 from ipslabel.labelgen import ObjectSpec
@@ -283,14 +282,14 @@ class TestFileFormats:
 
     def test_scene_round_trips_through_its_dict_form(self):
         scene = default_scene()
-        back = scene_from_dict(scene_to_dict(scene))
+        back = from_dict(SceneConfig, to_dict(scene), "scene")
         assert back.beacon_noise == scene.beacon_noise
         assert back.lidar == scene.lidar
         assert back.intrinsics == scene.intrinsics
         assert [o.object_id for o in back.objects] == ["obj0", "obj1"]
         np.testing.assert_array_equal(back.cam_from_robot.rotation, scene.cam_from_robot.rotation)
         np.testing.assert_array_equal(back.lidar_from_cam.translation, scene.lidar_from_cam.translation)
-        assert scene_to_dict(back) == scene_to_dict(scene)
+        assert to_dict(back) == to_dict(scene)
 
 
 # ---------------------------------------------------------------------------
