@@ -16,7 +16,14 @@ from .cloud import PointCloud
 from .errors import ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError
 from .fileio import read_json
 from .labelgen import Box2, ObjectSpec, OrientedBox3, label_objects
-from .refine import RefineConfig, fitness, refine_label
+from .refine import (
+    RefineConfig,
+    fit_ground_plane,
+    fitness,
+    kinds_for_class,
+    neighborhood,
+    refine_label,
+)
 from .rng import NS_DOWNSAMPLE, derive_seed, substream
 
 MATCH_GATE = 2.0  # meters; max center distance when pairing labels
@@ -108,19 +115,21 @@ def downsample_study(
 
     For each proportion p, each trial keeps a random fraction p of the
     points within cfg.radius of the unrefined label (the rest of the cloud
-    is untouched), refines on the down-sampled cloud, and reports the best
-    box plus its fitness evaluated on the original full cloud. Each trial's
-    subset and refinement draw from streams of ``seed``. Numerical
-    refinement failures are recorded per trial instead of aborting the
-    study; a usage error (such as a class without proposal functions) ends it.
+    is untouched), refines on the down-sampled cloud and its own ground
+    plane, and reports the best box plus its fitness on the original full
+    cloud. Each trial's subset, plane and refinement draw from streams of
+    ``seed``. Numerical refinement failures are recorded per trial instead
+    of aborting the study; a usage error (such as a class without proposal
+    functions) ends it.
     """
     proportions = [float(p) for p in proportions]
     if any(not (0.0 < p <= 1.0) for p in proportions):
         raise ValueError("proportions must lie in (0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    kinds_for_class(spec.class_name)  # before any trial's plane fit can fail
     pts = pcd.points
-    near = np.linalg.norm(pts - unrefined.center, axis=1) <= cfg.radius
+    near = neighborhood(pts, unrefined, cfg)
     near_idx, far_idx = np.flatnonzero(near), np.flatnonzero(~near)
     rows = []
     for pi, proportion in enumerate(proportions):
@@ -134,7 +143,8 @@ def downsample_study(
             trial_seed = derive_seed(seed, NS_DOWNSAMPLE, pi, trial, 1)
             row = {"proportion": proportion, "trial": trial}
             try:
-                box = refine_label(sub, unrefined, spec, cfg, trial_seed)
+                plane = fit_ground_plane(sub, cfg, trial_seed)
+                box = refine_label(sub, unrefined, spec, cfg, trial_seed, plane=plane)
                 row["box3d"] = box.to_dict()
                 row["fitness"] = fitness(box, pcd, cfg.shell_delta)
             except NumericalError as e:

@@ -257,7 +257,7 @@ def project_box(vertices_cam, intr: CameraIntrinsics) -> Box2:
 
 
 def box_to_lidar(vertices_cam, t_lidar_from_cam: RigidTransform) -> OrientedBox3:
-    """LiDAR-frame yaw box refit from transformed camera-frame vertices."""
+    """LiDAR-frame yaw box refit from transformed camera-frame (in sim, IPS-frame) vertices."""
     v = t_lidar_from_cam.apply(np.asarray(vertices_cam, dtype=float).reshape(8, 3))
     return box_from_vertices(v, frame=t_lidar_from_cam.dst)
 

@@ -172,6 +172,11 @@ def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig, seed: int = 0) -> Groun
     return GroundPlane(normal, float(normal @ centroid))
 
 
+def neighborhood(points: np.ndarray, unrefined: OrientedBox3, cfg: RefineConfig) -> np.ndarray:
+    """Mask of the points within ``cfg.radius`` of the unrefined center."""
+    return np.linalg.norm(points - unrefined.center, axis=1) <= cfg.radius
+
+
 def crop_and_strip(
     pcd: PointCloud,
     unrefined: OrientedBox3,
@@ -188,9 +193,7 @@ def crop_and_strip(
     """
     pts = pcd.points
     height = plane.height(pts)
-    keep = (np.linalg.norm(pts - unrefined.center, axis=1) <= cfg.radius) & (
-        height > cfg.ground_threshold
-    )
+    keep = neighborhood(pts, unrefined, cfg) & (height > cfg.ground_threshold)
     if min_height is not None:
         keep &= height >= min_height
     if not keep.any():
@@ -210,13 +213,13 @@ def _propose_one(kind: MpfKind, points, plane: GroundPlane, spec: ObjectSpec, si
         raise DegenerateSample(
             "projected sample points coincide or the edge directions are opposite"
         )
-    return _box(centers[0], lengths[0], spec)
+    return _box(centers[0], lengths[0], spec.dims)
 
 
-def _box(center, length, spec: ObjectSpec) -> OrientedBox3:
-    """Yaw box of the spec's dims whose length axis runs along ``length``."""
+def _box(center, length, dims) -> OrientedBox3:
+    """Yaw box of ``dims`` whose length axis runs along ``length``."""
     # math.atan2, not np.arctan2: the SIMD arctan2 differs from it in the last bit.
-    return OrientedBox3(center, spec.dims, math.atan2(length[1], length[0]), frame="lidar")
+    return OrientedBox3(center, dims, math.atan2(length[1], length[0]), frame="lidar")
 
 
 def mpf_cabinet(p1, p2, p3, plane: GroundPlane, spec: ObjectSpec, kind: MpfKind) -> OrientedBox3:
@@ -320,39 +323,33 @@ def shell_scores(centers, yaws, dims, points, delta: float) -> np.ndarray:
 
 
 def _away_sides(q1: np.ndarray, q2: np.ndarray, plane: GroundPlane) -> np.ndarray:
-    """Extrusion side pointing away from the sensor, for projected pairs.
+    """Extrusion side (+1/-1) pointing away from the sensor, for projected pairs.
 
     The cloud is expressed in the sensor frame, so the sensor sits at the
     origin; points lie on surfaces that face it and the solid extends
-    behind them. A face plane passing through the origin, or coincident
-    points, leave the side genuinely ambiguous, signalled by 0.
+    behind them. Coincident points get -1, but ``_proposals`` marks their
+    face degenerate whatever its side.
     """
-    gap = np.linalg.norm(q1 - q2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inward = np.cross(plane.normal, (q1 - q2) / gap[:, None])
-    rel = 0.5 * (q1 + q2) - plane.project(np.zeros(3))
-    depth = (inward * rel).sum(axis=1)
-    side = np.where(depth > 0, 1, -1)
-    return np.where((gap < _MIN_SEPARATION) | ~(np.abs(depth) >= 1e-9), 0, side)
+    inward = np.cross(plane.normal, q1 - q2)
+    depth = (inward * (0.5 * (q1 + q2) - plane.project(np.zeros(3)))).sum(axis=1)
+    return np.where(depth > 0, 1, -1)
 
 
 def _draw(kinds, projected: np.ndarray, plane: GroundPlane, iterations: int, rng):
     """Every iteration's kind index, sample indices and face side.
 
-    Three draws from ``rng``, each one array over the iterations, in this
-    order: the kinds ``rng.integers(len(kinds), size=iterations)``; the
+    Two draws from ``rng``, each one array over the iterations, in this
+    order: the kinds ``rng.integers(len(kinds), size=iterations)``, and the
     samples, as ``distinct_rows`` of the largest sample size (a two-point
-    kind uses the first two columns); and one coin per iteration, which
-    gives the side (+1 for 0, -1 for 1) of a two-point face whose side the
-    viewpoint leaves ambiguous. The sides of other kinds are 0.
+    kind uses the first two columns). A two-point face takes the side away
+    from the sensor (see ``_away_sides``); the sides of other kinds are 0.
     """
     kind = rng.integers(len(kinds), size=iterations)
     idx = distinct_rows(rng, len(projected), max(k.sample_size for k in kinds), iterations)
-    coin = rng.integers(2, size=iterations)
     two = np.array([k is MpfKind.CABINET_TWO_POINT_FACE for k in kinds])[kind]
     side = np.zeros(iterations, dtype=np.int64)
     side[two] = _away_sides(projected[idx[two, 0]], projected[idx[two, 1]], plane)
-    return kind, idx, np.where(two & (side == 0), 1 - 2 * coin, side)
+    return kind, idx, side
 
 
 def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points, around):
@@ -372,8 +369,8 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
     rays = points[row_norms(along[:, None] * points - around) <= reach]
     shrunk = np.asarray(spec.dims) - 2.0 * delta
     for i in order:
-        box = OrientedBox3(centers[i], shrunk, math.atan2(lengths[i, 1], lengths[i, 0]))
-        if np.count_nonzero(box.ray_entry(rays) < 1.0) <= _CROSSING_RAYS:
+        crossing = _box(centers[i], lengths[i], shrunk).ray_entry(rays) < 1.0
+        if np.count_nonzero(crossing) <= _CROSSING_RAYS:
             return i
     return order[0]
 
@@ -437,16 +434,16 @@ def refine_label(
     spec: ObjectSpec,
     cfg: RefineConfig,
     seed: int = 0,
-    plane: GroundPlane | None = None,
+    *,
+    plane: GroundPlane,
 ) -> OrientedBox3:
     """Best-of-n proposal search around an unrefined label.
 
-    ``plane`` is the ground plane of the cloud; without it,
-    ``fit_ground_plane(pcd, cfg, seed)`` fits it. Either way it comes from
-    the full cloud (the floor is the dominant horizontal surface of a scan;
-    fitting only the label's neighborhood can latch onto a horizontal
-    object face such as a table top), so all objects of one scan can
-    share one fit. The neighborhood is then cropped and ground-stripped,
+    ``plane`` is the ground plane of the full cloud, as
+    ``fit_ground_plane`` fits it (the floor is the dominant horizontal
+    surface of a scan; fitting only the label's neighborhood can latch
+    onto a horizontal object face such as a table top), so all objects of
+    one scan share one fit. The neighborhood is cropped and ground-stripped,
     and each of the ``cfg.iterations`` rounds draws a kind uniformly from
     ``kinds_for_class(spec.class_name)`` and samples the points it needs
     without replacement, from the stream of ``seed`` (see ``_draw``). The
@@ -459,8 +456,6 @@ def refine_label(
     without proposal functions raises ConfigError before any work.
     """
     kinds = kinds_for_class(spec.class_name)
-    if plane is None:
-        plane = fit_ground_plane(pcd, cfg, seed)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
     cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
     needed = max(k.sample_size for k in kinds)
@@ -491,4 +486,4 @@ def refine_label(
         best = _first_clear(
             order, centers, lengths, spec, cfg.shell_delta, pcd.points, unrefined.center
         )
-    return _box(centers[best], lengths[best], spec)
+    return _box(centers[best], lengths[best], spec.dims)

@@ -35,8 +35,8 @@ from .geom import BeaconPair, RigidTransform, compose, frame_from_beacons, inver
 from .labelgen import (
     ObjectSpec,
     OrientedBox3,
-    box_from_vertices,
     box_to_camera,
+    box_to_lidar,
     label_entry,
     labels_to_dict,
 )
@@ -297,10 +297,6 @@ def true_transforms(scene: SceneConfig, pose) -> dict:
     }
 
 
-def _box_to_frame(box: OrientedBox3, t: RigidTransform) -> OrientedBox3:
-    return box_from_vertices(t.apply(box.vertices()), frame=t.dst)
-
-
 # ---------------------------------------------------------------------------
 # LiDAR ray casting
 
@@ -327,7 +323,7 @@ def raycast_lidar(scene: SceneConfig, pose) -> PointCloud:
     """
     chain = true_transforms(scene, pose)["lidar_from_ips"]
     solids = [
-        _box_to_frame(solid, chain)
+        box_to_lidar(solid.vertices(), chain)
         for placement in scene.objects
         for solid in _solid_boxes_ips(placement)
     ]
@@ -406,7 +402,7 @@ def make_sample(scene: SceneConfig, seed: int, index: int) -> GroundTruthSample:
         entry = label_entry(
             placement.object_id,
             placement.spec.class_name,
-            _box_to_frame(box_ips, chain["lidar_from_ips"]),
+            box_to_lidar(box_ips.vertices(), chain["lidar_from_ips"]),
             box_to_camera(box_ips, scene.cam_from_robot, chain["robot_from_ips"]),
             scene.intrinsics,
         )
@@ -432,7 +428,6 @@ class CalibrationSet:
     correspondences: tuple
     robot_readings: tuple  # BeaconReading
     robot_pose: tuple
-    cam_from_robot: RigidTransform  # truth
     t_robot_from_ips: RigidTransform  # clean
 
 
@@ -481,7 +476,6 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
         correspondences=tuple(corrs),
         robot_readings=robot_reads,
         robot_pose=pose,
-        cam_from_robot=scene.cam_from_robot,
         t_robot_from_ips=chain["robot_from_ips"],
     )
 

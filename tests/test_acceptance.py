@@ -31,13 +31,14 @@ from ipslabel.geom import (
     inverse,
 )
 from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
-from ipslabel.refine import RefineConfig, fitness, refine_label, shell_scores
+from ipslabel.refine import RefineConfig, fitness, shell_scores
 from ipslabel.rng import substream
 from ipslabel.sim import default_scene, make_calibration_set
 
 from .conftest import run_cli, tree_digest
 from .oracles import fitness_oracle, mc_iou3d_oracle
 from .test_calib import INTR, make_pose_pair, rotation_angle, synth_corrs
+from .test_refine import refine_fitted
 
 
 def read(path):
@@ -155,7 +156,7 @@ def test_refinement_recovers_perturbed_labels(noisy20):
                 normalize_yaw(box.yaw + dyaw), frame=box.frame,
             )
             cfg = RefineConfig(iterations=5000)
-            refined = refine_label(pcd, perturbed, specs[cls], cfg, seed=7)
+            refined = refine_fitted(pcd, perturbed, specs[cls], cfg, seed=7)
             before.append(iou_3d(perturbed, truth[cls]))
             after.append(iou_3d(refined, truth[cls]))
     elapsed = time.monotonic() - t0

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from ipslabel.errors import ClassMismatch, FrameMismatch, MissingSample
+from ipslabel.cloud import PointCloud
+from ipslabel.errors import ClassMismatch, ConfigError, FrameMismatch, MissingSample
 from ipslabel.eval import (
     EvalReport,
     compare_labels,
@@ -266,6 +267,17 @@ class TestDownsampleStudy:
             downsample_study(cloud, truth, spec, (1.5,), trials=1, cfg=cfg)
         with pytest.raises(ValueError):
             downsample_study(cloud, truth, spec, (0.5,), trials=0, cfg=cfg)
+
+    def test_a_class_without_proposals_ends_the_study_before_any_plane_fit(self):
+        # a lone wall has no ground plane, so every trial's plane fit would fail
+        rng = np.random.default_rng(0)
+        wall = np.column_stack([np.full(500, 2.0), rng.uniform(-1, 1, 500), rng.uniform(0, 2, 500)])
+        box = OrientedBox3((2.0, 0.0, 0.5), (1, 1, 1), 0.0)
+        with pytest.raises(ConfigError, match="sofa"):
+            downsample_study(
+                PointCloud(wall, frame="lidar"), box, ObjectSpec("sofa", 1, 1, 1), (1.0,), 1,
+                RefineConfig(iterations=10),
+            )
 
     def test_errors_recorded_per_trial(self):
         # a label far from every point cannot be refined; the study keeps

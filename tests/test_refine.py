@@ -24,6 +24,7 @@ from ipslabel.refine import (
     _away_sides,
     _draw,
     _first_clear,
+    _proposals,
     crop_and_strip,
     fit_ground_plane,
     fitness,
@@ -34,7 +35,7 @@ from ipslabel.refine import (
     refine_label,
     shell_scores,
 )
-from ipslabel.rng import NS_REFINE_DRAWS, substream
+from ipslabel.rng import NS_REFINE_DRAWS, distinct_rows, substream
 
 from .oracles import crop_filter_oracle, fitness_oracle, yaw_rotation
 
@@ -50,6 +51,11 @@ def cabinet_sample():
 
     scene = replace(default_scene(), beacon_noise=0.0, pixel_noise_sigma=0.0)
     return make_sample(scene, seed=5, index=0)
+
+
+def refine_fitted(pcd, unrefined, spec, cfg, seed=0):
+    """``refine_label`` on the cloud's ground plane, fitted with the same seed."""
+    return refine_label(pcd, unrefined, spec, cfg, seed, plane=fit_ground_plane(pcd, cfg, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +484,7 @@ class TestRefineLabel:
         unrefined = OrientedBox3(truth.center + (0.1, -0.08, 0.0), truth.dims, truth.yaw + 0.1)
         spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
         cfg = RefineConfig(iterations=800)
-        refined = refine_label(cloud, unrefined, spec, cfg, seed=3)
+        refined = refine_fitted(cloud, unrefined, spec, cfg, seed=3)
         assert iou_3d(refined, truth) > iou_3d(unrefined, truth)
         assert iou_3d(refined, truth) > 0.8
 
@@ -488,9 +494,9 @@ class TestRefineLabel:
         cloud = shell_scene(rng, truth)
         spec = ObjectSpec("cabinet", 1.0, 0.6, 1.0)
         cfg = RefineConfig(iterations=1)
-        got = refine_label(cloud, truth, spec, cfg, seed=23)
-
         plane = fit_ground_plane(cloud, cfg, seed=23)
+        got = refine_label(cloud, truth, spec, cfg, seed=23, plane=plane)
+
         cropped = crop_and_strip(cloud, truth, plane, cfg)
         stream = substream(23, NS_REFINE_DRAWS)
         kinds = kinds_for_class(spec.class_name)
@@ -502,27 +508,14 @@ class TestRefineLabel:
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
 
-    def test_a_given_plane_gives_the_box_of_the_own_fit(self):
-        rng = np.random.default_rng(12)
-        truth = OrientedBox3((2.0, 0.0, 0.5), (1.0, 0.6, 1.0), 0.2)
-        cloud = shell_scene(rng, truth)
-        spec = ObjectSpec("cabinet", 1.0, 0.6, 1.0)
-        cfg = RefineConfig(iterations=300)
-        own = refine_label(cloud, truth, spec, cfg, seed=5)
-        given = refine_label(
-            cloud, truth, spec, cfg, seed=5, plane=fit_ground_plane(cloud, cfg, seed=5)
-        )
-        np.testing.assert_array_equal(given.center, own.center)
-        assert given.yaw == own.yaw
-
     def test_same_seed_same_box(self):
         rng = np.random.default_rng(12)
         truth = OrientedBox3((2.0, 0.0, 0.5), (1.0, 0.6, 1.0), 0.2)
         cloud = shell_scene(rng, truth)
         spec = ObjectSpec("cabinet", 1.0, 0.6, 1.0)
         cfg = RefineConfig(iterations=200)
-        a = refine_label(cloud, truth, spec, cfg, seed=8)
-        b = refine_label(cloud, truth, spec, cfg, seed=8)
+        a = refine_fitted(cloud, truth, spec, cfg, seed=8)
+        b = refine_fitted(cloud, truth, spec, cfg, seed=8)
         np.testing.assert_array_equal(a.center, b.center)
         assert a.yaw == b.yaw
 
@@ -532,7 +525,7 @@ class TestRefineLabel:
         cloud = shell_scene(rng, truth)
         lost = OrientedBox3((20.0, 20.0, 0.5), truth.dims, 0.0)
         with pytest.raises(EmptyNeighborhood):
-            refine_label(cloud, lost, ObjectSpec("cabinet", 1, 0.6, 1), RefineConfig())
+            refine_fitted(cloud, lost, ObjectSpec("cabinet", 1, 0.6, 1), RefineConfig())
 
     def test_simulated_cabinet_recovers_truth(self):
         from ipslabel.eval import iou_3d
@@ -543,7 +536,7 @@ class TestRefineLabel:
         nudged = OrientedBox3(truth.center + (0.08, -0.06, 0), truth.dims, truth.yaw - 0.07)
         dims = entry["dims_spec"]
         spec = ObjectSpec("cabinet", dims[0], dims[1], dims[2])
-        refined = refine_label(sample.cloud, nudged, spec, RefineConfig(iterations=1500), seed=2)
+        refined = refine_fitted(sample.cloud, nudged, spec, RefineConfig(iterations=1500), seed=2)
         assert iou_3d(refined, truth) > iou_3d(nudged, truth)
         assert iou_3d(refined, truth) > 0.75
 
@@ -554,16 +547,10 @@ class TestRefineLabel:
 
 def reference_side(p1, p2, plane):
     """The viewpoint rule for a two-point face: the side away from the sensor
-    at the origin, or 0 when the points coincide or their face passes
-    through the sensor."""
+    at the origin; -1 when the points coincide, whose face is degenerate."""
     q1, q2 = plane.project(np.stack([p1, p2]))
-    gap = np.linalg.norm(q1 - q2)
-    if gap < 1e-6:
-        return 0
-    inward = np.cross(plane.normal, (q1 - q2) / gap)
+    inward = np.cross(plane.normal, q1 - q2)
     depth = float(np.dot(inward, 0.5 * (q1 + q2) - plane.project(np.zeros((1, 3)))[0]))
-    if abs(depth) < 1e-9:
-        return 0
     return 1 if depth > 0 else -1
 
 
@@ -579,37 +566,38 @@ def reference_sample(values):
     return picks
 
 
-def reference_refine(pcd, unrefined, spec, cfg, seed):
-    """Scalar best-of-n search; returns the box and the number of side coin flips.
+def reference_draws(kinds, n, iterations, seed):
+    """Each iteration's kind and sample indices into n points, from the draws
+    ``_draw`` makes: the kinds, then one column of sample values per point,
+    each as one array."""
+    rng = substream(seed, NS_REFINE_DRAWS)
+    drawn_kinds = rng.integers(len(kinds), size=iterations)
+    columns = [
+        rng.integers(n - c, size=iterations) for c in range(max(k.sample_size for k in kinds))
+    ]
+    for i in range(iterations):
+        kind = kinds[drawn_kinds[i]]
+        yield kind, reference_sample([int(column[i]) for column in columns])[: kind.sample_size]
 
-    It takes the draws ``_draw`` makes (the kinds, then one column of sample
-    values per point, then the coins, each as one array) and builds and
-    scores one proposal per iteration. For a cabinet it then tests the
-    proposals from the best score down to half of it, earliest first, on
-    every ray of the cloud."""
+
+def reference_refine(pcd, unrefined, spec, cfg, seed):
+    """Scalar best-of-n search.
+
+    It takes the draws of ``reference_draws`` and builds and scores one
+    proposal per iteration. For a cabinet it then tests the proposals from
+    the best score down to half of it, earliest first, on every ray of the
+    cloud."""
     kinds = kinds_for_class(spec.class_name)
     plane = fit_ground_plane(pcd, cfg, seed)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
     cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
     pts = cropped.points
-    rng = substream(seed, NS_REFINE_DRAWS)
-    drawn_kinds = rng.integers(len(kinds), size=cfg.iterations)
-    columns = [
-        rng.integers(len(pts) - c, size=cfg.iterations)
-        for c in range(max(k.sample_size for k in kinds))
-    ]
-    coins = rng.integers(2, size=cfg.iterations)
-    scored, flips = [], 0
-    for i in range(cfg.iterations):
-        kind = kinds[drawn_kinds[i]]
-        picks = reference_sample([int(column[i]) for column in columns])
-        sample = pts[picks[: kind.sample_size]]
+    scored = []
+    for i, (kind, picks) in enumerate(reference_draws(kinds, len(pts), cfg.iterations, seed)):
+        sample = pts[picks]
         side = 0
         if kind is MpfKind.CABINET_TWO_POINT_FACE:
             side = reference_side(sample[0], sample[1], plane)
-            if side == 0:
-                flips += 1
-                side = 1 if coins[i] == 0 else -1
         try:
             box = propose(kind, sample, plane, spec, side)
         except DegenerateSample:
@@ -620,7 +608,7 @@ def reference_refine(pcd, unrefined, spec, cfg, seed):
     ranked = sorted(scored, key=lambda t: t[:2])
     best = ranked[0][2]
     if MpfKind.TABLE_STEM in kinds:
-        return best, flips
+        return best
     # the best box with at least half the best score that at most two rays
     # from the sensor to the cloud's points cross once shrunk by
     # shell_delta, or the best box
@@ -629,8 +617,8 @@ def reference_refine(pcd, unrefined, spec, cfg, seed):
             break
         shrunk = OrientedBox3(box.center, box.dims - 2 * cfg.shell_delta, box.yaw)
         if (shrunk.ray_entry(pcd.points) < 1).sum() <= 2:
-            return box, flips
-    return best, flips
+            return box
+    return best
 
 
 class TestBatchedRefineMatchesScalarLoop:
@@ -643,31 +631,39 @@ class TestBatchedRefineMatchesScalarLoop:
         nudged = OrientedBox3(truth.center + (0.06, -0.05, 0), truth.dims, truth.yaw + 0.05)
         spec = ObjectSpec(cls, *entry["dims_spec"])
         cfg = RefineConfig(iterations=400)
-        expected, _ = reference_refine(sample.cloud, nudged, spec, cfg, seed)
-        got = refine_label(sample.cloud, nudged, spec, cfg, seed)
+        expected = reference_refine(sample.cloud, nudged, spec, cfg, seed)
+        got = refine_fitted(sample.cloud, nudged, spec, cfg, seed)
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
 
-    def test_ambiguous_sides_flip_the_same_coins(self):
+    def test_coincident_two_point_faces(self):
         # a noise-free scan puts the points of one LiDAR column on a vertical
         # face at the same floor position, so two-point faces drawn from one
-        # column have no side and a coin is flipped
+        # column have coincident projections
         sample = cabinet_sample()
         entry = next(e for e in sample.truth_objects if e["class"] == "cabinet")
         truth = OrientedBox3.from_dict(entry["box3d_lidar"])
         spec = ObjectSpec("cabinet", *entry["dims_spec"])
         cfg = RefineConfig(iterations=1500)
-        expected, flips = reference_refine(sample.cloud, truth, spec, cfg, 4)
-        assert flips >= 2
-        got = refine_label(sample.cloud, truth, spec, cfg, 4)
+        plane = fit_ground_plane(sample.cloud, cfg, 4)
+        projected = plane.project(crop_and_strip(sample.cloud, truth, plane, cfg).points)
+        kinds = kinds_for_class("cabinet")
+        coincident = sum(
+            kind is MpfKind.CABINET_TWO_POINT_FACE
+            and np.linalg.norm(projected[picks[0]] - projected[picks[1]]) < 1e-6
+            for kind, picks in reference_draws(kinds, len(projected), cfg.iterations, 4)
+        )
+        assert coincident >= 2
+        expected = reference_refine(sample.cloud, truth, spec, cfg, 4)
+        got = refine_label(sample.cloud, truth, spec, cfg, 4, plane=plane)
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
 
     def test_a_box_in_front_of_the_scanned_face(self):
         cloud, _, unrefined, spec = seed7_cabinet()
         cfg = RefineConfig(iterations=1000)
-        expected, _ = reference_refine(cloud, unrefined, spec, cfg, 0)
-        got = refine_label(cloud, unrefined, spec, cfg, 0)
+        expected = reference_refine(cloud, unrefined, spec, cfg, 0)
+        got = refine_fitted(cloud, unrefined, spec, cfg, 0)
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
 
@@ -679,8 +675,8 @@ class TestBatchedRefineMatchesScalarLoop:
         unrefined = OrientedBox3(truth.center + (0.1, -0.08, 0.0), truth.dims, truth.yaw + 0.1)
         spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
         cfg = RefineConfig(iterations=300)
-        expected, _ = reference_refine(cloud, unrefined, spec, cfg, seed)
-        got = refine_label(cloud, unrefined, spec, cfg, seed)
+        expected = reference_refine(cloud, unrefined, spec, cfg, seed)
+        got = refine_fitted(cloud, unrefined, spec, cfg, seed)
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
 
@@ -699,7 +695,7 @@ class TestBatchedRefineMatchesScalarLoop:
         with pytest.raises(AllProposalsDegenerate):
             reference_refine(cloud, unrefined, spec, cfg, 1)
         with pytest.raises(AllProposalsDegenerate):
-            refine_label(cloud, unrefined, spec, cfg, 1)
+            refine_fitted(cloud, unrefined, spec, cfg, 1)
 
     @pytest.mark.parametrize("count, points", [(200, 700), (3, 20000)])
     def test_shell_scores_match_fitness_across_chunks(self, count, points):
@@ -760,7 +756,7 @@ class TestFreeSpace:
         # at this seed the best-scoring box stands in front of the cabinet's
         # scanned faces, overlapping the truth by nothing
         cloud, truth, unrefined, spec = seed7_cabinet()
-        refined = refine_label(cloud, unrefined, spec, RefineConfig(iterations=1000))
+        refined = refine_fitted(cloud, unrefined, spec, RefineConfig(iterations=1000))
         assert iou_3d(refined, truth) > 0.8
 
 
@@ -782,17 +778,40 @@ class TestDraw:
         # each count is Binomial(200000, 1/60): mean 3333, standard deviation 57
         assert 3333 - 5 * 57 <= counts.min() and counts.max() <= 3333 + 5 * 57
 
-    def test_coins_decide_only_the_ambiguous_two_point_faces(self):
-        # coincident points leave the side of a face through them ambiguous
+    @staticmethod
+    def half_coincident():
+        """A tilted plane and 60 projected points, the first 30 of them one point."""
         points = np.random.default_rng(3).uniform(-2, 2, (60, 3))
         points[:30] = points[0]
         plane = GroundPlane((0.02, -0.01, 1.0), 0.1)
-        projected = plane.project(points)
+        return plane, plane.project(points)
+
+    def test_coincident_two_point_faces_are_degenerate_on_either_side(self):
+        # the viewpoint cannot orient a face through coincident points, and
+        # need not: its proposal is degenerate whichever side it extrudes to
+        plane, projected = self.half_coincident()
         kinds = CLASS_KINDS["cabinet"]
         kind, idx, side = _draw(kinds, projected, plane, 1500, substream(3, NS_REFINE_DRAWS))
         two = kind == kinds.index(MpfKind.CABINET_TWO_POINT_FACE)
         assert not side[~two].any()
-        away = _away_sides(projected[idx[two, 0]], projected[idx[two, 1]], plane)
-        assert (away == 0).sum() >= 2
-        np.testing.assert_array_equal(side[two][away != 0], away[away != 0])
-        assert set(side[two][away == 0].tolist()) == {-1, 1}
+        np.testing.assert_array_equal(
+            side[two], _away_sides(projected[idx[two, 0]], projected[idx[two, 1]], plane)
+        )
+        rows = np.flatnonzero(two & (idx[:, 0] < 30) & (idx[:, 1] < 30))
+        assert rows.size >= 2
+        spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
+        for sign in (1, -1):
+            _, _, degenerate = _proposals(
+                kinds, kind[rows], projected[idx[rows]], np.full(rows.size, sign), plane, spec
+            )
+            assert degenerate.all()
+
+    def test_reads_only_the_kind_and_sample_arrays(self):
+        plane, projected = self.half_coincident()
+        kinds = CLASS_KINDS["cabinet"]
+        stream = substream(3, NS_REFINE_DRAWS)
+        _draw(kinds, projected, plane, 1500, stream)
+        fresh = substream(3, NS_REFINE_DRAWS)
+        fresh.integers(len(kinds), size=1500)
+        distinct_rows(fresh, len(projected), 3, 1500)
+        assert stream.bit_generator.state == fresh.bit_generator.state

@@ -46,7 +46,7 @@ def test_distinct_rows_is_columnwise_generator_integers(seed, n, s):
     want, used = reference_rows(seed, n, s, count)
     assert rows.tolist() == want
     # it reads exactly the words of its column draws, so later draws of the
-    # same stream (refine's coins) do not shift
+    # same stream (the ground-plane fit's scoring subset) do not shift
     assert gen.bit_generator.state == used.bit_generator.state
 
 
