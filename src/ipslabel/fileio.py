@@ -107,16 +107,18 @@ def from_dict(typ, value, path: str):
 
 
 def ordered_map(fn, items, jobs: int) -> list:
-    """``[fn(x) for x in items]``, on ``jobs`` worker processes when jobs > 1.
+    """``[fn(x) for x in items]``, on min(jobs, len(items)) worker processes
+    when that is more than one.
 
     Results come back in input order, so a caller that writes them in turn
     writes the same files for every ``jobs``.
     """
-    if jobs == 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only a pool pays it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

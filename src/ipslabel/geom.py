@@ -155,11 +155,6 @@ class BeaconPair:
         object.__setattr__(self, "front", _freeze(_as_vec3(self.front)))
         object.__setattr__(self, "rear", _freeze(_as_vec3(self.rear)))
 
-    def planar_separation(self) -> float:
-        """Distance between the beacons in the xy-plane."""
-        d = self.front[:2] - self.rear[:2]
-        return float(np.hypot(d[0], d[1]))
-
 
 def frame_from_beacons(
     pair: BeaconPair,

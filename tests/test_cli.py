@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline: simulate, calibrate, generate, refine, evaluate."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from ipslabel import cli
 from ipslabel.cli import _extrinsic_from_report, main
 from ipslabel.cloud import PointCloud, read_ply, write_ply
 from ipslabel.eval import compare_labels
-from ipslabel.fileio import from_dict
+from ipslabel.fileio import from_dict, ordered_map
 from ipslabel.geom import BeaconPair, inverse
 from ipslabel.labelgen import OrientedBox3, project_box
 from ipslabel.sim import BeaconReading, SceneConfig, beacons_csv, parse_beacons_csv
@@ -871,3 +872,35 @@ class TestMalformedInputs:
         monkeypatch.setattr(cli, "generate_dataset", broken)
         with pytest.raises(type(error), match="a bug"):
             main(["simulate", "--out", str(tmp_path / "ds"), "--samples", "1"])
+
+
+# ---------------------------------------------------------------------------
+# process pool
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every process pool started, by an in-process stand-in."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+@pytest.mark.parametrize("count, jobs, started", [(3, 64, [3]), (1, 8, []), (0, 8, [])])
+def test_ordered_map_starts_no_more_workers_than_items(pools, count, jobs, started):
+    assert ordered_map(math.sqrt, [float(i * i) for i in range(count)], jobs) == list(range(count))
+    assert pools == started

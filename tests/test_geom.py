@@ -53,7 +53,7 @@ class TestFrameFromBeacons:
         rng = np.random.default_rng(3)
         for _ in range(100):
             pair = BeaconPair(rng.uniform(-5, 5, 3), rng.uniform(-5, 5, 3))
-            if pair.planar_separation() < 1e-2:
+            if np.hypot(*(pair.front[:2] - pair.rear[:2])) < 1e-2:
                 continue
             t = frame_from_beacons(pair)
             x_axis, y_axis, z_axis = t.rotation.T

@@ -697,21 +697,19 @@ class TestBatchedRefineMatchesScalarLoop:
         with pytest.raises(AllProposalsDegenerate):
             refine_fitted(cloud, unrefined, spec, cfg, 1)
 
-    @pytest.mark.parametrize("count, points", [(200, 700), (3, 20000)])
-    def test_shell_scores_match_fitness_across_chunks(self, count, points):
+    @pytest.mark.parametrize("count, points", [(200, 700), (3, 20000), (0, 700), (5, 0)])
+    def test_shell_scores_match_the_oracle_across_chunks(self, count, points):
         # 200 boxes x 700 points make nine chunks of at most 2**14 tests, the
         # last one partial; a cloud of more than 2**14 points makes one chunk
-        # per box
+        # per box; no boxes give no scores and no points give zeros
         rng = np.random.default_rng(13)
-        boxes = [
-            OrientedBox3(rng.uniform(-1, 1, 3), (1.1, 0.6, 1.4), rng.uniform(-math.pi, math.pi))
-            for _ in range(count)
-        ]
+        centers = rng.uniform(-1, 1, (count, 3))
+        yaws = rng.uniform(-math.pi, math.pi, count)
         pts = rng.uniform(-2, 2, (points, 3))
-        scores = shell_scores(
-            [b.center for b in boxes], [b.yaw for b in boxes], (1.1, 0.6, 1.4), pts, 0.05
-        )
-        assert scores.tolist() == [fitness(b, pts, 0.05) for b in boxes]
+        scores = shell_scores(centers, yaws, (1.1, 0.6, 1.4), pts, 0.05)
+        assert scores.tolist() == [
+            fitness_oracle(c, (1.1, 0.6, 1.4), y, pts, 0.05) for c, y in zip(centers, yaws)
+        ]
 
 
 # ---------------------------------------------------------------------------
