@@ -2,14 +2,17 @@
 
 Estimates the camera-from-robot transform with a direct linear transform
 (DLT) initialization followed by damped Gauss-Newton reprojection
-minimization, wrapped in a RANSAC loop. The planar constraint snaps
-measured beacon heights to their per-plane group mean before solving,
-exploiting the fact that calibration beacons sit on two parallel planes.
+minimization, wrapped in a locally optimised RANSAC loop. The planar
+constraint snaps measured beacon heights to their per-plane group mean
+before solving, exploiting the fact that calibration beacons sit on two
+parallel planes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,6 +29,10 @@ from .rng import NS_CALIB_RANSAC, distinct_rows, substream
 
 MIN_PNP_POINTS = 6
 MIN_DEPTH = 1e-6  # meters; camera-frame z below this counts as behind the camera
+# RANSAC: Gauss-Newton steps per hypothesis (a rough pose is enough to score
+# it), and how many of the best hypotheses are refit on their inliers.
+HYPOTHESIS_STEPS = 2
+LOCAL_OPTIMISED = 8
 
 
 @dataclass(frozen=True)
@@ -242,10 +249,11 @@ def _refine_poses(rot, tra, pts, pixels, intr, max_iter=100, tol=1e-10):
     increment on the rotation. Every hypothesis keeps its own damping λ and
     its own accept, damping and stop decisions: it iterates until no damped
     step lowers its RMSE, the RMSE decrease drops below ``tol`` pixels, or
-    ``max_iter`` iterations. Only the points in front of the camera count
-    (see ``_residuals``). Returns the refined poses and a mask of the
-    hypotheses whose initial pose leaves fewer than MIN_PNP_POINTS points
-    in front of the camera or a non-finite RMSE.
+    ``max_iter`` iterations: 100 for a full fit, ``HYPOTHESIS_STEPS`` for a
+    RANSAC hypothesis. Only the points in front of the camera count (see
+    ``_residuals``). Returns the refined poses and a mask of the hypotheses
+    whose initial pose leaves fewer than MIN_PNP_POINTS points in front of
+    the camera or a non-finite RMSE.
     """
     rot, tra = rot.copy(), tra.copy()
     pc, front, res, rmse, ok = _residuals(rot, tra, pts, pixels, intr)
@@ -348,6 +356,15 @@ def reprojection_rmse(corrs, intr, extrinsic, t_robot_from_ips, subset=None) -> 
     return _rmse(_pixel_errors(intr, t.rotation, t.translation, beacons, pixels))
 
 
+def _consensus(err: np.ndarray, delta_px: float):
+    """Inlier masks, counts and inlier RMSEs of the pixel errors (..., n)."""
+    masks = err < delta_px
+    counts = masks.sum(axis=-1)
+    with np.errstate(invalid="ignore"):
+        rmses = np.sqrt(np.where(masks, np.square(err), 0.0).sum(axis=-1) / counts)
+    return masks, counts, rmses
+
+
 def solve_pnp_ransac(
     corrs,
     intr: CameraIntrinsics,
@@ -356,28 +373,37 @@ def solve_pnp_ransac(
     iterations: int = 2000,
     seed: int = 0,
 ) -> CalibrationResult:
-    """RANSAC over 6-point PnP hypotheses.
+    """Locally optimised RANSAC over 6-point PnP hypotheses.
 
-    Each iteration samples 6 correspondences without replacement, solves
-    PnP on them, and counts points with reprojection error strictly below
-    ``delta_px``. The samples of all iterations are one ``distinct_rows``
-    array from the stream of ``seed``. Ties break toward lower inlier RMSE,
-    then the earlier iteration. The final model is a PnP refit on the
-    winning inlier set; ``rmse_px`` is reported over those inliers only.
+    Each iteration samples 6 correspondences without replacement, fits a
+    pose to them with the DLT and ``HYPOTHESIS_STEPS`` Gauss-Newton steps,
+    and counts points with reprojection error strictly below ``delta_px``.
+    The samples of all iterations are one ``distinct_rows`` array from the
+    stream of ``seed``. Hypotheses rank by inlier count, then lower inlier
+    RMSE, then the earlier iteration. Each of the ``LOCAL_OPTIMISED`` best
+    is refit with ``solve_pnp`` on its inliers and rescored, for as long as
+    its inlier count grows (Chum, Matas & Kittler 2003); a refit that fails
+    ends it. The best of these hypotheses and refits, by the same ranking
+    (a refit ranks as its hypothesis's iteration), gives the inlier set.
+    The final model is a PnP refit on that set; ``rmse_px`` is reported
+    over those inliers only.
     """
     corrs = list(corrs)
     n = len(corrs)
     if n < MIN_PNP_POINTS:
         raise TooFewInliers(f"need at least {MIN_PNP_POINTS} correspondences, got {n}")
-    if delta_px <= 0:
-        raise ValueError("delta_px must be positive")
+    if not 0.0 < delta_px < math.inf:
+        raise ValueError(f"delta_px must be a finite number > 0, got {delta_px}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     beacons = np.stack([c.beacon_ips for c in corrs])
     pixels = np.stack([c.pixel for c in corrs])
     pts_robot = t_robot_from_ips.apply(beacons)
 
     draws = distinct_rows(substream(seed, NS_CALIB_RANSAC), n, MIN_PNP_POINTS, iterations)
-    best_key = None
-    best_mask = None
+    # (count, -rmse, -iteration, mask) of the best hypotheses so far
+    top = []
+    rank = itemgetter(0, 1, 2)
     for part in chunks(iterations, n):
         samples = draws[part]
         rot, tra, degenerate = _dlt_poses(pts_robot[samples], pixels[samples], intr)
@@ -385,26 +411,36 @@ def solve_pnp_ransac(
         if live.size == 0:
             continue
         rot, tra, failed = _refine_poses(
-            rot[live], tra[live], pts_robot[samples[live]], pixels[samples[live]], intr
+            rot[live], tra[live], pts_robot[samples[live]], pixels[samples[live]], intr,
+            max_iter=HYPOTHESIS_STEPS,
         )
         err = _pixel_errors(intr, rot[~failed], tra[~failed], pts_robot, pixels)
-        masks = err < delta_px
-        counts = masks.sum(axis=1)
-        if counts.size == 0 or counts.max() == 0:
-            continue
-        with np.errstate(invalid="ignore"):
-            rmses = np.sqrt(np.where(masks, np.square(err), 0.0).sum(axis=1) / counts)
+        masks, counts, rmses = _consensus(err, delta_px)
+        iteration = part.start + live[~failed]
         # the largest count, then the lowest RMSE, then the earliest hypothesis
-        j = np.lexsort((rmses, -counts))[0]
-        key = (int(counts[j]), -float(rmses[j]))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_mask = masks[j]
-    if best_mask is None or int(best_mask.sum()) < MIN_PNP_POINTS:
-        found = 0 if best_mask is None else int(best_mask.sum())
-        raise TooFewInliers(
-            f"best hypothesis has {found} inliers, need {MIN_PNP_POINTS}"
-        )
+        best = np.lexsort((rmses, -counts))[:LOCAL_OPTIMISED]
+        top += [(int(counts[j]), -float(rmses[j]), -int(iteration[j]), masks[j]) for j in best if counts[j]]
+        top = sorted(top, key=rank, reverse=True)[:LOCAL_OPTIMISED]
+    ranked, refit = list(top), set()
+    for count, _, order, mask in top:
+        # the refits of a better hypothesis's mask, one rank lower, cannot win
+        if mask.tobytes() in refit:
+            continue
+        refit.add(mask.tobytes())
+        while True:
+            try:
+                fit = solve_pnp([corrs[j] for j in np.flatnonzero(mask)], intr, t_robot_from_ips)
+            except (DegenerateConfiguration, NoConvergence):
+                break
+            err = _pixel_errors(intr, fit.rotation, fit.translation, pts_robot, pixels)
+            mask, grown, rmse = _consensus(err, delta_px)
+            if grown <= count:
+                break
+            count = int(grown)
+            ranked.append((count, -float(rmse), order, mask))
+    count, _, _, best_mask = max(ranked, key=rank, default=(0, 0, 0, None))
+    if count < MIN_PNP_POINTS:
+        raise TooFewInliers(f"best hypothesis has {count} inliers, need {MIN_PNP_POINTS}")
     inliers = tuple(int(j) for j in np.flatnonzero(best_mask))
     final = solve_pnp([corrs[j] for j in inliers], intr, t_robot_from_ips)
     rmse = reprojection_rmse(corrs, intr, final, t_robot_from_ips, subset=inliers)
