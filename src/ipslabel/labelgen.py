@@ -49,6 +49,52 @@ def normalize_yaw(yaw: float) -> float:
     return float(y)
 
 
+def _yaw_rotations(yaws) -> np.ndarray:
+    """(B, 3, 3) rotations about +z, from math.cos / math.sin of each yaw."""
+    cos = np.array([math.cos(yaw) for yaw in yaws])
+    sin = np.array([math.sin(yaw) for yaw in yaws])
+    zero, one = np.zeros_like(cos), np.ones_like(cos)
+    return np.stack([cos, -sin, zero, sin, cos, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
+
+
+def ray_entries(centers, yaws, dims, dirs) -> np.ndarray:
+    """``OrientedBox3.ray_entry`` of the yaw boxes (centers[b], dims,
+    yaws[b]), shape (B, N): the slab-method entry distance of each ray from
+    the origin along ``dirs`` (N, 3), in units of its direction; inf for
+    misses and for rays that start inside the box.
+
+    ``yaws`` are taken as given (``OrientedBox3`` normalizes its yaw), and
+    each rotation is built from math.cos / math.sin as the box's own, so a
+    row has the bits of that box's ``ray_entry``, a B = 1 call.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    rotations = _yaw_rotations(yaws)
+    origin_local = ((-centers)[:, None] @ rotations)[:, 0]
+    d_local = rotations.transpose(0, 2, 1) @ dirs.T  # (B, 3, N): axis rows stay contiguous
+    half = np.asarray(dims, dtype=float).reshape(3) / 2.0
+    for k in range(3):
+        dk = d_local[:, k]
+        ok = origin_local[:, k, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-half[k] - ok) / dk
+            t2 = (half[k] - ok) / dk
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2, out=t1)
+        parallel = np.abs(dk) < 1e-15
+        if parallel.any():
+            # a ray parallel to the slab lies wholly in it or wholly outside it
+            within = np.where(np.abs(ok) <= half[k], np.inf, -np.inf)
+            np.copyto(lo, -within, where=parallel)
+            np.copyto(hi, within, where=parallel)
+        if k == 0:
+            near, far = lo, hi
+        else:
+            np.maximum(near, lo, out=near)
+            np.minimum(far, hi, out=far)
+    return np.where((far >= near) & (near > 1e-9), near, np.inf)
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """Measured object class and dimensions (meters)."""
@@ -89,8 +135,7 @@ class OrientedBox3:
 
     @property
     def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return _yaw_rotations([self.yaw])[0]
 
     def vertices(self) -> np.ndarray:
         """The 8 corners in the documented order, shape (8, 3)."""
@@ -105,31 +150,8 @@ class OrientedBox3:
     def ray_entry(self, dirs: np.ndarray) -> np.ndarray:
         """Slab-method entry distance of each ray from the origin along
         ``dirs`` (N, 3), in units of its direction; inf for misses and for
-        rays that start inside the box."""
-        origin_local = self.to_local(np.zeros(3))
-        d_local = dirs @ self.rotation
-        half = self.dims / 2.0
-        near = np.full(dirs.shape[0], -np.inf)
-        far = np.full(dirs.shape[0], np.inf)
-        for k in range(3):
-            dk = d_local[:, k]
-            ok = origin_local[k]
-            parallel = np.abs(dk) < 1e-15
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (-half[k] - ok) / dk
-                t2 = (half[k] - ok) / dk
-            lo = np.minimum(t1, t2)
-            hi = np.maximum(t1, t2)
-            if abs(ok) <= half[k]:
-                lo = np.where(parallel, -np.inf, lo)
-                hi = np.where(parallel, np.inf, hi)
-            else:
-                lo = np.where(parallel, np.inf, lo)
-                hi = np.where(parallel, -np.inf, hi)
-            near = np.maximum(near, lo)
-            far = np.minimum(far, hi)
-        hit = (far >= near) & (near > 1e-9)
-        return np.where(hit, near, np.inf)
+        rays that start inside the box (``ray_entries`` of this one box)."""
+        return ray_entries(self.center[None], [self.yaw], self.dims, dirs)[0]
 
     @property
     def volume(self) -> float:

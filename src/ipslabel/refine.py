@@ -29,7 +29,7 @@ from .errors import (
     TooFewPoints,
 )
 from .geom import chunks, row_norms
-from .labelgen import ObjectSpec, OrientedBox3
+from .labelgen import ObjectSpec, OrientedBox3, normalize_yaw, ray_entries
 from .rng import NS_GROUND_PLANE, NS_REFINE_DRAWS, distinct_rows, substream
 
 _MIN_SEPARATION = 1e-6  # meters between projected sample points
@@ -40,9 +40,12 @@ _PLANE_SUBSET = 1024
 # shell_delta, before they reach their points; a few stray points must not
 # veto the right box.
 _CROSSING_RAYS = 2
-# Most box x point tests that shell_scores makes at a time; 2**12 and 2**16
+# Most box x point tests that shell_scores makes at a time; 2**14 and 2**16
 # both measured slower.
-_SHELL_TESTS = 1 << 14
+_SHELL_TESTS = 1 << 15
+# Strides of the free-space check's prefilter passes over the rays, sparse
+# first; (16,) and (16, 4) measured slower.
+_RAY_STRIDES = (32, 8)
 
 
 @dataclass(frozen=True)
@@ -273,15 +276,17 @@ def shell_scores(centers, yaws, dims, points, delta: float) -> np.ndarray:
 
     A box's frame coordinates are affine in a point's (x, y, z, 1), so one
     product of the boxes' (3, 4) frame rows with the homogeneous point
-    columns gives them all; it makes at most _SHELL_TESTS box x point tests
-    at a time (one box at a time on a larger cloud).
+    columns gives them all. Each chunk of at most _SHELL_TESTS box x point
+    tests (one box on a larger cloud) takes the product one axis at a time:
+    an axis ANDs its "within half + delta" mask into the inside mask and
+    adds its "beyond half - delta" mask, as uint8, into the face count.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     cx, cy, cz = np.asarray(centers, dtype=float).reshape(-1, 3).T
     yaws = np.asarray(yaws, dtype=float).reshape(-1)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    half = np.asarray(dims, dtype=float).reshape(3, 1, 1) / 2.0
+    half = np.asarray(dims, dtype=float).reshape(3) / 2.0
     cos, sin = np.cos(yaws), np.sin(yaws)
     zero, one = np.zeros_like(cos), np.ones_like(cos)
     frames = np.array(
@@ -294,10 +299,17 @@ def shell_scores(centers, yaws, dims, points, delta: float) -> np.ndarray:
     homogeneous = np.vstack([points.T, np.ones(len(points))])
     scores = np.zeros(len(cx), dtype=np.int64)
     for part in chunks(len(cx), len(points), _SHELL_TESTS):
-        local = np.abs(frames[:, part] @ homogeneous)
-        inside = (local <= half + delta).all(0)
-        faces = (local >= half - delta).sum(0)
-        scores[part] = (faces * inside).sum(1)
+        for k in range(3):
+            local = frames[k, part] @ homogeneous
+            np.abs(local, out=local)
+            if k == 0:
+                inside = local <= half[k] + delta
+                faces = (local >= half[k] - delta).view(np.uint8)
+            else:
+                inside &= local <= half[k] + delta
+                faces += (local >= half[k] - delta).view(np.uint8)
+        faces *= inside
+        scores[part] = faces.sum(1)
     return scores
 
 
@@ -342,16 +354,40 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
     that face (free space, as in Hu et al., "What You See Is What You Get",
     CVPR 2020). Rays that pass farther from ``around`` than any box of
     ``order`` reaches cannot cross one, so they are not tested.
+
+    ``order[0]``, which is usually clear, gets the full test first. The rest
+    are prefiltered in chunks against every _RAY_STRIDES[0]-th ray, the
+    survivors of a chunk against every _RAY_STRIDES[1]-th ray, and so on;
+    only the last survivors get the full test, in order. The rays of a
+    stride are a subset of all the rays, so a box that more than
+    _CROSSING_RAYS of them cross is crossed, and the first clear box is the
+    one a walk of full tests finds.
     """
     reach = row_norms(centers[order] - around).max() + np.linalg.norm(spec.dims) / 2.0
     along = np.clip(points @ around / np.maximum((points * points).sum(axis=1), 1e-12), 0.0, 1.0)
     rays = points[row_norms(along[:, None] * points - around) <= reach]
     shrunk = np.asarray(spec.dims) - 2.0 * delta
-    for i in order:
-        crossing = _box(centers[i], lengths[i], shrunk).ray_entry(rays) < 1.0
-        if np.count_nonzero(crossing) <= _CROSSING_RAYS:
-            return i
-    return order[0]
+
+    def clear(rows, dirs):
+        # the yaw of _box's OrientedBox3, so each row has its ray_entry bits
+        yaws = [normalize_yaw(math.atan2(y, x)) for x, y in lengths[rows, :2].tolist()]
+        crossing = ray_entries(centers[rows], yaws, shrunk, dirs) < 1.0
+        return np.count_nonzero(crossing, axis=1) <= _CROSSING_RAYS
+
+    def first(rows, strides):
+        if not strides:
+            return next((i for i in rows if clear([i], rays)[0]), None)
+        sparse = rays[:: strides[0]]
+        for part in chunks(len(rows), len(sparse), _SHELL_TESTS):
+            found = first(rows[part][clear(rows[part], sparse)], strides[1:])
+            if found is not None:
+                return found
+        return None
+
+    if clear(order[:1], rays)[0]:
+        return order[0]
+    found = first(order[1:], _RAY_STRIDES)
+    return order[0] if found is None else found
 
 
 def _proposals(kinds, kind, q, side, plane: GroundPlane, spec: ObjectSpec):

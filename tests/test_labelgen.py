@@ -20,6 +20,7 @@ from ipslabel.labelgen import (
     normalize_yaw,
     object_box_ips,
     project_box,
+    ray_entries,
 )
 
 from .oracles import project_oracle, ray_box_hit_oracle, yaw_rotation
@@ -121,6 +122,68 @@ class TestOrientedBox3:
         np.testing.assert_array_equal(back.center, box.center)
         np.testing.assert_array_equal(back.dims, box.dims)
         assert back.yaw == box.yaw and back.frame == "ips"
+
+
+class TestRayEntries:
+    """Each row of ray_entries is its box's ray_entry, bit for bit, and
+    the slab oracle's entry distance."""
+
+    DIMS = np.array([0.9, 0.5, 1.3])
+
+    @staticmethod
+    def oracle_entry(box, d):
+        # ray_entry gives inf for a ray that starts inside the box; the
+        # oracle gives its exit distance
+        if np.all(np.abs(box.to_local(np.zeros(3))) < box.dims / 2.0):
+            return math.inf
+        hit = ray_box_hit_oracle(np.zeros(3), d, box.center, box.dims, box.yaw)
+        return math.inf if hit is None else hit
+
+    def check(self, centers, yaws, dirs):
+        got = ray_entries(centers, yaws, self.DIMS, dirs)
+        assert got.shape == (len(centers), len(dirs))
+        for row, center, yaw in zip(got, centers, yaws):
+            box = OrientedBox3(center, self.DIMS, yaw)
+            assert np.array_equal(row, box.ray_entry(dirs))
+            for d, t in zip(dirs, row):
+                expected = self.oracle_entry(box, d)
+                assert t == (math.inf if expected == math.inf else pytest.approx(expected, abs=1e-12))
+        return got
+
+    def test_boxes_around_the_sensor_hit_and_miss(self):
+        rng = np.random.default_rng(2)
+        centers = rng.uniform(1, 4, (12, 3)) * rng.choice([-1, 1], (12, 3))
+        yaws = rng.uniform(-math.pi, math.pi, 12)
+        dirs = rng.uniform(-5, 5, (200, 3))
+        got = self.check(centers, yaws, dirs)
+        assert np.isfinite(got).any() and np.isinf(got).any()
+
+    def test_rays_parallel_to_a_slab(self):
+        # horizontal rays are parallel to every yaw box's z slab, and rays
+        # with no x component to the x slab of a box at yaw 0; the sensor is
+        # inside the z slab of the first two boxes and outside that of the
+        # last one, which no horizontal ray can reach
+        angles = np.linspace(-0.4, 0.4, 41)
+        dirs = np.column_stack([3 * np.cos(angles), 3 * np.sin(angles), np.zeros(41)])
+        dirs = np.vstack([dirs, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.1], [0.0, -1.0, 0.0]]])
+        centers = np.array([[3.0, 0.2, 0.3], [0.2, 2.0, -0.4], [3.0, 0.0, 2.0]])
+        yaws = [0.35, 0.0, -0.2]
+        got = self.check(centers, yaws, dirs)
+        assert np.isfinite(got[0, :41]).any() and np.isinf(got[0, :41]).any()
+        assert np.isfinite(got[1, 41:43]).all() and got[1, 43] == math.inf
+        assert np.isinf(got[2]).all()
+
+    def test_rays_that_start_inside_the_box(self):
+        rng = np.random.default_rng(3)
+        centers = np.array([[0.1, -0.1, 0.2], [0.0, 0.0, 0.0]])
+        got = self.check(centers, [0.7, -2.9], rng.uniform(-3, 3, (50, 3)))
+        assert np.isinf(got).all()
+
+    def test_no_boxes_and_no_rays(self):
+        dirs = np.ones((4, 3))
+        assert ray_entries(np.zeros((0, 3)), [], self.DIMS, dirs).shape == (0, 4)
+        assert ray_entries([[2.0, 0.0, 0.0]], [0.3], self.DIMS, np.zeros((0, 3))).shape == (1, 0)
+        assert OrientedBox3((2, 0, 0), self.DIMS, 0.3).ray_entry(np.zeros((0, 3))).shape == (0,)
 
 
 class TestBoxFromVertices:

@@ -17,6 +17,9 @@ from ipslabel.errors import (
 )
 from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
 from ipslabel.refine import (
+    _CROSSING_RAYS,
+    _RAY_STRIDES,
+    _SHELL_TESTS,
     CLASS_KINDS,
     GroundPlane,
     MpfKind,
@@ -699,9 +702,10 @@ class TestBatchedRefineMatchesScalarLoop:
 
     @pytest.mark.parametrize("count, points", [(200, 700), (3, 20000), (0, 700), (5, 0)])
     def test_shell_scores_match_the_oracle_across_chunks(self, count, points):
-        # 200 boxes x 700 points make nine chunks of at most 2**14 tests, the
-        # last one partial; a cloud of more than 2**14 points makes one chunk
-        # per box; no boxes give no scores and no points give zeros
+        # 200 boxes x 700 points make five chunks of at most 2**15 tests
+        # (_SHELL_TESTS), the last one partial; a cloud of more than 2**14
+        # points makes one chunk per box; no boxes give no scores and no
+        # points give zeros
         rng = np.random.default_rng(13)
         centers = rng.uniform(-1, 1, (count, 3))
         yaws = rng.uniform(-math.pi, math.pi, count)
@@ -756,6 +760,88 @@ class TestFreeSpace:
         cloud, truth, unrefined, spec = seed7_cabinet()
         refined = refine_fitted(cloud, unrefined, spec, RefineConfig(iterations=1000))
         assert iou_3d(refined, truth) > 0.8
+
+
+def walk_first_clear(order, centers, lengths, spec, delta, points):
+    """The free-space check without a prefilter: the full-ray test of each
+    box of ``order`` in turn, on every point's ray; ``order[0]`` when every
+    box is crossed."""
+    shrunk = np.asarray(spec.dims) - 2 * delta
+    for i in order:
+        box = OrientedBox3(centers[i], shrunk, math.atan2(lengths[i][1], lengths[i][0]))
+        if np.count_nonzero(box.ray_entry(points) < 1) <= _CROSSING_RAYS:
+            return i
+    return order[0]
+
+
+class TestFirstClearMatchesTheWalk:
+    # a denser wall at x = 3 than TestFreeSpace's; box 0 stands in front of
+    # it, box 1 behind it, and box 2 off to the side, where only the rays of
+    # the points put behind it cross it; boxes 3 and on are box 0 moved by
+    # up to 2 cm and turned by up to 0.02 rad, so they are crossed too
+    SPEC = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
+    WALL = np.array(
+        [(3.0, y, z) for y in np.linspace(-1, 1, 41) for z in np.linspace(0.0, 1.3, 27)]
+    )
+    JITTERED = 4000
+
+    @classmethod
+    def boxes(cls):
+        rng = np.random.default_rng(17)
+        turn = rng.uniform(-0.02, 0.02, cls.JITTERED)
+        centers = np.vstack(
+            [
+                [[2.55, 0.0, 0.65], [3.45, 0.0, 0.65], [3.45, 3.0, 0.65]],
+                [2.55, 0.0, 0.65] + rng.uniform(-0.02, 0.02, (cls.JITTERED, 3)),
+            ]
+        )
+        lengths = np.vstack(
+            [np.tile([1.0, 0.0, 0.0], (3, 1)), np.column_stack([np.cos(turn), np.sin(turn), 0 * turn])]
+        )
+        return centers, lengths
+
+    def check(self, order, points):
+        centers, lengths = self.boxes()
+        order = np.asarray(order)
+        got = _first_clear(order, centers, lengths, self.SPEC, 0.05, points, centers[order].mean(axis=0))
+        assert got == walk_first_clear(order, centers, lengths, self.SPEC, 0.05, points)
+        return got
+
+    def points_crossing_box_2(self, rows):
+        """The wall after a block of points on the wall's centre, of which
+        ``rows`` lie behind box 2 instead, so their rays cross it."""
+        block = np.tile([3.0, 0.0, 0.65], (max(rows) + 1, 1))
+        block[rows] = [5.0, 5 * 3.0 / 3.45, 0.65] + np.linspace(-0.2, 0.2, len(rows))[:, None]
+        return np.vstack([block, self.WALL])
+
+    def test_order_0_clear(self):
+        assert self.check([1, 0, 3], self.WALL) == 1
+
+    def test_first_clear_box_beyond_the_first_prefilter_chunk(self):
+        # every JITTERED box is crossed; the first pass's chunks hold fewer
+        chunk = _SHELL_TESTS // -(-len(self.WALL) // _RAY_STRIDES[0])
+        assert self.JITTERED > 2 * chunk
+        order = [0, *range(3, 3 + self.JITTERED), 1]
+        assert self.check(order, self.WALL) == 1
+
+    def test_every_box_crossed_keeps_order_0(self):
+        assert self.check([5, 0, *range(6, 3 + self.JITTERED)], self.WALL) == 5
+
+    def test_a_box_the_sparse_rays_miss_still_gets_the_full_test(self):
+        # box 2 is crossed by one ray too many, none of them a prefilter ray
+        rows = [i for i in range(1, 1000) if all(i % s for s in _RAY_STRIDES)]
+        points = self.points_crossing_box_2(rows[: _CROSSING_RAYS + 1])
+        assert self.check([0, 2, 1], points) == 1
+
+    def test_a_box_crossed_by_as_many_prefilter_rays_as_allowed_is_clear(self):
+        # box 2 is crossed by _CROSSING_RAYS rays, each in every prefilter pass
+        step = int(np.lcm.reduce(_RAY_STRIDES))
+        points = self.points_crossing_box_2([step * i for i in range(_CROSSING_RAYS)])
+        assert self.check([0, 2, 1], points) == 2
+
+    def test_no_rays_near_the_object(self):
+        far = self.WALL * [1.0, -1.0, 1.0] + [-20.0, 0.0, 0.0]
+        assert self.check([0, 3, 1], far) == 0
 
 
 # ---------------------------------------------------------------------------

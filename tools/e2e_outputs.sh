@@ -8,16 +8,17 @@
 #   OUT  output directory (created if missing; an earlier run's files are replaced)
 #
 # For each of six configs (none; pixel_noise_sigma 1.0; the same with a
-# 32-channel 0.1-degree LiDAR at --jobs 2; the default objects plus a third
-# one that is wholly behind the camera in sample_000; pixel_noise_sigma 1.0
-# with a 2 px inlier gate, so calibration keeps only part of the 63
-# correspondences and its output depends on which RANSAC hypothesis wins;
-# the fixed 20-sample pixel_noise_sigma 1.0 workload, whose 40 refined
-# objects show last-bit changes in the proposal geometry that 3 samples miss)
-# it runs, at --seed 7:
-# simulate --samples N (3, or 20 for the last) -> calibrate --dataset ->
-# generate -> refine -> evaluate --auto refined --reference ds/truth, plus
-# one downsample study.
+# 32-channel 0.1-degree LiDAR at --jobs 2 over 10 samples, the dense_jobs2
+# benchmark workload, whose cabinets in sample_004 and sample_009 have every
+# free-space candidate crossed; the default objects plus a third one that is
+# wholly behind the camera in sample_000; pixel_noise_sigma 1.0 with a 2 px
+# inlier gate, so calibration keeps only part of the 63 correspondences and
+# its output depends on which RANSAC hypothesis wins; the fixed 20-sample
+# pixel_noise_sigma 1.0 workload, whose 40 refined objects show last-bit
+# changes in the proposal geometry that 3 samples miss) it runs, at --seed 7:
+# simulate --samples N (3; 10 with the dense LiDAR; 20 for the last) ->
+# calibrate --dataset -> generate -> refine -> evaluate --auto refined
+# --reference ds/truth, plus one downsample study.
 # Stages run inside OUT/<config> with relative paths, so the stdout kept in
 # OUT/<config>/stdout.txt does not depend on where OUT is.
 set -euo pipefail
@@ -55,7 +56,7 @@ run_config() {  # run_config NAME JOBS SAMPLES [CONFIG TEXT]; runs inside OUT/NA
 
 run_config default 1 3
 run_config pixel_noise 1 3 "scene: {pixel_noise_sigma: 1.0}"
-run_config dense_lidar 2 3 \
+run_config dense_lidar 2 10 \
     "scene: {pixel_noise_sigma: 1.0, lidar: {channels: 32, azimuth_step_deg: 0.1}}"
 run_config behind_camera 1 3 "scene: {objects: [
     {id: obj0, class: cabinet, dims: [0.9, 0.5, 1.3], x: 4.0, y: 0.9, yaw: 0.4},
