@@ -359,9 +359,10 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
     are prefiltered in chunks against every _RAY_STRIDES[0]-th ray, the
     survivors of a chunk against every _RAY_STRIDES[1]-th ray, and so on;
     only the last survivors get the full test, in order. The rays of a
-    stride are a subset of all the rays, so a box that more than
-    _CROSSING_RAYS of them cross is crossed, and the first clear box is the
-    one a walk of full tests finds.
+    stride are a subset of all the rays, and a ray's entry does not depend
+    on the other rays, so a box that more than _CROSSING_RAYS of them cross
+    is crossed, and the first clear box is the one a walk of full tests
+    finds.
     """
     reach = row_norms(centers[order] - around).max() + np.linalg.norm(spec.dims) / 2.0
     along = np.clip(points @ around / np.maximum((points * points).sum(axis=1), 1e-12), 0.0, 1.0)
