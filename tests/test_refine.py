@@ -809,10 +809,15 @@ class TestFirstClearMatchesTheWalk:
 
     def points_crossing_box_2(self, rows):
         """The wall after a block of points on the wall's centre, of which
-        ``rows`` lie behind box 2 instead, so their rays cross it."""
+        ``rows`` lie behind box 2 instead, so their rays, and only theirs,
+        cross it."""
         block = np.tile([3.0, 0.0, 0.65], (max(rows) + 1, 1))
-        block[rows] = [5.0, 5 * 3.0 / 3.45, 0.65] + np.linspace(-0.2, 0.2, len(rows))[:, None]
-        return np.vstack([block, self.WALL])
+        block[rows] = [5.0, 5 * 3.0 / 3.45, 0.65]
+        block[rows, 2] += np.linspace(-0.2, 0.2, len(rows))
+        points = np.vstack([block, self.WALL])
+        shrunk = OrientedBox3((3.45, 3.0, 0.65), np.asarray(self.SPEC.dims) - 0.1, 0.0)
+        assert np.flatnonzero(shrunk.ray_entry(points) < 1).tolist() == list(rows)
+        return points
 
     def test_order_0_clear(self):
         assert self.check([1, 0, 3], self.WALL) == 1
