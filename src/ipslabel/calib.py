@@ -30,9 +30,14 @@ from .rng import NS_CALIB_RANSAC, distinct_rows, substream
 MIN_PNP_POINTS = 6
 MIN_DEPTH = 1e-6  # meters; camera-frame z below this counts as behind the camera
 # RANSAC: Gauss-Newton steps per hypothesis (a rough pose is enough to score
-# it), and how many of the best hypotheses are refit on their inliers.
+# it), how many of the best hypotheses are refit on their inliers, the
+# chance of having drawn an all-inlier sample at which the hypotheses stop
+# (Fischler & Bolles 1981), and the first block of hypotheses scored before
+# that is checked.
 HYPOTHESIS_STEPS = 2
 LOCAL_OPTIMISED = 8
+CONFIDENCE = 1.0 - 1e-6
+FIRST_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,7 @@ class CalibrationResult:
     rmse_px: float
     solver: str = "dlt+gauss-newton"
     delta_px: float | None = None
+    hypotheses: int | None = None  # RANSAC hypotheses scored; not reported
 
     def __post_init__(self):
         if self.rmse_px < 0:
@@ -174,6 +180,17 @@ def _jacobian(pc: np.ndarray, front: np.ndarray, tra: np.ndarray, intr: CameraIn
     return np.concatenate([jw, apix], axis=-1).reshape(pc.shape[:-2] + (-1, 6))
 
 
+def _row_medians(v: np.ndarray) -> np.ndarray:
+    """np.median(v, axis=1) from one np.sort, up to the sign of a zero: the
+    middle value, or the mean of the two middle values when a row's length
+    is even. np.median would import numpy.ma on its first call."""
+    s = np.sort(v, axis=1)
+    mid = v.shape[1] // 2
+    if v.shape[1] % 2:
+        return s[:, mid]
+    return (s[:, mid - 1] + s[:, mid]) / 2.0
+
+
 def _dlt_poses(pts: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics):
     """Initial poses from the direct linear transform on normalized pixels,
     of every hypothesis: pts (B, m, 3), pixels (B, m, 2).
@@ -195,7 +212,7 @@ def _dlt_poses(pts: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics):
     degenerate = s[:, 10] < 1e-9 * s[:, 0]
     p = vt[:, -1].reshape(b, 3, 4)
     # Cheirality: most points must land in front of the camera.
-    behind = np.median(np.einsum("bmk,bk->bm", xh, p[:, 2]), axis=1) < 0
+    behind = _row_medians(np.einsum("bmk,bk->bm", xh, p[:, 2])) < 0
     p[behind] = -p[behind]
     u, sv, vt_m = np.linalg.svd(p[:, :, :3])
     scale = np.mean(sv, axis=1)
@@ -365,6 +382,19 @@ def _consensus(err: np.ndarray, delta_px: float):
     return masks, counts, rmses
 
 
+def hypotheses_needed(inliers: int, n: int) -> float:
+    """How many 6-point samples of n correspondences, ``inliers`` of them
+    inliers, draw one of only inliers with probability ``CONFIDENCE``:
+    ceil(log(1 - CONFIDENCE) / log(1 - w**6)) with w = inliers / n. 0 when
+    every correspondence is an inlier, inf when none is."""
+    p_clean = (inliers / n) ** MIN_PNP_POINTS
+    if p_clean >= 1.0:
+        return 0
+    if p_clean <= 0.0:
+        return math.inf
+    return math.ceil(math.log(1.0 - CONFIDENCE) / math.log1p(-p_clean))
+
+
 def solve_pnp_ransac(
     corrs,
     intr: CameraIntrinsics,
@@ -373,13 +403,18 @@ def solve_pnp_ransac(
     iterations: int = 2000,
     seed: int = 0,
 ) -> CalibrationResult:
-    """Locally optimised RANSAC over 6-point PnP hypotheses.
+    """Locally optimised RANSAC over at most ``iterations`` 6-point PnP
+    hypotheses.
 
     Each iteration samples 6 correspondences without replacement, fits a
     pose to them with the DLT and ``HYPOTHESIS_STEPS`` Gauss-Newton steps,
     and counts points with reprojection error strictly below ``delta_px``.
     The samples of all iterations are one ``distinct_rows`` array from the
-    stream of ``seed``. Hypotheses rank by inlier count, then lower inlier
+    stream of ``seed``. They are scored in blocks of ``FIRST_BLOCK``, twice
+    that, and so on; after a block the loop stops once the hypotheses scored
+    reach ``hypotheses_needed`` of the best inlier count so far, so the
+    scored hypotheses are a prefix of the samples (``hypotheses`` of the
+    result counts them). Hypotheses rank by inlier count, then lower inlier
     RMSE, then the earlier iteration. Each of the ``LOCAL_OPTIMISED`` best
     is refit with ``solve_pnp`` on its inliers and rescored, for as long as
     its inlier count grows (Chum, Matas & Kittler 2003); a refit that fails
@@ -404,23 +439,26 @@ def solve_pnp_ransac(
     # (count, -rmse, -iteration, mask) of the best hypotheses so far
     top = []
     rank = itemgetter(0, 1, 2)
-    for part in chunks(iterations, n):
-        samples = draws[part]
-        rot, tra, degenerate = _dlt_poses(pts_robot[samples], pixels[samples], intr)
-        live = np.flatnonzero(~degenerate)
-        if live.size == 0:
-            continue
-        rot, tra, failed = _refine_poses(
-            rot[live], tra[live], pts_robot[samples[live]], pixels[samples[live]], intr,
-            max_iter=HYPOTHESIS_STEPS,
-        )
-        err = _pixel_errors(intr, rot[~failed], tra[~failed], pts_robot, pixels)
-        masks, counts, rmses = _consensus(err, delta_px)
-        iteration = part.start + live[~failed]
-        # the largest count, then the lowest RMSE, then the earliest hypothesis
-        best = np.lexsort((rmses, -counts))[:LOCAL_OPTIMISED]
-        top += [(int(counts[j]), -float(rmses[j]), -int(iteration[j]), masks[j]) for j in best if counts[j]]
-        top = sorted(top, key=rank, reverse=True)[:LOCAL_OPTIMISED]
+    scored, block = 0, FIRST_BLOCK
+    while scored < iterations and scored < hypotheses_needed(top[0][0] if top else 0, n):
+        start, scored, block = scored, min(iterations, scored + block), 2 * block
+        for part in chunks(scored - start, n):
+            samples = draws[start:scored][part]
+            rot, tra, degenerate = _dlt_poses(pts_robot[samples], pixels[samples], intr)
+            live = np.flatnonzero(~degenerate)
+            if live.size == 0:
+                continue
+            rot, tra, failed = _refine_poses(
+                rot[live], tra[live], pts_robot[samples[live]], pixels[samples[live]], intr,
+                max_iter=HYPOTHESIS_STEPS,
+            )
+            err = _pixel_errors(intr, rot[~failed], tra[~failed], pts_robot, pixels)
+            masks, counts, rmses = _consensus(err, delta_px)
+            iteration = start + part.start + live[~failed]
+            # the largest count, then the lowest RMSE, then the earliest hypothesis
+            best = np.lexsort((rmses, -counts))[:LOCAL_OPTIMISED]
+            top += [(int(counts[j]), -float(rmses[j]), -int(iteration[j]), masks[j]) for j in best if counts[j]]
+            top = sorted(top, key=rank, reverse=True)[:LOCAL_OPTIMISED]
     ranked, refit = list(top), set()
     for count, _, order, mask in top:
         # the refits of a better hypothesis's mask, one rank lower, cannot win
@@ -449,4 +487,5 @@ def solve_pnp_ransac(
         inlier_indices=inliers,
         rmse_px=rmse,
         delta_px=float(delta_px),
+        hypotheses=scored,
     )

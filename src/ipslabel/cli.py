@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration report JSON")
     p.add_argument("--planar", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--delta-px", type=_POSITIVE, default=None)
-    p.add_argument("--iterations", type=_COUNT, default=None)
+    p.add_argument("--iterations", type=_COUNT, default=None,
+                   help="at most this many RANSAC hypotheses (config default 2000)")
 
     p = sub.add_parser("generate", help="produce 2D/3D labels from beacons + calibration")
     p.add_argument("--dataset", required=True)

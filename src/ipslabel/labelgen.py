@@ -42,7 +42,9 @@ _BOTTOM = (0, 1, 2, 3)
 
 
 def normalize_yaw(yaw: float) -> float:
-    """Wrap into (-pi, pi]."""
+    """Wrap into (-pi, pi]; a yaw already in it comes back unchanged."""
+    if -math.pi < yaw <= math.pi:
+        return float(yaw)
     y = yaw - 2.0 * math.pi * math.floor((yaw + math.pi) / (2.0 * math.pi))
     if y <= -math.pi:
         y = math.pi

@@ -1,10 +1,12 @@
 """Planar constraint, projection, PnP, and the RANSAC wrapper."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from ipslabel import calib
 from ipslabel.calib import (
     CameraIntrinsics,
     Correspondence,
@@ -15,13 +17,17 @@ from ipslabel.calib import (
     solve_pnp_ransac,
 )
 from ipslabel.calib import (
+    CONFIDENCE,
+    FIRST_BLOCK,
     HYPOTHESIS_STEPS,
     LOCAL_OPTIMISED,
     _dlt_poses,
     _pixel_errors,
     _refine_poses,
     _rmse,
+    _row_medians,
     _solve_each,
+    hypotheses_needed,
 )
 from ipslabel.errors import (
     BehindCamera,
@@ -31,9 +37,13 @@ from ipslabel.errors import (
     NoConvergence,
     TooFewInliers,
 )
+from ipslabel.cli import _manifest_scene, _robot_transform_from_readings
+from ipslabel.fileio import read_input
 from ipslabel.geom import RigidTransform, compose
 from ipslabel.rng import NS_CALIB_RANSAC, distinct_rows, substream
+from ipslabel.sim import parse_beacons_csv, parse_correspondences_csv
 
+from .conftest import FIXTURES
 from .oracles import homogeneous_matrix, project_oracle, random_rotation, rmse_oracle
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
@@ -460,11 +470,38 @@ def local_optimisation(corrs, intr, t_ri, delta_px, hyp):
         out.append((count, -_rmse(err[mask]), order, mask))
 
 
-def reference_ransac(corrs, intr, t_ri, delta_px, iterations, seed):
+def needed(inliers, n):
+    """The stop rule's sample count, as Fischler & Bolles write it."""
+    w = inliers / n
+    if w == 1.0:
+        return 0
+    if w == 0.0:
+        return math.inf
+    return math.ceil(math.log(1.0 - CONFIDENCE) / math.log(1.0 - w**6))
+
+
+def stopped_prefix(hyps, n, iterations):
+    """How many hypotheses the block-end stop scores: blocks of FIRST_BLOCK,
+    twice that and so on, until the number scored reaches ``needed`` of the
+    best inlier count among them, or ``iterations``."""
+    scored, block = 0, FIRST_BLOCK
+    while scored < iterations:
+        scored, block = min(iterations, scored + block), 2 * block
+        best = max((hyp[0] for hyp in hyps if -hyp[2] < scored), default=0)
+        if scored >= needed(best, n):
+            break
+    return scored
+
+
+def reference_ransac(corrs, intr, t_ri, delta_px, iterations, seed, stop=True):
     """Scalar loop of solve_pnp_ransac's rule: a capped fit per hypothesis,
-    then the local optimisation of the LOCAL_OPTIMISED best. Returns the
-    inlier tuple, its rmse_px and the number of failed hypothesis fits."""
+    up to the block-end stop unless ``stop`` is False, then the local
+    optimisation of the LOCAL_OPTIMISED best. Returns the inlier tuple, its
+    rmse_px and the number of failed hypothesis fits."""
     hyps, failures = scalar_hypotheses(corrs, intr, t_ri, delta_px, iterations, seed, capped=True)
+    if stop:
+        scored = stopped_prefix(hyps, len(corrs), iterations)
+        hyps = [hyp for hyp in hyps if -hyp[2] < scored]
     top = sorted(hyps, key=rank, reverse=True)[:LOCAL_OPTIMISED]
     ranked = [r for hyp in top for r in local_optimisation(corrs, intr, t_ri, delta_px, hyp)]
     return (*final_refit(corrs, intr, t_ri, max(ranked, key=rank)[3]), failures)
@@ -516,6 +553,90 @@ def test_local_optimisation_never_shrinks_the_consensus():
         assert len(result.inlier_indices) >= plain
         grew += len(result.inlier_indices) > plain
     assert grew > 0  # the local optimisation added inliers somewhere
+
+
+# ---------------------------------------------------------------------------
+# the block-end stop of solve_pnp_ransac
+
+
+def fixture_target(planar):
+    """The frozen tests/fixtures correspondences, robot<-ips transform and
+    intrinsics, as the calibrate command reads them."""
+    corrs = read_input(os.path.join(FIXTURES, "correspondences.csv"), parse_correspondences_csv)
+    path = os.path.join(FIXTURES, "robot_beacons.csv")
+    t_ri = _robot_transform_from_readings(read_input(path, parse_beacons_csv), path)
+    intr = _manifest_scene(os.path.join(FIXTURES, "manifest.json")).intrinsics
+    return (apply_planar_constraint(corrs) if planar else corrs), t_ri, intr
+
+
+class TestStopRule:
+    @pytest.mark.parametrize(
+        "inliers, n, expected",
+        # 44/63 is the calib_outliers inlier ratio; 1/2 needs
+        # ceil(log(1e-6) / log(63/64)) samples
+        [(44, 63, 112), (32, 64, 878), (62, 63, 6), (63, 63, 0), (40, 40, 0), (0, 63, math.inf)],
+    )
+    def test_samples_needed_in_closed_form(self, inliers, n, expected):
+        assert hypotheses_needed(inliers, n) == expected
+        assert needed(inliers, n) == expected
+
+    def test_every_inlier_stops_after_the_first_block(self):
+        rng = np.random.default_rng(3)
+        t_true, t_ri = make_pose_pair(rng)
+        corrs = synth_corrs(40, rng, t_true, t_ri)
+        result = solve_pnp_ransac(corrs, INTR, t_ri, delta_px=8.0, iterations=2000, seed=3)
+        assert len(result.inlier_indices) == 40
+        assert result.hypotheses == FIRST_BLOCK
+
+    def test_no_inlier_never_stops_early(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        t_true, t_ri = make_pose_pair(rng)
+        corrs = synth_corrs(20, rng, t_true, t_ri, pixel_sigma=1.0)
+        drawn = []
+
+        def counting_dlt(pts, pixels, intr):
+            drawn.append(len(pts))
+            return _dlt_poses(pts, pixels, intr)
+
+        monkeypatch.setattr(calib, "_dlt_poses", counting_dlt)
+        # with 1 px noise no pixel lies within 1e-9 px of a rough 6-point pose
+        with pytest.raises(TooFewInliers, match="0 inliers"):
+            solve_pnp_ransac(corrs, INTR, t_ri, delta_px=1e-9, iterations=500, seed=4)
+        assert sum(drawn) == 500
+
+    @pytest.mark.parametrize("iterations", [10, 64, 65, 300])
+    def test_the_cap_holds(self, iterations):
+        corrs, t_ri = corrupted_target(21)
+        hyps, _ = scalar_hypotheses(corrs, INTR, t_ri, 2.0, iterations, 21, capped=True)
+        result = solve_pnp_ransac(corrs, INTR, t_ri, delta_px=2.0, iterations=iterations, seed=21)
+        assert result.hypotheses == stopped_prefix(hyps, len(corrs), iterations) <= iterations
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_frozen_fixture_stops_early_with_every_inlier(self, planar):
+        corrs, t_ri, intr = fixture_target(planar)
+        result = solve_pnp_ransac(corrs, intr, t_ri, delta_px=8.0, iterations=2000, seed=20)
+        assert len(result.inlier_indices) == len(corrs) == 63
+        assert result.hypotheses < 300
+
+    @pytest.mark.parametrize("seed", range(21, 28))
+    def test_stopped_result_equals_the_exhaustive_reference(self, seed):
+        corrs, t_ri = corrupted_target(seed)
+        inliers, rmse, _ = reference_ransac(corrs, INTR, t_ri, 8.0, 300, seed, stop=False)
+        result = solve_pnp_ransac(corrs, INTR, t_ri, delta_px=8.0, iterations=300, seed=seed)
+        assert result.hypotheses < 300
+        assert result.inlier_indices == inliers
+        assert result.rmse_px == rmse
+
+
+@pytest.mark.parametrize("m", [6, 7, 44, 63])
+def test_row_medians_equal_numpy_median(m):
+    rng = np.random.default_rng(m)
+    v = rng.normal(size=(500, m))
+    v[::3, : m // 2] = 0.0  # ties, and rows whose middle is 0
+    v[1::3] = np.round(v[1::3])
+    got, want = _row_medians(v), np.median(v, axis=1)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got < 0, want < 0)
 
 
 def test_a_singular_system_gives_a_nan_step_and_leaves_the_others_solved():

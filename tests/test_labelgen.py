@@ -50,6 +50,16 @@ class TestNormalizeYaw:
         assert normalize_yaw(2 * math.pi) == pytest.approx(0.0, abs=1e-12)
         assert normalize_yaw(-7 * math.pi) == pytest.approx(math.pi)
 
+    def test_ulp_neighbours_of_pi(self):
+        below_pi, above_pi = math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0)
+        above_minus_pi, below_minus_pi = -below_pi, -above_pi
+        # inside (-pi, pi]: unchanged, bit for bit
+        assert normalize_yaw(below_pi) == below_pi
+        assert normalize_yaw(above_minus_pi) == above_minus_pi
+        # just outside: wrapped to the neighbour one ulp inside the other end
+        assert normalize_yaw(above_pi) == above_minus_pi
+        assert normalize_yaw(below_minus_pi) == below_pi
+
     def test_range_over_sweep(self):
         for y in np.linspace(-20, 20, 401):
             wrapped = normalize_yaw(float(y))

@@ -18,7 +18,11 @@
 # changes in the proposal geometry that 3 samples miss) it runs, at --seed 7:
 # simulate --samples N (3; 10 with the dense LiDAR; 20 for the last) ->
 # calibrate --dataset -> generate -> refine -> evaluate --auto refined
-# --reference ds/truth, plus one downsample study.
+# --reference ds/truth, plus one downsample study. A seventh config,
+# frozen_fixture, calibrates the correspondences frozen in tests/fixtures at
+# the default 2000 RANSAC iterations and --seed 20, with and without the
+# planar constraint, at the default 8 px gate and at --delta-px 2, so the
+# comparison also covers calibrations outside a simulated dataset.
 # Stages run inside OUT/<config> with relative paths, so the stdout kept in
 # OUT/<config>/stdout.txt does not depend on where OUT is.
 set -euo pipefail
@@ -28,6 +32,7 @@ if [ $# -ne 2 ]; then
     exit 2
 fi
 src=$(cd "$1" && pwd)
+fixtures=$(cd "$(dirname "$0")/../tests/fixtures" && pwd)
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
 export PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1
@@ -65,4 +70,18 @@ run_config behind_camera 1 3 "scene: {objects: [
 run_config tight_gate 1 3 "scene: {pixel_noise_sigma: 1.0}
 calibration: {delta_px: 2.0}"
 run_config pipeline20 1 20 "scene: {pixel_noise_sigma: 1.0}"
+
+rm -rf "${out:?}/frozen_fixture"
+mkdir -p "$out/frozen_fixture"
+cd "$out/frozen_fixture"
+: > stdout.txt
+for mode in planar no-planar; do
+    for delta in 8 2; do
+        python -m ipslabel.cli --seed 20 calibrate \
+            --correspondences "$fixtures/correspondences.csv" \
+            --robot-beacons "$fixtures/robot_beacons.csv" \
+            --manifest "$fixtures/manifest.json" \
+            "--$mode" --delta-px "$delta" --out "cal_${mode}_$delta.json" >> stdout.txt
+    done
+done
 echo "wrote outputs to $out"
