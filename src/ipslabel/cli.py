@@ -159,9 +159,11 @@ def _robot_transform_from_readings(readings: dict, path: str):
 
 
 def _extrinsic_from_report(path: str) -> RigidTransform:
-    return read_json(
-        path, lambda report: RigidTransform.from_matrix(report["extrinsic"], src="robot", dst="cam")
-    )
+    def parse(report):
+        matrix = from_dict(tuple[float, ...], report["extrinsic"], "extrinsic")
+        return RigidTransform.from_matrix(matrix, src="robot", dst="cam")
+
+    return read_json(path, parse)
 
 
 def _sample_ids(dataset: str) -> list:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError
-from .fileio import read_json
+from .fileio import read_json, to_dict
 from .labelgen import Box2, ObjectSpec, OrientedBox3, label_objects
 from .refine import (
     RefineConfig,
@@ -145,7 +145,7 @@ def downsample_study(
             try:
                 plane = fit_ground_plane(sub, cfg, trial_seed)
                 box = refine_label(sub, unrefined, spec, cfg, trial_seed, plane=plane)
-                row["box3d"] = box.to_dict()
+                row["box3d"] = to_dict(box)
                 row["fitness"] = fitness(box, pcd, cfg.shell_delta)
             except NumericalError as e:
                 row["error"] = f"{type(e).__name__}: {e}"

@@ -1,6 +1,6 @@
-"""Atomic file writes, the checked reading of input files, deterministic
-serialization helpers, the dict form of the config dataclasses, and the
-ordered worker map whose results the writers consume.
+"""Atomic file writes, the checked reading of input files, deterministic JSON,
+the checked dict form of what config, manifest, label and report files hold,
+and the ordered worker map whose results the writers consume.
 """
 
 from __future__ import annotations
@@ -23,16 +23,20 @@ def dump_json(obj) -> str:
 
 
 def to_dict(obj):
-    """The dict form of a dataclass: its fields by name, recursively.
-
-    A value with its own ``to_dict`` uses it; tuples become lists.
+    """The dict form of a dataclass, recursively: the attributes its ``FORM``
+    names, else its fields; a value with its own ``to_dict`` uses it. Tuples
+    become lists, and numpy arrays and scalars Python ones (``tolist()``).
     """
     if hasattr(obj, "to_dict"):
         return obj.to_dict()
+    if hasattr(obj, "FORM"):
+        return {k: to_dict(getattr(obj, k)) for k in obj.FORM}
     if dataclasses.is_dataclass(obj):
         return {f.name: to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple):
         return [to_dict(v) for v in obj]
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
     return obj
 
 
@@ -72,8 +76,8 @@ def from_dict(typ, value, path: str):
     Each value must match its field's type: bool for bool, int (not bool) for
     int, a finite int or float (stored as float) for float, str for str, a
     list for a tuple, a mapping for a nested dataclass. A type whose dict form
-    is not shaped like its fields declares that form as ``FORM`` ({key: type})
-    and builds itself in ``from_dict(d, *args)``, with the args of an
+    is not its fields declares that form as ``FORM`` ({key: type}) and
+    builds itself in ``from_dict(d, *args)``, with the args of an
     ``Annotated[type, *args]`` field. A bad key or value raises ConfigError
     naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
     """

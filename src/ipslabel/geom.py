@@ -34,7 +34,7 @@ EPS_BEACON = 1e-3  # meters; minimum planar beacon separation
 # one array; it bounds its buffers to a few MB.
 CHUNK_TESTS = 1 << 16
 
-_VEC3 = tuple[float, float, float]
+VEC3 = tuple[float, float, float]
 
 
 def chunks(count: int, points: int, tests: int = CHUNK_TESTS):
@@ -85,10 +85,7 @@ class RigidTransform:
         object.__setattr__(self, "translation", tra)
 
     # Dict form: rotation rows and translation; the reader supplies the frames.
-    FORM = {"rotation": tuple[_VEC3, _VEC3, _VEC3], "translation": _VEC3}
-
-    def to_dict(self) -> dict:
-        return {"rotation": self.rotation.tolist(), "translation": self.translation.tolist()}
+    FORM = {"rotation": tuple[VEC3, VEC3, VEC3], "translation": VEC3}
 
     @classmethod
     def from_dict(cls, d: dict, src: str, dst: str) -> "RigidTransform":

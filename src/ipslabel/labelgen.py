@@ -15,7 +15,8 @@ import numpy as np
 
 from .calib import MIN_DEPTH, CameraIntrinsics, _project_cam
 from .errors import AllVerticesBehindCamera, FrameMismatch
-from .geom import BeaconPair, RigidTransform, beacon_yaw, compose
+from .fileio import from_dict, to_dict
+from .geom import VEC3, BeaconPair, RigidTransform, beacon_yaw, compose
 
 # Vertex order: bottom face counter-clockwise (viewed from +z) starting at
 # front-left, then the top face in the same x/y order.
@@ -159,12 +160,8 @@ class OrientedBox3:
     def volume(self) -> float:
         return float(np.prod(self.dims))
 
-    def to_dict(self) -> dict:
-        return {
-            "center": [float(v) for v in self.center],
-            "dims": [float(v) for v in self.dims],
-            "yaw": float(self.yaw),
-        }
+    # Dict form: the frame is the reader's to supply.
+    FORM = {"center": VEC3, "dims": VEC3, "yaw": float}
 
     @classmethod
     def from_dict(cls, d: dict, frame: str = "lidar") -> "OrientedBox3":
@@ -216,17 +213,12 @@ class Box2:
     def area(self) -> float:
         return (self.u1 - self.u0) * (self.v1 - self.v0)
 
-    def to_dict(self) -> dict:
-        return {
-            "u0": float(self.u0),
-            "v0": float(self.v0),
-            "u1": float(self.u1),
-            "v1": float(self.v1),
-        }
+    # Dict form: the corners; the label entry holds the projection's flags.
+    FORM = {"u0": float, "v0": float, "u1": float, "v1": float}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Box2":
-        return cls(*(float(d[k]) for k in ("u0", "v0", "u1", "v1")))
+        return cls(**d)
 
 
 def object_box_ips(pair: BeaconPair, spec: ObjectSpec) -> OrientedBox3:
@@ -302,18 +294,21 @@ def label_objects(doc: dict) -> list:
     Every entry needs a string ``class``; its ``id`` (a string),
     ``box3d_lidar`` and ``box2d`` may be missing or null, and an entry with an
     ``error`` has no boxes. A missing key or a value of the wrong type raises
-    KeyError, TypeError or ValueError.
+    KeyError, TypeError or ValueError; a bad box names its dotted key, e.g.
+    ``objects[0].box2d.u0`` (see fileio.from_dict).
     """
     out = []
-    for entry in doc["objects"]:
+    for i, entry in enumerate(doc["objects"]):
         if not isinstance(entry["class"], str) or not isinstance(entry.get("id", ""), str):
             raise TypeError(f"label object {entry.get('id')!r}: 'class' and 'id' must be strings")
         if "error" in entry:
             out.append((entry, None, None))
             continue
-        box3, box2 = entry.get("box3d_lidar"), entry.get("box2d")
-        box3 = None if box3 is None else OrientedBox3.from_dict(box3)
-        out.append((entry, box3, None if box2 is None else Box2.from_dict(box2)))
+        boxes = (
+            None if entry.get(key) is None else from_dict(typ, entry[key], f"objects[{i}].{key}")
+            for key, typ in (("box3d_lidar", OrientedBox3), ("box2d", Box2))
+        )
+        out.append((entry, *boxes))
     return out
 
 
@@ -323,7 +318,7 @@ def label_entry(
     """The unrefined label entry of one object: its LiDAR box and the 2D box
     of its camera-frame vertices, or ``box2d: null`` with ``box2d_reason:
     "behind_camera"`` when every vertex is behind the camera."""
-    entry = {"id": object_id, "class": class_name, "box3d_lidar": box3d_lidar.to_dict()}
+    entry = {"id": object_id, "class": class_name, "box3d_lidar": to_dict(box3d_lidar)}
     try:
         box2 = project_box(vertices_cam, intr)
     except AllVerticesBehindCamera:
@@ -332,7 +327,7 @@ def label_entry(
         )
     else:
         entry.update(
-            box2d=box2.to_dict(),
+            box2d=to_dict(box2),
             truncated=box2.is_truncated,
             behind_camera_vertices=box2.behind_camera_vertices,
         )

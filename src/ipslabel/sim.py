@@ -14,6 +14,7 @@ beacon noise, and pixel noise all draw from dedicated substreams.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Annotated
@@ -169,6 +170,17 @@ class SceneConfig:
             raise ValueError(f"calibration_points must be >= {MIN_PNP_POINTS}")
         if self.robot_radius_min > self.robot_radius_max:
             raise ValueError("robot_radius_min must be <= robot_radius_max")
+        ids = [o.object_id for o in self.objects]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"object ids must be unique, got {ids}")
+        for object_id in ids:
+            # beacons.csv names each row's frame: "robot" is the robot's, and
+            # a comma or a line break in an id would split its rows
+            breaks = "".join(object_id.splitlines()) != object_id
+            if object_id == "robot" or "," in object_id or breaks:
+                raise ValueError(
+                    f"object id {object_id!r} must not be 'robot' or hold a comma or line break"
+                )
 
 
 def default_scene() -> SceneConfig:
@@ -329,12 +341,10 @@ def raycast_lidar(scene: SceneConfig, pose) -> PointCloud:
     ]
     ground_z = float(chain.apply(np.array([pose[0], pose[1], scene.floor_z]))[2])
     dirs = _lidar_directions(scene.lidar)
-    best = np.full(dirs.shape[0], np.inf)
     dz = dirs[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         t_ground = ground_z / dz
-    t_ground = np.where((dz < 0) & (t_ground > 1e-9), t_ground, np.inf)
-    best = np.minimum(best, t_ground)
+    best = np.where((dz < 0) & (t_ground > 1e-9), t_ground, np.inf)
     for solid in solids:
         best = np.minimum(best, solid.ray_entry(dirs))
     valid = best <= scene.lidar.max_range
@@ -406,7 +416,7 @@ def make_sample(scene: SceneConfig, seed: int, index: int) -> GroundTruthSample:
             box_to_camera(box_ips, scene.cam_from_robot, chain["robot_from_ips"]),
             scene.intrinsics,
         )
-        entry["box3d_ips"] = box_ips.to_dict()
+        entry["box3d_ips"] = to_dict(box_ips)
         entry["dims_spec"] = [float(v) for v in placement.spec.dims]
         entries.append(entry)
     return GroundTruthSample(
@@ -615,8 +625,6 @@ def generate_dataset(
     the parent performs every write in sample order, so the tree is
     identical to a sequential run.
     """
-    import os
-
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     require_empty_dir(out_dir, "simulate")

@@ -18,7 +18,7 @@ from ipslabel import cli
 from ipslabel.cli import _extrinsic_from_report, main
 from ipslabel.cloud import PointCloud, read_ply, write_ply
 from ipslabel.eval import compare_labels
-from ipslabel.fileio import from_dict, ordered_map
+from ipslabel.fileio import from_dict, ordered_map, to_dict
 from ipslabel.geom import BeaconPair, inverse
 from ipslabel.labelgen import OrientedBox3, project_box
 from ipslabel.sim import BeaconReading, SceneConfig, beacons_csv, parse_beacons_csv
@@ -113,6 +113,8 @@ class TestSimulate:
         assert "i/o error" in err
 
 
+_OBJECT = "{id: obj0, class: cabinet, dims: [0.9, 0.5, 1.3], x: 4.0, y: 0.9, yaw: 0.4}"
+
 MALFORMED_CONFIGS = [
     # (config text, key the error must name)
     ("scene: null", "scene"),
@@ -133,6 +135,7 @@ MALFORMED_CONFIGS = [
     ("scene: {calibration_readings: 0}", "calibration_readings"),
     ("scene: {calibration_points: -3}", "calibration_points"),
     ("scene: {calibration_points: 2}", "calibration_points"),
+    ("scene: {objects: [" + _OBJECT + ", " + _OBJECT + "]}", "scene: object ids must be unique"),
 ]
 
 SUBCOMMANDS = [
@@ -349,7 +352,7 @@ class TestGenerate:
         for entry in entries:
             box = OrientedBox3.from_dict(entry["box3d_lidar"])
             box2 = project_box(cam_from_lidar.apply(box.vertices()), scene.intrinsics)
-            assert entry["box2d"] == box2.to_dict()
+            assert entry["box2d"] == to_dict(box2)
             assert entry["truncated"] == box2.is_truncated
             assert entry["behind_camera_vertices"] == box2.behind_camera_vertices
 
@@ -643,6 +646,9 @@ MALFORMED_INPUTS = [
      ["manifest.json", "'scene'"]),
     ("manifest-bad-scene", "ds/manifest.json", _json_edit("scene", "lidar", "channels", value=0),
      GENERATE, ["manifest.json", "scene.lidar"]),
+    ("manifest-with-duplicate-ids", "ds/manifest.json",
+     _json_edit("scene", "objects", 1, "id", value="obj0"), REFINE,
+     ["manifest.json", "scene: object ids must be unique"]),
     ("non-orthonormal-extrinsic", "cal.json", _json_edit("extrinsic", 0, value=lambda v: 2 * v),
      GENERATE, ["cal.json", "orthonormal"]),
     ("missing-extrinsic", "cal.json", _json_edit("extrinsic"), GENERATE,
@@ -650,7 +656,9 @@ MALFORMED_INPUTS = [
     ("nan-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=math.nan), GENERATE,
      ["cal.json", "NaN"]),
     ("huge-int-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=10**400), GENERATE,
-     ["cal.json", "too large"]),
+     ["cal.json", "extrinsic[3]", "a finite number"]),
+    ("string-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=str), GENERATE,
+     ["cal.json", "extrinsic[3]", "a finite number"]),
     ("label-without-class", LABEL, _json_edit("objects", 0, "class"), REFINE,
      ["sample_000.json", "missing key 'class'"]),
     ("label-without-class-evaluate", LABEL, _json_edit("objects", 0, "class"), EVALUATE,
@@ -664,10 +672,19 @@ MALFORMED_INPUTS = [
     ("label-without-id", LABEL, _json_edit("objects", 0, "id"), REFINE,
      ["sample_000.json", "None"]),
     ("label-with-2-dims", LABEL, _json_edit("objects", 0, "box3d_lidar", "dims", value=[1.0, 1.0]),
-     REFINE, ["sample_000.json", "size 2"]),
+     REFINE, ["sample_000.json", "objects[0].box3d_lidar.dims", "a list of 3"]),
     ("label-with-2-dims-evaluate", LABEL,
      _json_edit("objects", 0, "box3d_lidar", "dims", value=[1.0, 1.0]), EVALUATE,
-     ["sample_000.json", "size 2"]),
+     ["sample_000.json", "objects[0].box3d_lidar.dims", "a list of 3"]),
+    ("label-with-string-yaw", LABEL, _json_edit("objects", 0, "box3d_lidar", "yaw", value=str),
+     REFINE, ["sample_000.json", "objects[0].box3d_lidar.yaw", "a finite number"]),
+    ("label-with-string-yaw-evaluate", LABEL,
+     _json_edit("objects", 0, "box3d_lidar", "yaw", value=str), EVALUATE,
+     ["sample_000.json", "objects[0].box3d_lidar.yaw", "a finite number"]),
+    ("label-box-with-unknown-key", LABEL, _json_edit("objects", 0, "box3d_lidar", "pitch", value=0.0),
+     REFINE, ["sample_000.json", "objects[0].box3d_lidar", "'pitch'"]),
+    ("label-with-bool-u0-evaluate", LABEL, _json_edit("objects", 0, "box2d", "u0", value=False),
+     EVALUATE, ["sample_000.json", "objects[0].box2d.u0", "a finite number"]),
     ("label-error-entry-evaluate", LABEL, _json_edit("objects", 0, "error", value="EmptyReadings: no beacon readings"),
      EVALUATE, ["sample_000.json", "no box3d_lidar"]),
     ("beacons-non-numeric", BEACONS, _field_edit(1, 2, "abc"), GENERATE,

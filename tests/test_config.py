@@ -37,8 +37,15 @@ transforms = st.fixed_dictionaries({
     "rotation": st.builds(_rotation, angle, angle, angle),
     "translation": st.lists(finite, min_size=3, max_size=3),
 })
+
+
+def _valid_id(text: str) -> bool:
+    """A valid object id is not 'robot' and holds no comma or line break."""
+    return text != "robot" and "," not in text and text.splitlines() in ([], [text])
+
+
 objects = st.fixed_dictionaries({
-    "id": st.text(max_size=8),
+    "id": st.text(max_size=8).filter(_valid_id),
     "class": st.sampled_from(["cabinet", "table"]),
     "dims": st.lists(positive, min_size=3, max_size=3),
     "x": finite,
@@ -47,7 +54,7 @@ objects = st.fixed_dictionaries({
     "beacon_sep": positive,
 })
 SCENE_KEYS = {
-    "objects": st.lists(objects, min_size=1, max_size=3),
+    "objects": st.lists(objects, min_size=1, max_size=3, unique_by=lambda o: o["id"]),
     "intrinsics": st.fixed_dictionaries({
         "fx": positive, "fy": positive, "cx": finite, "cy": finite,
         "width": st.integers(1, 4096), "height": st.integers(1, 4096),
@@ -133,6 +140,25 @@ def test_every_field_is_in_the_dict_form_and_round_trips(cls):
 @given(scene_dicts)
 def test_scene_dict_round_trips(d):
     assert to_dict(from_dict(SceneConfig, d, "scene")) == d
+
+
+@pytest.mark.parametrize(
+    "ids, name",
+    [
+        (["obj0", "obj0"], "unique"),  # would lose one object's beacons and labels
+        (["robot"], "'robot'"),  # would overwrite the robot's beacons
+        (["a,b"], "'a,b'"),  # would split its beacons.csv rows
+        (["a\nb"], "'a\\nb'"),
+        (["obj0", "a\r"], "'a\\r'"),
+        (["\u2028"], "'\\u2028'"),
+    ],
+)
+def test_object_ids_that_break_the_dataset_are_rejected(ids, name):
+    scene = DEFAULT_CONFIG["scene"]
+    objects = [{**scene["objects"][0], "id": object_id} for object_id in ids]
+    with pytest.raises(ConfigError, match="^scene: ") as info:
+        config_from_dict({"scene": {**scene, "objects": objects}})
+    assert name in str(info.value)
 
 
 @PROPERTY

@@ -17,6 +17,7 @@ from ipslabel.eval import (
     iou_3d,
     study_means,
 )
+from ipslabel.fileio import to_dict
 from ipslabel.labelgen import Box2, ObjectSpec, OrientedBox3
 from ipslabel.refine import RefineConfig
 
@@ -122,8 +123,8 @@ def write_labels(dirpath, docs):
 def entry(class_name, center, dims=(1, 1, 1), yaw=0.0, box2=None):
     return {
         "class": class_name,
-        "box3d_lidar": OrientedBox3(center, dims, yaw).to_dict(),
-        "box2d": None if box2 is None else box2.to_dict(),
+        "box3d_lidar": to_dict(OrientedBox3(center, dims, yaw)),
+        "box2d": None if box2 is None else to_dict(box2),
     }
 
 

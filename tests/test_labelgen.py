@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ipslabel.calib import CameraIntrinsics
-from ipslabel.errors import AllVerticesBehindCamera, FrameMismatch
+from ipslabel.errors import AllVerticesBehindCamera, ConfigError, FrameMismatch
+from ipslabel.fileio import to_dict
 from ipslabel.geom import BeaconPair, RigidTransform
 from ipslabel.labelgen import (
     Box2,
@@ -16,6 +17,7 @@ from ipslabel.labelgen import (
     box_to_camera,
     box_to_lidar,
     label_entry,
+    label_objects,
     labels_to_dict,
     normalize_yaw,
     object_box_ips,
@@ -128,7 +130,7 @@ class TestOrientedBox3:
     def test_volume_and_dict_round_trip(self):
         box = OrientedBox3((1, 2, 3), (2, 3, 4), -1.1, frame="ips")
         assert box.volume == pytest.approx(24.0)
-        back = OrientedBox3.from_dict(box.to_dict(), frame="ips")
+        back = OrientedBox3.from_dict(to_dict(box), frame="ips")
         np.testing.assert_array_equal(back.center, box.center)
         np.testing.assert_array_equal(back.dims, box.dims)
         assert back.yaw == box.yaw and back.frame == "ips"
@@ -421,8 +423,8 @@ class TestLabelSchema:
         }
         assert entry["id"] == "obj0"
         assert entry["class"] == "cabinet"
-        assert entry["box3d_lidar"] == box3.to_dict()
-        assert entry["box2d"] == project_box(cube.vertices(), INTR).to_dict()
+        assert entry["box3d_lidar"] == to_dict(box3)
+        assert entry["box2d"] == to_dict(project_box(cube.vertices(), INTR))
         assert entry["box2d"]["u1"] == 640.0
         assert entry["truncated"] is True
         assert entry["behind_camera_vertices"] == 4
@@ -434,13 +436,42 @@ class TestLabelSchema:
         assert label_entry("obj1", "table", box3, cube.vertices(), INTR) == {
             "id": "obj1",
             "class": "table",
-            "box3d_lidar": box3.to_dict(),
+            "box3d_lidar": to_dict(box3),
             "box2d": None,
             "truncated": False,
             "behind_camera_vertices": None,
             "refined": False,
             "box2d_reason": "behind_camera",
         }
+
+    def test_entry_reads_back_as_its_boxes(self):
+        box3 = OrientedBox3((1, 2, 0.5), (2, 1, 1), 0.3)
+        cube = OrientedBox3((0.5, 0, 4), (1, 1, 1), 0.0, frame="cam")
+        entry = label_entry("obj0", "cabinet", box3, cube.vertices(), INTR)
+        ((back_entry, back3, back2),) = label_objects({"objects": [entry]})
+        assert back_entry is entry
+        assert to_dict(back3) == to_dict(box3) and back3.frame == "lidar"
+        assert to_dict(back2) == to_dict(project_box(cube.vertices(), INTR))
+
+    @pytest.mark.parametrize(
+        "key, value, names",
+        [
+            ("box3d_lidar", {"center": ["1", "2", True], "dims": [1.0, 1.0, 1.0], "yaw": 0.0},
+             "objects[0].box3d_lidar.center[0]: expected a finite number, got '1'"),
+            ("box3d_lidar", {"center": [1.0, 2.0, 0.5], "dims": [1.0, 1.0, 1.0], "yaw": "0.5"},
+             "objects[0].box3d_lidar.yaw: expected a finite number, got '0.5'"),
+            ("box3d_lidar", {"center": [1.0, 2.0, 0.5], "dims": [1.0, 1.0, 1.0], "yaw": 0.0, "roll": 0},
+             "unknown key(s) ['roll'] in section 'objects[0].box3d_lidar'"),
+            ("box2d", {"u0": 0.0, "v0": False, "u1": 1.0, "v1": 1.0},
+             "objects[0].box2d.v0: expected a finite number, got False"),
+        ],
+        ids=["string-center", "string-yaw", "unknown-key", "bool-v0"],
+    )
+    def test_mistyped_box_is_rejected_naming_its_key(self, key, value, names):
+        entry = {"id": "obj0", "class": "cabinet", "box3d_lidar": None, "box2d": None, key: value}
+        with pytest.raises(ConfigError) as info:
+            label_objects({"objects": [entry]})
+        assert names in str(info.value)
 
     def test_labels_document_shape(self):
         doc = labels_to_dict("sample_000", [{"class": "cabinet"}])
