@@ -160,7 +160,7 @@ def _robot_transform_from_readings(readings: dict, path: str):
 
 def _extrinsic_from_report(path: str) -> RigidTransform:
     def parse(report):
-        matrix = from_dict(tuple[float, ...], report["extrinsic"], "extrinsic")
+        matrix = from_dict(tuple[(float,) * 16], report["extrinsic"], "extrinsic")
         return RigidTransform.from_matrix(matrix, src="robot", dst="cam")
 
     return read_json(path, parse)
@@ -168,11 +168,14 @@ def _extrinsic_from_report(path: str) -> RigidTransform:
 
 def _sample_ids(dataset: str) -> list:
     samples_dir = os.path.join(dataset, "samples")
-    return sorted(
+    ids = sorted(
         name
         for name in os.listdir(samples_dir)
         if os.path.isdir(os.path.join(samples_dir, name))
     )
+    if not ids:
+        raise UsageError(f"{samples_dir} holds no sample directory")
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +338,11 @@ def cmd_refine(ns, cfg: PipelineConfig) -> None:
     # seeds follow the sample's place in the dataset, so refining some of the
     # label files writes what refining all of them writes for those files
     sample_index = {sid: i for i, sid in enumerate(_sample_ids(ns.dataset))}
+    fnames = sorted(f for f in os.listdir(ns.labels) if f.endswith(".json"))
+    if not fnames:
+        raise UsageError(f"{ns.labels} holds no label file (*.json)")
     tasks = []
-    for fname in sorted(f for f in os.listdir(ns.labels) if f.endswith(".json")):
+    for fname in fnames:
         sid, label_path = fname[: -len(".json")], os.path.join(ns.labels, fname)
         if sid not in sample_index:
             raise UsageError(f"{label_path} names no sample of dataset {ns.dataset}")

@@ -81,6 +81,14 @@ def from_dict(typ, value, path: str):
     ``Annotated[type, *args]`` field. A bad key or value raises ConfigError
     naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
     """
+    if typ in _SCALARS:  # most leaves: checked before the container forms
+        if typ is float:
+            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        else:
+            ok = isinstance(value, typ)
+        if not ok or isinstance(value, bool) != (typ is bool):
+            _reject(path, _SCALARS[typ], value)
+        return float(value) if typ is float else value
     args = ()
     if typing.get_origin(typ) is typing.Annotated:
         typ, *args = typing.get_args(typ)
@@ -99,15 +107,9 @@ def from_dict(typ, value, path: str):
         elif len(value) != len(args):
             _reject(path, f"a list of {len(args)}", value)
         return tuple(from_dict(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
-    if typ not in _SCALARS:
-        raise TypeError(f"{path}: no dict form for type {typ!r}")
-    if typ is float:
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    else:
-        ok = isinstance(value, typ)
-    if not ok or isinstance(value, bool) != (typ is bool):
-        _reject(path, _SCALARS[typ], value)
-    return float(value) if typ is float else value
+    if typ in _SCALARS:  # an Annotated scalar
+        return from_dict(typ, value, path)
+    raise TypeError(f"{path}: no dict form for type {typ!r}")
 
 
 def ordered_map(fn, items, jobs: int) -> list:

@@ -182,10 +182,17 @@ def frame_from_beacons(
 
 
 def beacon_yaw(pair: BeaconPair) -> float:
-    """Heading of the rear-to-front direction, radians in (-pi, pi]."""
+    """Heading of the rear-to-front direction, radians in (-pi, pi].
+
+    A pair that frame_from_beacons would reject (planar separation at or
+    below EPS_BEACON) has no heading either.
+    """
     d = pair.front[:2] - pair.rear[:2]
-    if np.hypot(d[0], d[1]) <= 0.0:
-        raise DegenerateBeaconPair("coincident beacons have no heading")
+    norm = np.hypot(d[0], d[1])
+    if norm <= EPS_BEACON:
+        raise DegenerateBeaconPair(
+            f"planar beacon separation {norm:.3e} m <= {EPS_BEACON:.3e} m"
+        )
     return float(np.arctan2(d[1], d[0]))
 
 

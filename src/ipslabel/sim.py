@@ -147,6 +147,8 @@ class SceneConfig:
     lidar: LidarConfig = LidarConfig()
     beacon_noise: float = 0.02  # uniform half-width per axis, meters
     pixel_noise_sigma: float = 0.0  # Gaussian, pixels (calibration pixels only)
+    # Heights (robot_beacon_height, table_z, and each object's dims) are
+    # measured from the floor plane z = floor_z.
     robot_beacon_height: float = 0.7
     robot_beacon_sep: float = 0.4
     collection_readings: int = 1
@@ -181,10 +183,6 @@ class SceneConfig:
                 raise ValueError(
                     f"object id {object_id!r} must not be 'robot' or hold a comma or line break"
                 )
-
-
-def default_scene() -> SceneConfig:
-    return SceneConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -249,35 +247,36 @@ def robot_pose_for_sample(scene: SceneConfig, seed: int, index: int) -> tuple:
 
 def robot_beacons(scene: SceneConfig, pose) -> BeaconPair:
     x, y, heading = pose
-    front = np.array([x, y, scene.robot_beacon_height])
+    front = np.array([x, y, scene.floor_z + scene.robot_beacon_height])
     back = front - scene.robot_beacon_sep * np.array(
         [math.cos(heading), math.sin(heading), 0.0]
     )
     return BeaconPair(front, back)
 
 
-def object_beacons(placement: ObjectPlacement) -> BeaconPair:
+def object_beacons(placement: ObjectPlacement, floor_z: float) -> BeaconPair:
     """Beacons on the object's top surface, along its x axis."""
     spec = placement.spec
-    mid = np.array([placement.x, placement.y, spec.height])
+    mid = np.array([placement.x, placement.y, floor_z + spec.height])
     half = 0.5 * placement.beacon_sep * np.array(
         [math.cos(placement.yaw), math.sin(placement.yaw), 0.0]
     )
     return BeaconPair(mid + half, mid - half)
 
 
-def true_object_box_ips(placement: ObjectPlacement) -> OrientedBox3:
+def true_object_box_ips(placement: ObjectPlacement, floor_z: float) -> OrientedBox3:
+    """The object's box, standing on the floor at height ``floor_z``."""
     spec = placement.spec
-    center = np.array([placement.x, placement.y, spec.height / 2.0])
+    center = np.array([placement.x, placement.y, floor_z + spec.height / 2.0])
     return OrientedBox3(center, spec.dims, placement.yaw, frame="ips")
 
 
-def _solid_boxes_ips(placement: ObjectPlacement) -> list:
+def _solid_boxes_ips(placement: ObjectPlacement, floor_z: float) -> list:
     """The solids the LiDAR actually sees (a table is a slab plus a stem)."""
     spec = placement.spec
     if spec.class_name == "table":
         slab_center = np.array(
-            [placement.x, placement.y, spec.height - TABLE_SLAB_THICKNESS / 2.0]
+            [placement.x, placement.y, floor_z + spec.height - TABLE_SLAB_THICKNESS / 2.0]
         )
         slab = OrientedBox3(
             slab_center,
@@ -286,7 +285,7 @@ def _solid_boxes_ips(placement: ObjectPlacement) -> list:
             frame="ips",
         )
         stem_height = spec.height - TABLE_SLAB_THICKNESS
-        stem_center = np.array([placement.x, placement.y, stem_height / 2.0])
+        stem_center = np.array([placement.x, placement.y, floor_z + stem_height / 2.0])
         stem = OrientedBox3(
             stem_center,
             (TABLE_STEM_WIDTH, TABLE_STEM_WIDTH, stem_height),
@@ -294,7 +293,7 @@ def _solid_boxes_ips(placement: ObjectPlacement) -> list:
             frame="ips",
         )
         return [slab, stem]
-    return [true_object_box_ips(placement)]
+    return [true_object_box_ips(placement, floor_z)]
 
 
 def true_transforms(scene: SceneConfig, pose) -> dict:
@@ -337,7 +336,7 @@ def raycast_lidar(scene: SceneConfig, pose) -> PointCloud:
     solids = [
         box_to_lidar(solid.vertices(), chain)
         for placement in scene.objects
-        for solid in _solid_boxes_ips(placement)
+        for solid in _solid_boxes_ips(placement, scene.floor_z)
     ]
     ground_z = float(chain.apply(np.array([pose[0], pose[1], scene.floor_z]))[2])
     dirs = _lidar_directions(scene.lidar)
@@ -372,7 +371,7 @@ def emit_beacons(scene: SceneConfig, pose, seed: int, index: int) -> dict:
     rng = substream(seed, NS_BEACON, index)
     clean = {"robot": robot_beacons(scene, pose)}
     for placement in scene.objects:
-        clean[placement.object_id] = object_beacons(placement)
+        clean[placement.object_id] = object_beacons(placement, scene.floor_z)
     out = {frame: [] for frame in clean}
     for _ in range(scene.collection_readings):
         for frame, pair in clean.items():
@@ -408,7 +407,7 @@ def make_sample(scene: SceneConfig, seed: int, index: int) -> GroundTruthSample:
     cloud = raycast_lidar(scene, pose)
     entries = []
     for placement in scene.objects:
-        box_ips = true_object_box_ips(placement)
+        box_ips = true_object_box_ips(placement, scene.floor_z)
         entry = label_entry(
             placement.object_id,
             placement.spec.class_name,
@@ -455,7 +454,7 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
     margin = 5.0
     for i in range(n):
         tag = "floor" if i < n_floor else "table"
-        z = scene.floor_z if tag == "floor" else scene.table_z
+        z = scene.floor_z if tag == "floor" else scene.floor_z + scene.table_z
         for _ in range(MAX_CALIBRATION_DRAWS):
             forward = rng.uniform(2.0, 6.0)
             lateral = rng.uniform(-0.35, 0.35) * forward

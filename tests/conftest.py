@@ -10,7 +10,7 @@ import os
 import pytest
 
 from ipslabel.cli import main
-from ipslabel.sim import SceneConfig, default_scene, generate_dataset
+from ipslabel.sim import SceneConfig, generate_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -41,13 +41,13 @@ def tree_digest(root):
 def noise_free_scene() -> SceneConfig:
     from dataclasses import replace
 
-    return replace(default_scene(), beacon_noise=0.0, pixel_noise_sigma=0.0)
+    return replace(SceneConfig(), beacon_noise=0.0, pixel_noise_sigma=0.0)
 
 
 def noisy_scene() -> SceneConfig:
     from dataclasses import replace
 
-    return replace(default_scene(), pixel_noise_sigma=1.0)
+    return replace(SceneConfig(), pixel_noise_sigma=1.0)
 
 
 @pytest.fixture(scope="session")

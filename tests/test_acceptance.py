@@ -33,7 +33,7 @@ from ipslabel.geom import (
 from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
 from ipslabel.refine import RefineConfig, fitness, shell_scores
 from ipslabel.rng import substream
-from ipslabel.sim import default_scene, make_calibration_set
+from ipslabel.sim import SceneConfig, make_calibration_set
 
 from .conftest import run_cli, tree_digest
 from .oracles import fitness_oracle, mc_iou3d_oracle
@@ -102,7 +102,7 @@ def test_planar_constraint_reduces_calibration_error():
     gates; the wide gate keeps all 63 points in >= 90% of constrained trials.
     < 60 s."""
     t0 = time.monotonic()
-    scene = replace(default_scene(), beacon_noise=0.02, pixel_noise_sigma=1.0)
+    scene = replace(SceneConfig(), beacon_noise=0.02, pixel_noise_sigma=1.0)
     rmse = {(d, p): [] for d in (8.0, 25.0) for p in (False, True)}
     full63 = 0
     for seed in range(50):

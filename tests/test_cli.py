@@ -39,6 +39,16 @@ def read(path):
         return fh.read()
 
 
+def run_python(args, timeout=60, **env):
+    """Run ``python *args`` in a new interpreter that imports this ipslabel."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ipslabel.__file__)))
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
 def openblas_dynamic_arch() -> bool:
     """True when numpy links an OpenBLAS built with DYNAMIC_ARCH on x86_64.
 
@@ -176,13 +186,9 @@ class TestConfigValidation:
             "translation: [0, 0, 0]}}\n"
         )
         out = tmp_path / "ds"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ipslabel.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ipslabel.cli", "--config", str(cfg), "simulate",
-             "--out", str(out), "--samples", "1"],
-            env=env, capture_output=True, text=True, timeout=60,
+        proc = run_python(
+            ["-m", "ipslabel.cli", "--config", str(cfg), "simulate", "--out", str(out),
+             "--samples", "1"]
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: scene.cam_from_robot")
@@ -192,11 +198,15 @@ class TestConfigValidation:
     def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool(self):
         # every stage, --version included, pays for what the CLI imports;
         # yaml is loaded by a config file and the pool by --jobs > 1
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ipslabel.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = "import sys, ipslabel.cli; print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        proc = run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_importing_the_package_loads_none_of_its_modules(self):
+        # the package re-exports nothing, so a stage loads only what it imports
+        probe = "import sys, ipslabel; print(sorted(m for m in sys.modules if m.startswith('ipslabel.')))"
+        proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
@@ -256,13 +266,10 @@ class TestCalibrate:
         self, tmp_path, coretype, mode, fixture
     ):
         out = str(tmp_path / "cal.json")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ipslabel.__file__)))
-        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ipslabel.cli", "--seed", "20", "calibrate", *CAL_FLAGS,
-             mode, "--out", out],
-            env=env, capture_output=True, text=True, timeout=300,
+        proc = run_python(
+            ["-m", "ipslabel.cli", "--seed", "20", "calibrate", *CAL_FLAGS, mode, "--out", out],
+            timeout=300,
+            OPENBLAS_CORETYPE=coretype,
         )
         assert proc.returncode == 0, proc.stderr
         assert read(out) == read(os.path.join(FIXTURES, fixture))
@@ -659,6 +666,8 @@ MALFORMED_INPUTS = [
      ["cal.json", "extrinsic[3]", "a finite number"]),
     ("string-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=str), GENERATE,
      ["cal.json", "extrinsic[3]", "a finite number"]),
+    ("15-entry-extrinsic", "cal.json", _json_edit("extrinsic", value=lambda v: v[:15]), GENERATE,
+     ["cal.json", "extrinsic: expected a list of 16"]),
     ("label-without-class", LABEL, _json_edit("objects", 0, "class"), REFINE,
      ["sample_000.json", "missing key 'class'"]),
     ("label-without-class-evaluate", LABEL, _json_edit("objects", 0, "class"), EVALUATE,
@@ -698,6 +707,16 @@ MALFORMED_INPUTS = [
     # 7 header lines, then 10 vertex rows; line 18 is the first row past them
     ("ply-longer-than-its-header", CLOUD, lambda t: re.sub(r"element vertex \d+", "element vertex 10", t),
      REFINE, ["cloud.ply", "line 18"]),
+]
+
+# (id, paths to delete, argv, directory the error must name): a stage that
+# would label nothing exits 2
+NOTHING_TO_LABEL = [
+    ("generate-without-samples", ["ds/samples/sample_000"], GENERATE, "{d}/ds/samples"),
+    ("refine-without-label-files", [LABEL], REFINE, "{d}/labels"),
+    ("refine-on-the-samples-dir", [],
+     ["refine", "--dataset", "{d}/ds", "--labels", "{d}/ds/samples", "--out", "{o}"],
+     "{d}/ds/samples"),
 ]
 
 BAD_FLAGS = [
@@ -751,6 +770,25 @@ class TestMalformedInputs:
         assert code == 2, err
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(path) in err and "vertex 9" in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "deleted, argv, named", [case[1:] for case in NOTHING_TO_LABEL],
+        ids=[case[0] for case in NOTHING_TO_LABEL],
+    )
+    def test_stage_with_nothing_to_label_exits_2_naming_the_dir(
+        self, small_run, tmp_path, deleted, argv, named
+    ):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        for rel in deleted:
+            path = d / rel
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+        out = tmp_path / "out"
+        code, _, err = run_cli([a.format(d=d, o=out) for a in argv])
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert named.format(d=d) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[flag for _, flag in BAD_FLAGS])
@@ -865,6 +903,26 @@ class TestMalformedInputs:
                                 "--labels", str(labels), "--out", str(refined)])
         assert code == 0, err
         assert json.loads(read(refined / "sample_000.json"))["objects"][1] == entry
+
+    def test_object_with_beacons_half_a_mm_apart_gets_an_error_entry(self, small_run, tmp_path):
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        beacons = d / BEACONS
+        lines = beacons.read_text().splitlines()
+        (front,) = [i for i, ln in enumerate(lines) if ln.startswith("obj1,front,")]
+        (rear,) = [i for i, ln in enumerate(lines) if ln.startswith("obj1,rear,")]
+        x, y, z = (float(v) for v in lines[front].split(",")[2:5])
+        clean = lines[rear].split(",")[5:]
+        lines[rear] = ",".join(["obj1", "rear", repr(x + 0.0005), repr(y), repr(z), *clean])
+        beacons.write_text("\n".join(lines) + "\n")
+        labels = tmp_path / "labels"
+        code, _, err = run_cli(["generate", "--dataset", str(d / "ds"), "--calibration",
+                                str(d / "cal.json"), "--out", str(labels)])
+        assert code == 0, err
+        obj0, obj1 = json.loads(read(labels / "sample_000.json"))["objects"]
+        assert "box3d_lidar" in obj0
+        assert obj1 == {"id": "obj1", "class": "table",
+                        "error": "DegenerateBeaconPair: planar beacon separation 5.000e-04 m <= 1.000e-03 m"}
 
     def test_cloud_without_a_ground_plane_keeps_every_unrefined_entry(self, small_run, tmp_path):
         d = tmp_path / "in"

@@ -5,6 +5,7 @@ import pytest
 
 from ipslabel.errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch
 from ipslabel.geom import (
+    EPS_BEACON,
     BeaconPair,
     RigidTransform,
     average_beacon_readings,
@@ -214,14 +215,14 @@ def test_object_from_robot_chain_matches_hand_built_truth():
     (yaw trigonometry, left-handed y axis, front-beacon origin) and chained
     with plain numpy matrix algebra.
     """
-    from ipslabel.sim import default_scene, object_beacons, robot_beacons
+    from ipslabel.sim import SceneConfig, object_beacons, robot_beacons
 
-    scene = default_scene()
+    scene = SceneConfig(floor_z=-0.2)
     pose = (1.0, -2.0, 0.7)
     placement = scene.objects[0]
 
     t_obj_from_robot = compose(
-        inverse(frame_from_beacons(object_beacons(placement), frame="obj0")),
+        inverse(frame_from_beacons(object_beacons(placement, scene.floor_z), frame="obj0")),
         frame_from_beacons(robot_beacons(scene, pose), frame="robot"),
     )
 
@@ -234,8 +235,9 @@ def test_object_from_robot_chain_matches_hand_built_truth():
         placement.x + 0.5 * placement.beacon_sep * np.cos(placement.yaw),
         placement.y + 0.5 * placement.beacon_sep * np.sin(placement.yaw),
     )
-    m_ips_from_obj = hand_frame(obj_front, placement.yaw, placement.spec.height)
-    m_ips_from_robot = hand_frame(pose[:2], pose[2], scene.robot_beacon_height)
+    # beacon heights are measured from the floor at z = floor_z
+    m_ips_from_obj = hand_frame(obj_front, placement.yaw, scene.floor_z + placement.spec.height)
+    m_ips_from_robot = hand_frame(pose[:2], pose[2], scene.floor_z + scene.robot_beacon_height)
     m_obj_from_robot = np.linalg.inv(m_ips_from_obj) @ m_ips_from_robot
 
     p = np.array([0.3, -0.1, 0.2])
@@ -259,6 +261,18 @@ class TestBeaconYaw:
     def test_coincident_beacons_rejected(self):
         with pytest.raises(DegenerateBeaconPair):
             beacon_yaw(BeaconPair((0, 0, 1), (0, 0, 0)))
+
+    @pytest.mark.parametrize("sep", [0.0005, EPS_BEACON])
+    def test_pair_the_robot_frame_rejects_has_no_yaw(self, sep):
+        pair = BeaconPair((sep, 0, 0.3), (0, 0, 0.3))
+        with pytest.raises(DegenerateBeaconPair):
+            frame_from_beacons(pair)
+        with pytest.raises(DegenerateBeaconPair, match="planar beacon separation"):
+            beacon_yaw(pair)
+
+    def test_pair_just_past_the_bound_has_a_yaw(self):
+        pair = BeaconPair((0, 2 * EPS_BEACON, 0), (0, 0, 0))
+        assert beacon_yaw(pair) == pytest.approx(np.pi / 2)
 
 
 class TestAverageBeaconReadings:

@@ -263,11 +263,12 @@ class TestObjectBoxIps:
         midpoint/heading arithmetic; both live in the simulator but are
         computed independently."""
         from ipslabel.eval import iou_3d
-        from ipslabel.sim import default_scene, object_beacons, true_object_box_ips
+        from ipslabel.sim import SceneConfig, object_beacons, true_object_box_ips
 
-        for placement in default_scene().objects:
-            derived = object_box_ips(object_beacons(placement), placement.spec)
-            truth = true_object_box_ips(placement)
+        scene = SceneConfig(floor_z=0.3)
+        for placement in scene.objects:
+            derived = object_box_ips(object_beacons(placement, scene.floor_z), placement.spec)
+            truth = true_object_box_ips(placement, scene.floor_z)
             np.testing.assert_allclose(derived.center, truth.center, atol=1e-12)
             assert normalize_yaw(derived.yaw - truth.yaw) == pytest.approx(0.0, abs=1e-12)
             assert iou_3d(derived, truth) == pytest.approx(1.0, abs=1e-9)
@@ -396,9 +397,9 @@ class TestBoxToLidar:
     def test_level_chain_preserves_vertex_set(self):
         """Any z-preserving orthogonal map (the noise-free simulator chain
         is one, reflection included) keeps the refit exact."""
-        from ipslabel.sim import default_scene, robot_pose_for_sample, true_transforms
+        from ipslabel.sim import SceneConfig, robot_pose_for_sample, true_transforms
 
-        scene = default_scene()
+        scene = SceneConfig()
         pose = robot_pose_for_sample(scene, seed=5, index=0)
         chain = true_transforms(scene, pose)["lidar_from_ips"]
         box = OrientedBox3((4.0, 0.9, 0.65), (0.9, 0.5, 1.3), 0.4, frame="ips")

@@ -50,9 +50,9 @@ def cabinet_sample():
     """One noise-free simulated sample, shared across tests in this module."""
     from dataclasses import replace
 
-    from ipslabel.sim import default_scene, make_sample
+    from ipslabel.sim import SceneConfig, make_sample
 
-    scene = replace(default_scene(), beacon_noise=0.0, pixel_noise_sigma=0.0)
+    scene = replace(SceneConfig(), beacon_noise=0.0, pixel_noise_sigma=0.0)
     return make_sample(scene, seed=5, index=0)
 
 
@@ -723,9 +723,9 @@ class TestBatchedRefineMatchesScalarLoop:
 def seed7_cabinet():
     """The cabinet of sample 0 of the default scene at seed 7, its truth box,
     and a label 5 cm off sideways, as a noisy calibration puts it."""
-    from ipslabel.sim import default_scene, make_sample
+    from ipslabel.sim import SceneConfig, make_sample
 
-    sample = make_sample(default_scene(), seed=7, index=0)
+    sample = make_sample(SceneConfig(), seed=7, index=0)
     entry = next(e for e in sample.truth_objects if e["class"] == "cabinet")
     truth = OrientedBox3.from_dict(entry["box3d_lidar"])
     unrefined = OrientedBox3(truth.center + (0.0, -0.05, 0.0), truth.dims, truth.yaw + 0.015)

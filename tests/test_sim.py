@@ -19,7 +19,6 @@ from ipslabel.sim import (
     LidarConfig,
     ObjectPlacement,
     SceneConfig,
-    default_scene,
     emit_beacons,
     generate_dataset,
     make_calibration_set,
@@ -40,7 +39,7 @@ from .oracles import ray_box_hit_oracle
 
 @functools.lru_cache(maxsize=1)
 def default_pose_and_cloud():
-    scene = default_scene()
+    scene = SceneConfig()
     pose = robot_pose_for_sample(scene, seed=5, index=0)
     return scene, pose, raycast_lidar(scene, pose)
 
@@ -48,12 +47,13 @@ def default_pose_and_cloud():
 def scene_solids_ips(scene: SceneConfig):
     """The solids the LiDAR sees, rebuilt from the scene description."""
     solids = []
+    z0 = scene.floor_z
     for o in scene.objects:
         spec = o.spec
         if spec.class_name == "table":
             solids.append(
                 OrientedBox3(
-                    (o.x, o.y, spec.height - TABLE_SLAB_THICKNESS / 2.0),
+                    (o.x, o.y, z0 + spec.height - TABLE_SLAB_THICKNESS / 2.0),
                     (spec.length, spec.width, TABLE_SLAB_THICKNESS),
                     o.yaw,
                     frame="ips",
@@ -62,7 +62,7 @@ def scene_solids_ips(scene: SceneConfig):
             stem_h = spec.height - TABLE_SLAB_THICKNESS
             solids.append(
                 OrientedBox3(
-                    (o.x, o.y, stem_h / 2.0),
+                    (o.x, o.y, z0 + stem_h / 2.0),
                     (TABLE_STEM_WIDTH, TABLE_STEM_WIDTH, stem_h),
                     o.yaw,
                     frame="ips",
@@ -70,7 +70,7 @@ def scene_solids_ips(scene: SceneConfig):
             )
         else:
             solids.append(
-                OrientedBox3((o.x, o.y, spec.height / 2.0), spec.dims, o.yaw, frame="ips")
+                OrientedBox3((o.x, o.y, z0 + spec.height / 2.0), spec.dims, o.yaw, frame="ips")
             )
     return solids
 
@@ -81,12 +81,12 @@ def scene_solids_ips(scene: SceneConfig):
 
 class TestRobotPose:
     def test_deterministic(self):
-        scene = default_scene()
+        scene = SceneConfig()
         assert robot_pose_for_sample(scene, 7, 3) == robot_pose_for_sample(scene, 7, 3)
         assert robot_pose_for_sample(scene, 7, 3) != robot_pose_for_sample(scene, 7, 4)
 
     def test_on_the_ring_facing_the_centroid(self):
-        scene = default_scene()
+        scene = SceneConfig()
         cx = np.mean([o.x for o in scene.objects])
         cy = np.mean([o.y for o in scene.objects])
         for index in range(10):
@@ -107,7 +107,7 @@ class TestRaycast:
         # the lone object sits just past the LiDAR range, so only the
         # floor returns points
         scene = replace(
-            default_scene(),
+            SceneConfig(),
             objects=(ObjectPlacement("obj0", ObjectSpec("cabinet", 0.2, 0.2, 0.5), 0.0, 0.0, 0.0),),
             lidar=LidarConfig(max_range=3.0),
             robot_radius_min=3.4,
@@ -122,7 +122,7 @@ class TestRaycast:
 
     def test_faces_turned_away_from_the_sensor_have_no_points(self):
         scene = replace(
-            default_scene(),
+            SceneConfig(),
             objects=(ObjectPlacement("obj0", ObjectSpec("cabinet", 0.9, 0.5, 1.3), 4.0, 0.9, 0.4),),
         )
         pose = robot_pose_for_sample(scene, seed=2, index=0)
@@ -171,6 +171,61 @@ class TestRaycast:
 
 
 # ---------------------------------------------------------------------------
+# floor height
+
+
+class TestFloorHeight:
+    """Heights are measured from the floor, so moving it moves the whole
+    scene: every sensor-frame output stays where it was."""
+
+    @pytest.mark.parametrize("floor_z", [0.5, -0.3])
+    def test_lidar_frame_sample_does_not_move_with_the_floor(self, floor_z):
+        base = make_sample(SceneConfig(), seed=7, index=0)
+        moved = make_sample(SceneConfig(floor_z=floor_z), seed=7, index=0)
+        assert len(moved.cloud) == len(base.cloud)
+        np.testing.assert_allclose(moved.cloud.points, base.cloud.points, rtol=0, atol=1e-9)
+        for got, want in zip(moved.truth_objects, base.truth_objects):
+            for key in ("center", "dims"):
+                np.testing.assert_allclose(
+                    got["box3d_lidar"][key], want["box3d_lidar"][key], rtol=0, atol=1e-9
+                )
+            assert got["box3d_lidar"]["yaw"] == pytest.approx(want["box3d_lidar"]["yaw"], abs=1e-9)
+            np.testing.assert_allclose(
+                [got["box2d"][k] for k in ("u0", "v0", "u1", "v1")],
+                [want["box2d"][k] for k in ("u0", "v0", "u1", "v1")],
+                rtol=0,
+                atol=1e-6,
+            )
+            # only the IPS-frame truth moves, by the floor's height
+            shift = np.subtract(got["box3d_ips"]["center"], want["box3d_ips"]["center"])
+            np.testing.assert_allclose(shift, (0.0, 0.0, floor_z), rtol=0, atol=1e-12)
+
+    def test_objects_stand_on_the_raised_floor(self):
+        scene = SceneConfig(floor_z=0.5)
+        sample = make_sample(scene, seed=7, index=0)
+        for entry, placement in zip(sample.truth_objects, scene.objects):
+            box = OrientedBox3.from_dict(entry["box3d_ips"])
+            assert box.center[2] - box.dims[2] / 2.0 == pytest.approx(scene.floor_z, abs=1e-12)
+        heights = {o.object_id: o.spec.height for o in scene.objects}
+        heights["robot"] = scene.robot_beacon_height
+        for frame, readings in emit_beacons(scene, sample.robot_pose, 7, 0).items():
+            for pair in (r.clean for r in readings):
+                want = scene.floor_z + heights[frame]
+                assert (pair.front[2], pair.rear[2]) == pytest.approx((want, want), abs=1e-12)
+
+    def test_calibration_pixels_do_not_move_with_the_floor(self):
+        base = make_calibration_set(SceneConfig(pixel_noise_sigma=1.0), seed=7)
+        scene = SceneConfig(pixel_noise_sigma=1.0, floor_z=0.5)
+        moved = make_calibration_set(scene, seed=7)
+        for got, want in zip(moved.correspondences, base.correspondences):
+            assert got.plane_tag == want.plane_tag
+            np.testing.assert_allclose(got.pixel, want.pixel, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(
+                got.beacon_ips - want.beacon_ips, (0.0, 0.0, scene.floor_z), rtol=0, atol=1e-12
+            )
+
+
+# ---------------------------------------------------------------------------
 # beacon noise
 
 
@@ -186,7 +241,7 @@ class TestEmitBeacons:
                 np.testing.assert_array_equal(r.noisy.rear, r.clean.rear)
 
     def test_noise_has_bounded_support(self):
-        scene = default_scene()  # beacon_noise = 0.02
+        scene = SceneConfig()  # beacon_noise = 0.02
         pose = robot_pose_for_sample(scene, seed=4, index=0)
         readings = emit_beacons(replace(scene, collection_readings=10_000), pose, seed=4, index=0)
         errs = np.array(
@@ -198,7 +253,7 @@ class TestEmitBeacons:
         assert np.abs(errs).max() > 0.95 * scene.beacon_noise
 
     def test_noise_mean_vanishes_at_clt_rate(self):
-        scene = default_scene()
+        scene = SceneConfig()
         pose = robot_pose_for_sample(scene, seed=5, index=0)
         n = 10_000
         readings = emit_beacons(replace(scene, collection_readings=n), pose, seed=5, index=0)
@@ -208,7 +263,7 @@ class TestEmitBeacons:
         assert np.abs(errs.mean(axis=0)).max() <= bound
 
     def test_deterministic_per_seed_and_index(self):
-        scene = default_scene()
+        scene = SceneConfig()
         pose = robot_pose_for_sample(scene, seed=6, index=1)
         a = emit_beacons(scene, pose, seed=6, index=1)
         b = emit_beacons(scene, pose, seed=6, index=1)
@@ -218,7 +273,7 @@ class TestEmitBeacons:
 
     def test_requires_at_least_one_reading(self):
         with pytest.raises(ValueError, match="collection_readings"):
-            replace(default_scene(), collection_readings=0)
+            replace(SceneConfig(), collection_readings=0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +282,7 @@ class TestEmitBeacons:
 
 class TestCalibrationSet:
     def test_counts_and_plane_tags(self):
-        scene = default_scene()
+        scene = SceneConfig()
         cs = make_calibration_set(scene, seed=7)
         assert len(cs.correspondences) == scene.calibration_points
         tags = [c.plane_tag for c in cs.correspondences]
@@ -236,14 +291,14 @@ class TestCalibrationSet:
         assert len(cs.robot_readings) == scene.calibration_readings
 
     def test_pixels_inside_the_image(self):
-        scene = default_scene()
+        scene = SceneConfig()
         cs = make_calibration_set(scene, seed=8)
         for c in cs.correspondences:
             assert -5.0 <= c.pixel[0] <= scene.intrinsics.width + 5.0
             assert -5.0 <= c.pixel[1] <= scene.intrinsics.height + 5.0
 
     def test_beacon_noise_bounded(self):
-        scene = default_scene()
+        scene = SceneConfig()
         cs = make_calibration_set(scene, seed=9)
         for r in cs.robot_readings:
             assert np.abs(r.noisy.front - r.clean.front).max() <= scene.beacon_noise
@@ -266,7 +321,7 @@ class TestFileFormats:
             read_ply(b"not a ply\n")
 
     def test_beacons_csv_round_trip(self):
-        scene = default_scene()
+        scene = SceneConfig()
         pose = robot_pose_for_sample(scene, seed=10, index=0)
         readings = emit_beacons(replace(scene, collection_readings=3), pose, seed=10, index=0)
         text = beacons_csv(readings)
@@ -274,14 +329,14 @@ class TestFileFormats:
         assert beacons_csv(parse_beacons_csv(text)) == text
 
     def test_correspondences_csv_round_trip(self):
-        scene = default_scene()
+        scene = SceneConfig()
         cs = make_calibration_set(scene, seed=11)
         text = correspondences_csv(cs.correspondences)
         assert text.splitlines()[0] == "beacon_x,beacon_y,beacon_z,u,v,plane_tag"
         assert correspondences_csv(parse_correspondences_csv(text)) == text
 
     def test_scene_round_trips_through_its_dict_form(self):
-        scene = default_scene()
+        scene = SceneConfig()
         back = from_dict(SceneConfig, to_dict(scene), "scene")
         assert back.beacon_noise == scene.beacon_noise
         assert back.lidar == scene.lidar
