@@ -14,10 +14,10 @@ Each pipeline stage (``python -m ipslabel.cli``) has one module:
 - ``ipslabel.refine``: point-cloud refinement of the boxes (``refine``)
 - ``ipslabel.eval``: IoU comparison and the downsample study (``evaluate``)
 
-They share ``geom`` (rigid transforms, beacon frames), ``cloud`` (point
-clouds and PLY), ``fileio`` (files and the checked dict form), ``config``
-(the pipeline config), ``errors`` (typed errors) and ``rng`` (seeded
-streams).
+They share ``geom`` (rigid transforms, beacon frames and readings),
+``cloud`` (point clouds and PLY), ``fileio`` (files and the checked dict
+form), ``config`` (the pipeline config and the config dataclasses of every
+stage), ``errors`` (typed errors) and ``rng`` (seeded streams).
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ Estimates the camera-from-robot transform with a direct linear transform
 minimization, wrapped in a locally optimised RANSAC loop. The planar
 constraint snaps measured beacon heights to their per-plane group mean
 before solving, exploiting the fact that calibration beacons sit on two
-parallel planes.
+parallel planes. The correspondences are stored as ``correspondences.csv``
+(see correspondences_csv and parse_correspondences_csv).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     NoConvergence,
     TooFewInliers,
 )
+from .fileio import _csv_rows
 from .geom import RigidTransform, chunks, compose, row_norms
 from .rng import NS_CALIB_RANSAC, distinct_rows, substream
 
@@ -95,6 +97,23 @@ class CalibrationResult:
             raise ValueError("rmse_px must be >= 0")
         if len(self.inlier_indices) == 0:
             raise ValueError("inlier set must be non-empty")
+
+
+def correspondences_csv(corrs) -> str:
+    lines = ["beacon_x,beacon_y,beacon_z,u,v,plane_tag"]
+    for c in corrs:
+        vals = [repr(float(v)) for v in (*c.beacon_ips, *c.pixel)]
+        lines.append(",".join(vals) + f",{c.plane_tag}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_correspondences_csv(text: str) -> list:
+    """Inverse of correspondences_csv: [Correspondence, ...]."""
+    header = "beacon_x,beacon_y,beacon_z,u,v,plane_tag"
+    out = []
+    for _, parts, vals in _csv_rows(text, header, slice(0, 5), "correspondence"):
+        out.append(Correspondence(vals[:3], vals[3:5], parts[5]))
+    return out
 
 
 def apply_planar_constraint(corrs) -> list:

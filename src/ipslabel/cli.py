@@ -17,37 +17,11 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
-from functools import partial
 
+# Each command imports the modules of its own stage, so --version and --help
+# load no numpy and a stage loads only what it runs (see README, "Start-up").
 from . import __version__
-from .calib import MIN_PNP_POINTS, apply_planar_constraint, solve_pnp_ransac
-from .cloud import read_ply
-from .config import CalibOptions, PipelineConfig, load_config
 from .errors import DegenerateBeaconPair, EmptyReadings, NumericalError, UsageError
-from .eval import compare_labels, downsample_study, study_means
-from .fileio import (
-    atomic_write_text,
-    dump_json,
-    from_dict,
-    ordered_map,
-    read_bytes,
-    read_input,
-    read_json,
-    require_empty_dir,
-)
-from .geom import RigidTransform, average_beacon_readings, frame_from_beacons, inverse
-from .labelgen import (
-    box_to_camera,
-    box_to_lidar,
-    label_entry,
-    label_objects,
-    labels_to_dict,
-    object_box_ips,
-)
-from .refine import fit_ground_plane, refine_label
-from .rng import NS_JOB, derive_seed
-from .sim import SceneConfig, generate_dataset, parse_beacons_csv, parse_correspondences_csv
 
 
 def _checked(convert, valid, expected: str):
@@ -131,11 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
 # shared input helpers
 
 
-def _manifest_scene(path: str) -> SceneConfig:
+def _manifest_scene(path: str):
+    from .config import SceneConfig
+    from .fileio import from_dict, read_json
+
     return read_json(path, lambda manifest: from_dict(SceneConfig, manifest["scene"], "scene"))
 
 
-def _object_specs(scene: SceneConfig) -> dict:
+def _object_specs(scene) -> dict:
     """{object id: ObjectSpec}, in id order."""
     return dict(sorted({o.object_id: o.spec for o in scene.objects}.items()))
 
@@ -152,13 +129,18 @@ def _entry_spec(entry: dict, specs: dict, label_path: str):
 
 
 def _robot_transform_from_readings(readings: dict, path: str):
+    from .geom import average_beacon_readings, frame_from_beacons, inverse
+
     if "robot" not in readings:
         raise UsageError(f"{path} has no 'robot' frame rows")
     pair = average_beacon_readings(r.noisy for r in readings["robot"])
     return inverse(frame_from_beacons(pair, frame="robot"))
 
 
-def _extrinsic_from_report(path: str) -> RigidTransform:
+def _extrinsic_from_report(path: str):
+    from .fileio import from_dict, read_json
+    from .geom import RigidTransform
+
     def parse(report):
         matrix = from_dict(tuple[(float,) * 16], report["extrinsic"], "extrinsic")
         return RigidTransform.from_matrix(matrix, src="robot", dst="cam")
@@ -182,8 +164,10 @@ def _sample_ids(dataset: str) -> list:
 # simulate
 
 
-def cmd_simulate(ns, cfg: PipelineConfig) -> None:
-    generate_dataset(cfg.scene, ns.out, ns.samples, cfg.seed, jobs=ns.jobs)
+def cmd_simulate(ns, cfg) -> None:
+    from . import sim
+
+    sim.generate_dataset(cfg.scene, ns.out, ns.samples, cfg.seed, jobs=ns.jobs)
     print(f"wrote {ns.samples} samples to {ns.out}")
 
 
@@ -204,7 +188,19 @@ def _report_float(x) -> float:
     return round(float(x), REPORT_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
-def cmd_calibrate(ns, cfg: PipelineConfig) -> None:
+def cmd_calibrate(ns, cfg) -> None:
+    from dataclasses import fields, replace
+
+    from .calib import (
+        MIN_PNP_POINTS,
+        apply_planar_constraint,
+        parse_correspondences_csv,
+        solve_pnp_ransac,
+    )
+    from .config import CalibOptions
+    from .fileio import atomic_write_text, dump_json, read_input
+    from .geom import parse_beacons_csv
+
     corr_path = ns.correspondences
     beacon_path = ns.robot_beacons
     manifest_path = ns.manifest
@@ -251,6 +247,10 @@ def cmd_calibrate(ns, cfg: PipelineConfig) -> None:
 
 
 def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr) -> tuple:
+    from .fileio import dump_json, read_input
+    from .geom import average_beacon_readings, parse_beacons_csv
+    from .labelgen import box_to_camera, box_to_lidar, label_entry, labels_to_dict, object_box_ips
+
     sid, beacons_path = task
     readings = read_input(beacons_path, parse_beacons_csv)
     t_robot_from_ips = _robot_transform_from_readings(readings, beacons_path)
@@ -269,7 +269,11 @@ def _generate_sample(task, specs, extrinsic, lidar_from_cam, intr) -> tuple:
     return sid, dump_json(labels_to_dict(sid, entries))
 
 
-def cmd_generate(ns, cfg: PipelineConfig) -> None:
+def cmd_generate(ns, cfg) -> None:
+    from functools import partial
+
+    from .fileio import atomic_write_text, ordered_map, require_empty_dir
+
     require_empty_dir(ns.out, "generate")
     scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
     tasks = [
@@ -294,6 +298,13 @@ def cmd_generate(ns, cfg: PipelineConfig) -> None:
 
 
 def _refine_sample(task, specs, refine_cfg, seed, lidar_from_cam, intr) -> tuple:
+    from .cloud import read_ply
+    from .fileio import dump_json, read_bytes, read_input, read_json
+    from .geom import inverse
+    from .labelgen import label_entry, label_objects, labels_to_dict
+    from .refine import fit_ground_plane, refine_label
+    from .rng import NS_JOB, derive_seed
+
     sid, sample_index, cloud_path, label_path = task
     cloud = read_input(cloud_path, read_ply, read_bytes)
     # the sample's plane and its objects' draws are seeded from their places
@@ -332,7 +343,14 @@ def _refine_sample(task, specs, refine_cfg, seed, lidar_from_cam, intr) -> tuple
     return sid, dump_json(labels_to_dict(sid, objects))
 
 
-def cmd_refine(ns, cfg: PipelineConfig) -> None:
+def cmd_refine(ns, cfg) -> None:
+    from functools import partial
+
+    # _refine_sample's modules, loaded before ordered_map forks its workers
+    # so that they do not each import them again
+    from . import cloud, refine
+    from .fileio import atomic_write_text, ordered_map, require_empty_dir
+
     require_empty_dir(ns.out, "refine")
     scene = _manifest_scene(os.path.join(ns.dataset, "manifest.json"))
     # seeds follow the sample's place in the dataset, so refining some of the
@@ -375,10 +393,17 @@ def _study_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_evaluate(ns, cfg: PipelineConfig) -> None:
+def cmd_evaluate(ns, cfg) -> None:
+    from .fileio import atomic_write_text, dump_json
+
     if ns.study == "downsample":
         if not (ns.dataset and ns.labels and ns.sample):
             raise UsageError("--study downsample needs --dataset, --labels and --sample")
+        from .cloud import read_ply
+        from .eval import downsample_study, study_means
+        from .fileio import read_bytes, read_input, read_json
+        from .labelgen import label_objects
+
         specs = _object_specs(_manifest_scene(os.path.join(ns.dataset, "manifest.json")))
         cloud = read_input(
             os.path.join(ns.dataset, "samples", ns.sample, "cloud.ply"), read_ply, read_bytes
@@ -419,6 +444,8 @@ def cmd_evaluate(ns, cfg: PipelineConfig) -> None:
         return
     if not (ns.auto and ns.reference):
         raise UsageError("evaluate needs --auto and --reference (or --study downsample)")
+    from .eval import compare_labels
+
     report = compare_labels(ns.auto, ns.reference)
     atomic_write_text(ns.out, dump_json(report.to_dict()))
     mean2 = "n/a" if report.mean_iou_2d is None else f"{report.mean_iou_2d:.4f}"
@@ -439,6 +466,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    from dataclasses import replace
+
+    from .config import load_config
+
     try:
         cfg = load_config(ns.config)
         if ns.seed is not None:

@@ -2,17 +2,33 @@
 
 The config file is YAML; its shape is the dict form of PipelineConfig (see
 fileio.from_dict). Unknown keys and mistyped values are rejected with the
-dotted key named, and YAML syntax errors surface with their line/column.
+dotted key named; a key given twice in one mapping, and YAML syntax errors,
+surface with their line/column.
+
+The config dataclasses of every stage live here, so that a stage loads only
+the modules it runs. fileio.from_dict resolves their string annotations in
+this module's globals, so the annotation types are imported at module level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from typing import Annotated
 
+import numpy as np
+
+from .calib import MIN_PNP_POINTS, CameraIntrinsics
 from .errors import ConfigError
 from .fileio import from_dict, read_text
-from .refine import RefineConfig
-from .sim import SceneConfig
+from .geom import EPS_BEACON, RigidTransform, compose, inverse
+from .labelgen import ObjectSpec
+
+
+def _check_beacon_sep(name: str, value: float) -> None:
+    # a narrower pair has no heading: geom.frame_from_beacons and beacon_yaw reject it
+    if value <= EPS_BEACON:
+        raise ValueError(f"{name} must be > {EPS_BEACON} m, got {value}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +42,168 @@ class CalibOptions:
             raise ValueError("delta_px must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+
+
+@dataclass(frozen=True)
+class RefineConfig:
+    radius: float = 1.5  # neighborhood around the unrefined center, meters
+    shell_delta: float = 0.05  # shell half-thickness, meters
+    iterations: int = 5000
+    ground_threshold: float = 0.03  # plane inlier / ground strip distance, meters
+    table_min_height: float = 0.3  # drop points below this height for tables
+    plane_iterations: int = 100
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"RefineConfig.{f.name} must be positive")
+
+
+# ---------------------------------------------------------------------------
+# The simulated scene (sim) and the rig that generate and refine read from a
+# dataset's manifest.
+
+
+def _default_cam_from_robot(pitch_deg: float = 15.0) -> RigidTransform:
+    """Camera mount: optical axis ahead of the robot, pitched down."""
+    a = math.radians(pitch_deg)
+    base = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    pitch = np.array(
+        [[1.0, 0.0, 0.0], [0.0, math.cos(a), -math.sin(a)], [0.0, math.sin(a), math.cos(a)]]
+    )
+    rot = pitch @ base
+    cam_pos_robot = np.array([0.05, 0.0, 0.05])
+    return RigidTransform(rot, -rot @ cam_pos_robot, src="robot", dst="cam")
+
+
+def _default_lidar_from_cam(cam_from_robot: RigidTransform) -> RigidTransform:
+    """LiDAR mount: axis-aligned with the robot, 0.1 m below the beacons."""
+    lidar_pos_robot = np.array([0.0, 0.0, -0.1])
+    lidar_from_robot = RigidTransform(
+        np.eye(3), -lidar_pos_robot, src="robot", dst="lidar"
+    )
+    return compose(lidar_from_robot, inverse(cam_from_robot))
+
+
+DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+DEFAULT_CAM_FROM_ROBOT = _default_cam_from_robot()
+DEFAULT_LIDAR_FROM_CAM = _default_lidar_from_cam(DEFAULT_CAM_FROM_ROBOT)
+
+
+@dataclass(frozen=True)
+class LidarConfig:
+    channels: int = 16
+    vfov_min_deg: float = -15.0
+    vfov_max_deg: float = 15.0
+    azimuth_step_deg: float = 0.2
+    max_range: float = 30.0
+
+    def __post_init__(self):
+        if self.channels < 1:
+            raise ValueError("channels must be >= 1")
+        if self.azimuth_step_deg <= 0 or self.max_range <= 0:
+            raise ValueError("azimuth_step_deg and max_range must be positive")
+
+
+@dataclass(frozen=True)
+class ObjectPlacement:
+    """An object instance: measured spec plus its true pose on the floor."""
+
+    object_id: str
+    spec: ObjectSpec
+    x: float
+    y: float
+    yaw: float
+    beacon_sep: float = 0.4
+
+    def __post_init__(self):
+        _check_beacon_sep("beacon_sep", self.beacon_sep)
+
+    # Dict form: flat, with the spec's class and dims beside the pose.
+    FORM = {
+        "id": str,
+        "class": str,
+        "dims": tuple[float, float, float],
+        "x": float,
+        "y": float,
+        "yaw": float,
+        "beacon_sep": float,
+    }
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.object_id,
+            "class": self.spec.class_name,
+            "dims": list(self.spec.dims),
+            "x": self.x,
+            "y": self.y,
+            "yaw": self.yaw,
+            "beacon_sep": self.beacon_sep,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ObjectPlacement":
+        spec = ObjectSpec(d["class"], *d["dims"])
+        return cls(d["id"], spec, d["x"], d["y"], d["yaw"], d.get("beacon_sep", cls.beacon_sep))
+
+
+def _default_objects() -> tuple:
+    return (
+        ObjectPlacement("obj0", ObjectSpec("cabinet", 0.9, 0.5, 1.3), 4.0, 0.9, 0.4),
+        ObjectPlacement("obj1", ObjectSpec("table", 1.2, 0.8, 0.75), 3.4, -1.6, -0.3),
+    )
+
+
+@dataclass(frozen=True)
+class SceneConfig:
+    objects: tuple[ObjectPlacement, ...] = field(default_factory=_default_objects)
+    intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
+    # Annotated with the frames (src, dst), which their dict form leaves out.
+    cam_from_robot: Annotated[RigidTransform, "robot", "cam"] = DEFAULT_CAM_FROM_ROBOT
+    lidar_from_cam: Annotated[RigidTransform, "cam", "lidar"] = DEFAULT_LIDAR_FROM_CAM
+    lidar: LidarConfig = LidarConfig()
+    beacon_noise: float = 0.02  # uniform half-width per axis, meters
+    pixel_noise_sigma: float = 0.0  # Gaussian, pixels (calibration pixels only)
+    # Heights (robot_beacon_height, table_z, and each object's dims) are
+    # measured from the floor plane z = floor_z.
+    robot_beacon_height: float = 0.7
+    robot_beacon_sep: float = 0.4
+    collection_readings: int = 1
+    calibration_readings: int = 16
+    calibration_points: int = 63
+    floor_z: float = 0.0
+    table_z: float = 0.75  # calibration table plane height
+    robot_radius_min: float = 3.5
+    robot_radius_max: float = 5.5
+    heading_jitter_deg: float = 3.0
+
+    def __post_init__(self):
+        if self.beacon_noise < 0 or self.pixel_noise_sigma < 0:
+            raise ValueError("noise levels must be >= 0")
+        _check_beacon_sep("robot_beacon_sep", self.robot_beacon_sep)
+        if not self.objects:
+            raise ValueError("scene needs at least one object")
+        for name in ("collection_readings", "calibration_readings"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.calibration_points < MIN_PNP_POINTS:
+            raise ValueError(f"calibration_points must be >= {MIN_PNP_POINTS}")
+        if self.robot_radius_min > self.robot_radius_max:
+            raise ValueError("robot_radius_min must be <= robot_radius_max")
+        ids = [o.object_id for o in self.objects]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"object ids must be unique, got {ids}")
+        for object_id in ids:
+            # beacons.csv names each row's frame: "robot" is the robot's, and
+            # a comma or a line break in an id would split its rows
+            breaks = "".join(object_id.splitlines()) != object_id
+            if object_id == "robot" or "," in object_id or breaks:
+                raise ValueError(
+                    f"object id {object_id!r} must not be 'robot' or hold a comma or line break"
+                )
+
+
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -49,8 +227,25 @@ def load_config(path: str | None) -> PipelineConfig:
         return PipelineConfig()
     import yaml  # imported here: a run without a config file does not pay for it
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """SafeLoader that rejects a mapping key given twice, where YAML keeps the last."""
+
+        def construct_mapping(self, node, deep=False):
+            # the keys written here; the base class adds a << merge's, which they may override
+            key_nodes = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep=deep)  # rejects unhashable keys
+            seen = set()
+            for key_node in key_nodes:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+            return mapping
+
     try:
-        raw = yaml.safe_load(read_text(path))
+        raw = yaml.load(read_text(path), Loader=UniqueKeyLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
     return config_from_dict(raw)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .errors import ClassMismatch, FrameMismatch, MissingSample, NumericalError,
 from .fileio import read_json, to_dict
 from .labelgen import Box2, ObjectSpec, OrientedBox3, label_objects
 from .refine import (
-    RefineConfig,
     fit_ground_plane,
     fitness,
     kinds_for_class,
@@ -25,6 +25,9 @@ from .refine import (
     refine_label,
 )
 from .rng import NS_DOWNSAMPLE, derive_seed, substream
+
+if TYPE_CHECKING:
+    from .config import RefineConfig
 
 MATCH_GATE = 2.0  # meters; max center distance when pairing labels
 

@@ -1,6 +1,7 @@
-"""Atomic file writes, the checked reading of input files, deterministic JSON,
-the checked dict form of what config, manifest, label and report files hold,
-and the ordered worker map whose results the writers consume.
+"""Atomic file writes, the checked reading of input files (JSON and CSV rows),
+deterministic JSON, the checked dict form of what config, manifest, label and
+report files hold, and the ordered worker map whose results the writers
+consume.
 """
 
 from __future__ import annotations
@@ -185,8 +186,38 @@ def _finite(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # json.loads would keep the last
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def read_json(path: str, parse):
-    """read_input for a JSON file; NaN, Infinity and numbers beyond the float
-    range are rejected."""
-    decode = partial(json.loads, parse_float=_finite, parse_constant=_finite)
+    """read_input for a JSON file; NaN, Infinity, numbers beyond the float
+    range and a key given twice in one object are rejected."""
+    decode = partial(
+        json.loads, parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
+    )
     return read_input(path, lambda text: parse(decode(text)))
+
+
+def _csv_rows(text: str, header: str, numeric: slice, what: str):
+    """(line number, fields, ``numeric`` fields as finite floats) of each row
+    after ``header``, skipping blank lines; a bad row is a UsageError naming it."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != header:
+        raise UsageError(f"{what} CSV must start with header {header!r}")
+    width = header.count(",") + 1
+    for line_no, ln in lines[1:]:
+        parts = ln.split(",")
+        try:
+            if len(parts) != width:
+                raise ValueError(f"expected {width} fields, got {len(parts)}")
+            values = [float(v) for v in parts[numeric]]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite value")
+        except ValueError as e:
+            raise UsageError(f"{what} CSV line {line_no}: {e}") from None
+        yield line_no, parts, values

@@ -14,6 +14,9 @@ the front beacon, z is (0, 0, 1), and y = x × z. Note that this yields an
 orthonormal basis with det = -1; consumers must not assume beacon-derived
 rotations are proper. Calibrated transforms (camera, LiDAR mounts) are
 proper rotations.
+
+A sample's or the calibration run's beacon readings are stored as
+``beacons.csv`` (see beacons_csv and parse_beacons_csv).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch
+from .errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError
+from .fileio import _csv_rows
 
 ORTHONORMALITY_TOL = 1e-9
 # compose() re-orthonormalizes only when drift exceeds this.
@@ -153,6 +157,14 @@ class BeaconPair:
         object.__setattr__(self, "rear", _freeze(_as_vec3(self.rear)))
 
 
+@dataclass(frozen=True)
+class BeaconReading:
+    """One reading of a beacon pair: the measured positions and the true ones."""
+
+    noisy: BeaconPair
+    clean: BeaconPair
+
+
 def frame_from_beacons(
     pair: BeaconPair,
     frame: str = "frame",
@@ -204,3 +216,45 @@ def average_beacon_readings(readings) -> BeaconPair:
     front = np.mean([r.front for r in readings], axis=0)
     rear = np.mean([r.rear for r in readings], axis=0)
     return BeaconPair(front, rear)
+
+
+# ---------------------------------------------------------------------------
+# beacons.csv: the readings of a sample or of the calibration run
+
+
+def beacons_csv(readings: dict) -> str:
+    lines = ["frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"]
+    frames = list(readings)
+    n_readings = len(readings[frames[0]])
+    for r in range(n_readings):
+        for frame in frames:
+            reading = readings[frame][r]
+            for beacon_id, noisy, clean in (
+                ("front", reading.noisy.front, reading.clean.front),
+                ("rear", reading.noisy.rear, reading.clean.rear),
+            ):
+                vals = [repr(float(v)) for v in (*noisy, *clean)]
+                lines.append(f"{frame},{beacon_id}," + ",".join(vals))
+    return "\n".join(lines) + "\n"
+
+
+def parse_beacons_csv(text: str) -> dict:
+    """Inverse of beacons_csv: {"frame": [BeaconReading, ...]}."""
+    header = "frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"
+    rows = {}
+    for line_no, (frame, beacon_id, *_), vals in _csv_rows(text, header, slice(2, 8), "beacon"):
+        if beacon_id not in ("front", "rear"):
+            raise UsageError(
+                f"beacon CSV line {line_no}: beacon_id must be front or rear, got {beacon_id!r}"
+            )
+        rows.setdefault(frame, {"front": [], "rear": []})
+        rows[frame][beacon_id].append((np.array(vals[:3]), np.array(vals[3:])))
+    out = {}
+    for frame, sides in rows.items():
+        if len(sides["front"]) != len(sides["rear"]):
+            raise UsageError(f"frame {frame!r} has unpaired beacon rows")
+        readings = []
+        for (fn, fc), (rn, rc) in zip(sides["front"], sides["rear"]):
+            readings.append(BeaconReading(BeaconPair(fn, rn), BeaconPair(fc, rc)))
+        out[frame] = readings
+    return out

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from .errors import (
 from .geom import chunks, row_norms
 from .labelgen import ObjectSpec, OrientedBox3, normalize_yaw, ray_entries
 from .rng import NS_GROUND_PLANE, NS_REFINE_DRAWS, distinct_rows, substream
+
+if TYPE_CHECKING:
+    from .config import RefineConfig
 
 _MIN_SEPARATION = 1e-6  # meters between projected sample points
 # Cloud points on which every ground-plane hypothesis is scored; only the
@@ -109,21 +113,6 @@ def kinds_for_class(class_name: str):
         raise ConfigError(
             f"no model proposal functions for class {class_name!r}; available: {known}"
         ) from None
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    radius: float = 1.5  # neighborhood around the unrefined center, meters
-    shell_delta: float = 0.05  # shell half-thickness, meters
-    iterations: int = 5000
-    ground_threshold: float = 0.03  # plane inlier / ground strip distance, meters
-    table_min_height: float = 0.3  # drop points below this height for tables
-    plane_iterations: int = 100
-
-    def __post_init__(self):
-        for field in fields(self):
-            if getattr(self, field.name) <= 0:
-                raise ValueError(f"RefineConfig.{field.name} must be positive")
 
 
 def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig, seed: int = 0) -> GroundPlane:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Annotated
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calib import MIN_PNP_POINTS, CameraIntrinsics, Correspondence, _project_cam
+from .calib import Correspondence, _project_cam, correspondences_csv
 from .cloud import PointCloud, write_ply
 from .errors import UsageError
 from .fileio import (
@@ -32,7 +32,15 @@ from .fileio import (
     require_empty_dir,
     to_dict,
 )
-from .geom import BeaconPair, RigidTransform, compose, frame_from_beacons, inverse
+from .geom import (
+    BeaconPair,
+    BeaconReading,
+    RigidTransform,
+    beacons_csv,
+    compose,
+    frame_from_beacons,
+    inverse,
+)
 from .labelgen import (
     ObjectSpec,
     OrientedBox3,
@@ -43,146 +51,14 @@ from .labelgen import (
 )
 from .rng import NS_BEACON, NS_CALSET, NS_POSE, substream
 
+if TYPE_CHECKING:
+    from .config import LidarConfig, ObjectPlacement, SceneConfig
+
 TABLE_SLAB_THICKNESS = 0.15  # meters; tabletop plus apron frame, the part the LiDAR sees
 TABLE_STEM_WIDTH = 0.08  # meters; square center column
 # Draws per calibration point before the camera is taken to see none of the
 # target area (on the default rig every point is accepted on its first draw).
 MAX_CALIBRATION_DRAWS = 1000
-
-
-def _default_cam_from_robot(pitch_deg: float = 15.0) -> RigidTransform:
-    """Camera mount: optical axis ahead of the robot, pitched down."""
-    a = math.radians(pitch_deg)
-    base = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    pitch = np.array(
-        [[1.0, 0.0, 0.0], [0.0, math.cos(a), -math.sin(a)], [0.0, math.sin(a), math.cos(a)]]
-    )
-    rot = pitch @ base
-    cam_pos_robot = np.array([0.05, 0.0, 0.05])
-    return RigidTransform(rot, -rot @ cam_pos_robot, src="robot", dst="cam")
-
-
-def _default_lidar_from_cam(cam_from_robot: RigidTransform) -> RigidTransform:
-    """LiDAR mount: axis-aligned with the robot, 0.1 m below the beacons."""
-    lidar_pos_robot = np.array([0.0, 0.0, -0.1])
-    lidar_from_robot = RigidTransform(
-        np.eye(3), -lidar_pos_robot, src="robot", dst="lidar"
-    )
-    return compose(lidar_from_robot, inverse(cam_from_robot))
-
-
-DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-DEFAULT_CAM_FROM_ROBOT = _default_cam_from_robot()
-DEFAULT_LIDAR_FROM_CAM = _default_lidar_from_cam(DEFAULT_CAM_FROM_ROBOT)
-
-
-@dataclass(frozen=True)
-class LidarConfig:
-    channels: int = 16
-    vfov_min_deg: float = -15.0
-    vfov_max_deg: float = 15.0
-    azimuth_step_deg: float = 0.2
-    max_range: float = 30.0
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.azimuth_step_deg <= 0 or self.max_range <= 0:
-            raise ValueError("azimuth_step_deg and max_range must be positive")
-
-
-@dataclass(frozen=True)
-class ObjectPlacement:
-    """An object instance: measured spec plus its true pose on the floor."""
-
-    object_id: str
-    spec: ObjectSpec
-    x: float
-    y: float
-    yaw: float
-    beacon_sep: float = 0.4
-
-    # Dict form: flat, with the spec's class and dims beside the pose.
-    FORM = {
-        "id": str,
-        "class": str,
-        "dims": tuple[float, float, float],
-        "x": float,
-        "y": float,
-        "yaw": float,
-        "beacon_sep": float,
-    }
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.object_id,
-            "class": self.spec.class_name,
-            "dims": list(self.spec.dims),
-            "x": self.x,
-            "y": self.y,
-            "yaw": self.yaw,
-            "beacon_sep": self.beacon_sep,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObjectPlacement":
-        spec = ObjectSpec(d["class"], *d["dims"])
-        return cls(d["id"], spec, d["x"], d["y"], d["yaw"], d.get("beacon_sep", cls.beacon_sep))
-
-
-def _default_objects() -> tuple:
-    return (
-        ObjectPlacement("obj0", ObjectSpec("cabinet", 0.9, 0.5, 1.3), 4.0, 0.9, 0.4),
-        ObjectPlacement("obj1", ObjectSpec("table", 1.2, 0.8, 0.75), 3.4, -1.6, -0.3),
-    )
-
-
-@dataclass(frozen=True)
-class SceneConfig:
-    objects: tuple[ObjectPlacement, ...] = field(default_factory=_default_objects)
-    intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-    # Annotated with the frames (src, dst), which their dict form leaves out.
-    cam_from_robot: Annotated[RigidTransform, "robot", "cam"] = DEFAULT_CAM_FROM_ROBOT
-    lidar_from_cam: Annotated[RigidTransform, "cam", "lidar"] = DEFAULT_LIDAR_FROM_CAM
-    lidar: LidarConfig = LidarConfig()
-    beacon_noise: float = 0.02  # uniform half-width per axis, meters
-    pixel_noise_sigma: float = 0.0  # Gaussian, pixels (calibration pixels only)
-    # Heights (robot_beacon_height, table_z, and each object's dims) are
-    # measured from the floor plane z = floor_z.
-    robot_beacon_height: float = 0.7
-    robot_beacon_sep: float = 0.4
-    collection_readings: int = 1
-    calibration_readings: int = 16
-    calibration_points: int = 63
-    floor_z: float = 0.0
-    table_z: float = 0.75  # calibration table plane height
-    robot_radius_min: float = 3.5
-    robot_radius_max: float = 5.5
-    heading_jitter_deg: float = 3.0
-
-    def __post_init__(self):
-        if self.beacon_noise < 0 or self.pixel_noise_sigma < 0:
-            raise ValueError("noise levels must be >= 0")
-        if not self.objects:
-            raise ValueError("scene needs at least one object")
-        for name in ("collection_readings", "calibration_readings"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.calibration_points < MIN_PNP_POINTS:
-            raise ValueError(f"calibration_points must be >= {MIN_PNP_POINTS}")
-        if self.robot_radius_min > self.robot_radius_max:
-            raise ValueError("robot_radius_min must be <= robot_radius_max")
-        ids = [o.object_id for o in self.objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"object ids must be unique, got {ids}")
-        for object_id in ids:
-            # beacons.csv names each row's frame: "robot" is the robot's, and
-            # a comma or a line break in an id would split its rows
-            breaks = "".join(object_id.splitlines()) != object_id
-            if object_id == "robot" or "," in object_id or breaks:
-                raise ValueError(
-                    f"object id {object_id!r} must not be 'robot' or hold a comma or line break"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +231,6 @@ def raycast_lidar(scene: SceneConfig, pose) -> PointCloud:
 # Beacon and pixel measurements
 
 
-@dataclass(frozen=True)
-class BeaconReading:
-    noisy: BeaconPair
-    clean: BeaconPair
-
-
 def emit_beacons(scene: SceneConfig, pose, seed: int, index: int) -> dict:
     """Noisy beacon readings per frame: {"robot": [...], "obj0": [...], ...}.
 
@@ -491,80 +361,6 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
 
 # ---------------------------------------------------------------------------
 # File rendering (pure text, written atomically by generate_dataset)
-
-
-def beacons_csv(readings: dict) -> str:
-    lines = ["frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"]
-    frames = list(readings)
-    n_readings = len(readings[frames[0]])
-    for r in range(n_readings):
-        for frame in frames:
-            reading = readings[frame][r]
-            for beacon_id, noisy, clean in (
-                ("front", reading.noisy.front, reading.clean.front),
-                ("rear", reading.noisy.rear, reading.clean.rear),
-            ):
-                vals = [repr(float(v)) for v in (*noisy, *clean)]
-                lines.append(f"{frame},{beacon_id}," + ",".join(vals))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_rows(text: str, header: str, numeric: slice, what: str):
-    """(line number, fields, ``numeric`` fields as finite floats) of each row
-    after ``header``, skipping blank lines; a bad row is a UsageError naming it."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1] != header:
-        raise UsageError(f"{what} CSV must start with header {header!r}")
-    width = header.count(",") + 1
-    for line_no, ln in lines[1:]:
-        parts = ln.split(",")
-        try:
-            if len(parts) != width:
-                raise ValueError(f"expected {width} fields, got {len(parts)}")
-            values = [float(v) for v in parts[numeric]]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite value")
-        except ValueError as e:
-            raise UsageError(f"{what} CSV line {line_no}: {e}") from None
-        yield line_no, parts, values
-
-
-def parse_beacons_csv(text: str) -> dict:
-    """Inverse of beacons_csv: {"frame": [BeaconReading, ...]}."""
-    header = "frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"
-    rows = {}
-    for line_no, (frame, beacon_id, *_), vals in _csv_rows(text, header, slice(2, 8), "beacon"):
-        if beacon_id not in ("front", "rear"):
-            raise UsageError(
-                f"beacon CSV line {line_no}: beacon_id must be front or rear, got {beacon_id!r}"
-            )
-        rows.setdefault(frame, {"front": [], "rear": []})
-        rows[frame][beacon_id].append((np.array(vals[:3]), np.array(vals[3:])))
-    out = {}
-    for frame, sides in rows.items():
-        if len(sides["front"]) != len(sides["rear"]):
-            raise UsageError(f"frame {frame!r} has unpaired beacon rows")
-        readings = []
-        for (fn, fc), (rn, rc) in zip(sides["front"], sides["rear"]):
-            readings.append(BeaconReading(BeaconPair(fn, rn), BeaconPair(fc, rc)))
-        out[frame] = readings
-    return out
-
-
-def correspondences_csv(corrs) -> str:
-    lines = ["beacon_x,beacon_y,beacon_z,u,v,plane_tag"]
-    for c in corrs:
-        vals = [repr(float(v)) for v in (*c.beacon_ips, *c.pixel)]
-        lines.append(",".join(vals) + f",{c.plane_tag}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_correspondences_csv(text: str) -> list:
-    header = "beacon_x,beacon_y,beacon_z,u,v,plane_tag"
-    out = []
-    for _, parts, vals in _csv_rows(text, header, slice(0, 5), "correspondence"):
-        out.append(Correspondence(vals[:3], vals[3:5], parts[5]))
-    return out
 
 
 def _transform_row_major(t: RigidTransform) -> list:

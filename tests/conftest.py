@@ -10,7 +10,8 @@ import os
 import pytest
 
 from ipslabel.cli import main
-from ipslabel.sim import SceneConfig, generate_dataset
+from ipslabel.config import SceneConfig
+from ipslabel.sim import generate_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

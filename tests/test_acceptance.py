@@ -23,6 +23,7 @@ import pytest
 
 from ipslabel.calib import apply_planar_constraint, solve_pnp, solve_pnp_ransac
 from ipslabel.cloud import read_ply
+from ipslabel.config import RefineConfig, SceneConfig
 from ipslabel.eval import downsample_study, iou_3d
 from ipslabel.geom import (
     BeaconPair,
@@ -31,9 +32,9 @@ from ipslabel.geom import (
     inverse,
 )
 from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
-from ipslabel.refine import RefineConfig, fitness, shell_scores
+from ipslabel.refine import fitness, shell_scores
 from ipslabel.rng import substream
-from ipslabel.sim import SceneConfig, make_calibration_set
+from ipslabel.sim import make_calibration_set
 
 from .conftest import run_cli, tree_digest
 from .oracles import fitness_oracle, mc_iou3d_oracle

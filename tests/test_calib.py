@@ -11,6 +11,7 @@ from ipslabel.calib import (
     CameraIntrinsics,
     Correspondence,
     apply_planar_constraint,
+    parse_correspondences_csv,
     project,
     reprojection_rmse,
     solve_pnp,
@@ -39,9 +40,8 @@ from ipslabel.errors import (
 )
 from ipslabel.cli import _manifest_scene, _robot_transform_from_readings
 from ipslabel.fileio import read_input
-from ipslabel.geom import RigidTransform, compose
+from ipslabel.geom import RigidTransform, compose, parse_beacons_csv
 from ipslabel.rng import NS_CALIB_RANSAC, distinct_rows, substream
-from ipslabel.sim import parse_beacons_csv, parse_correspondences_csv
 
 from .conftest import FIXTURES
 from .oracles import homogeneous_matrix, project_oracle, random_rotation, rmse_oracle

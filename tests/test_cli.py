@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import ipslabel
-from ipslabel import cli
+from ipslabel import sim
 from ipslabel.cli import _extrinsic_from_report, main
 from ipslabel.cloud import PointCloud, read_ply, write_ply
+from ipslabel.config import SceneConfig
 from ipslabel.eval import compare_labels
 from ipslabel.fileio import from_dict, ordered_map, to_dict
-from ipslabel.geom import BeaconPair, inverse
+from ipslabel.geom import BeaconPair, BeaconReading, beacons_csv, inverse, parse_beacons_csv
 from ipslabel.labelgen import OrientedBox3, project_box
-from ipslabel.sim import BeaconReading, SceneConfig, beacons_csv, parse_beacons_csv
 
 from .conftest import FIXTURES, run_cli, tree_digest
 from .oracles import ascii_ply
@@ -146,6 +146,39 @@ MALFORMED_CONFIGS = [
     ("scene: {calibration_points: -3}", "calibration_points"),
     ("scene: {calibration_points: 2}", "calibration_points"),
     ("scene: {objects: [" + _OBJECT + ", " + _OBJECT + "]}", "scene: object ids must be unique"),
+    ("seed: 1\nseed: 2", "duplicate key 'seed'"),
+    ("scene: {objects: [" + _OBJECT[:-1] + ", x: 4.0}]}", "duplicate key 'x'"),
+    ("scene: {objects: [" + _OBJECT[:-1] + ", beacon_sep: 0.001}]}", "scene.objects[0]: beacon_sep"),
+    ("scene: {robot_beacon_sep: -0.4}", "scene: robot_beacon_sep"),
+]
+
+# Runs a CLI stage with the arguments that follow -c, then prints the numpy and
+# ipslabel.* modules it loaded on its last line.
+STAGE_PROBE = """
+import sys
+from ipslabel.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:  # --version and --help
+    code = e.code
+print(" ".join(sorted(m for m in sys.modules if m == "numpy" or m.startswith("ipslabel."))))
+sys.exit(code)
+"""
+
+# (id, argv on the small_run directory {d}, ipslabel modules the run must not
+# load); None stands for numpy and every module but cli and errors
+STAGE_IMPORTS = [
+    ("version", ["--version"], None),
+    ("help", ["--help"], None),
+    ("simulate", ["simulate", "--out", "{o}", "--samples", "1"], {"refine", "eval"}),
+    ("calibrate", ["calibrate", "--dataset", "{d}/ds", "--iterations", "20", "--out", "{o}"],
+     {"sim", "refine", "eval", "cloud"}),
+    ("generate", ["generate", "--dataset", "{d}/ds", "--calibration", "{d}/cal.json", "--out", "{o}"],
+     {"sim", "refine", "eval", "cloud"}),
+    ("refine", ["refine", "--dataset", "{d}/ds", "--labels", "{d}/labels", "--out", "{o}"],
+     {"sim", "eval"}),
+    ("evaluate", ["evaluate", "--auto", "{d}/labels", "--reference", "{d}/ds/truth", "--out", "{o}"],
+     {"sim"}),
 ]
 
 SUBCOMMANDS = [
@@ -209,6 +242,20 @@ class TestConfigValidation:
         proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv, unloaded", [case[1:] for case in STAGE_IMPORTS],
+        ids=[case[0] for case in STAGE_IMPORTS],
+    )
+    def test_a_stage_loads_only_the_modules_it_runs(self, small_run, tmp_path, argv, unloaded):
+        argv = [a.format(d=small_run, o=tmp_path / "out") for a in argv]
+        proc = run_python(["-c", STAGE_PROBE, *argv])
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        if unloaded is None:
+            assert loaded <= {"ipslabel.cli", "ipslabel.errors"}
+        else:
+            assert not loaded & {f"ipslabel.{name}" for name in unloaded}
 
     def test_int_for_a_float_field_is_written_as_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -610,6 +657,15 @@ def _json_edit(*path, value=None):
     return mutate
 
 
+def _repeat_key(key, value):
+    """Give a JSON document's top-level mapping ``key`` a second time, first."""
+
+    def mutate(text):
+        return text.replace("{", "{" + json.dumps(key) + ": " + json.dumps(value) + ", ", 1)
+
+    return mutate
+
+
 def _field_edit(line_index, field_index, value, sep=","):
     def mutate(text):
         lines = text.splitlines()
@@ -653,11 +709,15 @@ MALFORMED_INPUTS = [
      ["manifest.json", "'scene'"]),
     ("manifest-bad-scene", "ds/manifest.json", _json_edit("scene", "lidar", "channels", value=0),
      GENERATE, ["manifest.json", "scene.lidar"]),
+    ("manifest-with-repeated-key", "ds/manifest.json", _repeat_key("seed", 7), GENERATE,
+     ["manifest.json", "duplicate key 'seed'"]),
     ("manifest-with-duplicate-ids", "ds/manifest.json",
      _json_edit("scene", "objects", 1, "id", value="obj0"), REFINE,
      ["manifest.json", "scene: object ids must be unique"]),
     ("non-orthonormal-extrinsic", "cal.json", _json_edit("extrinsic", 0, value=lambda v: 2 * v),
      GENERATE, ["cal.json", "orthonormal"]),
+    ("report-with-repeated-key", "cal.json", _repeat_key("inliers", []), GENERATE,
+     ["cal.json", "duplicate key 'inliers'"]),
     ("missing-extrinsic", "cal.json", _json_edit("extrinsic"), GENERATE,
      ["cal.json", "'extrinsic'"]),
     ("nan-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=math.nan), GENERATE,
@@ -668,6 +728,8 @@ MALFORMED_INPUTS = [
      ["cal.json", "extrinsic[3]", "a finite number"]),
     ("15-entry-extrinsic", "cal.json", _json_edit("extrinsic", value=lambda v: v[:15]), GENERATE,
      ["cal.json", "extrinsic: expected a list of 16"]),
+    ("label-with-repeated-key", LABEL, _repeat_key("sample", "sample_000"), REFINE,
+     ["sample_000.json", "duplicate key 'sample'"]),
     ("label-without-class", LABEL, _json_edit("objects", 0, "class"), REFINE,
      ["sample_000.json", "missing key 'class'"]),
     ("label-without-class-evaluate", LABEL, _json_edit("objects", 0, "class"), EVALUATE,
@@ -944,7 +1006,7 @@ class TestMalformedInputs:
         def broken(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "generate_dataset", broken)
+        monkeypatch.setattr(sim, "generate_dataset", broken)
         with pytest.raises(type(error), match="a bug"):
             main(["simulate", "--out", str(tmp_path / "ds"), "--samples", "1"])
 

@@ -10,16 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipslabel.calib import MIN_PNP_POINTS
-from ipslabel.config import CalibOptions, PipelineConfig, config_from_dict
+from ipslabel.config import (
+    CalibOptions,
+    LidarConfig,
+    PipelineConfig,
+    RefineConfig,
+    SceneConfig,
+    config_from_dict,
+    load_config,
+)
 from ipslabel.errors import ConfigError
 from ipslabel.fileio import from_dict, to_dict
-from ipslabel.refine import RefineConfig
-from ipslabel.sim import LidarConfig, SceneConfig
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3)
+# a beacon pair must be wider than geom.EPS_BEACON (1 mm) to give a heading
+separations = st.floats(min_value=1e-3, max_value=1e3, exclude_min=True)
 counts = st.integers(min_value=1, max_value=100)
 
 
@@ -51,7 +59,7 @@ objects = st.fixed_dictionaries({
     "x": finite,
     "y": finite,
     "yaw": finite,
-    "beacon_sep": positive,
+    "beacon_sep": separations,
 })
 SCENE_KEYS = {
     "objects": st.lists(objects, min_size=1, max_size=3, unique_by=lambda o: o["id"]),
@@ -68,7 +76,7 @@ SCENE_KEYS = {
     "beacon_noise": st.floats(min_value=0.0, max_value=1.0),
     "pixel_noise_sigma": st.floats(min_value=0.0, max_value=5.0),
     "robot_beacon_height": finite,
-    "robot_beacon_sep": finite,
+    "robot_beacon_sep": separations,
     "collection_readings": counts,
     "calibration_readings": counts,
     "calibration_points": st.integers(min_value=MIN_PNP_POINTS, max_value=100),
@@ -159,6 +167,13 @@ def test_object_ids_that_break_the_dataset_are_rejected(ids, name):
     with pytest.raises(ConfigError, match="^scene: ") as info:
         config_from_dict({"scene": {**scene, "objects": objects}})
     assert name in str(info.value)
+
+
+def test_a_merged_key_may_be_overridden(tmp_path):
+    # load_config rejects a key given twice, but not one that overrides a << merge
+    path = tmp_path / "cfg.yaml"
+    path.write_text("calibration: {<<: {delta_px: 4.0, iterations: 10}, iterations: 20}\n")
+    assert load_config(str(path)).calibration == CalibOptions(delta_px=4.0, iterations=20)
 
 
 @PROPERTY

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ipslabel.cloud import PointCloud
+from ipslabel.config import RefineConfig
 from ipslabel.errors import ClassMismatch, ConfigError, FrameMismatch, MissingSample
 from ipslabel.eval import (
     EvalReport,
@@ -19,7 +20,6 @@ from ipslabel.eval import (
 )
 from ipslabel.fileio import to_dict
 from ipslabel.labelgen import Box2, ObjectSpec, OrientedBox3
-from ipslabel.refine import RefineConfig
 
 from .oracles import mc_iou3d_oracle, yaw_rotation
 from .test_refine import shell_scene

@@ -215,7 +215,8 @@ def test_object_from_robot_chain_matches_hand_built_truth():
     (yaw trigonometry, left-handed y axis, front-beacon origin) and chained
     with plain numpy matrix algebra.
     """
-    from ipslabel.sim import SceneConfig, object_beacons, robot_beacons
+    from ipslabel.config import SceneConfig
+    from ipslabel.sim import object_beacons, robot_beacons
 
     scene = SceneConfig(floor_z=-0.2)
     pose = (1.0, -2.0, 0.7)

@@ -263,7 +263,8 @@ class TestObjectBoxIps:
         midpoint/heading arithmetic; both live in the simulator but are
         computed independently."""
         from ipslabel.eval import iou_3d
-        from ipslabel.sim import SceneConfig, object_beacons, true_object_box_ips
+        from ipslabel.config import SceneConfig
+        from ipslabel.sim import object_beacons, true_object_box_ips
 
         scene = SceneConfig(floor_z=0.3)
         for placement in scene.objects:
@@ -397,7 +398,8 @@ class TestBoxToLidar:
     def test_level_chain_preserves_vertex_set(self):
         """Any z-preserving orthogonal map (the noise-free simulator chain
         is one, reflection included) keeps the refit exact."""
-        from ipslabel.sim import SceneConfig, robot_pose_for_sample, true_transforms
+        from ipslabel.config import SceneConfig
+        from ipslabel.sim import robot_pose_for_sample, true_transforms
 
         scene = SceneConfig()
         pose = robot_pose_for_sample(scene, seed=5, index=0)

@@ -9,17 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipslabel.calib import Correspondence
+from ipslabel.calib import Correspondence, correspondences_csv, parse_correspondences_csv
 from ipslabel.cloud import PointCloud, read_ply, write_ply
 from ipslabel.errors import UsageError
-from ipslabel.geom import BeaconPair
-from ipslabel.sim import (
-    BeaconReading,
-    beacons_csv,
-    correspondences_csv,
-    parse_beacons_csv,
-    parse_correspondences_csv,
-)
+from ipslabel.geom import BeaconPair, BeaconReading, beacons_csv, parse_beacons_csv
 
 from .oracles import ascii_ply
 

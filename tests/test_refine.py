@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ipslabel.cloud import PointCloud
+from ipslabel.config import RefineConfig
 from ipslabel.errors import (
     AllProposalsDegenerate,
     ConfigError,
@@ -23,7 +24,6 @@ from ipslabel.refine import (
     CLASS_KINDS,
     GroundPlane,
     MpfKind,
-    RefineConfig,
     _away_sides,
     _draw,
     _first_clear,
@@ -50,7 +50,8 @@ def cabinet_sample():
     """One noise-free simulated sample, shared across tests in this module."""
     from dataclasses import replace
 
-    from ipslabel.sim import SceneConfig, make_sample
+    from ipslabel.config import SceneConfig
+    from ipslabel.sim import make_sample
 
     scene = replace(SceneConfig(), beacon_noise=0.0, pixel_noise_sigma=0.0)
     return make_sample(scene, seed=5, index=0)
@@ -723,7 +724,8 @@ class TestBatchedRefineMatchesScalarLoop:
 def seed7_cabinet():
     """The cabinet of sample 0 of the default scene at seed 7, its truth box,
     and a label 5 cm off sideways, as a noisy calibration puts it."""
-    from ipslabel.sim import SceneConfig, make_sample
+    from ipslabel.config import SceneConfig
+    from ipslabel.sim import make_sample
 
     sample = make_sample(SceneConfig(), seed=7, index=0)
     entry = next(e for e in sample.truth_objects if e["class"] == "cabinet")

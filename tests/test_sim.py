@@ -9,24 +9,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ipslabel.calib import correspondences_csv, parse_correspondences_csv
 from ipslabel.cloud import read_ply, write_ply
+from ipslabel.config import LidarConfig, ObjectPlacement, SceneConfig
 from ipslabel.fileio import from_dict, to_dict
-from ipslabel.geom import inverse
+from ipslabel.geom import beacons_csv, inverse, parse_beacons_csv
 from ipslabel.labelgen import OrientedBox3
 from ipslabel.sim import (
     TABLE_SLAB_THICKNESS,
     TABLE_STEM_WIDTH,
-    LidarConfig,
-    ObjectPlacement,
-    SceneConfig,
     emit_beacons,
     generate_dataset,
     make_calibration_set,
     make_sample,
-    parse_beacons_csv,
-    parse_correspondences_csv,
-    beacons_csv,
-    correspondences_csv,
     raycast_lidar,
     robot_pose_for_sample,
     true_transforms,
