@@ -6,18 +6,21 @@ planar height constraint), and a generalized-RANSAC point-cloud refiner,
 verified end-to-end against a built-in synthetic scene simulator.
 
 Importing the package loads none of its modules; import the one you use.
-Each pipeline stage (``python -m ipslabel.cli``) has one module:
+Each pipeline stage (``python -m ipslabel.cli``) has one module, which holds
+its driver, the function from the stage's input files to its output files:
 
-- ``ipslabel.sim``: the synthetic scene and dataset (``simulate``)
-- ``ipslabel.calib``: PnP + RANSAC camera calibration (``calibrate``)
-- ``ipslabel.labelgen``: boxes from beacon pairs (``generate``)
-- ``ipslabel.refine``: point-cloud refinement of the boxes (``refine``)
-- ``ipslabel.eval``: IoU comparison and the downsample study (``evaluate``)
+- ``ipslabel.sim``: the synthetic scene and dataset (``generate_dataset``)
+- ``ipslabel.calib``: PnP + RANSAC camera calibration (``write_calibration``)
+- ``ipslabel.labelgen``: boxes from beacon pairs (``write_labels``)
+- ``ipslabel.refine``: point-cloud refinement of the boxes (``write_refined_labels``)
+- ``ipslabel.eval``: IoU comparison and the downsample study (``write_comparison``,
+  ``write_downsample_study``)
 
 They share ``geom`` (rigid transforms, beacon frames and readings),
 ``cloud`` (point clouds and PLY), ``fileio`` (files and the checked dict
-form), ``config`` (the pipeline config and the config dataclasses of every
-stage), ``errors`` (typed errors) and ``rng`` (seeded streams).
+form), ``config`` (the pipeline config, the config dataclasses of every
+stage and ``ObjectSpec``), ``errors`` (typed errors) and ``rng`` (seeded
+streams).
 """
 
 __version__ = "0.1.0"

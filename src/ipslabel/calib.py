@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,10 +25,16 @@ from .errors import (
     MissingPlaneTag,
     NoConvergence,
     TooFewInliers,
+    UsageError,
 )
-from .fileio import _csv_rows
-from .geom import RigidTransform, chunks, compose, row_norms
+from .fileio import _csv_rows, atomic_write_text, dump_json, from_dict, read_input, read_json
+from .geom import (
+    RigidTransform, _robot_transform_from_readings, chunks, compose, parse_beacons_csv, row_norms
+)
 from .rng import NS_CALIB_RANSAC, distinct_rows, substream
+
+if TYPE_CHECKING:
+    from .config import CalibOptions
 
 MIN_PNP_POINTS = 6
 MIN_DEPTH = 1e-6  # meters; camera-frame z below this counts as behind the camera
@@ -38,6 +45,8 @@ MIN_DEPTH = 1e-6  # meters; camera-frame z below this counts as behind the camer
 # that is checked.
 HYPOTHESIS_STEPS = 2
 LOCAL_OPTIMISED = 8
+# Gauss-Newton stops once its best step lowers the RMSE by less than this, pixels.
+GN_TOL_PX = 1e-10
 CONFIDENCE = 1.0 - 1e-6
 FIRST_BLOCK = 64
 
@@ -278,13 +287,13 @@ def _residuals(rot, tra, pts, pixels, intr):
     return pc, front, d.reshape(len(pts), -1), rmse, ok
 
 
-def _refine_poses(rot, tra, pts, pixels, intr, max_iter=100, tol=1e-10):
+def _refine_poses(rot, tra, pts, pixels, intr, max_iter=100):
     """Damped Gauss-Newton on the 6 pose parameters of B hypotheses at once.
 
     pts (B, m, 3), pixels (B, m, 2). Left-multiplicative axis-angle
     increment on the rotation. Every hypothesis keeps its own damping λ and
     its own accept, damping and stop decisions: it iterates until no damped
-    step lowers its RMSE, the RMSE decrease drops below ``tol`` pixels, or
+    step lowers its RMSE, the RMSE decrease drops below ``GN_TOL_PX``, or
     ``max_iter`` iterations: 100 for a full fit, ``HYPOTHESIS_STEPS`` for a
     RANSAC hypothesis. Only the points in front of the camera count (see
     ``_residuals``). Returns the refined poses and a mask of the hypotheses
@@ -330,7 +339,7 @@ def _refine_poses(rot, tra, pts, pixels, intr, max_iter=100, tol=1e-10):
             trying = trying[~accept]
         stays = np.ones(len(active), dtype=bool)
         stays[trying] = False
-        stays &= improvement >= tol
+        stays &= improvement >= GN_TOL_PX
         active = active[stays]
     # Undo accumulated floating-point drift from the incremental updates.
     u, _, vt = np.linalg.svd(rot)
@@ -508,3 +517,54 @@ def solve_pnp_ransac(
         delta_px=float(delta_px),
         hypotheses=scored,
     )
+
+
+# The calibration report writes its derived floats (the extrinsic entries and
+# rmse_px) rounded to this many decimal places, with -0.0 written as 0.0.
+# Their last digits (about 1e-15) depend on which BLAS/LAPACK kernel runs the
+# SVDs and the Gauss-Newton solve; the rounding gives the report one byte form
+# across BLAS builds, unless a value's spread straddles a rounding step.
+# CalibrationResult itself keeps full precision.
+REPORT_DECIMALS = 12
+
+
+def _report_float(x) -> float:
+    return round(float(x), REPORT_DECIMALS) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def write_calibration(
+    corr_path: str, beacon_path: str, intr: CameraIntrinsics, opts: CalibOptions, seed: int, out: str
+) -> tuple:
+    """The calibrate stage: calibrate from a correspondences.csv and the robot's
+    beacons.csv, write the report JSON to ``out``; returns (result, correspondence count)."""
+    corrs = read_input(corr_path, parse_correspondences_csv)
+    if len(corrs) < MIN_PNP_POINTS:
+        raise UsageError(
+            f"{corr_path}: need at least {MIN_PNP_POINTS} correspondences, got {len(corrs)}"
+        )
+    readings = read_input(beacon_path, parse_beacons_csv)
+    t_robot_from_ips = _robot_transform_from_readings(readings, beacon_path)
+    solve_corrs = apply_planar_constraint(corrs) if opts.planar else corrs
+    result = solve_pnp_ransac(
+        solve_corrs, intr, t_robot_from_ips, opts.delta_px, opts.iterations, seed
+    )
+    report = {
+        "extrinsic": [_report_float(v) for v in result.extrinsic.matrix.reshape(-1)],
+        "inliers": [int(i) for i in result.inlier_indices],
+        "rmse_px": _report_float(result.rmse_px),
+        "method": result.solver,
+        "delta_px": result.delta_px,
+        "planar": opts.planar,
+    }
+    atomic_write_text(out, dump_json(report))
+    return result, len(corrs)
+
+
+def _extrinsic_from_report(path: str) -> RigidTransform:
+    """The cam <- robot extrinsic of the calibration report at ``path``."""
+
+    def parse(report):
+        matrix = from_dict(tuple[(float,) * 16], report["extrinsic"], "extrinsic")
+        return RigidTransform.from_matrix(matrix, src="robot", dst="cam")
+
+    return read_json(path, parse)

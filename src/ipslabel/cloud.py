@@ -123,9 +123,9 @@ def _binary_values(data: bytes, offset: int, n: int, props: list) -> np.ndarray:
     return np.frombuffer(data, "<f8", n * len(props), offset).reshape(n, len(props))
 
 
-def read_ply(data: bytes, frame: str = "lidar") -> PointCloud:
+def read_ply(data: bytes) -> PointCloud:
     """Parse the bytes of a PLY file with one ``vertex`` element, ASCII or
-    binary little-endian.
+    binary little-endian, into a cloud in the ``lidar`` frame.
 
     The point columns are found by the names of the ``property`` lines, so
     any column order reads the same cloud; other properties are ignored. A
@@ -146,4 +146,4 @@ def read_ply(data: bytes, frame: str = "lidar") -> PointCloud:
     if bad.size:
         where = f"line {header_lines + 1 + bad[0]}" if fmt == "ascii" else f"vertex {bad[0]}"
         raise UsageError(f"PLY {where}: non-finite point")
-    return PointCloud(pts, frame=frame)
+    return PointCloud(pts)

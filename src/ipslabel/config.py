@@ -12,17 +12,17 @@ this module's globals, so the annotation types are imported at module level.
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Annotated
 
 import numpy as np
 
 from .calib import MIN_PNP_POINTS, CameraIntrinsics
 from .errors import ConfigError
-from .fileio import from_dict, read_text
+from .fileio import from_dict, read_json, read_text
 from .geom import EPS_BEACON, RigidTransform, compose, inverse
-from .labelgen import ObjectSpec
 
 
 def _check_beacon_sep(name: str, value: float) -> None:
@@ -62,6 +62,24 @@ class RefineConfig:
 # ---------------------------------------------------------------------------
 # The simulated scene (sim) and the rig that generate and refine read from a
 # dataset's manifest.
+
+
+@dataclass(frozen=True)
+class ObjectSpec:
+    """Measured object class and dimensions (meters)."""
+
+    class_name: str
+    length: float
+    width: float
+    height: float
+
+    def __post_init__(self):
+        if not (self.length > 0 and self.width > 0 and self.height > 0):
+            raise ValueError("object dimensions must be positive")
+
+    @property
+    def dims(self) -> tuple:
+        return (self.length, self.width, self.height)
 
 
 def _default_cam_from_robot(pitch_deg: float = 15.0) -> RigidTransform:
@@ -203,6 +221,16 @@ class SceneConfig:
                 )
 
 
+def _manifest_scene(path: str) -> SceneConfig:
+    """The scene of the dataset manifest at ``path``."""
+    return read_json(path, lambda manifest: from_dict(SceneConfig, manifest["scene"], "scene"))
+
+
+def _object_specs(scene: SceneConfig) -> dict:
+    """{object id: ObjectSpec}, in id order."""
+    return dict(sorted({o.object_id: o.spec for o in scene.objects}.items()))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -222,9 +250,13 @@ def config_from_dict(d: dict) -> PipelineConfig:
     return from_dict(PipelineConfig, {} if d is None else d, "")
 
 
-def load_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
+def load_config(path: str | None, seed: int | None = None) -> PipelineConfig:
+    """The config file at ``path`` (the defaults if None); ``seed`` overrides its seed."""
+    cfg = PipelineConfig() if path is None else config_from_dict(_read_yaml(path))
+    return cfg if seed is None else replace(cfg, seed=seed)
+
+
+def _read_yaml(path: str):
     import yaml  # imported here: a run without a config file does not pay for it
 
     class UniqueKeyLoader(yaml.SafeLoader):
@@ -245,7 +277,8 @@ def load_config(path: str | None) -> PipelineConfig:
             return mapping
 
     try:
-        raw = yaml.load(read_text(path), Loader=UniqueKeyLoader)
+        stream = io.StringIO(read_text(path))
+        stream.name = path  # the name that yaml's error marks give, for "<unicode string>"
+        return yaml.load(stream, Loader=UniqueKeyLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
-    return config_from_dict(raw)

@@ -3,6 +3,11 @@
 """
 
 
+def error_text(e: BaseException) -> str:
+    """A caught error as written to label entries, study rows and stderr: "Type: message"."""
+    return f"{type(e).__name__}: {e}"
+
+
 class IpsLabelError(Exception):
     """Base class for all ipslabel errors."""
 

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cloud import PointCloud
-from .errors import ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError
-from .fileio import read_json, to_dict
-from .labelgen import Box2, ObjectSpec, OrientedBox3, label_objects
+from .cloud import PointCloud, read_ply
+from .config import ObjectSpec, RefineConfig, _manifest_scene, _object_specs
+from .errors import (
+    ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError, error_text
+)
+from .fileio import atomic_write_text, dump_json, read_bytes, read_input, read_json, to_dict
+from .labelgen import Box2, OrientedBox3, _entry_spec, label_objects
 from .refine import (
     fit_ground_plane,
     fitness,
@@ -25,9 +27,6 @@ from .refine import (
     refine_label,
 )
 from .rng import NS_DOWNSAMPLE, derive_seed, substream
-
-if TYPE_CHECKING:
-    from .config import RefineConfig
 
 MATCH_GATE = 2.0  # meters; max center distance when pairing labels
 
@@ -151,7 +150,7 @@ def downsample_study(
                 row["box3d"] = to_dict(box)
                 row["fitness"] = fitness(box, pcd, cfg.shell_delta)
             except NumericalError as e:
-                row["error"] = f"{type(e).__name__}: {e}"
+                row["error"] = error_text(e)
             rows.append(row)
     return rows
 
@@ -166,6 +165,50 @@ def study_means(rows) -> dict:
         sums[p] = sums.get(p, 0.0) + row["fitness"]
         counts[p] = counts.get(p, 0) + 1
     return {p: sums[p] / counts[p] for p in sums}
+
+
+def _study_csv(rows) -> str:
+    lines = ["proportion,trial,fitness,error"]
+    for row in rows:
+        fitness_s = str(row["fitness"]) if "fitness" in row else ""
+        error_s = row.get("error", "").replace(",", ";")
+        lines.append(f"{row['proportion']!r},{row['trial']},{fitness_s},{error_s}")
+    return "\n".join(lines) + "\n"
+
+
+def write_downsample_study(
+    dataset: str, labels: str, sample: str, object_id: str | None, proportions, trials: int,
+    cfg: RefineConfig, seed: int, out: str, csv: str | None,
+) -> list:
+    """The evaluate stage's study: downsample_study of the first labelled
+    object of ``sample``, or of ``object_id``; writes the report JSON to
+    ``out`` and the per-trial table to ``csv`` unless None; returns the rows."""
+    specs = _object_specs(_manifest_scene(os.path.join(dataset, "manifest.json")))
+    cloud = read_input(os.path.join(dataset, "samples", sample, "cloud.ply"), read_ply, read_bytes)
+    label_path = os.path.join(labels, f"{sample}.json")
+    entries = [
+        (entry, box)
+        for entry, box, _ in read_json(label_path, label_objects)
+        if box is not None and object_id in (None, entry.get("id"))
+    ]
+    if not entries:
+        raise UsageError(f"no usable object entry in {sample}")
+    entry, unrefined = entries[0]
+    spec = _entry_spec(entry, specs, label_path)
+    rows = downsample_study(cloud, unrefined, spec, proportions, trials, cfg, seed)
+    report = {
+        "study": "downsample",
+        "sample": sample,
+        "object": entry.get("id"),
+        "proportions": proportions,
+        "trials": trials,
+        "rows": rows,
+        "mean_fitness": {repr(p): m for p, m in sorted(study_means(rows).items())},
+    }
+    atomic_write_text(out, dump_json(report))
+    if csv:
+        atomic_write_text(csv, _study_csv(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +297,10 @@ def compare_labels(auto_dir: str, reference_dir: str) -> EvalReport:
         matched=matched,
         unmatched_auto=unmatched_auto,
     )
+
+
+def write_comparison(auto_dir: str, reference_dir: str, out: str) -> EvalReport:
+    """The evaluate stage: compare_labels, with its report JSON written to ``out``."""
+    report = compare_labels(auto_dir, reference_dir)
+    atomic_write_text(out, dump_json(report.to_dict()))
+    return report

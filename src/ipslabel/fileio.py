@@ -136,6 +136,19 @@ def require_empty_dir(path: str, command: str) -> None:
         raise UsageError(f"{path} is not empty; {command} into a new or empty directory")
 
 
+def _sample_ids(dataset: str) -> list:
+    """The sample ids of a dataset: its ``samples`` subdirectories, sorted."""
+    samples_dir = os.path.join(dataset, "samples")
+    ids = sorted(
+        name
+        for name in os.listdir(samples_dir)
+        if os.path.isdir(os.path.join(samples_dir, name))
+    )
+    if not ids:
+        raise UsageError(f"{samples_dir} holds no sample directory")
+    return ids
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write a file via temp-then-rename so readers never see partial data."""
     directory = os.path.dirname(os.path.abspath(path))

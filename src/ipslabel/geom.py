@@ -165,11 +165,7 @@ class BeaconReading:
     clean: BeaconPair
 
 
-def frame_from_beacons(
-    pair: BeaconPair,
-    frame: str = "frame",
-    eps_beacon: float = EPS_BEACON,
-) -> RigidTransform:
+def frame_from_beacons(pair: BeaconPair, frame: str = "frame") -> RigidTransform:
     """Build the 4-DOF beacon frame; returns the frame->ips transform.
 
     Both z coordinates are first replaced by their mean, so the frame's
@@ -182,9 +178,9 @@ def frame_from_beacons(
     rear = np.array([pair.rear[0], pair.rear[1], z_mean])
     delta = front - rear
     norm = np.linalg.norm(delta)
-    if norm <= eps_beacon:
+    if norm <= EPS_BEACON:
         raise DegenerateBeaconPair(
-            f"planar beacon separation {norm:.3e} m <= {eps_beacon:.3e} m"
+            f"planar beacon separation {norm:.3e} m <= {EPS_BEACON:.3e} m"
         )
     x_axis = delta / norm
     z_axis = np.array([0.0, 0.0, 1.0])
@@ -258,3 +254,11 @@ def parse_beacons_csv(text: str) -> dict:
             readings.append(BeaconReading(BeaconPair(fn, rn), BeaconPair(fc, rc)))
         out[frame] = readings
     return out
+
+
+def _robot_transform_from_readings(readings: dict, path: str) -> RigidTransform:
+    """robot <- ips from the averaged 'robot' rows of parsed beacons.csv ``path``."""
+    if "robot" not in readings:
+        raise UsageError(f"{path} has no 'robot' frame rows")
+    pair = average_beacon_readings(r.noisy for r in readings["robot"])
+    return inverse(frame_from_beacons(pair, frame="robot"))

@@ -9,14 +9,26 @@ projects the camera-frame vertices and takes pixel extrema.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .calib import MIN_DEPTH, CameraIntrinsics, _project_cam
-from .errors import AllVerticesBehindCamera, FrameMismatch
-from .fileio import from_dict, to_dict
-from .geom import VEC3, BeaconPair, RigidTransform, beacon_yaw, compose
+from .calib import MIN_DEPTH, CameraIntrinsics, _extrinsic_from_report, _project_cam
+from .config import ObjectSpec, _manifest_scene, _object_specs
+from .errors import (
+    AllVerticesBehindCamera, DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError,
+    error_text,
+)
+from .fileio import (
+    _sample_ids, atomic_write_text, dump_json, from_dict, ordered_map, read_input,
+    require_empty_dir, to_dict,
+)
+from .geom import (
+    VEC3, BeaconPair, RigidTransform, _robot_transform_from_readings, average_beacon_readings,
+    beacon_yaw, compose, parse_beacons_csv,
+)
 
 # Vertex order: bottom face counter-clockwise (viewed from +z) starting at
 # front-left, then the top face in the same x/y order.
@@ -96,24 +108,6 @@ def ray_entries(centers, yaws, dims, dirs) -> np.ndarray:
             np.maximum(near, lo, out=near)
             np.minimum(far, hi, out=far)
     return np.where((far >= near) & (near > 1e-9), near, np.inf)
-
-
-@dataclass(frozen=True)
-class ObjectSpec:
-    """Measured object class and dimensions (meters)."""
-
-    class_name: str
-    length: float
-    width: float
-    height: float
-
-    def __post_init__(self):
-        if not (self.length > 0 and self.width > 0 and self.height > 0):
-            raise ValueError("object dimensions must be positive")
-
-    @property
-    def dims(self) -> tuple:
-        return (self.length, self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -333,3 +327,45 @@ def label_entry(
         )
     entry["refined"] = False
     return entry
+
+
+def _entry_spec(entry: dict, specs: dict, label_path: str) -> ObjectSpec:
+    """The manifest spec of a label entry, whose ``id`` must name an object of its class."""
+    spec = specs.get(entry.get("id"))
+    if spec is None or spec.class_name != entry["class"]:
+        raise UsageError(
+            f"{label_path}: label object {entry.get('id')!r} of class {entry['class']!r} "
+            "names no manifest object of that class"
+        )
+    return spec
+
+
+def _generate_sample(dataset, scene, extrinsic, sid) -> str:
+    beacons_path = os.path.join(dataset, "samples", sid, "beacons.csv")
+    readings = read_input(beacons_path, parse_beacons_csv)
+    t_robot_from_ips = _robot_transform_from_readings(readings, beacons_path)
+    lidar_from_cam, intr = scene.lidar_from_cam, scene.intrinsics
+    entries = []
+    for object_id, spec in _object_specs(scene).items():
+        try:
+            pair = average_beacon_readings(r.noisy for r in readings.get(object_id, ()))
+            box_ips = object_box_ips(pair, spec)
+            verts_cam = box_to_camera(box_ips, extrinsic, t_robot_from_ips)
+            box_lidar = box_to_lidar(verts_cam, lidar_from_cam)
+            entries.append(label_entry(object_id, spec.class_name, box_lidar, verts_cam, intr))
+        except (DegenerateBeaconPair, EmptyReadings) as e:
+            entries.append({"id": object_id, "class": spec.class_name, "error": error_text(e)})
+    return dump_json(labels_to_dict(sid, entries))
+
+
+def write_labels(dataset: str, calibration: str, out: str, jobs: int = 1) -> int:
+    """The generate stage: write the label file of each sample of ``dataset``,
+    given the calibration report ``calibration``, into the empty or new
+    directory ``out``; returns the number of files."""
+    require_empty_dir(out, "generate")
+    scene = _manifest_scene(os.path.join(dataset, "manifest.json"))
+    sids = _sample_ids(dataset)
+    worker = partial(_generate_sample, dataset, scene, _extrinsic_from_report(calibration))
+    for sid, text in zip(sids, ordered_map(worker, sids, jobs)):
+        atomic_write_text(os.path.join(out, f"{sid}.json"), text)
+    return len(sids)

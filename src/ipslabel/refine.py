@@ -15,26 +15,28 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, read_ply
+from .config import ObjectSpec, RefineConfig, _manifest_scene, _object_specs
 from .errors import (
-    AllProposalsDegenerate,
-    ConfigError,
-    DegenerateSample,
-    EmptyNeighborhood,
-    NoPlaneFound,
-    TooFewPoints,
+    AllProposalsDegenerate, ConfigError, DegenerateSample, EmptyNeighborhood, NoPlaneFound,
+    NumericalError, TooFewPoints, UsageError, error_text,
 )
-from .geom import chunks, row_norms
-from .labelgen import ObjectSpec, OrientedBox3, normalize_yaw, ray_entries
-from .rng import NS_GROUND_PLANE, NS_REFINE_DRAWS, distinct_rows, substream
-
-if TYPE_CHECKING:
-    from .config import RefineConfig
+from .fileio import (
+    _sample_ids, atomic_write_text, dump_json, ordered_map, read_bytes, read_input, read_json,
+    require_empty_dir,
+)
+from .geom import chunks, inverse, row_norms
+from .labelgen import (
+    OrientedBox3, _entry_spec, label_entry, label_objects, labels_to_dict, normalize_yaw,
+    ray_entries,
+)
+from .rng import NS_GROUND_PLANE, NS_JOB, NS_REFINE_DRAWS, derive_seed, distinct_rows, substream
 
 _MIN_SEPARATION = 1e-6  # meters between projected sample points
 # Cloud points on which every ground-plane hypothesis is scored; only the
@@ -492,3 +494,68 @@ def refine_label(
             order, centers, lengths, spec, cfg.shell_delta, pcd.points, unrefined.center
         )
     return _box(centers[best], lengths[best], spec.dims)
+
+
+def _refine_sample(dataset, scene, cfg, seed, task) -> str:
+    sid, sample_index, label_path = task
+    cloud = read_input(os.path.join(dataset, "samples", sid, "cloud.ply"), read_ply, read_bytes)
+    # the sample's plane and its objects' draws are seeded from their places
+    # in the dataset and the manifest, so they do not depend on which other
+    # samples or entries the run holds
+    plane_error = None
+    try:
+        plane = fit_ground_plane(cloud, cfg, derive_seed(seed, NS_JOB, sample_index))
+    except NumericalError as e:
+        plane_error = error_text(e)
+    specs = _object_specs(scene)
+    cam_from_lidar = inverse(scene.lidar_from_cam)
+    position = {object_id: i for i, object_id in enumerate(specs)}
+    objects = []
+    for entry, unrefined, _ in read_json(label_path, label_objects):
+        entry = dict(entry)
+        if unrefined is None:
+            objects.append(entry)
+            continue
+        spec = _entry_spec(entry, specs, label_path)
+        obj_seed = derive_seed(seed, NS_JOB, sample_index, position[entry["id"]])
+        error = plane_error
+        if error is None:
+            try:
+                refined = refine_label(cloud, unrefined, spec, cfg, obj_seed, plane=plane)
+            except NumericalError as e:
+                error = error_text(e)
+        if error is None:
+            verts_cam = cam_from_lidar.apply(refined.vertices())
+            entry = label_entry(entry["id"], spec.class_name, refined, verts_cam, scene.intrinsics)
+            entry["refined"] = True
+        else:
+            entry["refined"] = False
+            entry["refine_error"] = error
+        objects.append(entry)
+    return dump_json(labels_to_dict(sid, objects))
+
+
+def write_refined_labels(
+    dataset: str, labels: str, out: str, cfg: RefineConfig, seed: int, jobs: int = 1
+) -> int:
+    """The refine stage: refine each label file in ``labels`` against its
+    sample's cloud in ``dataset`` into the empty or new directory ``out``;
+    returns the number of files."""
+    require_empty_dir(out, "refine")
+    scene = _manifest_scene(os.path.join(dataset, "manifest.json"))
+    # seeds follow the sample's place in the dataset, so refining some of the
+    # label files writes what refining all of them writes for those files
+    sample_index = {sid: i for i, sid in enumerate(_sample_ids(dataset))}
+    fnames = sorted(f for f in os.listdir(labels) if f.endswith(".json"))
+    if not fnames:
+        raise UsageError(f"{labels} holds no label file (*.json)")
+    tasks = []
+    for fname in fnames:
+        sid, label_path = fname[: -len(".json")], os.path.join(labels, fname)
+        if sid not in sample_index:
+            raise UsageError(f"{label_path} names no sample of dataset {dataset}")
+        tasks.append((sid, sample_index[sid], label_path))
+    worker = partial(_refine_sample, dataset, scene, cfg, seed)
+    for (sid, _, _), text in zip(tasks, ordered_map(worker, tasks, jobs)):
+        atomic_write_text(os.path.join(out, f"{sid}.json"), text)
+    return len(tasks)

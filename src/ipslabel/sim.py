@@ -42,7 +42,6 @@ from .geom import (
     inverse,
 )
 from .labelgen import (
-    ObjectSpec,
     OrientedBox3,
     box_to_camera,
     box_to_lidar,

@@ -23,7 +23,7 @@ import pytest
 
 from ipslabel.calib import apply_planar_constraint, solve_pnp, solve_pnp_ransac
 from ipslabel.cloud import read_ply
-from ipslabel.config import RefineConfig, SceneConfig
+from ipslabel.config import ObjectSpec, RefineConfig, SceneConfig
 from ipslabel.eval import downsample_study, iou_3d
 from ipslabel.geom import (
     BeaconPair,
@@ -31,7 +31,7 @@ from ipslabel.geom import (
     frame_from_beacons,
     inverse,
 )
-from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
+from ipslabel.labelgen import OrientedBox3, normalize_yaw
 from ipslabel.refine import fitness, shell_scores
 from ipslabel.rng import substream
 from ipslabel.sim import make_calibration_set

@@ -38,9 +38,14 @@ from ipslabel.errors import (
     NoConvergence,
     TooFewInliers,
 )
-from ipslabel.cli import _manifest_scene, _robot_transform_from_readings
+from ipslabel.config import _manifest_scene
 from ipslabel.fileio import read_input
-from ipslabel.geom import RigidTransform, compose, parse_beacons_csv
+from ipslabel.geom import (
+    RigidTransform,
+    _robot_transform_from_readings,
+    compose,
+    parse_beacons_csv,
+)
 from ipslabel.rng import NS_CALIB_RANSAC, distinct_rows, substream
 
 from .conftest import FIXTURES

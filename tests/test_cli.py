@@ -15,13 +15,15 @@ import pytest
 
 import ipslabel
 from ipslabel import sim
-from ipslabel.cli import _extrinsic_from_report, main
+from ipslabel.calib import _extrinsic_from_report
+from ipslabel.cli import main
 from ipslabel.cloud import PointCloud, read_ply, write_ply
-from ipslabel.config import SceneConfig
+from ipslabel.config import RefineConfig, SceneConfig
 from ipslabel.eval import compare_labels
 from ipslabel.fileio import from_dict, ordered_map, to_dict
 from ipslabel.geom import BeaconPair, BeaconReading, beacons_csv, inverse, parse_beacons_csv
-from ipslabel.labelgen import OrientedBox3, project_box
+from ipslabel.labelgen import OrientedBox3, project_box, write_labels
+from ipslabel.refine import write_refined_labels
 
 from .conftest import FIXTURES, run_cli, tree_digest
 from .oracles import ascii_ply
@@ -126,7 +128,7 @@ class TestSimulate:
 _OBJECT = "{id: obj0, class: cabinet, dims: [0.9, 0.5, 1.3], x: 4.0, y: 0.9, yaw: 0.4}"
 
 MALFORMED_CONFIGS = [
-    # (config text, key the error must name)
+    # (config text, key the error must name; a YAML error's mark names the file {cfg})
     ("scene: null", "scene"),
     ("scene: {lidar: null}", "scene.lidar"),
     ("scene: {beacon_noise: [1]}", "scene.beacon_noise"),
@@ -146,8 +148,9 @@ MALFORMED_CONFIGS = [
     ("scene: {calibration_points: -3}", "calibration_points"),
     ("scene: {calibration_points: 2}", "calibration_points"),
     ("scene: {objects: [" + _OBJECT + ", " + _OBJECT + "]}", "scene: object ids must be unique"),
-    ("seed: 1\nseed: 2", "duplicate key 'seed'"),
-    ("scene: {objects: [" + _OBJECT[:-1] + ", x: 4.0}]}", "duplicate key 'x'"),
+    ("seed: 1\nseed: 2", "duplicate key 'seed'\n  in \"{cfg}\", line 2, column 1"),
+    ("scene: {objects: [" + _OBJECT[:-1] + ", x: 4.0}]}", "duplicate key 'x'\n  in \"{cfg}\", line 1"),
+    ("seed: [1", "but got '<stream end>'\n  in \"{cfg}\", line 2, column 1"),
     ("scene: {objects: [" + _OBJECT[:-1] + ", beacon_sep: 0.001}]}", "scene.objects[0]: beacon_sep"),
     ("scene: {robot_beacon_sep: -0.4}", "scene: robot_beacon_sep"),
 ]
@@ -172,7 +175,7 @@ STAGE_IMPORTS = [
     ("help", ["--help"], None),
     ("simulate", ["simulate", "--out", "{o}", "--samples", "1"], {"refine", "eval"}),
     ("calibrate", ["calibrate", "--dataset", "{d}/ds", "--iterations", "20", "--out", "{o}"],
-     {"sim", "refine", "eval", "cloud"}),
+     {"sim", "labelgen", "refine", "eval", "cloud"}),
     ("generate", ["generate", "--dataset", "{d}/ds", "--calibration", "{d}/cal.json", "--out", "{o}"],
      {"sim", "refine", "eval", "cloud"}),
     ("refine", ["refine", "--dataset", "{d}/ds", "--labels", "{d}/labels", "--out", "{o}"],
@@ -198,7 +201,7 @@ class TestConfigValidation:
         cfg.write_text(text + "\n")
         code, _, err = run_cli(["--config", str(cfg), *(a.format(d=tmp_path) for a in argv)])
         assert code == 2, err
-        assert "error:" in err and key in err
+        assert "error:" in err and key.format(cfg=cfg) in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["bad.yaml"]  # rejected before any work
 
@@ -1041,3 +1044,22 @@ def pools(monkeypatch):
 def test_ordered_map_starts_no_more_workers_than_items(pools, count, jobs, started):
     assert ordered_map(math.sqrt, [float(i * i) for i in range(count)], jobs) == list(range(count))
     assert pools == started
+
+
+# ---------------------------------------------------------------------------
+# the stage drivers as library functions
+
+
+def test_generate_and_refine_drivers_write_the_files_the_cli_writes(small_run, tmp_path):
+    ds, cal = str(small_run / "ds"), str(small_run / "cal.json")
+    labels = str(tmp_path / "labels")
+    assert write_labels(ds, cal, labels) == 1
+    assert tree_digest(labels) == tree_digest(small_run / "labels")
+    refined, cli_refined = str(tmp_path / "refined"), str(tmp_path / "cli_refined")
+    assert write_refined_labels(ds, labels, refined, RefineConfig(iterations=300), seed=3) == 1
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("refine: {iterations: 300}\n")
+    code, _, err = run_cli(["--config", str(cfg), "--seed", "3", "refine", "--dataset", ds,
+                            "--labels", labels, "--out", cli_refined])
+    assert code == 0, err
+    assert tree_digest(refined) == tree_digest(cli_refined)

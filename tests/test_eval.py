@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ipslabel.cloud import PointCloud
-from ipslabel.config import RefineConfig
+from ipslabel.config import ObjectSpec, RefineConfig
 from ipslabel.errors import ClassMismatch, ConfigError, FrameMismatch, MissingSample
 from ipslabel.eval import (
     EvalReport,
@@ -19,7 +19,7 @@ from ipslabel.eval import (
     study_means,
 )
 from ipslabel.fileio import to_dict
-from ipslabel.labelgen import Box2, ObjectSpec, OrientedBox3
+from ipslabel.labelgen import Box2, OrientedBox3
 
 from .oracles import mc_iou3d_oracle, yaw_rotation
 from .test_refine import shell_scene

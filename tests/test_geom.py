@@ -84,11 +84,10 @@ class TestFrameFromBeacons:
         with pytest.raises(DegenerateBeaconPair):
             frame_from_beacons(BeaconPair((1, 1, 1.0), (1, 1, 0.0)))
 
-    def test_separation_threshold_is_configurable(self):
-        pair = BeaconPair((0.002, 0, 0), (0, 0, 0))
-        frame_from_beacons(pair)  # above the 1e-3 default
+    def test_separation_threshold_is_eps_beacon(self):
+        frame_from_beacons(BeaconPair((2 * EPS_BEACON, 0, 0), (0, 0, 0)))
         with pytest.raises(DegenerateBeaconPair):
-            frame_from_beacons(pair, eps_beacon=0.01)
+            frame_from_beacons(BeaconPair((EPS_BEACON, 0, 0), (0, 0, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from ipslabel.calib import CameraIntrinsics
+from ipslabel.config import ObjectSpec
 from ipslabel.errors import AllVerticesBehindCamera, ConfigError, FrameMismatch
 from ipslabel.fileio import to_dict
 from ipslabel.geom import BeaconPair, RigidTransform
 from ipslabel.labelgen import (
     Box2,
-    ObjectSpec,
     OrientedBox3,
     box_from_vertices,
     box_to_camera,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ipslabel.cloud import PointCloud
-from ipslabel.config import RefineConfig
+from ipslabel.config import ObjectSpec, RefineConfig
 from ipslabel.errors import (
     AllProposalsDegenerate,
     ConfigError,
@@ -16,7 +16,7 @@ from ipslabel.errors import (
     NoPlaneFound,
     TooFewPoints,
 )
-from ipslabel.labelgen import ObjectSpec, OrientedBox3, normalize_yaw
+from ipslabel.labelgen import OrientedBox3, normalize_yaw
 from ipslabel.refine import (
     _CROSSING_RAYS,
     _RAY_STRIDES,

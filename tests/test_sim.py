@@ -11,7 +11,7 @@ import pytest
 
 from ipslabel.calib import correspondences_csv, parse_correspondences_csv
 from ipslabel.cloud import read_ply, write_ply
-from ipslabel.config import LidarConfig, ObjectPlacement, SceneConfig
+from ipslabel.config import LidarConfig, ObjectPlacement, ObjectSpec, SceneConfig
 from ipslabel.fileio import from_dict, to_dict
 from ipslabel.geom import beacons_csv, inverse, parse_beacons_csv
 from ipslabel.labelgen import OrientedBox3
@@ -26,7 +26,6 @@ from ipslabel.sim import (
     robot_pose_for_sample,
     true_transforms,
 )
-from ipslabel.labelgen import ObjectSpec
 
 from .conftest import noise_free_scene, tree_digest
 from .oracles import ray_box_hit_oracle
