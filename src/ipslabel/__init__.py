@@ -17,10 +17,10 @@ its driver, the function from the stage's input files to its output files:
   ``write_downsample_study``)
 
 They share ``geom`` (rigid transforms, beacon frames and readings),
-``cloud`` (point clouds and PLY), ``fileio`` (files and the checked dict
-form), ``config`` (the pipeline config, the config dataclasses of every
-stage and ``ObjectSpec``), ``errors`` (typed errors) and ``rng`` (seeded
-streams).
+``cloud`` (PLY files of clouds, which are read-only (N, 3) arrays),
+``fileio`` (files and the checked dict form), ``config`` (the pipeline
+config, the config dataclasses of every stage and ``ObjectSpec``),
+``errors`` (typed errors) and ``rng`` (seeded streams).
 """
 
 __version__ = "0.1.0"

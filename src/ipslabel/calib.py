@@ -29,7 +29,8 @@ from .errors import (
 )
 from .fileio import _csv_rows, atomic_write_text, dump_json, from_dict, read_input, read_json
 from .geom import (
-    RigidTransform, _robot_transform_from_readings, chunks, compose, parse_beacons_csv, row_norms
+    RigidTransform, _robot_transform_from_readings, chunks, compose, frozen, parse_beacons_csv,
+    row_norms,
 )
 from .rng import NS_CALIB_RANSAC, distinct_rows, substream
 
@@ -84,12 +85,8 @@ class Correspondence:
     plane_tag: str | None = None
 
     def __post_init__(self):
-        b = np.array(self.beacon_ips, dtype=float).reshape(3)
-        p = np.array(self.pixel, dtype=float).reshape(2)
-        b.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "beacon_ips", b)
-        object.__setattr__(self, "pixel", p)
+        object.__setattr__(self, "beacon_ips", frozen(self.beacon_ips, 3))
+        object.__setattr__(self, "pixel", frozen(self.pixel, 2))
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,6 @@ class CalibrationResult:
     extrinsic: RigidTransform  # cam <- robot
     inlier_indices: tuple
     rmse_px: float
-    solver: str = "dlt+gauss-newton"
-    delta_px: float | None = None
     hypotheses: int | None = None  # RANSAC hypotheses scored; not reported
 
     def __post_init__(self):
@@ -514,7 +509,6 @@ def solve_pnp_ransac(
         extrinsic=final,
         inlier_indices=inliers,
         rmse_px=rmse,
-        delta_px=float(delta_px),
         hypotheses=scored,
     )
 
@@ -552,8 +546,8 @@ def write_calibration(
         "extrinsic": [_report_float(v) for v in result.extrinsic.matrix.reshape(-1)],
         "inliers": [int(i) for i in result.inlier_indices],
         "rmse_px": _report_float(result.rmse_px),
-        "method": result.solver,
-        "delta_px": result.delta_px,
+        "method": "dlt+gauss-newton",
+        "delta_px": float(opts.delta_px),
         "planar": opts.planar,
     }
     atomic_write_text(out, dump_json(report))

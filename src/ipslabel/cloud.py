@@ -1,19 +1,20 @@
-"""Point clouds and PLY serialization.
+"""PLY serialization of point clouds.
 
-write_ply writes a ``binary_little_endian`` PLY whose body is the float64
-bits of the points, so a cloud reads back bit-for-bit on any host and
-write -> read -> write is byte-identical. read_ply also reads ASCII PLY,
-the format clouds from other tools arrive in.
+A cloud is a float64 (N, 3) array of points in the LiDAR frame; read_ply
+returns it read-only. write_ply writes a ``binary_little_endian`` PLY whose
+body is the float64 bits of the points, so a cloud reads back bit-for-bit
+on any host and write -> read -> write is byte-identical. read_ply also
+reads ASCII PLY, the format clouds from other tools arrive in.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
+from .geom import frozen
 
 # One header line: it ends where str.splitlines ends a line of UTF-8 text,
 # or at the end of the file.
@@ -21,23 +22,8 @@ _LINE = re.compile(rb"(.*?)(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa
 _FORMATS = ("ascii", "binary_little_endian")
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Immutable (N, 3) cloud tagged with the frame it lives in."""
-
-    points: np.ndarray
-    frame: str = "lidar"
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float).reshape(-1, 3)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def write_ply(cloud: PointCloud) -> bytes:
+def write_ply(cloud: np.ndarray) -> bytes:
+    """The binary PLY bytes of an (N, 3) cloud."""
     header = "\n".join([
         "ply",
         "format binary_little_endian 1.0",
@@ -48,7 +34,7 @@ def write_ply(cloud: PointCloud) -> bytes:
         "end_header",
         "",
     ])
-    return header.encode("ascii") + cloud.points.astype("<f8").tobytes()
+    return header.encode("ascii") + np.asarray(cloud, "<f8").reshape(len(cloud), 3).tobytes()
 
 
 def _header(data: bytes) -> tuple:
@@ -123,9 +109,9 @@ def _binary_values(data: bytes, offset: int, n: int, props: list) -> np.ndarray:
     return np.frombuffer(data, "<f8", n * len(props), offset).reshape(n, len(props))
 
 
-def read_ply(data: bytes) -> PointCloud:
+def read_ply(data: bytes) -> np.ndarray:
     """Parse the bytes of a PLY file with one ``vertex`` element, ASCII or
-    binary little-endian, into a cloud in the ``lidar`` frame.
+    binary little-endian, into a read-only (N, 3) cloud.
 
     The point columns are found by the names of the ``property`` lines, so
     any column order reads the same cloud; other properties are ignored. A
@@ -146,4 +132,4 @@ def read_ply(data: bytes) -> PointCloud:
     if bad.size:
         where = f"line {header_lines + 1 + bad[0]}" if fmt == "ascii" else f"vertex {bad[0]}"
         raise UsageError(f"PLY {where}: non-finite point")
-    return PointCloud(pts)
+    return frozen(pts, (-1, 3))

@@ -82,9 +82,9 @@ class ObjectSpec:
         return (self.length, self.width, self.height)
 
 
-def _default_cam_from_robot(pitch_deg: float = 15.0) -> RigidTransform:
-    """Camera mount: optical axis ahead of the robot, pitched down."""
-    a = math.radians(pitch_deg)
+def _default_cam_from_robot() -> RigidTransform:
+    """Camera mount: optical axis ahead of the robot, pitched 15 degrees down."""
+    a = math.radians(15.0)
     base = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
     pitch = np.array(
         [[1.0, 0.0, 0.0], [0.0, math.cos(a), -math.sin(a)], [0.0, math.sin(a), math.cos(a)]]

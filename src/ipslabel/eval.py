@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, read_ply
+from .cloud import read_ply
 from .config import ObjectSpec, RefineConfig, _manifest_scene, _object_specs
 from .errors import (
     ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError, error_text
@@ -105,7 +105,7 @@ def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
 
 
 def downsample_study(
-    pcd: PointCloud,
+    cloud: np.ndarray,
     unrefined: OrientedBox3,
     spec: ObjectSpec,
     proportions,
@@ -130,8 +130,7 @@ def downsample_study(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     kinds_for_class(spec.class_name)  # before any trial's plane fit can fail
-    pts = pcd.points
-    near = neighborhood(pts, unrefined, cfg)
+    near = neighborhood(cloud, unrefined, cfg)
     near_idx, far_idx = np.flatnonzero(near), np.flatnonzero(~near)
     rows = []
     for pi, proportion in enumerate(proportions):
@@ -139,16 +138,14 @@ def downsample_study(
             rng = substream(seed, NS_DOWNSAMPLE, pi, trial)
             keep_n = max(1, int(round(proportion * near_idx.size))) if near_idx.size else 0
             keep = rng.choice(near_idx.size, size=keep_n, replace=False)
-            sub = PointCloud(
-                np.vstack([pts[near_idx[np.sort(keep)]], pts[far_idx]]), frame=pcd.frame
-            )
+            sub = np.vstack([cloud[near_idx[np.sort(keep)]], cloud[far_idx]])
             trial_seed = derive_seed(seed, NS_DOWNSAMPLE, pi, trial, 1)
             row = {"proportion": proportion, "trial": trial}
             try:
                 plane = fit_ground_plane(sub, cfg, trial_seed)
                 box = refine_label(sub, unrefined, spec, cfg, trial_seed, plane=plane)
                 row["box3d"] = to_dict(box)
-                row["fitness"] = fitness(box, pcd, cfg.shell_delta)
+                row["fitness"] = fitness(box, cloud, cfg.shell_delta)
             except NumericalError as e:
                 row["error"] = error_text(e)
             rows.append(row)
@@ -290,6 +287,8 @@ def compare_labels(auto_dir: str, reference_dir: str) -> EvalReport:
             )
         unmatched_auto += used.count(False)
         per_sample.append({"sample": sid, "matches": matches})
+    if not matched:
+        raise UsageError(f"the label files of {reference_dir} hold no object to compare")
     return EvalReport(
         per_sample=tuple(per_sample),
         mean_iou_2d=float(np.mean(all_2d)) if all_2d else None,

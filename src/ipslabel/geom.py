@@ -55,13 +55,10 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _as_vec3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(3)
-    return a
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def frozen(values, shape) -> np.ndarray:
+    """A read-only float64 copy of ``values`` in ``shape``; ``values`` itself
+    stays as it was, writable or not."""
+    a = np.array(values, dtype=float).reshape(shape)
     a.setflags(write=False)
     return a
 
@@ -80,13 +77,12 @@ class RigidTransform:
     dst: str
 
     def __post_init__(self):
-        rot = _freeze(np.asarray(self.rotation, dtype=float).reshape(3, 3))
-        tra = _freeze(_as_vec3(self.translation))
+        rot = frozen(self.rotation, (3, 3))
         err = np.abs(rot.T @ rot - np.eye(3)).max()
         if err > ORTHONORMALITY_TOL:
             raise ValueError(f"rotation not orthonormal (|R^T R - I| = {err:.3e})")
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tra)
+        object.__setattr__(self, "translation", frozen(self.translation, 3))
 
     # Dict form: rotation rows and translation; the reader supplies the frames.
     FORM = {"rotation": tuple[VEC3, VEC3, VEC3], "translation": VEC3}
@@ -153,8 +149,8 @@ class BeaconPair:
     rear: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "front", _freeze(_as_vec3(self.front)))
-        object.__setattr__(self, "rear", _freeze(_as_vec3(self.rear)))
+        object.__setattr__(self, "front", frozen(self.front, 3))
+        object.__setattr__(self, "rear", frozen(self.rear, 3))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .fileio import (
 )
 from .geom import (
     VEC3, BeaconPair, RigidTransform, _robot_transform_from_readings, average_beacon_readings,
-    beacon_yaw, compose, parse_beacons_csv,
+    beacon_yaw, compose, frozen, parse_beacons_csv,
 )
 
 # Vertex order: bottom face counter-clockwise (viewed from +z) starting at
@@ -120,13 +120,10 @@ class OrientedBox3:
     frame: str = "lidar"
 
     def __post_init__(self):
-        c = np.array(self.center, dtype=float).reshape(3)
-        d = np.array(self.dims, dtype=float).reshape(3)
+        d = frozen(self.dims, 3)
         if not np.all(d > 0):
             raise ValueError(f"box dims must be positive, got {d}")
-        c.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", frozen(self.center, 3))
         object.__setattr__(self, "dims", d)
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
@@ -138,11 +135,6 @@ class OrientedBox3:
         """The 8 corners in the documented order, shape (8, 3)."""
         local = _CORNER_SIGNS * (self.dims / 2.0)
         return local @ self.rotation.T + self.center
-
-    def to_local(self, points: np.ndarray) -> np.ndarray:
-        """Express points in the box frame (center at origin, yaw removed)."""
-        p = np.asarray(points, dtype=float)
-        return (p - self.center) @ self.rotation
 
     def ray_entry(self, dirs: np.ndarray) -> np.ndarray:
         """Slab-method entry distance of each ray from the origin along

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .cloud import PointCloud, read_ply
+from .cloud import read_ply
 from .config import ObjectSpec, RefineConfig, _manifest_scene, _object_specs
 from .errors import (
     AllProposalsDegenerate, ConfigError, DegenerateSample, EmptyNeighborhood, NoPlaneFound,
@@ -31,7 +31,7 @@ from .fileio import (
     _sample_ids, atomic_write_text, dump_json, ordered_map, read_bytes, read_input, read_json,
     require_empty_dir,
 )
-from .geom import chunks, inverse, row_norms
+from .geom import chunks, frozen, inverse, row_norms
 from .labelgen import (
     OrientedBox3, _entry_spec, label_entry, label_objects, labels_to_dict, normalize_yaw,
     ray_entries,
@@ -62,13 +62,11 @@ class GroundPlane:
     d: float
 
     def __post_init__(self):
-        n = np.array(self.normal, dtype=float).reshape(3)
+        n = np.asarray(self.normal, dtype=float).reshape(3)
         norm = np.linalg.norm(n)
-        if abs(norm - 1.0) > 1e-9:
-            n = n / norm
+        n = frozen(n if abs(norm - 1.0) <= 1e-9 else n / norm, 3)
         if n[2] <= 0:
             raise ValueError("ground plane normal must point up (n_z > 0)")
-        n.setflags(write=False)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "d", float(self.d))
 
@@ -117,7 +115,7 @@ def kinds_for_class(class_name: str):
         ) from None
 
 
-def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig, seed: int = 0) -> GroundPlane:
+def fit_ground_plane(cloud: np.ndarray, cfg: RefineConfig, seed: int = 0) -> GroundPlane:
     """Three-point RANSAC plane fit, least-squares refit on the inliers.
 
     All ``cfg.plane_iterations`` triples, and then a random subset of
@@ -129,12 +127,11 @@ def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig, seed: int = 0) -> Groun
     are rejected: a ground plane faces up, and without this guard a
     densely scanned vertical object face can out-vote the floor.
     """
-    pts = pcd.points
-    n = len(pts)
+    n = len(cloud)
     if n < 3:
         raise TooFewPoints(f"plane fit needs >= 3 points, got {n}")
     rng = substream(seed, NS_GROUND_PLANE)
-    p1, p2, p3 = pts[distinct_rows(rng, n, 3, cfg.plane_iterations).T]
+    p1, p2, p3 = cloud[distinct_rows(rng, n, 3, cfg.plane_iterations).T]
     normals = np.cross(p2 - p1, p3 - p1)
     norms = row_norms(normals)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -143,14 +140,14 @@ def fit_ground_plane(pcd: PointCloud, cfg: RefineConfig, seed: int = 0) -> Groun
     if not upright.any():
         raise NoPlaneFound(f"no plane hypothesis of {cfg.plane_iterations} faces up")
     normals, ds = normals[upright], (normals[upright] * p1[upright]).sum(axis=1)
-    subset = pts if n <= _PLANE_SUBSET else pts[rng.choice(n, _PLANE_SUBSET, replace=False)]
+    subset = cloud if n <= _PLANE_SUBSET else cloud[rng.choice(n, _PLANE_SUBSET, replace=False)]
     counts = (np.abs(subset @ normals.T - ds) <= cfg.ground_threshold).sum(axis=0)
     best = int(np.argmax(counts))
-    mask = np.abs(pts @ normals[best] - ds[best]) <= cfg.ground_threshold
+    mask = np.abs(cloud @ normals[best] - ds[best]) <= cfg.ground_threshold
     count = int(mask.sum())
     if count < max(3, 0.1 * n):
         raise NoPlaneFound(f"best plane hypothesis covers {count}/{n} points (< 10%)")
-    inl = pts[mask]
+    inl = cloud[mask]
     centroid = inl.mean(axis=0)
     _, _, vt = np.linalg.svd(inl - centroid, full_matrices=False)
     normal = vt[-1]
@@ -165,29 +162,29 @@ def neighborhood(points: np.ndarray, unrefined: OrientedBox3, cfg: RefineConfig)
 
 
 def crop_and_strip(
-    pcd: PointCloud,
+    cloud: np.ndarray,
     unrefined: OrientedBox3,
     plane: GroundPlane,
     cfg: RefineConfig,
     min_height: float | None = None,
-) -> PointCloud:
-    """Neighborhood of the unrefined label with ground points removed.
+) -> np.ndarray:
+    """Neighborhood of the unrefined label with ground points removed, as
+    the read-only rows of ``cloud`` it keeps.
 
     Keeps points within ``cfg.radius`` of the unrefined center whose
     height above the plane exceeds ``cfg.ground_threshold``. When
     ``min_height`` is given (table refinement), points lower than that are
     dropped as well.
     """
-    pts = pcd.points
-    height = plane.height(pts)
-    keep = neighborhood(pts, unrefined, cfg) & (height > cfg.ground_threshold)
+    height = plane.height(cloud)
+    keep = neighborhood(cloud, unrefined, cfg) & (height > cfg.ground_threshold)
     if min_height is not None:
         keep &= height >= min_height
     if not keep.any():
         raise EmptyNeighborhood(
             f"no points within {cfg.radius} m of the label after ground removal"
         )
-    return PointCloud(pts[keep], frame=pcd.frame)
+    return frozen(cloud[keep], (-1, 3))
 
 
 def _propose_one(kind: MpfKind, points, plane: GroundPlane, spec: ObjectSpec, side: int = 0):
@@ -258,8 +255,7 @@ def fitness(box: OrientedBox3, cloud, delta: float) -> int:
     near, so a corner point contributes 3. Boundary points at exactly
     half-extent +- delta are included.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else cloud
-    return int(shell_scores([box.center], [box.yaw], box.dims, pts, delta)[0])
+    return int(shell_scores([box.center], [box.yaw], box.dims, cloud, delta)[0])
 
 
 def shell_scores(centers, yaws, dims, points, delta: float) -> np.ndarray:
@@ -436,7 +432,7 @@ def _proposals(kinds, kind, q, side, plane: GroundPlane, spec: ObjectSpec):
 
 
 def refine_label(
-    pcd: PointCloud,
+    cloud: np.ndarray,
     unrefined: OrientedBox3,
     spec: ObjectSpec,
     cfg: RefineConfig,
@@ -464,13 +460,12 @@ def refine_label(
     """
     kinds = kinds_for_class(spec.class_name)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
-    cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
+    pts = crop_and_strip(cloud, unrefined, plane, cfg, min_height=min_height)
     needed = max(k.sample_size for k in kinds)
-    if len(cropped) < needed:
+    if len(pts) < needed:
         raise EmptyNeighborhood(
-            f"{len(cropped)} points survive cropping, need {needed} to sample"
+            f"{len(pts)} points survive cropping, need {needed} to sample"
         )
-    pts = cropped.points
     projected = plane.project(pts)
     rng = substream(seed, NS_REFINE_DRAWS)
     kind, idx, side = _draw(kinds, projected, plane, cfg.iterations, rng)
@@ -491,7 +486,7 @@ def refine_label(
     # a table's box is not solid: rays pass under its top, beside the stem
     if min_height is None and min(spec.dims) > 2.0 * cfg.shell_delta:
         best = _first_clear(
-            order, centers, lengths, spec, cfg.shell_delta, pcd.points, unrefined.center
+            order, centers, lengths, spec, cfg.shell_delta, cloud, unrefined.center
         )
     return _box(centers[best], lengths[best], spec.dims)
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .calib import Correspondence, _project_cam, correspondences_csv
-from .cloud import PointCloud, write_ply
+from .cloud import write_ply
 from .errors import UsageError
 from .fileio import (
     atomic_write_bytes,
@@ -39,6 +39,7 @@ from .geom import (
     beacons_csv,
     compose,
     frame_from_beacons,
+    frozen,
     inverse,
 )
 from .labelgen import (
@@ -200,8 +201,9 @@ def _lidar_directions(cfg: LidarConfig) -> np.ndarray:
     return np.column_stack([dx, dy, dz])
 
 
-def raycast_lidar(scene: SceneConfig, pose) -> PointCloud:
-    """Nearest-hit ray cast against object solids and the floor.
+def raycast_lidar(scene: SceneConfig, pose) -> np.ndarray:
+    """Nearest-hit ray cast against object solids and the floor: the
+    read-only (N, 3) cloud in the LiDAR frame.
 
     Rays start at the LiDAR origin; each returns the closest intersection
     with any object face or the ground plane within max range, so
@@ -222,8 +224,7 @@ def raycast_lidar(scene: SceneConfig, pose) -> PointCloud:
     for solid in solids:
         best = np.minimum(best, solid.ray_entry(dirs))
     valid = best <= scene.lidar.max_range
-    points = dirs[valid] * best[valid][:, None]
-    return PointCloud(points, frame="lidar")
+    return frozen(dirs[valid] * best[valid][:, None], (-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ class GroundTruthSample:
     sample_id: str
     robot_pose: tuple
     readings: dict
-    cloud: PointCloud
+    cloud: np.ndarray  # read-only (N, 3), LiDAR frame
     truth_objects: tuple  # label-schema dicts with truth extras
     t_robot_from_ips: RigidTransform  # clean
 

@@ -17,7 +17,7 @@ import ipslabel
 from ipslabel import sim
 from ipslabel.calib import _extrinsic_from_report
 from ipslabel.cli import main
-from ipslabel.cloud import PointCloud, read_ply, write_ply
+from ipslabel.cloud import read_ply, write_ply
 from ipslabel.config import RefineConfig, SceneConfig
 from ipslabel.eval import compare_labels
 from ipslabel.fileio import from_dict, ordered_map, to_dict
@@ -686,7 +686,7 @@ CLOUD = "ds/samples/sample_000/cloud.ply"
 def _as_text(path):
     """The text of an input file; a cloud's as ASCII PLY, so that a line edit corrupts it."""
     if path.suffix == ".ply":
-        return ascii_ply(read_ply(path.read_bytes()).points)
+        return ascii_ply(read_ply(path.read_bytes()))
     return path.read_text()
 
 BEACONS = "ds/samples/sample_000/beacons.csv"
@@ -774,14 +774,17 @@ MALFORMED_INPUTS = [
      REFINE, ["cloud.ply", "line 18"]),
 ]
 
-# (id, paths to delete, argv, directory the error must name): a stage that
-# would label nothing exits 2
+# (id, {path: its corruption, or None to delete it}, argv, directory the
+# error must name): a stage that would label or compare nothing exits 2
+NO_OBJECTS = _json_edit("objects", value=[])
 NOTHING_TO_LABEL = [
-    ("generate-without-samples", ["ds/samples/sample_000"], GENERATE, "{d}/ds/samples"),
-    ("refine-without-label-files", [LABEL], REFINE, "{d}/labels"),
-    ("refine-on-the-samples-dir", [],
+    ("generate-without-samples", {"ds/samples/sample_000": None}, GENERATE, "{d}/ds/samples"),
+    ("refine-without-label-files", {LABEL: None}, REFINE, "{d}/labels"),
+    ("refine-on-the-samples-dir", {},
      ["refine", "--dataset", "{d}/ds", "--labels", "{d}/ds/samples", "--out", "{o}"],
      "{d}/ds/samples"),
+    ("evaluate-without-objects", {LABEL: NO_OBJECTS, "ds/truth/sample_000.json": NO_OBJECTS},
+     EVALUATE, "{d}/ds/truth"),
 ]
 
 BAD_FLAGS = [
@@ -827,9 +830,9 @@ class TestMalformedInputs:
         d = tmp_path / "in"
         shutil.copytree(small_run, d)
         path = d / CLOUD
-        points = read_ply(path.read_bytes()).points.copy()
+        points = read_ply(path.read_bytes()).copy()
         points[9, 0] = math.nan
-        path.write_bytes(write_ply(PointCloud(points)))
+        path.write_bytes(write_ply(points))
         out = tmp_path / "out"
         code, _, err = run_cli([a.format(d=d, o=out) for a in REFINE])
         assert code == 2, err
@@ -838,17 +841,20 @@ class TestMalformedInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "deleted, argv, named", [case[1:] for case in NOTHING_TO_LABEL],
+        "edits, argv, named", [case[1:] for case in NOTHING_TO_LABEL],
         ids=[case[0] for case in NOTHING_TO_LABEL],
     )
     def test_stage_with_nothing_to_label_exits_2_naming_the_dir(
-        self, small_run, tmp_path, deleted, argv, named
+        self, small_run, tmp_path, edits, argv, named
     ):
         d = tmp_path / "in"
         shutil.copytree(small_run, d)
-        for rel in deleted:
+        for rel, mutate in edits.items():
             path = d / rel
-            shutil.rmtree(path) if path.is_dir() else path.unlink()
+            if mutate is not None:
+                path.write_text(mutate(path.read_text()))
+            else:
+                shutil.rmtree(path) if path.is_dir() else path.unlink()
         out = tmp_path / "out"
         code, _, err = run_cli([a.format(d=d, o=out) for a in argv])
         assert code == 2, err
@@ -922,7 +928,7 @@ class TestMalformedInputs:
         ply = d / CLOUD
         data = ply.read_bytes()
         if fmt == "ascii":
-            lines = ascii_ply(read_ply(data).points).splitlines()
+            lines = ascii_ply(read_ply(data)).splitlines()
             header, body = lines[:7], lines[7:]
             assert header[3:6] == ["property double x", "property double y", "property double z"]
             header[3:6] = ["property double z", "property double x", "property double y"]
@@ -993,7 +999,7 @@ class TestMalformedInputs:
         d = tmp_path / "in"
         shutil.copytree(small_run, d)
         points = np.random.default_rng(3).uniform(0, 5, (3000, 3))
-        (d / CLOUD).write_bytes(write_ply(PointCloud(points)))
+        (d / CLOUD).write_bytes(write_ply(points))
         out = tmp_path / "out"
         code, _, err = run_cli([a.format(d=d, o=out) for a in REFINE])
         assert code == 0, err

@@ -7,7 +7,6 @@ import os
 import numpy as np
 import pytest
 
-from ipslabel.cloud import PointCloud
 from ipslabel.config import ObjectSpec, RefineConfig
 from ipslabel.errors import ClassMismatch, ConfigError, FrameMismatch, MissingSample
 from ipslabel.eval import (
@@ -276,7 +275,7 @@ class TestDownsampleStudy:
         box = OrientedBox3((2.0, 0.0, 0.5), (1, 1, 1), 0.0)
         with pytest.raises(ConfigError, match="sofa"):
             downsample_study(
-                PointCloud(wall, frame="lidar"), box, ObjectSpec("sofa", 1, 1, 1), (1.0,), 1,
+                wall, box, ObjectSpec("sofa", 1, 1, 1), (1.0,), 1,
                 RefineConfig(iterations=10),
             )
 

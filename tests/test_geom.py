@@ -12,6 +12,7 @@ from ipslabel.geom import (
     beacon_yaw,
     compose,
     frame_from_beacons,
+    frozen,
     inverse,
 )
 from ipslabel.rng import substream
@@ -21,6 +22,38 @@ from .oracles import cross_oracle, homogeneous_matrix, random_rotation, transfor
 
 def random_transform(rng, src="a", dst="b") -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.uniform(-5, 5, size=3), src=src, dst=dst)
+
+
+# ---------------------------------------------------------------------------
+# frozen
+
+
+def test_frozen_is_a_read_only_float64_copy_that_leaves_the_input_writable():
+    values = np.arange(6)
+    out = frozen(values, (2, 3))
+    assert out.dtype == np.float64 and out.shape == (2, 3) and not out.flags.writeable
+    assert values.flags.writeable
+    values[0] = 7
+    assert out[0, 0] == 0.0
+
+
+def test_records_hold_read_only_copies_of_their_arrays():
+    from ipslabel.calib import Correspondence
+    from ipslabel.labelgen import OrientedBox3
+    from ipslabel.refine import GroundPlane
+
+    v3, v2 = np.ones(3), np.ones(2)
+    records = [
+        (RigidTransform(np.eye(3), v3, src="a", dst="b"), ("rotation", "translation")),
+        (BeaconPair(v3, -v3), ("front", "rear")),
+        (Correspondence(v3, v2), ("beacon_ips", "pixel")),
+        (OrientedBox3(v3, v3, 0.0), ("center", "dims")),
+        (GroundPlane(v3, 0.0), ("normal",)),  # a normal it rescales
+    ]
+    for record, fields in records:
+        for name in fields:
+            assert not getattr(record, name).flags.writeable, name
+    assert v3.flags.writeable and v2.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipslabel.calib import Correspondence, correspondences_csv, parse_correspondences_csv
-from ipslabel.cloud import PointCloud, read_ply, write_ply
+from ipslabel.cloud import read_ply, write_ply
 from ipslabel.errors import UsageError
 from ipslabel.geom import BeaconPair, BeaconReading, beacons_csv, parse_beacons_csv
 
@@ -22,7 +22,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(finite, finite, finite)
 names = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
 
-clouds = st.lists(vec3, max_size=20).map(lambda pts: PointCloud(np.array(pts).reshape(-1, 3)))
+clouds = st.lists(vec3, max_size=20).map(lambda pts: np.array(pts).reshape(-1, 3))
 correspondence_lists = st.lists(
     st.builds(Correspondence, vec3, st.tuples(finite, finite), names), max_size=10
 )
@@ -40,7 +40,7 @@ def beacon_files(draw):
 
 
 ply_files = clouds.map(write_ply)
-ascii_ply_texts = clouds.map(lambda cloud: ascii_ply(cloud.points))
+ascii_ply_texts = clouds.map(ascii_ply)
 beacon_texts = beacon_files().map(beacons_csv)
 correspondence_texts = correspondence_lists.map(correspondences_csv)
 
@@ -107,17 +107,17 @@ def read_ascii_ply(text: str):
 def test_ply_round_trips(cloud):
     data = write_ply(cloud)
     back = read_ply(data)
-    assert back.points.tobytes() == cloud.points.tobytes()
+    assert back.tobytes() == cloud.tobytes()
     assert write_ply(back) == data
 
 
 @PROPERTY
 @given(clouds)
 def test_ascii_ply_reads_the_float64_of_each_row(cloud):
-    text = ascii_ply(cloud.points)
+    text = ascii_ply(cloud)
     back = read_ascii_ply(text)
-    assert back.points.tobytes() == cloud.points.tobytes()
-    assert ascii_ply(back.points) == text
+    assert back.tobytes() == cloud.tobytes()
+    assert ascii_ply(back) == text
 
 
 @PROPERTY
@@ -136,14 +136,14 @@ def test_correspondences_csv_round_trips(text):
 @given(corrupted(ascii_ply_texts, " "))
 def test_corrupted_ply_is_parsed_or_a_usage_error(text):
     cloud = _parsed_or_usage_error(read_ascii_ply, text)
-    assert cloud is None or np.isfinite(cloud.points).all()
+    assert cloud is None or np.isfinite(cloud).all()
 
 
 @PROPERTY
 @given(st.builds(_corrupt_bytes, ply_files, st.integers(min_value=0), BYTE_JUNK, st.integers(0, 9)))
 def test_corrupted_binary_ply_is_parsed_or_a_usage_error(data):
     cloud = _parsed_or_usage_error(read_ply, data)
-    assert cloud is None or np.isfinite(cloud.points).all()
+    assert cloud is None or np.isfinite(cloud).all()
 
 
 @PROPERTY
@@ -151,7 +151,7 @@ def test_corrupted_binary_ply_is_parsed_or_a_usage_error(data):
 def test_junk_ply_header_is_parsed_or_a_usage_error(header, body):
     text = "\n".join(["ply", *header, "end_header", body])
     cloud = _parsed_or_usage_error(read_ascii_ply, text)
-    assert cloud is None or np.isfinite(cloud.points).all()
+    assert cloud is None or np.isfinite(cloud).all()
 
 
 @PROPERTY
@@ -173,7 +173,7 @@ def test_corrupted_correspondences_csv_is_parsed_or_a_usage_error(text):
 
 
 def test_ply_is_its_header_then_the_little_endian_float64_bits():
-    cloud = PointCloud([[-0.0, 1e-320, 1e300], [0.1, -2.5, 3.0]])
+    cloud = np.array([[-0.0, 1e-320, 1e300], [0.1, -2.5, 3.0]])
     assert write_ply(cloud) == (
         b"ply\n"
         b"format binary_little_endian 1.0\n"
@@ -194,7 +194,7 @@ def test_ply_rows_past_the_vertex_count_are_rejected_naming_the_first():
     for extra, line in (("1 2 3\n", 11), ("\n1 2 3\n", 12)):
         with pytest.raises(UsageError, match=f"PLY line {line}:"):
             read_ascii_ply(text + extra)
-    assert ascii_ply(read_ascii_ply(text + "\n \n").points) == text  # trailing blank lines are fine
+    assert ascii_ply(read_ascii_ply(text + "\n \n")) == text  # trailing blank lines are fine
 
 
 def test_ply_without_a_format_line_is_rejected():
@@ -207,12 +207,12 @@ def test_ply_without_a_format_line_is_rejected():
 def test_ascii_ply_lines_end_where_str_splitlines_ends_them(end):
     text = ascii_ply([[1.5, -2.0, 3.25], [0.0, 1e-3, 7.0]])
     cloud = read_ascii_ply(text.replace("\n", end))
-    assert ascii_ply(cloud.points) == text
+    assert ascii_ply(cloud) == text
 
 
 # The binary reader's own checks, on a 3-vertex file: 7 header lines, then
 # 3 rows of 3 little-endian doubles (72 bytes).
-EYE = write_ply(PointCloud(np.eye(3)))
+EYE = write_ply(np.eye(3))
 
 
 def test_binary_ply_without_a_format_line_is_rejected():

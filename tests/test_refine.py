@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from ipslabel.cloud import PointCloud
 from ipslabel.config import ObjectSpec, RefineConfig
 from ipslabel.errors import (
     AllProposalsDegenerate,
@@ -124,7 +123,7 @@ class TestFitGroundPlane:
             [rng.uniform(-5, 5, n_floor), rng.uniform(-5, 5, n_floor), np.zeros(n_floor)]
         )
         outliers = rng.uniform(0.5, 3.0, (n_floor // 20, 3))
-        cloud = PointCloud(np.vstack([floor, outliers]), frame="lidar")
+        cloud = np.vstack([floor, outliers])
         plane = fit_ground_plane(cloud, RefineConfig())
         np.testing.assert_allclose(plane.normal, (0, 0, 1), atol=1e-9)
         assert abs(plane.d) <= 1e-9
@@ -133,17 +132,16 @@ class TestFitGroundPlane:
         rng = np.random.default_rng(1)
         x = rng.uniform(-5, 5, 500)
         y = rng.uniform(-5, 5, 500)
-        cloud = PointCloud(np.column_stack([x, y, 0.1 * x]), frame="lidar")
+        cloud = np.column_stack([x, y, 0.1 * x])
         plane = fit_ground_plane(cloud, RefineConfig())
         expected = np.array([-0.1, 0, 1]) / np.linalg.norm([-0.1, 0, 1])
         np.testing.assert_allclose(plane.normal, expected, atol=1e-6)
 
     def test_same_seed_identical_plane(self):
         rng = np.random.default_rng(2)
-        pts = np.column_stack(
+        cloud = np.column_stack(
             [rng.uniform(-3, 3, 300), rng.uniform(-3, 3, 300), rng.normal(0, 0.01, 300)]
         )
-        cloud = PointCloud(pts, frame="lidar")
         a = fit_ground_plane(cloud, RefineConfig(), seed=4)
         b = fit_ground_plane(cloud, RefineConfig(), seed=4)
         np.testing.assert_array_equal(a.normal, b.normal)
@@ -151,11 +149,11 @@ class TestFitGroundPlane:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            fit_ground_plane(PointCloud(np.zeros((2, 3)), frame="lidar"), RefineConfig())
+            fit_ground_plane(np.zeros((2, 3)), RefineConfig())
 
     def test_unstructured_cloud_has_no_plane(self):
         rng = np.random.default_rng(3)
-        cloud = PointCloud(rng.uniform(0, 5, (300, 3)), frame="lidar")
+        cloud = rng.uniform(0, 5, (300, 3))
         with pytest.raises(NoPlaneFound):
             fit_ground_plane(cloud, RefineConfig())
 
@@ -165,7 +163,7 @@ class TestFitGroundPlane:
             [np.zeros(600), rng.uniform(-4, 4, 600), rng.uniform(0, 2.5, 600)]
         )
         with pytest.raises(NoPlaneFound, match="faces up"):
-            fit_ground_plane(PointCloud(wall, frame="lidar"), RefineConfig())
+            fit_ground_plane(wall, RefineConfig())
 
     def test_dense_wall_does_not_beat_the_floor(self):
         """A vertical plane can hold more points than the floor; it must
@@ -177,7 +175,7 @@ class TestFitGroundPlane:
         floor = np.column_stack(
             [rng.uniform(0.1, 4, 150), rng.uniform(-4, 4, 150), np.zeros(150)]
         )
-        cloud = PointCloud(np.vstack([wall, floor]), frame="lidar")
+        cloud = np.vstack([wall, floor])
         # the floor is only 20% of the cloud, so give the sampler enough
         # draws to land three floor points in one hypothesis
         plane = fit_ground_plane(cloud, RefineConfig(plane_iterations=3000))
@@ -198,24 +196,24 @@ class TestCropAndStrip:
         )
         box = OrientedBox3((0, 0, 0.5), (1, 1, 1), 0.0)
         with pytest.raises(EmptyNeighborhood):
-            crop_and_strip(PointCloud(floor, frame="lidar"), box, FLAT, RefineConfig())
+            crop_and_strip(floor, box, FLAT, RefineConfig())
 
     def test_keeps_exactly_the_near_cluster(self):
         rng = np.random.default_rng(6)
         near = np.array([0.2, -0.1, 0.6]) + rng.normal(0, 0.05, (40, 3))
         far = np.array([5.0, 5.0, 0.6]) + rng.normal(0, 0.05, (30, 3))
-        cloud = PointCloud(np.vstack([near, far]), frame="lidar")
+        cloud = np.vstack([near, far])
         box = OrientedBox3((0, 0, 0.5), (1, 1, 1), 0.0)
         kept = crop_and_strip(cloud, box, FLAT, RefineConfig())
         assert len(kept) == 40
-        np.testing.assert_allclose(np.sort(kept.points, axis=0), np.sort(near, axis=0), atol=0)
+        np.testing.assert_allclose(np.sort(kept, axis=0), np.sort(near, axis=0), atol=0)
 
     def test_min_height_strips_low_points(self):
         pts = np.array([[0, 0, 0.1], [0, 0, 0.25], [0, 0, 0.6], [0.1, 0, 0.9]])
         box = OrientedBox3((0, 0, 0.5), (1, 1, 1), 0.0)
-        kept = crop_and_strip(PointCloud(pts, frame="lidar"), box, FLAT, RefineConfig(), min_height=0.3)
+        kept = crop_and_strip(pts, box, FLAT, RefineConfig(), min_height=0.3)
         assert len(kept) == 2
-        assert kept.points[:, 2].min() >= 0.3
+        assert kept[:, 2].min() >= 0.3
 
     def test_matches_brute_force_filter_oracle(self):
         sample = cabinet_sample()
@@ -225,10 +223,29 @@ class TestCropAndStrip:
             box = OrientedBox3.from_dict(entry["box3d_lidar"])
             kept = crop_and_strip(sample.cloud, box, plane, cfg)
             expected = crop_filter_oracle(
-                sample.cloud.points, box.center, cfg.radius, plane.normal, plane.d, cfg.ground_threshold
+                sample.cloud, box.center, cfg.radius, plane.normal, plane.d, cfg.ground_threshold
             )
             assert len(kept) == len(expected)
-            np.testing.assert_array_equal(kept.points, sample.cloud.points[expected])
+            np.testing.assert_array_equal(kept, sample.cloud[expected])
+
+    def test_clouds_are_read_only_float64_rows(self):
+        from ipslabel.cloud import read_ply, write_ply
+        from ipslabel.config import SceneConfig
+        from ipslabel.sim import raycast_lidar
+
+        sample = cabinet_sample()
+        cfg = RefineConfig()
+        box = OrientedBox3.from_dict(sample.truth_objects[0]["box3d_lidar"])
+        scan = raycast_lidar(SceneConfig(), sample.robot_pose)
+        clouds = {
+            "raycast_lidar": scan,
+            "read_ply": read_ply(write_ply(scan)),
+            "crop_and_strip": crop_and_strip(scan, box, fit_ground_plane(scan, cfg), cfg),
+        }
+        for name, cloud in clouds.items():
+            assert isinstance(cloud, np.ndarray), name
+            assert cloud.dtype == np.float64 and cloud.ndim == 2 and cloud.shape[1] == 3, name
+            assert len(cloud) > 0 and not cloud.flags.writeable, name
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +467,7 @@ class TestFitness:
 
     def test_accepts_point_clouds_and_validates_delta(self):
         box = OrientedBox3((0, 0, 0), (2, 2, 2), 0.0)
-        cloud = PointCloud(np.array([[1.0, 0.0, 0.0]]), frame="lidar")
+        cloud = np.array([[1.0, 0.0, 0.0]])
         assert fitness(box, cloud, 0.05) == 1
         assert fitness(box, np.zeros((0, 3)), 0.05) == 0
         with pytest.raises(ValueError):
@@ -475,7 +492,7 @@ def shell_scene(rng, truth: OrientedBox3, n_shell=1200, n_floor=3000):
     floor = np.column_stack(
         [rng.uniform(-4, 4, n_floor), rng.uniform(-4, 4, n_floor), np.zeros(n_floor)]
     )
-    return PointCloud(np.vstack([shell, floor]), frame="lidar")
+    return np.vstack([shell, floor])
 
 
 class TestRefineLabel:
@@ -507,7 +524,7 @@ class TestRefineLabel:
         kind = kinds[int(stream.integers(len(kinds), size=1)[0])]
         assert kind is MpfKind.CABINET_RIGHT_FRONT  # this seed draws a corner kind
         values = [int(stream.integers(len(cropped) - c, size=1)[0]) for c in range(3)]
-        p1, p2, p3 = cropped.points[reference_sample(values)]
+        p1, p2, p3 = cropped[reference_sample(values)]
         expected = mpf_cabinet(p1, p2, p3, plane, spec, kind)
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
@@ -594,8 +611,7 @@ def reference_refine(pcd, unrefined, spec, cfg, seed):
     kinds = kinds_for_class(spec.class_name)
     plane = fit_ground_plane(pcd, cfg, seed)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
-    cropped = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
-    pts = cropped.points
+    pts = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
     scored = []
     for i, (kind, picks) in enumerate(reference_draws(kinds, len(pts), cfg.iterations, seed)):
         sample = pts[picks]
@@ -606,7 +622,7 @@ def reference_refine(pcd, unrefined, spec, cfg, seed):
             box = propose(kind, sample, plane, spec, side)
         except DegenerateSample:
             continue
-        scored.append((-fitness(box, cropped, cfg.shell_delta), i, box))
+        scored.append((-fitness(box, pts, cfg.shell_delta), i, box))
     if not scored:
         raise AllProposalsDegenerate("every reference proposal was degenerate")
     ranked = sorted(scored, key=lambda t: t[:2])
@@ -620,7 +636,7 @@ def reference_refine(pcd, unrefined, spec, cfg, seed):
         if 2 * negated > ranked[0][0]:
             break
         shrunk = OrientedBox3(box.center, box.dims - 2 * cfg.shell_delta, box.yaw)
-        if (shrunk.ray_entry(pcd.points) < 1).sum() <= 2:
+        if (shrunk.ray_entry(pcd) < 1).sum() <= 2:
             return box
     return best
 
@@ -650,7 +666,7 @@ class TestBatchedRefineMatchesScalarLoop:
         spec = ObjectSpec("cabinet", *entry["dims_spec"])
         cfg = RefineConfig(iterations=1500)
         plane = fit_ground_plane(sample.cloud, cfg, 4)
-        projected = plane.project(crop_and_strip(sample.cloud, truth, plane, cfg).points)
+        projected = plane.project(crop_and_strip(sample.cloud, truth, plane, cfg))
         kinds = kinds_for_class("cabinet")
         coincident = sum(
             kind is MpfKind.CABINET_TWO_POINT_FACE
@@ -692,7 +708,7 @@ class TestBatchedRefineMatchesScalarLoop:
             [rng.uniform(-3, 3, 2000), rng.uniform(-3, 3, 2000), np.zeros(2000)]
         )
         pole = np.column_stack([np.full(40, 2.0), np.full(40, 0.5), np.linspace(0.2, 1.2, 40)])
-        cloud = PointCloud(np.vstack([floor, pole]))
+        cloud = np.vstack([floor, pole])
         unrefined = OrientedBox3((2.0, 0.5, 0.65), (0.9, 0.5, 1.3), 0.0)
         spec = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
         cfg = RefineConfig(iterations=200)

@@ -28,7 +28,7 @@ from ipslabel.sim import (
 )
 
 from .conftest import noise_free_scene, tree_digest
-from .oracles import ray_box_hit_oracle
+from .oracles import ray_box_hit_oracle, yaw_rotation
 
 
 @functools.lru_cache(maxsize=1)
@@ -111,7 +111,7 @@ class TestRaycast:
         cloud = raycast_lidar(scene, pose)
         assert len(cloud) > 1000
         chain = true_transforms(scene, pose)["lidar_from_ips"]
-        z_ips = inverse(chain).apply(cloud.points)[:, 2]
+        z_ips = inverse(chain).apply(cloud)[:, 2]
         assert np.abs(z_ips).max() <= 1e-9
 
     def test_faces_turned_away_from_the_sensor_have_no_points(self):
@@ -123,12 +123,13 @@ class TestRaycast:
         cloud = raycast_lidar(scene, pose)
         chain = true_transforms(scene, pose)["lidar_from_ips"]
         box = scene_solids_ips(scene)[0]
-        pts_ips = inverse(chain).apply(cloud.points)
-        local = box.to_local(pts_ips)
+        pts_ips = inverse(chain).apply(cloud)
+        rotation = yaw_rotation(box.yaw)
+        local = (pts_ips - box.center) @ rotation
         half = box.dims / 2.0
         on_box = np.all(np.abs(local) <= half + 1e-9, axis=1)
         assert on_box.sum() > 50
-        sensor_local = box.to_local(inverse(chain).apply(np.zeros(3)))
+        sensor_local = (inverse(chain).apply(np.zeros(3)) - box.center) @ rotation
         for axis in range(3):
             for sign in (-1.0, 1.0):
                 on_face = on_box & (np.abs(local[:, axis] - sign * half[axis]) <= 1e-9)
@@ -145,7 +146,7 @@ class TestRaycast:
         rng = np.random.default_rng(0)
         picks = rng.choice(len(cloud), size=1000, replace=False)
         for i in picks:
-            p = cloud.points[i]
+            p = cloud[i]
             q = to_ips.apply(p)
             dist = np.linalg.norm(q - origin)
             direction = (q - origin) / dist
@@ -161,7 +162,7 @@ class TestRaycast:
 
     def test_range_limit_respected(self):
         scene, pose, cloud = default_pose_and_cloud()
-        assert np.linalg.norm(cloud.points, axis=1).max() <= scene.lidar.max_range + 1e-9
+        assert np.linalg.norm(cloud, axis=1).max() <= scene.lidar.max_range + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ class TestFloorHeight:
         base = make_sample(SceneConfig(), seed=7, index=0)
         moved = make_sample(SceneConfig(floor_z=floor_z), seed=7, index=0)
         assert len(moved.cloud) == len(base.cloud)
-        np.testing.assert_allclose(moved.cloud.points, base.cloud.points, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved.cloud, base.cloud, rtol=0, atol=1e-9)
         for got, want in zip(moved.truth_objects, base.truth_objects):
             for key in ("center", "dims"):
                 np.testing.assert_allclose(
@@ -391,13 +392,13 @@ class TestGenerateDataset:
 
     def test_cloud_on_disk_is_the_float64_bits_of_the_sample(self, noise_free_dataset):
         for index in range(3):
-            points = make_sample(noise_free_scene(), seed=5, index=index).cloud.points
+            points = make_sample(noise_free_scene(), seed=5, index=index).cloud
             path = os.path.join(noise_free_dataset, "samples", f"sample_{index:03d}", "cloud.ply")
             with open(path, "rb") as fh:
                 data = fh.read()
             body = data[data.index(b"end_header\n") + len(b"end_header\n"):]
             assert body == points.astype("<f8").tobytes()
-            assert read_ply(data).points.tobytes() == points.tobytes()
+            assert read_ply(data).tobytes() == points.tobytes()
 
     def test_rejects_empty_request(self, tmp_path):
         with pytest.raises(ValueError):
