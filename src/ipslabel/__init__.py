@@ -16,11 +16,12 @@ its driver, the function from the stage's input files to its output files:
 - ``ipslabel.eval``: IoU comparison and the downsample study (``write_comparison``,
   ``write_downsample_study``)
 
-They share ``geom`` (rigid transforms, beacon frames and readings),
-``cloud`` (PLY files of clouds, which are read-only (N, 3) arrays),
-``fileio`` (files and the checked dict form), ``config`` (the pipeline
-config, the config dataclasses of every stage and ``ObjectSpec``),
-``errors`` (typed errors) and ``rng`` (seeded streams).
+They share ``geom`` (rigid transforms, beacon frames, and beacon readings:
+``BeaconPair`` and ``beacons.csv``), ``cloud`` (PLY files of clouds, which
+are read-only (N, 3) arrays), ``fileio`` (files and the checked dict form),
+``config`` (the config dataclasses of every stage, ``ObjectSpec``, and
+``Rig``: all that the stages read of a dataset's manifest), ``errors``
+(typed errors) and ``rng`` (seeded streams).
 """
 
 __version__ = "0.1.0"

@@ -122,7 +122,7 @@ def cmd_calibrate(ns, cfg) -> None:
         manifest_path = manifest_path or os.path.join(ns.dataset, "manifest.json")
     if not corr_path or not beacon_path:
         raise UsageError("calibrate needs --dataset or both --correspondences and --robot-beacons")
-    intr = (config._manifest_scene(manifest_path) if manifest_path else cfg.scene).intrinsics
+    intr = (config._manifest_rig(manifest_path) if manifest_path else cfg.scene).intrinsics
     # the calibrate flags are named after the CalibOptions fields they override
     given = {k: getattr(ns, k) for k in vars(cfg.calibration) if getattr(ns, k) is not None}
     opts = config.CalibOptions(**{**vars(cfg.calibration), **given})

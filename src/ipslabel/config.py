@@ -60,8 +60,8 @@ class RefineConfig:
 
 
 # ---------------------------------------------------------------------------
-# The simulated scene (sim) and the rig that generate and refine read from a
-# dataset's manifest.
+# The rig that the stages read from a dataset's manifest, and the simulated
+# scene (sim) that writes it.
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,38 @@ class ObjectSpec:
     @property
     def dims(self) -> tuple:
         return (self.length, self.width, self.height)
+
+    FORM = {"class": str, "dims": tuple[float, float, float]}
+
+    def to_dict(self) -> dict:
+        return {"class": self.class_name, "dims": list(self.dims)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ObjectSpec":
+        return cls(d["class"], *d["dims"])
+
+
+@dataclass(frozen=True)
+class Rig:
+    """All that the stages read of a dataset's manifest (its ``rig``): camera
+    intrinsics, LiDAR mount and measured objects, ``{id: ObjectSpec}`` in id order."""
+
+    intrinsics: CameraIntrinsics
+    lidar_from_cam: Annotated[RigidTransform, "cam", "lidar"]
+    objects: dict[str, ObjectSpec]
+
+    def __post_init__(self):
+        if not self.objects:
+            raise ValueError("objects: needs at least one object")
+        for object_id in self.objects:
+            # beacons.csv names each row's frame: "robot" is the robot's, and
+            # a comma or a line break in an id would split its rows
+            breaks = "".join(object_id.splitlines()) != object_id
+            if object_id == "robot" or "," in object_id or breaks:
+                raise ValueError(
+                    f"objects: id {object_id!r} must not be 'robot' or hold a comma or line break"
+                )
+        object.__setattr__(self, "objects", dict(sorted(self.objects.items())))
 
 
 def _default_cam_from_robot() -> RigidTransform:
@@ -138,30 +170,15 @@ class ObjectPlacement:
         _check_beacon_sep("beacon_sep", self.beacon_sep)
 
     # Dict form: flat, with the spec's class and dims beside the pose.
-    FORM = {
-        "id": str,
-        "class": str,
-        "dims": tuple[float, float, float],
-        "x": float,
-        "y": float,
-        "yaw": float,
-        "beacon_sep": float,
-    }
+    FORM = {"id": str, **ObjectSpec.FORM, "x": float, "y": float, "yaw": float, "beacon_sep": float}
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.object_id,
-            "class": self.spec.class_name,
-            "dims": list(self.spec.dims),
-            "x": self.x,
-            "y": self.y,
-            "yaw": self.yaw,
-            "beacon_sep": self.beacon_sep,
-        }
+        pose = {"x": self.x, "y": self.y, "yaw": self.yaw, "beacon_sep": self.beacon_sep}
+        return {"id": self.object_id, **self.spec.to_dict(), **pose}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObjectPlacement":
-        spec = ObjectSpec(d["class"], *d["dims"])
+        spec = ObjectSpec.from_dict(d)
         return cls(d["id"], spec, d["x"], d["y"], d["yaw"], d.get("beacon_sep", cls.beacon_sep))
 
 
@@ -199,8 +216,6 @@ class SceneConfig:
         if self.beacon_noise < 0 or self.pixel_noise_sigma < 0:
             raise ValueError("noise levels must be >= 0")
         _check_beacon_sep("robot_beacon_sep", self.robot_beacon_sep)
-        if not self.objects:
-            raise ValueError("scene needs at least one object")
         for name in ("collection_readings", "calibration_readings"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -211,24 +226,18 @@ class SceneConfig:
         ids = [o.object_id for o in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError(f"object ids must be unique, got {ids}")
-        for object_id in ids:
-            # beacons.csv names each row's frame: "robot" is the robot's, and
-            # a comma or a line break in an id would split its rows
-            breaks = "".join(object_id.splitlines()) != object_id
-            if object_id == "robot" or "," in object_id or breaks:
-                raise ValueError(
-                    f"object id {object_id!r} must not be 'robot' or hold a comma or line break"
-                )
+        self.rig  # checks the ids as a manifest's rig is checked
+
+    @property
+    def rig(self) -> Rig:
+        """The rig that the stages read of a dataset simulated from this scene."""
+        objects = {o.object_id: o.spec for o in self.objects}
+        return Rig(self.intrinsics, self.lidar_from_cam, objects)
 
 
-def _manifest_scene(path: str) -> SceneConfig:
-    """The scene of the dataset manifest at ``path``."""
-    return read_json(path, lambda manifest: from_dict(SceneConfig, manifest["scene"], "scene"))
-
-
-def _object_specs(scene: SceneConfig) -> dict:
-    """{object id: ObjectSpec}, in id order."""
-    return dict(sorted({o.object_id: o.spec for o in scene.objects}.items()))
+def _manifest_rig(path: str) -> Rig:
+    """The rig of the dataset manifest at ``path``."""
+    return read_json(path, lambda manifest: from_dict(Rig, manifest["rig"], "rig"))
 
 
 # ---------------------------------------------------------------------------

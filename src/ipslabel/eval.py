@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import read_ply
-from .config import ObjectSpec, RefineConfig, _manifest_scene, _object_specs
+from .config import ObjectSpec, RefineConfig, _manifest_rig
 from .errors import (
     ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError, error_text
 )
@@ -180,7 +180,7 @@ def write_downsample_study(
     """The evaluate stage's study: downsample_study of the first labelled
     object of ``sample``, or of ``object_id``; writes the report JSON to
     ``out`` and the per-trial table to ``csv`` unless None; returns the rows."""
-    specs = _object_specs(_manifest_scene(os.path.join(dataset, "manifest.json")))
+    specs = _manifest_rig(os.path.join(dataset, "manifest.json")).objects
     cloud = read_input(os.path.join(dataset, "samples", sample, "cloud.ply"), read_ply, read_bytes)
     label_path = os.path.join(labels, f"{sample}.json")
     entries = [

@@ -36,6 +36,8 @@ def to_dict(obj):
         return {f.name: to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple):
         return [to_dict(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_dict(v) for k, v in obj.items()}
     if hasattr(obj, "tolist"):
         return obj.tolist()
     return obj
@@ -76,11 +78,11 @@ def from_dict(typ, value, path: str):
 
     Each value must match its field's type: bool for bool, int (not bool) for
     int, a finite int or float (stored as float) for float, str for str, a
-    list for a tuple, a mapping for a nested dataclass. A type whose dict form
-    is not its fields declares that form as ``FORM`` ({key: type}) and
-    builds itself in ``from_dict(d, *args)``, with the args of an
-    ``Annotated[type, *args]`` field. A bad key or value raises ConfigError
-    naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
+    list for a tuple, a mapping (with string keys for a dict) for a dict or a
+    nested dataclass. A type whose dict form is not its fields declares that
+    form as ``FORM`` ({key: type}) and builds itself in ``from_dict(d, *args)``,
+    with the args of an ``Annotated[type, *args]`` field. A bad key or value
+    raises ConfigError naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
     """
     if typ in _SCALARS:  # most leaves: checked before the container forms
         if typ is float:
@@ -108,6 +110,10 @@ def from_dict(typ, value, path: str):
         elif len(value) != len(args):
             _reject(path, f"a list of {len(args)}", value)
         return tuple(from_dict(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if typing.get_origin(typ) is dict:
+        if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+            _reject(path, "a mapping with string keys", value)
+        return {k: from_dict(typing.get_args(typ)[1], v, f"{path}.{k}") for k, v in value.items()}
     if typ in _SCALARS:  # an Annotated scalar
         return from_dict(typ, value, path)
     raise TypeError(f"{path}: no dict form for type {typ!r}")

@@ -153,14 +153,6 @@ class BeaconPair:
         object.__setattr__(self, "rear", frozen(self.rear, 3))
 
 
-@dataclass(frozen=True)
-class BeaconReading:
-    """One reading of a beacon pair: the measured positions and the true ones."""
-
-    noisy: BeaconPair
-    clean: BeaconPair
-
-
 def frame_from_beacons(pair: BeaconPair, frame: str = "frame") -> RigidTransform:
     """Build the 4-DOF beacon frame; returns the frame->ips transform.
 
@@ -201,8 +193,7 @@ def beacon_yaw(pair: BeaconPair) -> float:
 
 
 def average_beacon_readings(readings) -> BeaconPair:
-    """Component-wise mean of every reading."""
-    readings = list(readings)
+    """Component-wise mean of a sequence of readings (BeaconPairs)."""
     if not readings:
         raise EmptyReadings("no beacon readings")
     front = np.mean([r.front for r in readings], axis=0)
@@ -215,40 +206,32 @@ def average_beacon_readings(readings) -> BeaconPair:
 
 
 def beacons_csv(readings: dict) -> str:
-    lines = ["frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"]
+    """{"frame": [BeaconPair, ...]} as CSV text; every frame has as many readings."""
+    lines = ["frame,beacon_id,x,y,z"]
     frames = list(readings)
-    n_readings = len(readings[frames[0]])
-    for r in range(n_readings):
+    for r in range(len(readings[frames[0]])):
         for frame in frames:
-            reading = readings[frame][r]
-            for beacon_id, noisy, clean in (
-                ("front", reading.noisy.front, reading.clean.front),
-                ("rear", reading.noisy.rear, reading.clean.rear),
-            ):
-                vals = [repr(float(v)) for v in (*noisy, *clean)]
-                lines.append(f"{frame},{beacon_id}," + ",".join(vals))
+            pair = readings[frame][r]
+            for beacon_id, position in (("front", pair.front), ("rear", pair.rear)):
+                lines.append(f"{frame},{beacon_id}," + ",".join(repr(float(v)) for v in position))
     return "\n".join(lines) + "\n"
 
 
 def parse_beacons_csv(text: str) -> dict:
-    """Inverse of beacons_csv: {"frame": [BeaconReading, ...]}."""
-    header = "frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"
+    """Inverse of beacons_csv: {"frame": [BeaconPair, ...]}."""
+    header = "frame,beacon_id,x,y,z"
     rows = {}
-    for line_no, (frame, beacon_id, *_), vals in _csv_rows(text, header, slice(2, 8), "beacon"):
+    for line_no, (frame, beacon_id, *_), vals in _csv_rows(text, header, slice(2, 5), "beacon"):
         if beacon_id not in ("front", "rear"):
             raise UsageError(
                 f"beacon CSV line {line_no}: beacon_id must be front or rear, got {beacon_id!r}"
             )
-        rows.setdefault(frame, {"front": [], "rear": []})
-        rows[frame][beacon_id].append((np.array(vals[:3]), np.array(vals[3:])))
+        rows.setdefault(frame, {"front": [], "rear": []})[beacon_id].append(vals)
     out = {}
     for frame, sides in rows.items():
         if len(sides["front"]) != len(sides["rear"]):
             raise UsageError(f"frame {frame!r} has unpaired beacon rows")
-        readings = []
-        for (fn, fc), (rn, rc) in zip(sides["front"], sides["rear"]):
-            readings.append(BeaconReading(BeaconPair(fn, rn), BeaconPair(fc, rc)))
-        out[frame] = readings
+        out[frame] = [BeaconPair(f, r) for f, r in zip(sides["front"], sides["rear"])]
     return out
 
 
@@ -256,5 +239,5 @@ def _robot_transform_from_readings(readings: dict, path: str) -> RigidTransform:
     """robot <- ips from the averaged 'robot' rows of parsed beacons.csv ``path``."""
     if "robot" not in readings:
         raise UsageError(f"{path} has no 'robot' frame rows")
-    pair = average_beacon_readings(r.noisy for r in readings["robot"])
+    pair = average_beacon_readings(readings["robot"])
     return inverse(frame_from_beacons(pair, frame="robot"))

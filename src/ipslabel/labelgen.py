@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .calib import MIN_DEPTH, CameraIntrinsics, _extrinsic_from_report, _project_cam
-from .config import ObjectSpec, _manifest_scene, _object_specs
+from .config import ObjectSpec, _manifest_rig
 from .errors import (
     AllVerticesBehindCamera, DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError,
     error_text,
@@ -332,15 +332,18 @@ def _entry_spec(entry: dict, specs: dict, label_path: str) -> ObjectSpec:
     return spec
 
 
-def _generate_sample(dataset, scene, extrinsic, sid) -> str:
+def _generate_sample(dataset, rig, extrinsic, sid) -> str:
     beacons_path = os.path.join(dataset, "samples", sid, "beacons.csv")
     readings = read_input(beacons_path, parse_beacons_csv)
+    unknown = sorted(set(readings) - {"robot", *rig.objects})
+    if unknown:
+        raise UsageError(f"{beacons_path}: frame(s) {unknown} name neither 'robot' nor a rig object")
     t_robot_from_ips = _robot_transform_from_readings(readings, beacons_path)
-    lidar_from_cam, intr = scene.lidar_from_cam, scene.intrinsics
+    lidar_from_cam, intr = rig.lidar_from_cam, rig.intrinsics
     entries = []
-    for object_id, spec in _object_specs(scene).items():
+    for object_id, spec in rig.objects.items():
         try:
-            pair = average_beacon_readings(r.noisy for r in readings.get(object_id, ()))
+            pair = average_beacon_readings(readings.get(object_id, ()))
             box_ips = object_box_ips(pair, spec)
             verts_cam = box_to_camera(box_ips, extrinsic, t_robot_from_ips)
             box_lidar = box_to_lidar(verts_cam, lidar_from_cam)
@@ -355,9 +358,9 @@ def write_labels(dataset: str, calibration: str, out: str, jobs: int = 1) -> int
     given the calibration report ``calibration``, into the empty or new
     directory ``out``; returns the number of files."""
     require_empty_dir(out, "generate")
-    scene = _manifest_scene(os.path.join(dataset, "manifest.json"))
+    rig = _manifest_rig(os.path.join(dataset, "manifest.json"))
     sids = _sample_ids(dataset)
-    worker = partial(_generate_sample, dataset, scene, _extrinsic_from_report(calibration))
+    worker = partial(_generate_sample, dataset, rig, _extrinsic_from_report(calibration))
     for sid, text in zip(sids, ordered_map(worker, sids, jobs)):
         atomic_write_text(os.path.join(out, f"{sid}.json"), text)
     return len(sids)

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .cloud import read_ply
-from .config import ObjectSpec, RefineConfig, _manifest_scene, _object_specs
+from .config import ObjectSpec, RefineConfig, _manifest_rig
 from .errors import (
     AllProposalsDegenerate, ConfigError, DegenerateSample, EmptyNeighborhood, NoPlaneFound,
     NumericalError, TooFewPoints, UsageError, error_text,
@@ -491,7 +491,7 @@ def refine_label(
     return _box(centers[best], lengths[best], spec.dims)
 
 
-def _refine_sample(dataset, scene, cfg, seed, task) -> str:
+def _refine_sample(dataset, rig, cfg, seed, task) -> str:
     sid, sample_index, label_path = task
     cloud = read_input(os.path.join(dataset, "samples", sid, "cloud.ply"), read_ply, read_bytes)
     # the sample's plane and its objects' draws are seeded from their places
@@ -502,16 +502,15 @@ def _refine_sample(dataset, scene, cfg, seed, task) -> str:
         plane = fit_ground_plane(cloud, cfg, derive_seed(seed, NS_JOB, sample_index))
     except NumericalError as e:
         plane_error = error_text(e)
-    specs = _object_specs(scene)
-    cam_from_lidar = inverse(scene.lidar_from_cam)
-    position = {object_id: i for i, object_id in enumerate(specs)}
+    cam_from_lidar = inverse(rig.lidar_from_cam)
+    position = {object_id: i for i, object_id in enumerate(rig.objects)}
     objects = []
     for entry, unrefined, _ in read_json(label_path, label_objects):
         entry = dict(entry)
         if unrefined is None:
             objects.append(entry)
             continue
-        spec = _entry_spec(entry, specs, label_path)
+        spec = _entry_spec(entry, rig.objects, label_path)
         obj_seed = derive_seed(seed, NS_JOB, sample_index, position[entry["id"]])
         error = plane_error
         if error is None:
@@ -521,7 +520,7 @@ def _refine_sample(dataset, scene, cfg, seed, task) -> str:
                 error = error_text(e)
         if error is None:
             verts_cam = cam_from_lidar.apply(refined.vertices())
-            entry = label_entry(entry["id"], spec.class_name, refined, verts_cam, scene.intrinsics)
+            entry = label_entry(entry["id"], spec.class_name, refined, verts_cam, rig.intrinsics)
             entry["refined"] = True
         else:
             entry["refined"] = False
@@ -537,7 +536,7 @@ def write_refined_labels(
     sample's cloud in ``dataset`` into the empty or new directory ``out``;
     returns the number of files."""
     require_empty_dir(out, "refine")
-    scene = _manifest_scene(os.path.join(dataset, "manifest.json"))
+    rig = _manifest_rig(os.path.join(dataset, "manifest.json"))
     # seeds follow the sample's place in the dataset, so refining some of the
     # label files writes what refining all of them writes for those files
     sample_index = {sid: i for i, sid in enumerate(_sample_ids(dataset))}
@@ -550,7 +549,7 @@ def write_refined_labels(
         if sid not in sample_index:
             raise UsageError(f"{label_path} names no sample of dataset {dataset}")
         tasks.append((sid, sample_index[sid], label_path))
-    worker = partial(_refine_sample, dataset, scene, cfg, seed)
+    worker = partial(_refine_sample, dataset, rig, cfg, seed)
     for (sid, _, _), text in zip(tasks, ordered_map(worker, tasks, jobs)):
         atomic_write_text(os.path.join(out, f"{sid}.json"), text)
     return len(tasks)

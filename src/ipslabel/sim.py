@@ -34,7 +34,6 @@ from .fileio import (
 )
 from .geom import (
     BeaconPair,
-    BeaconReading,
     RigidTransform,
     beacons_csv,
     compose,
@@ -239,21 +238,21 @@ def emit_beacons(scene: SceneConfig, pose, seed: int, index: int) -> dict:
     front/rear), so outputs are reproducible.
     """
     rng = substream(seed, NS_BEACON, index)
-    clean = {"robot": robot_beacons(scene, pose)}
+    true = {"robot": robot_beacons(scene, pose)}
     for placement in scene.objects:
-        clean[placement.object_id] = object_beacons(placement, scene.floor_z)
-    out = {frame: [] for frame in clean}
+        true[placement.object_id] = object_beacons(placement, scene.floor_z)
+    out = {frame: [] for frame in true}
     for _ in range(scene.collection_readings):
-        for frame, pair in clean.items():
+        for frame, pair in true.items():
             out[frame].append(_noisy_reading(pair, scene.beacon_noise, rng))
     return {frame: tuple(rs) for frame, rs in out.items()}
 
 
-def _noisy_reading(pair: BeaconPair, b: float, rng) -> BeaconReading:
+def _noisy_reading(pair: BeaconPair, b: float, rng) -> BeaconPair:
     """One reading of ``pair``: per-axis uniform noise in [-b, +b], front first."""
     front = pair.front + rng.uniform(-b, b, size=3)
     rear = pair.rear + rng.uniform(-b, b, size=3)
-    return BeaconReading(BeaconPair(front, rear), pair)
+    return BeaconPair(front, rear)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ class GroundTruthSample:
     readings: dict
     cloud: np.ndarray  # read-only (N, 3), LiDAR frame
     truth_objects: tuple  # label-schema dicts with truth extras
-    t_robot_from_ips: RigidTransform  # clean
+    t_robot_from_ips: RigidTransform  # true
 
 
 def make_sample(scene: SceneConfig, seed: int, index: int) -> GroundTruthSample:
@@ -305,9 +304,9 @@ def make_sample(scene: SceneConfig, seed: int, index: int) -> GroundTruthSample:
 @dataclass(frozen=True)
 class CalibrationSet:
     correspondences: tuple
-    robot_readings: tuple  # BeaconReading
+    robot_readings: tuple  # BeaconPair
     robot_pose: tuple
-    t_robot_from_ips: RigidTransform  # clean
+    t_robot_from_ips: RigidTransform  # true
 
 
 def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
@@ -346,9 +345,9 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
         measured = true_pos + rng.uniform(-scene.beacon_noise, scene.beacon_noise, size=3)
         pixel = uv + scene.pixel_noise_sigma * rng.standard_normal(2)
         corrs.append(Correspondence(measured, pixel, tag))
-    clean_pair = robot_beacons(scene, pose)
+    true_pair = robot_beacons(scene, pose)
     robot_reads = tuple(
-        _noisy_reading(clean_pair, scene.beacon_noise, rng)
+        _noisy_reading(true_pair, scene.beacon_noise, rng)
         for _ in range(scene.calibration_readings)
     )
     return CalibrationSet(
@@ -399,9 +398,11 @@ def render_calibration_files(calset: CalibrationSet) -> dict:
 def manifest_json(scene: SceneConfig, seed: int, n_samples: int, calset: CalibrationSet) -> str:
     return dump_json(
         {
-            "format": "ipslabel-dataset-v1",
+            "format": "ipslabel-dataset-v2",
             "seed": int(seed),
             "n_samples": int(n_samples),
+            "rig": to_dict(scene.rig),
+            # the simulator's record: no stage reads "scene" or "calibration_truth"
             "scene": to_dict(scene),
             "calibration_truth": {
                 "cam_from_robot": _transform_row_major(scene.cam_from_robot),

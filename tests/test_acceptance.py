@@ -108,7 +108,7 @@ def test_planar_constraint_reduces_calibration_error():
     full63 = 0
     for seed in range(50):
         cs = make_calibration_set(scene, seed)
-        pair = average_beacon_readings([r.noisy for r in cs.robot_readings])
+        pair = average_beacon_readings(cs.robot_readings)
         t_robot_from_ips = inverse(frame_from_beacons(pair, frame="robot"))
         for delta in (8.0, 25.0):
             for planar in (False, True):

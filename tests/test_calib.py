@@ -38,7 +38,7 @@ from ipslabel.errors import (
     NoConvergence,
     TooFewInliers,
 )
-from ipslabel.config import _manifest_scene
+from ipslabel.config import _manifest_rig
 from ipslabel.fileio import read_input
 from ipslabel.geom import (
     RigidTransform,
@@ -570,7 +570,7 @@ def fixture_target(planar):
     corrs = read_input(os.path.join(FIXTURES, "correspondences.csv"), parse_correspondences_csv)
     path = os.path.join(FIXTURES, "robot_beacons.csv")
     t_ri = _robot_transform_from_readings(read_input(path, parse_beacons_csv), path)
-    intr = _manifest_scene(os.path.join(FIXTURES, "manifest.json")).intrinsics
+    intr = _manifest_rig(os.path.join(FIXTURES, "manifest.json")).intrinsics
     return (apply_planar_constraint(corrs) if planar else corrs), t_ri, intr
 
 

@@ -18,10 +18,10 @@ from ipslabel import sim
 from ipslabel.calib import _extrinsic_from_report
 from ipslabel.cli import main
 from ipslabel.cloud import read_ply, write_ply
-from ipslabel.config import RefineConfig, SceneConfig
+from ipslabel.config import RefineConfig, _manifest_rig
 from ipslabel.eval import compare_labels
-from ipslabel.fileio import from_dict, ordered_map, to_dict
-from ipslabel.geom import BeaconPair, BeaconReading, beacons_csv, inverse, parse_beacons_csv
+from ipslabel.fileio import ordered_map, to_dict
+from ipslabel.geom import BeaconPair, beacons_csv, inverse, parse_beacons_csv
 from ipslabel.labelgen import OrientedBox3, project_box, write_labels
 from ipslabel.refine import write_refined_labels
 
@@ -398,9 +398,8 @@ class TestGenerate:
         assert report.unmatched_auto == 0
 
     def test_refined_box2d_is_the_projection_of_the_refined_box3d(self, pipeline):
-        manifest = json.loads(read(os.path.join(pipeline["dataset"], "manifest.json")))
-        scene = from_dict(SceneConfig, manifest["scene"], "scene")
-        cam_from_lidar = inverse(scene.lidar_from_cam)
+        rig = _manifest_rig(os.path.join(pipeline["dataset"], "manifest.json"))
+        cam_from_lidar = inverse(rig.lidar_from_cam)
         entries = [
             e for f in sorted(os.listdir(pipeline["refined"]))
             for e in json.loads(read(os.path.join(pipeline["refined"], f)))["objects"]
@@ -408,7 +407,7 @@ class TestGenerate:
         assert entries and all(e["refined"] is True for e in entries)
         for entry in entries:
             box = OrientedBox3.from_dict(entry["box3d_lidar"])
-            box2 = project_box(cam_from_lidar.apply(box.vertices()), scene.intrinsics)
+            box2 = project_box(cam_from_lidar.apply(box.vertices()), rig.intrinsics)
             assert entry["box2d"] == to_dict(box2)
             assert entry["truncated"] == box2.is_truncated
             assert entry["behind_camera_vertices"] == box2.behind_camera_vertices
@@ -451,12 +450,12 @@ class TestGenerate:
             readings = parse_beacons_csv(read(mean_ds / rel))
             for rs in readings.values():
                 assert len(rs) == (calibration_readings if rel.startswith("calib") else 3)
-                assert not np.array_equal(rs[0].noisy.front, rs[1].noisy.front)
+                assert not np.array_equal(rs[0].front, rs[1].front)
             mean = {
-                frame: [BeaconReading(BeaconPair(
-                    np.mean([r.noisy.front for r in rs], axis=0),
-                    np.mean([r.noisy.rear for r in rs], axis=0),
-                ), rs[0].clean)]
+                frame: [BeaconPair(
+                    np.mean([r.front for r in rs], axis=0),
+                    np.mean([r.rear for r in rs], axis=0),
+                )]
                 for frame, rs in readings.items()
             }
             (mean_ds / rel).write_text(beacons_csv(mean))
@@ -548,7 +547,7 @@ class TestRefine:
         dataset = tmp_path / "ds"
         shutil.copytree(pipeline["dataset"], dataset)
         manifest = json.loads(read(dataset / "manifest.json"))
-        manifest["scene"]["objects"][0]["class"] = "sofa"
+        manifest["rig"]["objects"]["obj0"]["class"] = "sofa"
         (dataset / "manifest.json").write_text(json.dumps(manifest))
         labels = tmp_path / "weird"
         labels.mkdir()
@@ -669,6 +668,19 @@ def _repeat_key(key, value):
     return mutate
 
 
+def _rename_rig_object(old, new):
+    """Rename a manifest rig object, keeping its class and dims."""
+    def rename(objects):
+        return {new if k == old else k: v for k, v in objects.items()}
+
+    return _json_edit("rig", "objects", value=rename)
+
+
+def _v1_manifest(text):
+    """The manifest as the v1 format wrote it: a simulator scene and no rig."""
+    return _json_edit("rig")(_json_edit("format", value="ipslabel-dataset-v1")(text))
+
+
 def _field_edit(line_index, field_index, value, sep=","):
     def mutate(text):
         lines = text.splitlines()
@@ -708,15 +720,25 @@ MALFORMED_INPUTS = [
      ["cloud.ply", "x, y, z"]),
     ("truncated-manifest", "ds/manifest.json", lambda t: t[: len(t) // 2], GENERATE,
      ["manifest.json"]),
-    ("manifest-without-scene", "ds/manifest.json", _json_edit("scene"), REFINE,
-     ["manifest.json", "'scene'"]),
-    ("manifest-bad-scene", "ds/manifest.json", _json_edit("scene", "lidar", "channels", value=0),
-     GENERATE, ["manifest.json", "scene.lidar"]),
+    ("manifest-without-rig", "ds/manifest.json", _json_edit("rig"), REFINE,
+     ["manifest.json", "'rig'"]),
+    ("v1-manifest", "ds/manifest.json", _v1_manifest, GENERATE, ["manifest.json", "'rig'"]),
+    ("v1-manifest-calibrate", "ds/manifest.json", _v1_manifest, CALIBRATE,
+     ["manifest.json", "'rig'"]),
+    ("manifest-bad-rig", "ds/manifest.json",
+     _json_edit("rig", "objects", "obj0", "dims", 1, value=0.0), GENERATE,
+     ["manifest.json", "rig.objects.obj0", "positive"]),
+    ("rig-object-robot", "ds/manifest.json", _rename_rig_object("obj0", "robot"), GENERATE,
+     ["manifest.json", "rig: objects", "'robot'"]),
+    ("rig-object-id-with-comma", "ds/manifest.json", _rename_rig_object("obj1", "obj,1"), REFINE,
+     ["manifest.json", "rig: objects", "'obj,1'"]),
+    ("rig-without-objects", "ds/manifest.json", _json_edit("rig", "objects", value={}), STUDY,
+     ["manifest.json", "rig: objects", "at least one object"]),
     ("manifest-with-repeated-key", "ds/manifest.json", _repeat_key("seed", 7), GENERATE,
      ["manifest.json", "duplicate key 'seed'"]),
     ("manifest-with-duplicate-ids", "ds/manifest.json",
-     _json_edit("scene", "objects", 1, "id", value="obj0"), REFINE,
-     ["manifest.json", "scene: object ids must be unique"]),
+     lambda t: t.replace('"obj1": {', '"obj0": {', 1), REFINE,
+     ["manifest.json", "duplicate key 'obj0'"]),
     ("non-orthonormal-extrinsic", "cal.json", _json_edit("extrinsic", 0, value=lambda v: 2 * v),
      GENERATE, ["cal.json", "orthonormal"]),
     ("report-with-repeated-key", "cal.json", _repeat_key("inliers", []), GENERATE,
@@ -765,6 +787,9 @@ MALFORMED_INPUTS = [
      ["beacons.csv", "line 2", "abc"]),
     ("beacons-inf", BEACONS, _field_edit(3, 4, "inf"), GENERATE,
      ["beacons.csv", "line 4", "non-finite"]),
+    # a mistyped frame would leave obj0 without readings and say nothing of why
+    ("beacons-unknown-frame", BEACONS, lambda t: t.replace("\nobj0,", "\nob0,"), GENERATE,
+     ["beacons.csv", "['ob0']", "rig object"]),
     ("robot-beacons-inf", "ds/calibration/robot_beacons.csv", _field_edit(2, 3, "-inf"), CALIBRATE,
      ["robot_beacons.csv", "line 3"]),
     ("correspondences-non-numeric", "ds/calibration/correspondences.csv", _field_edit(5, 3, "1.0.0"),
@@ -805,6 +830,37 @@ def _run_in_copy(small_run, tmp_path, argv):
     out = tmp_path / "out"
     code, _, err = run_cli([a.format(d=d, o=out) for a in argv])
     return d, out, code, err
+
+
+def test_stages_read_only_the_rig_of_the_manifest(small_run, tmp_path):
+    """calibrate, generate, refine and the study write the same files from a
+    dataset without the simulator's record: no manifest scene or
+    calibration_truth, and no truth/."""
+    rig_only = tmp_path / "rig_only"
+    shutil.copytree(small_run / "ds", rig_only)
+    shutil.rmtree(rig_only / "truth")
+    manifest = json.loads(read(rig_only / "manifest.json"))
+    del manifest["scene"], manifest["calibration_truth"]
+    (rig_only / "manifest.json").write_text(json.dumps(manifest))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("refine: {iterations: 300}\n")
+    digests = []
+    for ds in (small_run / "ds", rig_only):
+        out = tmp_path / f"out_{len(digests)}"
+        for argv in (
+            ["calibrate", "--dataset", ds, "--iterations", "300", "--out", out / "cal.json"],
+            ["generate", "--dataset", ds, "--calibration", out / "cal.json", "--out", out / "labels"],
+            ["refine", "--dataset", ds, "--labels", out / "labels", "--out", out / "refined"],
+            ["evaluate", "--study", "downsample", "--dataset", ds, "--labels", out / "labels",
+             "--sample", "sample_000", "--trials", "1", "--out", out / "study.json"],
+        ):
+            code, _, err = run_cli(["--config", str(cfg), "--seed", "7", *map(str, argv)])
+            assert code == 0, err
+        digests.append(tree_digest(out))
+    assert set(digests[0]) == {
+        "cal.json", "labels/sample_000.json", "refined/sample_000.json", "study.json"
+    }
+    assert digests[0] == digests[1]
 
 
 class TestMalformedInputs:
@@ -910,7 +966,7 @@ class TestMalformedInputs:
         d = tmp_path / "in"
         shutil.copytree(small_run, d)
         for rel, mutate in (
-            ("ds/manifest.json", _json_edit("scene", "objects", 0, "class", value="sofa")),
+            ("ds/manifest.json", _json_edit("rig", "objects", "obj0", "class", value="sofa")),
             (LABEL, _json_edit("objects", 0, "class", value="sofa")),
         ):
             (d / rel).write_text(mutate((d / rel).read_text()))
@@ -983,8 +1039,7 @@ class TestMalformedInputs:
         (front,) = [i for i, ln in enumerate(lines) if ln.startswith("obj1,front,")]
         (rear,) = [i for i, ln in enumerate(lines) if ln.startswith("obj1,rear,")]
         x, y, z = (float(v) for v in lines[front].split(",")[2:5])
-        clean = lines[rear].split(",")[5:]
-        lines[rear] = ",".join(["obj1", "rear", repr(x + 0.0005), repr(y), repr(z), *clean])
+        lines[rear] = ",".join(["obj1", "rear", repr(x + 0.0005), repr(y), repr(z)])
         beacons.write_text("\n".join(lines) + "\n")
         labels = tmp_path / "labels"
         code, _, err = run_cli(["generate", "--dataset", str(d / "ds"), "--calibration",

@@ -15,6 +15,7 @@ from ipslabel.config import (
     LidarConfig,
     PipelineConfig,
     RefineConfig,
+    Rig,
     SceneConfig,
     config_from_dict,
     load_config,
@@ -167,6 +168,40 @@ def test_object_ids_that_break_the_dataset_are_rejected(ids, name):
     with pytest.raises(ConfigError, match="^scene: ") as info:
         config_from_dict({"scene": {**scene, "objects": objects}})
     assert name in str(info.value)
+
+
+def test_scene_rig_is_its_measured_part_in_id_order():
+    scene = SceneConfig(objects=tuple(reversed(SceneConfig().objects)))
+    d = to_dict(scene.rig)
+    assert d == {
+        "intrinsics": to_dict(scene.intrinsics),
+        "lidar_from_cam": to_dict(scene.lidar_from_cam),
+        "objects": {
+            "obj0": {"class": "cabinet", "dims": [0.9, 0.5, 1.3]},
+            "obj1": {"class": "table", "dims": [1.2, 0.8, 0.75]},
+        },
+    }
+    assert list(scene.rig.objects) == ["obj0", "obj1"]
+    rig = from_dict(Rig, {**d, "objects": dict(reversed(d["objects"].items()))}, "rig")
+    assert list(rig.objects) == ["obj0", "obj1"]
+    assert to_dict(rig) == d
+
+
+@pytest.mark.parametrize(
+    "objects, expected",
+    [
+        ([], "rig.objects: expected a mapping with string keys"),
+        ({1: {"class": "table", "dims": [1.0, 1.0, 1.0]}}, "rig.objects: expected a mapping"),
+        ({"t": {"class": "table"}}, "rig.objects.t: missing key 'dims'"),
+        ({"t": {"class": "table", "dims": [1.0, 1.0, 1.0], "x": 0.0}}, "'x'"),
+        ({}, "rig: objects: needs at least one object"),
+    ],
+)
+def test_malformed_rig_objects_are_rejected(objects, expected):
+    d = {**to_dict(SceneConfig().rig), "objects": objects}
+    with pytest.raises(ConfigError) as info:
+        from_dict(Rig, d, "rig")
+    assert expected in str(info.value)
 
 
 def test_a_merged_key_may_be_overridden(tmp_path):

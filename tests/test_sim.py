@@ -22,7 +22,9 @@ from ipslabel.sim import (
     generate_dataset,
     make_calibration_set,
     make_sample,
+    object_beacons,
     raycast_lidar,
+    robot_beacons,
     robot_pose_for_sample,
     true_transforms,
 )
@@ -203,10 +205,9 @@ class TestFloorHeight:
             assert box.center[2] - box.dims[2] / 2.0 == pytest.approx(scene.floor_z, abs=1e-12)
         heights = {o.object_id: o.spec.height for o in scene.objects}
         heights["robot"] = scene.robot_beacon_height
-        for frame, readings in emit_beacons(scene, sample.robot_pose, 7, 0).items():
-            for pair in (r.clean for r in readings):
-                want = scene.floor_z + heights[frame]
-                assert (pair.front[2], pair.rear[2]) == pytest.approx((want, want), abs=1e-12)
+        for frame, pair in true_beacons(scene, sample.robot_pose).items():
+            want = scene.floor_z + heights[frame]
+            assert (pair.front[2], pair.rear[2]) == pytest.approx((want, want), abs=1e-12)
 
     def test_calibration_pixels_do_not_move_with_the_floor(self):
         base = make_calibration_set(SceneConfig(pixel_noise_sigma=1.0), seed=7)
@@ -224,24 +225,34 @@ class TestFloorHeight:
 # beacon noise
 
 
+def true_beacons(scene, pose) -> dict:
+    """The noise-free beacon pair of each frame that emit_beacons reads."""
+    pairs = {"robot": robot_beacons(scene, pose)}
+    for placement in scene.objects:
+        pairs[placement.object_id] = object_beacons(placement, scene.floor_z)
+    return pairs
+
+
 class TestEmitBeacons:
     def test_zero_noise_equals_truth(self):
         scene = noise_free_scene()
         pose = robot_pose_for_sample(scene, seed=3, index=0)
         readings = emit_beacons(scene, pose, seed=3, index=0)
-        assert set(readings) == {"robot", "obj0", "obj1"}
-        for frame_readings in readings.values():
+        truth = true_beacons(scene, pose)
+        assert set(readings) == set(truth) == {"robot", "obj0", "obj1"}
+        for frame, frame_readings in readings.items():
             for r in frame_readings:
-                np.testing.assert_array_equal(r.noisy.front, r.clean.front)
-                np.testing.assert_array_equal(r.noisy.rear, r.clean.rear)
+                np.testing.assert_array_equal(r.front, truth[frame].front)
+                np.testing.assert_array_equal(r.rear, truth[frame].rear)
 
     def test_noise_has_bounded_support(self):
         scene = SceneConfig()  # beacon_noise = 0.02
         pose = robot_pose_for_sample(scene, seed=4, index=0)
         readings = emit_beacons(replace(scene, collection_readings=10_000), pose, seed=4, index=0)
+        true = robot_beacons(scene, pose)
         errs = np.array(
-            [r.noisy.front - r.clean.front for r in readings["robot"]]
-            + [r.noisy.rear - r.clean.rear for r in readings["robot"]]
+            [r.front - true.front for r in readings["robot"]]
+            + [r.rear - true.rear for r in readings["robot"]]
         )
         assert np.abs(errs).max() <= scene.beacon_noise
         # and the bound is tight: some draw lands in the outer 5%
@@ -252,7 +263,8 @@ class TestEmitBeacons:
         pose = robot_pose_for_sample(scene, seed=5, index=0)
         n = 10_000
         readings = emit_beacons(replace(scene, collection_readings=n), pose, seed=5, index=0)
-        errs = np.array([r.noisy.front - r.clean.front for r in readings["robot"]])
+        true = robot_beacons(scene, pose)
+        errs = np.array([r.front - true.front for r in readings["robot"]])
         sigma = scene.beacon_noise / math.sqrt(3.0)  # std of U(-b, b)
         bound = 3.0 * sigma / math.sqrt(n)
         assert np.abs(errs.mean(axis=0)).max() <= bound
@@ -262,9 +274,9 @@ class TestEmitBeacons:
         pose = robot_pose_for_sample(scene, seed=6, index=1)
         a = emit_beacons(scene, pose, seed=6, index=1)
         b = emit_beacons(scene, pose, seed=6, index=1)
-        np.testing.assert_array_equal(a["obj0"][0].noisy.front, b["obj0"][0].noisy.front)
+        np.testing.assert_array_equal(a["obj0"][0].front, b["obj0"][0].front)
         c = emit_beacons(scene, pose, seed=6, index=2)
-        assert not np.array_equal(a["obj0"][0].noisy.front, c["obj0"][0].noisy.front)
+        assert not np.array_equal(a["obj0"][0].front, c["obj0"][0].front)
 
     def test_requires_at_least_one_reading(self):
         with pytest.raises(ValueError, match="collection_readings"):
@@ -295,9 +307,10 @@ class TestCalibrationSet:
     def test_beacon_noise_bounded(self):
         scene = SceneConfig()
         cs = make_calibration_set(scene, seed=9)
+        true = robot_beacons(scene, cs.robot_pose)
         for r in cs.robot_readings:
-            assert np.abs(r.noisy.front - r.clean.front).max() <= scene.beacon_noise
-            assert np.abs(r.noisy.rear - r.clean.rear).max() <= scene.beacon_noise
+            assert np.abs(r.front - true.front).max() <= scene.beacon_noise
+            assert np.abs(r.rear - true.rear).max() <= scene.beacon_noise
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +333,7 @@ class TestFileFormats:
         pose = robot_pose_for_sample(scene, seed=10, index=0)
         readings = emit_beacons(replace(scene, collection_readings=3), pose, seed=10, index=0)
         text = beacons_csv(readings)
-        assert text.splitlines()[0] == "frame,beacon_id,x,y,z,clean_x,clean_y,clean_z"
+        assert text.splitlines()[0] == "frame,beacon_id,x,y,z"
         assert beacons_csv(parse_beacons_csv(text)) == text
 
     def test_correspondences_csv_round_trip(self):

@@ -19,10 +19,11 @@
 # simulate --samples N (3; 10 with the dense LiDAR; 20 for the last) ->
 # calibrate --dataset -> generate -> refine -> evaluate --auto refined
 # --reference ds/truth, plus one downsample study. A seventh config,
-# frozen_fixture, calibrates the correspondences frozen in tests/fixtures at
-# the default 2000 RANSAC iterations and --seed 20, with and without the
-# planar constraint, at the default 8 px gate and at --delta-px 2, so the
-# comparison also covers calibrations outside a simulated dataset.
+# frozen_fixture, calibrates the correspondences frozen in SRC/../tests/fixtures
+# (so each tree reads fixtures in the format it parses) at the default 2000
+# RANSAC iterations and --seed 20, with and without the planar constraint, at
+# the default 8 px gate and at --delta-px 2, so the comparison also covers
+# calibrations outside a simulated dataset.
 # Stages run inside OUT/<config> with relative paths, so the stdout kept in
 # OUT/<config>/stdout.txt does not depend on where OUT is.
 set -euo pipefail
@@ -32,7 +33,7 @@ if [ $# -ne 2 ]; then
     exit 2
 fi
 src=$(cd "$1" && pwd)
-fixtures=$(cd "$(dirname "$0")/../tests/fixtures" && pwd)
+fixtures=$(cd "$src/../tests/fixtures" && pwd)  # the fixtures of SRC's own checkout
 mkdir -p "$2"
 out=$(cd "$2" && pwd)
 export PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1
