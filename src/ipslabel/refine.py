@@ -52,6 +52,9 @@ _SHELL_TESTS = 1 << 15
 # Strides of the free-space check's prefilter passes over the rays, sparse
 # first; (16,) and (16, 4) measured slower.
 _RAY_STRIDES = (32, 8)
+# Meters by which the free-space check's plane prefilter widens the reach,
+# far above the rounding of the distances it stands in for.
+_RAY_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,10 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
     a box standing in front of the scanned face is crossed by the rays to
     that face (free space, as in Hu et al., "What You See Is What You Get",
     CVPR 2020). Rays that pass farther from ``around`` than any box of
-    ``order`` reaches cannot cross one, so they are not tested.
+    ``order`` reaches cannot cross one, so they are not tested. When the
+    sensor is farther than that reach from ``around``, such a ray ends past
+    the plane normal to ``around`` at the near side of the reach, so only
+    the points past it (less _RAY_MARGIN) are measured.
 
     ``order[0]``, which is usually clear, gets the full test first. The rest
     are prefiltered in chunks against every _RAY_STRIDES[0]-th ray, the
@@ -352,7 +358,13 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
     finds.
     """
     reach = row_norms(centers[order] - around).max() + np.linalg.norm(spec.dims) / 2.0
-    along = np.clip(points @ around / np.maximum((points * points).sum(axis=1), 1e-12), 0.0, 1.0)
+    # over the whole cloud: a row's BLAS dot takes bits from its place in it
+    dots = points @ around
+    gap = np.linalg.norm(around) - reach - _RAY_MARGIN
+    if gap > 0:
+        near = np.flatnonzero(dots >= np.linalg.norm(around) * gap)
+        points, dots = points[near], dots[near]
+    along = np.clip(dots / np.maximum((points * points).sum(axis=1), 1e-12), 0.0, 1.0)
     rays = points[row_norms(along[:, None] * points - around) <= reach]
     shrunk = np.asarray(spec.dims) - 2.0 * delta
 
