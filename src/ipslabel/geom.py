@@ -235,8 +235,13 @@ def parse_beacons_csv(text: str) -> dict:
     return out
 
 
-def _robot_transform_from_readings(readings: dict, path: str) -> RigidTransform:
-    """robot <- ips from the averaged 'robot' rows of parsed beacons.csv ``path``."""
+def _robot_transform_from_readings(readings: dict, path: str, objects=()) -> RigidTransform:
+    """robot <- ips from the averaged 'robot' rows of parsed beacons.csv ``path``,
+    whose other frames must be among the ids ``objects``."""
+    unknown = sorted(set(readings) - {"robot", *objects})
+    if unknown:
+        what = "name neither 'robot' nor a rig object" if objects else "are not 'robot'"
+        raise UsageError(f"{path}: frame(s) {unknown} {what}")
     if "robot" not in readings:
         raise UsageError(f"{path} has no 'robot' frame rows")
     pair = average_beacon_readings(readings["robot"])

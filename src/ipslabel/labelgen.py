@@ -335,10 +335,7 @@ def _entry_spec(entry: dict, specs: dict, label_path: str) -> ObjectSpec:
 def _generate_sample(dataset, rig, extrinsic, sid) -> str:
     beacons_path = os.path.join(dataset, "samples", sid, "beacons.csv")
     readings = read_input(beacons_path, parse_beacons_csv)
-    unknown = sorted(set(readings) - {"robot", *rig.objects})
-    if unknown:
-        raise UsageError(f"{beacons_path}: frame(s) {unknown} name neither 'robot' nor a rig object")
-    t_robot_from_ips = _robot_transform_from_readings(readings, beacons_path)
+    t_robot_from_ips = _robot_transform_from_readings(readings, beacons_path, rig.objects)
     lidar_from_cam, intr = rig.lidar_from_cam, rig.intrinsics
     entries = []
     for object_id, spec in rig.objects.items():

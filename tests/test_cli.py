@@ -792,6 +792,10 @@ MALFORMED_INPUTS = [
      ["beacons.csv", "['ob0']", "rig object"]),
     ("robot-beacons-inf", "ds/calibration/robot_beacons.csv", _field_edit(2, 3, "-inf"), CALIBRATE,
      ["robot_beacons.csv", "line 3"]),
+    # the calibration file holds the robot's readings only; rows of another frame are no input
+    ("robot-beacons-object-frame", "ds/calibration/robot_beacons.csv",
+     lambda t: t + "".join(f"obj0{row[len('robot'):]}\n" for row in t.splitlines()[-2:]), CALIBRATE,
+     ["robot_beacons.csv", "['obj0']", "not 'robot'"]),
     ("correspondences-non-numeric", "ds/calibration/correspondences.csv", _field_edit(5, 3, "1.0.0"),
      CALIBRATE, ["correspondences.csv", "line 6"]),
     # 7 header lines, then 10 vertex rows; line 18 is the first row past them
