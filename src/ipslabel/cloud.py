@@ -2,9 +2,13 @@
 
 A cloud is a float64 (N, 3) array of points in the LiDAR frame; read_ply
 returns it read-only. write_ply writes a ``binary_little_endian`` PLY whose
-body is the float64 bits of the points, so a cloud reads back bit-for-bit
-on any host and write -> read -> write is byte-identical. read_ply also
-reads ASCII PLY, the format clouds from other tools arrive in.
+body is the float32 bits of the points, rounded to nearest, so a cloud is
+the same bytes on any host and read -> write is byte-identical (float32 ->
+float64 -> float32 is exact). read_ply reads ASCII PLY and binary bodies of
+either byte order with any scalar property types, as LiDAR drivers and
+other tools write them (property types as in Turk, "The PLY Polygon File
+Format", 1994); the x, y and z of each vertex are read, other properties
+are not.
 """
 
 from __future__ import annotations
@@ -19,22 +23,39 @@ from .geom import frozen
 # One header line: it ends where str.splitlines ends a line of UTF-8 text,
 # or at the end of the file.
 _LINE = re.compile(rb"(.*?)(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]|\Z)", re.S)
-_FORMATS = ("ascii", "binary_little_endian")
+# Each format, with the byte order of a binary body.
+_FORMATS = {"ascii": None, "binary_little_endian": "<", "binary_big_endian": ">"}
+# The numpy type of each PLY scalar property type, by its name and its sized name.
+_TYPES = {
+    "char": "i1", "uchar": "u1", "short": "i2", "ushort": "u2",
+    "int": "i4", "uint": "u4", "float": "f4", "double": "f8",
+    "int8": "i1", "uint8": "u1", "int16": "i2", "uint16": "u2",
+    "int32": "i4", "uint32": "u4", "float32": "f4", "float64": "f8",
+}
 
 
 def write_ply(cloud: np.ndarray) -> bytes:
-    """The binary PLY bytes of an (N, 3) cloud."""
+    """The binary PLY bytes of an (N, 3) cloud, its points rounded to the
+    nearest float32. A finite coordinate beyond float32's range raises
+    ValueError."""
+    points = np.asarray(cloud, float).reshape(len(cloud), 3)
+    with np.errstate(over="ignore"):
+        body = points.astype("<f4")
+    over = np.isinf(body) & ~np.isinf(points)
+    if over.any():
+        vertex = over.any(axis=1).argmax()
+        raise ValueError(f"vertex {vertex}: {points[vertex].tolist()} overflows float32")
     header = "\n".join([
         "ply",
         "format binary_little_endian 1.0",
-        f"element vertex {len(cloud)}",
-        "property double x",
-        "property double y",
-        "property double z",
+        f"element vertex {len(points)}",
+        "property float x",
+        "property float y",
+        "property float z",
         "end_header",
         "",
     ])
-    return header.encode("ascii") + np.asarray(cloud, "<f8").reshape(len(cloud), 3).tobytes()
+    return header.encode("ascii") + body.tobytes()
 
 
 def _header(data: bytes) -> tuple:
@@ -95,41 +116,47 @@ def _ascii_values(body: bytes, n: int, width: int, first_line: int) -> np.ndarra
         raise
 
 
-def _binary_values(data: bytes, offset: int, n: int, props: list) -> np.ndarray:
-    """The (n, len(props)) little-endian doubles of the body at ``data[offset:]``."""
+def _binary_values(data: bytes, offset: int, n: int, props: list, order: str) -> np.ndarray:
+    """The n vertex records of the body at ``data[offset:]``, in byte order ``order``."""
     for typ, name in props:
-        if typ != "double":
-            raise UsageError(f"PLY property {name!r} is {typ}; a binary body holds doubles only")
-    size = n * len(props) * 8
+        if typ not in _TYPES:
+            raise UsageError(f"PLY property {name!r} has unknown type {typ!r}")
+    dtype = np.dtype([(name, order + _TYPES[typ]) for typ, name in props])
+    size = n * dtype.itemsize
     if len(data) - offset != size:
         raise UsageError(
             f"PLY binary body has {len(data) - offset} bytes; "
-            f"the header's {n} vertices of {len(props)} doubles take {size}"
+            f"the header's {n} vertices of {dtype.itemsize} bytes take {size}"
         )
-    return np.frombuffer(data, "<f8", n * len(props), offset).reshape(n, len(props))
+    return np.frombuffer(data, dtype, n, offset)
 
 
 def read_ply(data: bytes) -> np.ndarray:
     """Parse the bytes of a PLY file with one ``vertex`` element, ASCII or
-    binary little-endian, into a read-only (N, 3) cloud.
+    binary of either byte order, into a read-only (N, 3) cloud.
 
     The point columns are found by the names of the ``property`` lines, so
     any column order reads the same cloud; other properties are ignored. A
+    binary body is read through one structured dtype of the header's
+    property types, so x, y and z may be of any PLY scalar type. A
     malformed header, a non-finite point, an ASCII row that does not parse
-    or is non-blank past the vertex count, a binary property that is not a
-    double, or a binary body of another size than the header promises,
-    raises UsageError. Errors name ASCII rows by line and binary ones by
-    vertex, counted from 0.
+    or is non-blank past the vertex count, a binary property of a type PLY
+    does not define, or a binary body of another size than the header
+    promises, raises UsageError. Errors name ASCII rows by line and binary
+    ones by vertex, counted from 0.
     """
     fmt, n, props, offset, header_lines = _header(data)
-    names = [name for _, name in props]
     if fmt == "ascii":
-        values = _ascii_values(data[offset:], n, len(names), header_lines + 1)
+        values = _ascii_values(data[offset:], n, len(props), header_lines + 1)
+        names = [name for _, name in props]
+        columns = [values[:, names.index(axis)] for axis in "xyz"]
     else:
-        values = _binary_values(data, offset, n, props)
-    pts = values[:, [names.index(axis) for axis in "xyz"]]
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        where = f"line {header_lines + 1 + bad[0]}" if fmt == "ascii" else f"vertex {bad[0]}"
+        records = _binary_values(data, offset, n, props, _FORMATS[fmt])
+        columns = [records[axis] for axis in "xyz"]
+    pts = np.stack(columns, axis=1, dtype=float)
+    finite = np.isfinite(pts)
+    if not finite.all():
+        bad = finite.all(axis=1).argmin()
+        where = f"line {header_lines + 1 + bad}" if fmt == "ascii" else f"vertex {bad}"
         raise UsageError(f"PLY {where}: non-finite point")
     return frozen(pts, (-1, 3))

@@ -981,6 +981,23 @@ class TestMalformedInputs:
         assert "'sofa'" in err and "cabinet_two_point_face" in err
         assert not out.exists()
 
+    @staticmethod
+    def _refines_as_the_original(small_run, d, tmp_path):
+        """Whether ``refine`` writes the same files on the copy ``d`` of
+        ``small_run`` as on ``small_run`` itself."""
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("refine: {iterations: 300}\n")
+        outs = []
+        for root in (small_run, d):
+            out = str(tmp_path / f"refined_{len(outs)}")
+            code, _, err = run_cli(
+                ["--config", str(cfg), "--seed", "3", "refine", "--dataset", str(root / "ds"),
+                 "--labels", str(root / "labels"), "--out", out]
+            )
+            assert code == 0, err
+            outs.append(tree_digest(out))
+        return outs[0] == outs[1]
+
     @pytest.mark.parametrize("fmt", ["ascii", "binary"])
     def test_permuted_ply_columns_give_identical_refined_labels(self, small_run, tmp_path, fmt):
         d = tmp_path / "in"
@@ -995,24 +1012,33 @@ class TestMalformedInputs:
             body = [" ".join((z, x, y)) for x, y, z in (row.split() for row in body)]
             ply.write_text("\n".join(header + body) + "\n")
         else:
-            xyz = b"property double x\nproperty double y\nproperty double z\n"
+            xyz = b"property float x\nproperty float y\nproperty float z\n"
             header, end, body = data.partition(b"end_header\n")
             assert xyz in header
-            header = header.replace(xyz, b"property double z\nproperty double x\nproperty double y\n")
-            body = np.frombuffer(body, "<f8").reshape(-1, 3)[:, [2, 0, 1]]
-            ply.write_bytes(header + end + body.astype("<f8").tobytes())
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("refine: {iterations: 300}\n")
-        outs = []
-        for root in (small_run, d):
-            out = str(tmp_path / f"refined_{len(outs)}")
-            code, _, err = run_cli(
-                ["--config", str(cfg), "--seed", "3", "refine", "--dataset", str(root / "ds"),
-                 "--labels", str(root / "labels"), "--out", out]
-            )
-            assert code == 0, err
-            outs.append(tree_digest(out))
-        assert outs[0] == outs[1]
+            header = header.replace(xyz, b"property float z\nproperty float x\nproperty float y\n")
+            body = np.frombuffer(body, "<f4").reshape(-1, 3)[:, [2, 0, 1]]
+            ply.write_bytes(header + end + body.astype("<f4").tobytes())
+        assert self._refines_as_the_original(small_run, d, tmp_path)
+
+    def test_ply_fields_beside_xyz_give_identical_refined_labels(self, small_run, tmp_path):
+        # a LiDAR driver's layout: intensity, ring and time beside the points
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        ply = d / CLOUD
+        xyz = b"property float x\nproperty float y\nproperty float z\n"
+        header, end, body = ply.read_bytes().partition(b"end_header\n")
+        assert xyz in header
+        header = header.replace(xyz, b"property float x\nproperty uchar intensity\nproperty float y\n"
+                                     b"property ushort ring\nproperty float z\nproperty double time\n")
+        points = np.frombuffer(body, "<f4").reshape(-1, 3)
+        records = np.zeros(len(points), [("x", "<f4"), ("intensity", "u1"), ("y", "<f4"),
+                                         ("ring", "<u2"), ("z", "<f4"), ("time", "<f8")])
+        for i, axis in enumerate("xyz"):
+            records[axis] = points[:, i]
+        records["intensity"], records["ring"] = 255, np.arange(len(points)) % 32
+        records["time"] = np.arange(len(points)) * 1e-6
+        ply.write_bytes(header + end + records.tobytes())
+        assert self._refines_as_the_original(small_run, d, tmp_path)
 
     def test_object_without_beacon_rows_gets_an_error_entry(self, small_run, tmp_path):
         d = tmp_path / "in"

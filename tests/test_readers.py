@@ -23,6 +23,12 @@ vec3 = st.tuples(finite, finite, finite)
 names = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
 
 clouds = st.lists(vec3, max_size=20).map(lambda pts: np.array(pts).reshape(-1, 3))
+# Float64 points that round to finite float32 ones, as write_ply needs.
+F32_MAX = float(np.finfo(np.float32).max)
+f32_range = st.floats(-F32_MAX, F32_MAX)
+f32_clouds = st.lists(st.tuples(f32_range, f32_range, f32_range), max_size=20).map(
+    lambda pts: np.array(pts).reshape(-1, 3)
+)
 correspondence_lists = st.lists(
     st.builds(Correspondence, vec3, st.tuples(finite, finite), names), max_size=10
 )
@@ -37,7 +43,7 @@ def beacon_files(draw):
     return {frame: draw(st.lists(readings, min_size=count, max_size=count)) for frame in frames}
 
 
-ply_files = clouds.map(write_ply)
+ply_files = f32_clouds.map(write_ply)
 ascii_ply_texts = clouds.map(ascii_ply)
 beacon_texts = beacon_files().map(beacons_csv)
 correspondence_texts = correspondence_lists.map(correspondences_csv)
@@ -46,9 +52,10 @@ correspondence_texts = correspondence_lists.map(correspondences_csv)
 JUNK = st.text(alphabet="0123456789.,-+eE naifINFxyz_\n\t", max_size=6)
 TOKENS = st.sampled_from(["nan", "-inf", "inf", "1e999", "", "abc", "1_0", "0x1", "front"]) | JUNK
 PLY_HEADER_LINES = [
-    "ply", "format ascii 1.0", "format binary_little_endian 1.0", "element vertex 1",
-    "element vertex 2", "element vertex -1", "element face 1", "property double x",
-    "property double y", "property double z", "property float w", "property list uchar int v",
+    "ply", "format ascii 1.0", "format binary_little_endian 1.0", "format binary_big_endian 1.0",
+    "element vertex 1", "element vertex 2", "element vertex -1", "element face 1",
+    "property double x", "property double y", "property double z", "property float w",
+    "property uchar i", "property half h", "property list uchar int v",
     "comment made by hand", "end_header", "",
 ]
 
@@ -76,8 +83,8 @@ def _corrupt_bytes(data: bytes, at: int, junk: bytes, cut: int) -> bytes:
     return data[:at] + junk + data[at + cut:]
 
 
-# Byte strings that make a float64 body almost, but not quite, valid.
-NON_FINITE = [struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf)]
+# Byte strings that make a float32 body almost, but not quite, valid.
+NON_FINITE = [struct.pack("<f", v) for v in (math.nan, math.inf, -math.inf)]
 BYTE_JUNK = st.sampled_from(NON_FINITE) | st.binary(max_size=9)
 
 
@@ -101,12 +108,69 @@ def read_ascii_ply(text: str):
 
 
 @PROPERTY
-@given(clouds)
+@given(f32_clouds)
 def test_ply_round_trips(cloud):
     data = write_ply(cloud)
     back = read_ply(data)
-    assert back.tobytes() == cloud.tobytes()
+    assert back.tobytes() == cloud.astype("<f4").astype("<f8").tobytes()
     assert write_ply(back) == data
+
+
+def _binary_ply(fields: list, records: np.ndarray, fmt: str = "binary_little_endian") -> bytes:
+    """A binary PLY of ``records`` whose vertex has the PLY properties
+    ``fields`` [(type, name)], in that order."""
+    header = ["ply", f"format {fmt} 1.0", f"element vertex {len(records)}",
+              *(f"property {typ} {name}" for typ, name in fields), "end_header", ""]
+    return "\n".join(header).encode("ascii") + records.tobytes()
+
+
+@PROPERTY
+@given(clouds)
+def test_float64_ply_reads_bit_for_bit(cloud):
+    # the body earlier versions of write_ply wrote: the float64 bits of the points
+    records = cloud.astype("<f8").view([("x", "<f8"), ("y", "<f8"), ("z", "<f8")])
+    data = _binary_ply([("double", "x"), ("double", "y"), ("double", "z")], records)
+    assert read_ply(data).tobytes() == cloud.tobytes()
+
+
+@PROPERTY
+@given(f32_clouds, st.integers(0, 255), st.integers(0, 65535), st.floats(width=32))
+def test_float32_ply_with_fields_beside_xyz_reads_its_points(cloud, intensity, ring, time):
+    # a LiDAR driver's layout: float32 points among fields read by no stage, in any order
+    fields = [("float", "time"), ("float", "z"), ("uchar", "intensity"), ("float", "x"),
+              ("ushort", "ring"), ("float32", "y")]
+    records = np.zeros(len(cloud), [("time", "<f4"), ("z", "<f4"), ("intensity", "u1"),
+                                     ("x", "<f4"), ("ring", "<u2"), ("y", "<f4")])
+    records["time"], records["intensity"], records["ring"] = time, intensity, ring
+    for i, axis in enumerate("xyz"):
+        records[axis] = cloud[:, i]
+    back = read_ply(_binary_ply(fields, records))
+    assert back.tobytes() == cloud.astype("<f4").astype("<f8").tobytes()
+    assert write_ply(back) == write_ply(cloud)
+
+
+@PROPERTY
+@given(f32_clouds)
+def test_big_endian_ply_reads_what_its_little_endian_twin_reads(cloud):
+    fields = [("float", axis) for axis in "xyz"]
+    little = _binary_ply(fields, cloud.astype("<f4"))
+    big = _binary_ply(fields, cloud.astype(">f4"), "binary_big_endian")
+    assert read_ply(big).tobytes() == read_ply(little).tobytes()
+
+
+@pytest.mark.parametrize("typ, code", [
+    ("char", "i1"), ("uchar", "u1"), ("short", "i2"), ("ushort", "u2"), ("int", "i4"),
+    ("uint", "u4"), ("float", "f4"), ("double", "f8"), ("int8", "i1"), ("uint8", "u1"),
+    ("int16", "i2"), ("uint16", "u2"), ("int32", "i4"), ("uint32", "u4"), ("float32", "f4"),
+    ("float64", "f8"),
+])
+@pytest.mark.parametrize("order", ["<", ">"])
+def test_binary_ply_points_of_every_scalar_type_read_as_float64(typ, code, order):
+    values = np.array([[0, 1, 2], [127, 100, 7]], dtype=order + code)
+    fmt = {"<": "binary_little_endian", ">": "binary_big_endian"}[order]
+    cloud = read_ply(_binary_ply([(typ, axis) for axis in "xyz"], values, fmt))
+    assert cloud.dtype == np.float64 and not cloud.flags.writeable
+    assert cloud.tolist() == values.tolist()
 
 
 @PROPERTY
@@ -169,21 +233,28 @@ def test_corrupted_correspondences_csv_is_parsed_or_a_usage_error(text):
         assert np.isfinite(c.beacon_ips).all() and np.isfinite(c.pixel).all()
 
 
-def test_ply_is_its_header_then_the_little_endian_float64_bits():
-    cloud = np.array([[-0.0, 1e-320, 1e300], [0.1, -2.5, 3.0]])
+def test_ply_is_its_header_then_the_little_endian_float32_bits():
+    # each point rounded to the nearest float32: 1e-45 to the least subnormal,
+    # 0.1 up, and 1 + 2**-24, halfway between two float32s, to the even one
+    cloud = np.array([[-0.0, 1e-45, 3e38], [0.1, -2.5, 1 + 2**-24]])
     assert write_ply(cloud) == (
         b"ply\n"
         b"format binary_little_endian 1.0\n"
         b"element vertex 2\n"
-        b"property double x\n"
-        b"property double y\n"
-        b"property double z\n"
+        b"property float x\n"
+        b"property float y\n"
+        b"property float z\n"
         b"end_header\n"
-        + bytes.fromhex(
-            "0000000000000080" "e807000000000000" "9c7500883ce4377e"
-            "9a9999999999b93f" "00000000000004c0" "0000000000000840"
-        )
+        + bytes.fromhex("00000080" "01000000" "e6b1617f" "cdcccc3d" "000020c0" "0000803f")
     )
+
+
+@pytest.mark.parametrize("value", [3.5e38, -1e300, F32_MAX * (1 + 2**-24)])
+def test_ply_of_a_point_beyond_float32_is_not_written(value):
+    cloud = np.eye(3)
+    cloud[2, 1] = value
+    with pytest.raises(ValueError, match="vertex 2: .* overflows float32"):
+        write_ply(cloud)
 
 
 def test_ply_rows_past_the_vertex_count_are_rejected_naming_the_first():
@@ -208,7 +279,7 @@ def test_ascii_ply_lines_end_where_str_splitlines_ends_them(end):
 
 
 # The binary reader's own checks, on a 3-vertex file: 7 header lines, then
-# 3 rows of 3 little-endian doubles (72 bytes).
+# 3 rows of 3 little-endian float32s (36 bytes).
 EYE = write_ply(np.eye(3))
 
 
@@ -217,35 +288,41 @@ def test_binary_ply_without_a_format_line_is_rejected():
         read_ply(EYE.replace(b"format binary_little_endian 1.0\n", b""))
 
 
-@pytest.mark.parametrize("fmt", ["binary_big_endian", "utf8"])
+@pytest.mark.parametrize("fmt", ["binary", "utf8"])
 def test_ply_of_another_format_is_rejected_naming_it(fmt):
     data = EYE.replace(b"binary_little_endian", fmt.encode())
     with pytest.raises(UsageError, match=f"line 2: unsupported 'format {fmt} 1.0'"):
         read_ply(data)
 
 
-def test_binary_ply_property_that_is_not_double_is_rejected_naming_it():
-    with pytest.raises(UsageError, match="property 'y' is float; a binary body holds doubles only"):
-        read_ply(EYE.replace(b"property double y", b"property float y"))
+def test_binary_ply_property_of_an_unknown_type_is_rejected_naming_it():
+    with pytest.raises(UsageError, match="property 'y' has unknown type 'half'"):
+        read_ply(EYE.replace(b"property float y", b"property half y"))
+
+
+def test_ply_list_property_is_rejected_naming_it():
+    data = EYE.replace(b"end_header", b"property list uchar int rings\nend_header")
+    with pytest.raises(UsageError, match="line 7: unsupported 'property list uchar int rings'"):
+        read_ply(data)
 
 
 @pytest.mark.parametrize(
     "data, size",
-    [(EYE[:-1], 71), (EYE[:-24], 48), (EYE + bytes(24), 96),
-     (EYE.replace(b"element vertex 3", b"element vertex 4"), 72)],
+    [(EYE[:-1], 35), (EYE[:-12], 24), (EYE + bytes(12), 48),
+     (EYE.replace(b"element vertex 3", b"element vertex 4"), 36)],
     ids=["one-byte-short", "one-row-short", "one-row-long", "count-larger-than-body"],
 )
 def test_binary_ply_body_of_another_size_is_rejected_naming_both(data, size):
-    promised = 96 if b"vertex 4" in data else 72
-    with pytest.raises(UsageError, match=f"body has {size} bytes; .* take {promised}$"):
+    promised = 48 if b"vertex 4" in data else 36
+    with pytest.raises(UsageError, match=f"body has {size} bytes; .* of 12 bytes take {promised}$"):
         read_ply(data)
 
 
 @pytest.mark.parametrize("vertex", [0, 2])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_binary_ply_non_finite_point_is_rejected_naming_its_vertex(vertex, value):
-    at = len(EYE) - 72 + vertex * 24 + 8  # the y of ``vertex``
-    data = EYE[:at] + struct.pack("<d", value) + EYE[at + 8:]
+    at = len(EYE) - 36 + vertex * 12 + 4  # the y of ``vertex``
+    data = EYE[:at] + struct.pack("<f", value) + EYE[at + 4:]
     with pytest.raises(UsageError, match=f"PLY vertex {vertex}: non-finite point"):
         read_ply(data)
 

@@ -403,15 +403,15 @@ class TestGenerateDataset:
         assert write_ply(cloud) == data
         assert len(cloud) > 10_000
 
-    def test_cloud_on_disk_is_the_float64_bits_of_the_sample(self, noise_free_dataset):
+    def test_cloud_on_disk_is_the_float32_bits_of_the_sample(self, noise_free_dataset):
         for index in range(3):
             points = make_sample(noise_free_scene(), seed=5, index=index).cloud
             path = os.path.join(noise_free_dataset, "samples", f"sample_{index:03d}", "cloud.ply")
             with open(path, "rb") as fh:
                 data = fh.read()
             body = data[data.index(b"end_header\n") + len(b"end_header\n"):]
-            assert body == points.astype("<f8").tobytes()
-            assert read_ply(data).tobytes() == points.tobytes()
+            assert body == points.astype("<f4").tobytes()
+            assert read_ply(data).tobytes() == points.astype("<f4").astype("<f8").tobytes()
 
     def test_rejects_empty_request(self, tmp_path):
         with pytest.raises(ValueError):
