@@ -41,10 +41,12 @@ def write_ply(cloud: np.ndarray) -> bytes:
     points = np.asarray(cloud, float).reshape(len(cloud), 3)
     with np.errstate(over="ignore"):
         body = points.astype("<f4")
-    over = np.isinf(body) & ~np.isinf(points)
-    if over.any():
-        vertex = over.any(axis=1).argmax()
-        raise ValueError(f"vertex {vertex}: {points[vertex].tolist()} overflows float32")
+    inf = np.isinf(body)
+    if inf.any():  # an infinite point stays infinite; a finite one must not become so
+        over = (inf > np.isinf(points)).any(axis=1)
+        if over.any():
+            vertex = over.argmax()
+            raise ValueError(f"vertex {vertex}: {points[vertex].tolist()} overflows float32")
     header = "\n".join([
         "ply",
         "format binary_little_endian 1.0",

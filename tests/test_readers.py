@@ -252,6 +252,8 @@ def test_ply_is_its_header_then_the_little_endian_float32_bits():
 @pytest.mark.parametrize("value", [3.5e38, -1e300, F32_MAX * (1 + 2**-24)])
 def test_ply_of_a_point_beyond_float32_is_not_written(value):
     cloud = np.eye(3)
+    cloud[0, 0] = math.inf  # written as it is: an infinite point was not finite to begin with
+    assert write_ply(cloud).endswith(cloud.astype("<f4").tobytes())
     cloud[2, 1] = value
     with pytest.raises(ValueError, match="vertex 2: .* overflows float32"):
         write_ply(cloud)
