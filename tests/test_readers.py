@@ -170,6 +170,7 @@ def test_binary_ply_points_of_every_scalar_type_read_as_float64(typ, code, order
     fmt = {"<": "binary_little_endian", ">": "binary_big_endian"}[order]
     cloud = read_ply(_binary_ply([(typ, axis) for axis in "xyz"], values, fmt))
     assert cloud.dtype == np.float64 and not cloud.flags.writeable
+    assert cloud.flags.f_contiguous  # each axis contiguous, as the stages' arithmetic runs fastest
     assert cloud.tolist() == values.tolist()
 
 
