@@ -2,9 +2,11 @@
 
 Every subcommand is a pure function of (inputs, config, seed): re-running
 with the same arguments on the same numpy/BLAS build produces byte-identical
-output files, including with --jobs > 1 (workers compute, the parent writes
-in order). The calibration report is also byte-identical across BLAS builds;
-see calib.REPORT_DECIMALS. Each command calls its stage's driver, a function
+output files, including with --jobs > 1. --jobs fans out simulate and refine,
+whose per-sample work outweighs a worker's start-up (workers compute, the
+parent writes in order); the other stages run in one process. The
+calibration report is also byte-identical across BLAS builds; see
+calib.REPORT_DECIMALS. Each command calls its stage's driver, a function
 of the stage's module (see the package docstring), and prints a summary line.
 
 Exit codes: 0 success, 2 UsageError (bad arguments, config or input file),
@@ -59,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", metavar="FILE", help="YAML pipeline config")
     parser.add_argument("--seed", type=_SEED, default=None, help="override config seed")
-    parser.add_argument("--jobs", type=_COUNT, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for simulate and refine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write a synthetic dataset with ground truth")
@@ -133,7 +135,7 @@ def cmd_calibrate(ns, cfg) -> None:
 def cmd_generate(ns, cfg) -> None:
     from . import labelgen
 
-    n = labelgen.write_labels(ns.dataset, ns.calibration, ns.out, ns.jobs)
+    n = labelgen.write_labels(ns.dataset, ns.calibration, ns.out)
     print(f"labeled {n} samples -> {ns.out}")
 
 

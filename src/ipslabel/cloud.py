@@ -88,7 +88,8 @@ def _header(data: bytes) -> tuple:
         elif tok and tok[0] not in ("comment", "obj_info"):
             raise UsageError(f"PLY header line {line_no}: unsupported {line.strip()!r}")
     if fmt is None:
-        raise UsageError("PLY header has no 'format ascii' or 'format binary_little_endian' line")
+        formats = " or ".join(f"'format {name}'" for name in _FORMATS)
+        raise UsageError(f"PLY header has no {formats} line")
     names = [name for _, name in props]
     if n is None or not set("xyz") <= set(names) or len(set(names)) != len(names):
         raise UsageError(f"PLY header needs a vertex element with x, y, z once each: {names}")

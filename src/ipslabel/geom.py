@@ -28,9 +28,9 @@ import numpy as np
 from .errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError
 from .fileio import _csv_rows
 
+# |R^T R - I| of every rotation; compose() re-orthonormalizes a product whose
+# drift exceeds half of it, so two accepted factors always compose.
 ORTHONORMALITY_TOL = 1e-9
-# compose() re-orthonormalizes only when drift exceeds this.
-REORTHO_TRIGGER = 1e-7
 
 EPS_BEACON = 1e-3  # meters; minimum planar beacon separation
 
@@ -127,7 +127,7 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     rot = a.rotation @ b.rotation
     tra = a.rotation @ b.translation + a.translation
     drift = np.abs(rot.T @ rot - np.eye(3)).max()
-    if drift > REORTHO_TRIGGER:
+    if drift > ORTHONORMALITY_TOL / 2:
         # Nearest orthonormal matrix, preserving handedness of the product.
         u, _, vt = np.linalg.svd(rot)
         d = np.sign(np.linalg.det(u @ vt))

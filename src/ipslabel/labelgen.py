@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .errors import (
     error_text,
 )
 from .fileio import (
-    _sample_ids, atomic_write_text, dump_json, from_dict, ordered_map, read_input,
-    require_empty_dir, to_dict,
+    _sample_ids, atomic_write_text, dump_json, from_dict, read_input, require_empty_dir, to_dict,
 )
 from .geom import (
     VEC3, BeaconPair, RigidTransform, _robot_transform_from_readings, average_beacon_readings,
@@ -188,8 +186,6 @@ class Box2:
     v0: float
     u1: float
     v1: float
-    is_truncated: bool = False
-    behind_camera_vertices: int = 0
 
     def __post_init__(self):
         if self.u0 > self.u1 or self.v0 > self.v1:
@@ -198,13 +194,6 @@ class Box2:
     @property
     def area(self) -> float:
         return (self.u1 - self.u0) * (self.v1 - self.v0)
-
-    # Dict form: the corners; the label entry holds the projection's flags.
-    FORM = {"u0": float, "v0": float, "u1": float, "v1": float}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Box2":
-        return cls(**d)
 
 
 def object_box_ips(pair: BeaconPair, spec: ObjectSpec) -> OrientedBox3:
@@ -233,12 +222,12 @@ def box_to_camera(
     return chain.apply(box.vertices())
 
 
-def project_box(vertices_cam, intr: CameraIntrinsics) -> Box2:
-    """2D box from pixel extrema of the projected vertices.
+def project_box(vertices_cam, intr: CameraIntrinsics) -> tuple:
+    """(2D box, truncated, behind) from pixel extrema of the projected vertices.
 
-    Vertices behind the camera are excluded from the extrema and counted;
-    the box is clamped to the image bounds with ``is_truncated`` set when
-    clamping changed anything.
+    Vertices behind the camera are excluded from the extrema and counted in
+    ``behind``; the box is clamped to the image bounds, and ``truncated`` is
+    True when clamping changed anything.
     """
     v = np.asarray(vertices_cam, dtype=float).reshape(-1, 3)
     front = v[:, 2] > MIN_DEPTH
@@ -253,9 +242,7 @@ def project_box(vertices_cam, intr: CameraIntrinsics) -> Box2:
     cv0 = min(max(v0, 0.0), float(intr.height))
     cv1 = min(max(v1, 0.0), float(intr.height))
     truncated = (cu0, cv0, cu1, cv1) != (u0, v0, u1, v1)
-    return Box2(
-        cu0, cv0, cu1, cv1, is_truncated=bool(truncated), behind_camera_vertices=behind
-    )
+    return Box2(cu0, cv0, cu1, cv1), truncated, behind
 
 
 def box_to_lidar(vertices_cam, t_lidar_from_cam: RigidTransform) -> OrientedBox3:
@@ -306,17 +293,13 @@ def label_entry(
     "behind_camera"`` when every vertex is behind the camera."""
     entry = {"id": object_id, "class": class_name, "box3d_lidar": to_dict(box3d_lidar)}
     try:
-        box2 = project_box(vertices_cam, intr)
+        box2, truncated, behind = project_box(vertices_cam, intr)
     except AllVerticesBehindCamera:
         entry.update(
             box2d=None, truncated=False, behind_camera_vertices=None, box2d_reason="behind_camera"
         )
     else:
-        entry.update(
-            box2d=to_dict(box2),
-            truncated=box2.is_truncated,
-            behind_camera_vertices=box2.behind_camera_vertices,
-        )
+        entry.update(box2d=to_dict(box2), truncated=truncated, behind_camera_vertices=behind)
     entry["refined"] = False
     return entry
 
@@ -350,14 +333,18 @@ def _generate_sample(dataset, rig, extrinsic, sid) -> str:
     return dump_json(labels_to_dict(sid, entries))
 
 
-def write_labels(dataset: str, calibration: str, out: str, jobs: int = 1) -> int:
+def write_labels(dataset: str, calibration: str, out: str) -> int:
     """The generate stage: write the label file of each sample of ``dataset``,
     given the calibration report ``calibration``, into the empty or new
-    directory ``out``; returns the number of files."""
+    directory ``out``; returns the number of files. It runs in one process,
+    whatever ``--jobs`` says: a sample's labels take about a millisecond, less
+    than a worker's start-up (see fileio.ordered_map)."""
     require_empty_dir(out, "generate")
     rig = _manifest_rig(os.path.join(dataset, "manifest.json"))
     sids = _sample_ids(dataset)
-    worker = partial(_generate_sample, dataset, rig, _extrinsic_from_report(calibration))
-    for sid, text in zip(sids, ordered_map(worker, sids, jobs)):
+    extrinsic = _extrinsic_from_report(calibration)
+    # every sample is labelled before the first file is written: a bad one writes none
+    texts = [_generate_sample(dataset, rig, extrinsic, sid) for sid in sids]
+    for sid, text in zip(sids, texts):
         atomic_write_text(os.path.join(out, f"{sid}.json"), text)
     return len(sids)

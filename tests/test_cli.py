@@ -18,7 +18,7 @@ from ipslabel import sim
 from ipslabel.calib import _extrinsic_from_report
 from ipslabel.cli import main
 from ipslabel.cloud import read_ply, write_ply
-from ipslabel.config import RefineConfig, _manifest_rig
+from ipslabel.config import RefineConfig, SceneConfig, _manifest_rig
 from ipslabel.eval import compare_labels
 from ipslabel.fileio import ordered_map, to_dict
 from ipslabel.geom import BeaconPair, beacons_csv, inverse, parse_beacons_csv
@@ -83,6 +83,24 @@ class TestSimulate:
     def test_creates_nested_output_dir(self, tmp_path):
         out = str(tmp_path / "deep" / "er" / "ds")
         code, _, err = run_cli(["--seed", "3", "simulate", "--out", out, "--samples", "1"])
+        assert code == 0, err
+        assert os.path.isfile(os.path.join(out, "manifest.json"))
+
+    def test_mounts_at_the_edge_of_the_orthonormality_tolerance_simulate(self, tmp_path):
+        # each default mount rotation scaled by 1 + 4.5e-10 has |R^T R - I| =
+        # 9e-10, inside the 1e-9 check; the simulator's chain composes the two
+        lines = ["scene:"]
+        for key in ("cam_from_robot", "lidar_from_cam"):
+            mount = to_dict(getattr(SceneConfig(), key))
+            rows = ", ".join(
+                "[" + ", ".join(f"{(1 + 4.5e-10) * x:.17e}" for x in row) + "]"
+                for row in mount["rotation"]
+            )
+            lines.append(f"  {key}: {{rotation: [{rows}], translation: {mount['translation']}}}")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "ds")
+        code, _, err = run_cli(["--config", str(cfg), "simulate", "--out", out, "--samples", "1"])
         assert code == 0, err
         assert os.path.isfile(os.path.join(out, "manifest.json"))
 
@@ -407,10 +425,10 @@ class TestGenerate:
         assert entries and all(e["refined"] is True for e in entries)
         for entry in entries:
             box = OrientedBox3.from_dict(entry["box3d_lidar"])
-            box2 = project_box(cam_from_lidar.apply(box.vertices()), rig.intrinsics)
+            box2, truncated, behind = project_box(cam_from_lidar.apply(box.vertices()), rig.intrinsics)
             assert entry["box2d"] == to_dict(box2)
-            assert entry["truncated"] == box2.is_truncated
-            assert entry["behind_camera_vertices"] == box2.behind_camera_vertices
+            assert entry["truncated"] == truncated
+            assert entry["behind_camera_vertices"] == behind
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         again = str(tmp_path / "labels2")
@@ -421,13 +439,32 @@ class TestGenerate:
         assert tree_digest(again) == tree_digest(pipeline["labels"])
 
     def test_jobs_do_not_change_output(self, pipeline, tmp_path):
+        # generate runs in one process whatever --jobs says: a sample's labels
+        # take about a millisecond, less than a worker's start-up
         par = str(tmp_path / "labels_par")
-        code, _, err = run_cli(
-            ["--jobs", "2", "generate", "--dataset", pipeline["dataset"],
-             "--calibration", pipeline["cal"], "--out", par]
+        probe = (
+            "import sys; from ipslabel.cli import main; code = main(sys.argv[1:]); "
+            "print('concurrent.futures.process' in sys.modules); sys.exit(code)"
         )
-        assert code == 0, err
+        proc = run_python(["-c", probe, "--jobs", "2", "generate", "--dataset", pipeline["dataset"],
+                           "--calibration", pipeline["cal"], "--out", par])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert len(os.listdir(par)) >= 2
         assert tree_digest(par) == tree_digest(pipeline["labels"])
+
+    def test_a_bad_sample_writes_no_label_file(self, noisy_dataset, pipeline, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(noisy_dataset, ds)
+        last = sorted(os.listdir(ds / "samples"))[-1]
+        (ds / "samples" / last / "beacons.csv").write_text("frame\n")
+        out = tmp_path / "labels"
+        code, _, err = run_cli(
+            ["generate", "--dataset", str(ds), "--calibration", pipeline["cal"], "--out", str(out)]
+        )
+        assert code == 2, err
+        assert last in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("calibration_readings", [5, 20])
     def test_every_reading_is_averaged(self, tmp_path, calibration_readings):
@@ -1135,6 +1172,19 @@ def pools(monkeypatch):
 def test_ordered_map_starts_no_more_workers_than_items(pools, count, jobs, started):
     assert ordered_map(math.sqrt, [float(i * i) for i in range(count)], jobs) == list(range(count))
     assert pools == started
+
+
+def test_jobs_fans_out_simulate_and_refine(pools, pipeline, tmp_path):
+    # the stages whose per-sample work outweighs a worker's start-up
+    code, _, err = run_cli(["--jobs", "2", "simulate", "--out", str(tmp_path / "ds"), "--samples", "2"])
+    assert code == 0, err
+    assert pools == [2]
+    code, _, err = run_cli(
+        ["--config", pipeline["cfg"], "--seed", "9", "--jobs", "2", "refine", "--dataset",
+         pipeline["dataset"], "--labels", pipeline["labels"], "--out", str(tmp_path / "refined")]
+    )
+    assert code == 0, err
+    assert pools == [2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from ipslabel.errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch
 from ipslabel.geom import (
     EPS_BEACON,
+    ORTHONORMALITY_TOL,
     BeaconPair,
     RigidTransform,
     average_beacon_readings,
@@ -238,6 +239,33 @@ class TestComposeInverse:
             t = compose(step, t)
         drift = np.abs(t.rotation.T @ t.rotation - np.eye(3)).max()
         assert drift <= 1e-9
+
+    def test_rotations_at_the_edge_of_the_tolerance_compose(self):
+        """Scaled by 1 + 4.5e-10, a rotation has |R^T R - I| = 9e-10: accepted,
+        though the product of two has twice that drift."""
+        rng = np.random.default_rng(10)
+
+        def edge(src, dst):
+            return RigidTransform(
+                (1 + 4.5e-10) * random_rotation(rng), rng.uniform(-5, 5, 3), src=src, dst=dst
+            )
+
+        def drift(t):
+            return np.abs(t.rotation.T @ t.rotation - np.eye(3)).max()
+
+        ab, bc = edge("a", "b"), edge("b", "c")
+        assert ORTHONORMALITY_TOL / 2 < drift(ab) <= ORTHONORMALITY_TOL
+        ac = compose(bc, ab)
+        assert drift(ac) <= ORTHONORMALITY_TOL
+        oracle = homogeneous_matrix(bc.rotation, bc.translation) @ homogeneous_matrix(
+            ab.rotation, ab.translation
+        )
+        p = rng.uniform(-5, 5, 3)
+        np.testing.assert_allclose(ac.apply(p), transform_point_oracle(oracle, p), atol=1e-8)
+        t = RigidTransform.identity("f0")
+        for i in range(1000):
+            t = compose(edge(f"f{i}", f"f{i + 1}"), t)
+            assert drift(t) <= ORTHONORMALITY_TOL
 
 
 def test_object_from_robot_chain_matches_hand_built_truth():

@@ -314,14 +314,14 @@ class TestBoxToCamera:
 class TestProjectBox:
     def test_unit_cube_on_axis(self):
         cube = OrientedBox3((0, 0, 5), (1, 1, 1), 0.0, frame="cam")
-        box2 = project_box(cube.vertices(), INTR)
+        box2, truncated, behind = project_box(cube.vertices(), INTR)
         half = 500.0 * 0.5 / 4.5  # nearest face dominates the extrema
         assert box2.u0 == pytest.approx(320.0 - half, abs=1e-9)
         assert box2.v0 == pytest.approx(320.0 - half, abs=1e-9)
         assert box2.u1 == pytest.approx(320.0 + half, abs=1e-9)
         assert box2.v1 == pytest.approx(320.0 + half, abs=1e-9)
-        assert not box2.is_truncated
-        assert box2.behind_camera_vertices == 0
+        assert truncated is False
+        assert behind == 0
 
     def test_matches_per_vertex_projection_oracle(self):
         rng = np.random.default_rng(3)
@@ -337,7 +337,7 @@ class TestProjectBox:
                 max(min(us), 0.0), max(min(vs), 0.0),
                 min(max(us), 640.0), min(max(vs), 640.0),
             )
-            box2 = project_box(cube.vertices(), INTR)
+            box2, _, _ = project_box(cube.vertices(), INTR)
             assert (box2.u0, box2.v0, box2.u1, box2.v1) == pytest.approx(expect, abs=1e-9)
 
     def test_all_vertices_behind_camera(self):
@@ -347,22 +347,22 @@ class TestProjectBox:
 
     def test_partially_behind_counts_vertices(self):
         cube = OrientedBox3((0, 0, 0), (1, 1, 1), 0.0, frame="cam")
-        box2 = project_box(cube.vertices(), INTR)
-        assert box2.behind_camera_vertices == 4
+        _, _, behind = project_box(cube.vertices(), INTR)
+        assert behind == 4
 
     def test_truncation_flag_on_clamping(self):
         cube = OrientedBox3((3.0, 0, 5), (1, 1, 1), 0.0, frame="cam")  # pushed right
-        box2 = project_box(cube.vertices(), INTR)
-        assert box2.is_truncated
+        box2, truncated, _ = project_box(cube.vertices(), INTR)
+        assert truncated is True
         assert box2.u1 == 640.0
 
     def test_invariant_under_vertex_permutation(self):
         rng = np.random.default_rng(4)
         cube = OrientedBox3((0.2, -0.3, 6), (1, 2, 0.8), 1.1, frame="cam")
-        reference = project_box(cube.vertices(), INTR)
+        reference, _, _ = project_box(cube.vertices(), INTR)
         for _ in range(5):
             shuffled = cube.vertices()[rng.permutation(8)]
-            box2 = project_box(shuffled, INTR)
+            box2, _, _ = project_box(shuffled, INTR)
             assert (box2.u0, box2.v0, box2.u1, box2.v1) == (
                 reference.u0, reference.v0, reference.u1, reference.v1,
             )
@@ -422,7 +422,7 @@ class TestLabelSchema:
         assert entry["id"] == "obj0"
         assert entry["class"] == "cabinet"
         assert entry["box3d_lidar"] == to_dict(box3)
-        assert entry["box2d"] == to_dict(project_box(cube.vertices(), INTR))
+        assert entry["box2d"] == to_dict(project_box(cube.vertices(), INTR)[0])
         assert entry["box2d"]["u1"] == 640.0
         assert entry["truncated"] is True
         assert entry["behind_camera_vertices"] == 4
@@ -449,7 +449,7 @@ class TestLabelSchema:
         ((back_entry, back3, back2),) = label_objects({"objects": [entry]})
         assert back_entry is entry
         assert to_dict(back3) == to_dict(box3) and back3.frame == "lidar"
-        assert to_dict(back2) == to_dict(project_box(cube.vertices(), INTR))
+        assert back2 == project_box(cube.vertices(), INTR)[0]
 
     @pytest.mark.parametrize(
         "key, value, names",

@@ -287,7 +287,10 @@ EYE = write_ply(np.eye(3))
 
 
 def test_binary_ply_without_a_format_line_is_rejected():
-    with pytest.raises(UsageError, match="no 'format ascii' or 'format binary_little_endian' line"):
+    with pytest.raises(
+        UsageError,
+        match="no 'format ascii' or 'format binary_little_endian' or 'format binary_big_endian' line",
+    ):
         read_ply(EYE.replace(b"format binary_little_endian 1.0\n", b""))
 
 

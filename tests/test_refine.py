@@ -246,6 +246,8 @@ class TestCropAndStrip:
             assert isinstance(cloud, np.ndarray), name
             assert cloud.dtype == np.float64 and cloud.ndim == 2 and cloud.shape[1] == 3, name
             assert len(cloud) > 0 and not cloud.flags.writeable, name
+        for name in ("raycast_lidar", "read_ply"):  # each axis contiguous, as refine runs fastest
+            assert clouds[name].flags.f_contiguous, name
 
 
 # ---------------------------------------------------------------------------
