@@ -12,21 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import read_ply
 from .config import ObjectSpec, RefineConfig, _manifest_rig
 from .errors import (
     ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError, error_text
 )
 from .fileio import atomic_write_text, dump_json, read_bytes, read_input, read_json, to_dict
 from .labelgen import Box2, OrientedBox3, _entry_spec, label_objects
-from .refine import (
-    fit_ground_plane,
-    fitness,
-    kinds_for_class,
-    neighborhood,
-    refine_label,
-)
-from .rng import NS_DOWNSAMPLE, derive_seed, substream
 
 MATCH_GATE = 2.0  # meters; max center distance when pairing labels
 
@@ -124,6 +115,10 @@ def downsample_study(
     of aborting the study; a usage error (such as a class without proposal
     functions) ends it.
     """
+    # imported here: comparing label sets does not pay for them
+    from .refine import fit_ground_plane, fitness, kinds_for_class, neighborhood, refine_label
+    from .rng import NS_DOWNSAMPLE, derive_seed, substream
+
     proportions = [float(p) for p in proportions]
     if any(not (0.0 < p <= 1.0) for p in proportions):
         raise ValueError("proportions must lie in (0, 1]")
@@ -180,6 +175,8 @@ def write_downsample_study(
     """The evaluate stage's study: downsample_study of the first labelled
     object of ``sample``, or of ``object_id``; writes the report JSON to
     ``out`` and the per-trial table to ``csv`` unless None; returns the rows."""
+    from .cloud import read_ply  # imported here: comparing label sets reads no cloud
+
     specs = _manifest_rig(os.path.join(dataset, "manifest.json")).objects
     cloud = read_input(os.path.join(dataset, "samples", sample, "cloud.ply"), read_ply, read_bytes)
     label_path = os.path.join(labels, f"{sample}.json")

@@ -5,9 +5,10 @@ the few points it needs, which give a candidate box of the object's known
 dimensions tangent to the fitted ground plane, scored by counting cloud
 points inside a +-delta shell around the box surface. The draws are plain
 arrays from the object's seeded stream (see ``_draw``); the candidates are
-built and scored as arrays too. The best proposal wins, and among equal
-scores the earliest, unless the sensor's rays cross a solid object's box
-(see ``_first_clear``). The ground plane is fitted once per scan by a
+built and scored as arrays too, preemptively on a dense crop (see
+``refine_label``). The best proposal wins, and among equal scores the
+earliest, unless the sensor's rays cross a solid object's box (see
+``_first_clear``). The ground plane is fitted once per scan by a
 preemptively scored RANSAC (see ``fit_ground_plane``).
 """
 
@@ -49,6 +50,17 @@ _CROSSING_RAYS = 2
 # Most box x point tests that shell_scores makes at a time; 2**14 and 2**16
 # both measured slower.
 _SHELL_TESTS = 1 << 15
+# Preemptive proposal scoring (Nister, ICCV 2003): every live proposal is
+# scored on every _PREEMPT_STRIDE-th cropped point, and only the
+# _PREEMPT_KEEP best of those on all the points. A stride of 8 scored faster
+# than 4 and kept as many winners; keeping 256 kept the winner of 39 of 40
+# objects where keeping 64 kept 37.
+_PREEMPT_STRIDE = 8
+_PREEMPT_KEEP = 256
+# Smallest crop that is scored preemptively: its subset holds at least 64
+# points, and a smaller subset cannot tell 5,000 boxes apart (an end-on
+# cabinet's 182-point crop lost its winner). Smaller crops are scored in full.
+_PREEMPT_MIN_CROP = 512
 # Strides of the free-space check's prefilter passes over the rays, sparse
 # first; (16,) and (16, 4) measured slower.
 _RAY_STRIDES = (32, 8)
@@ -463,10 +475,13 @@ def refine_label(
     ``kinds_for_class(spec.class_name)`` and samples the points it needs
     without replacement, from the stream of ``seed`` (see ``_draw``). The
     proposals are then built and scored on the cropped cloud in fixed-size
-    batches, and the earliest best wins, except that for a solid class
-    (not a table) the winner is the best proposal, from the best score
-    down to half of it, whose box the sensor's rays do not cross (see
-    ``_first_clear``); the best one when every such box is crossed.
+    batches. A crop of at least _PREEMPT_MIN_CROP points first scores every
+    live proposal on every _PREEMPT_STRIDE-th point and keeps only the
+    _PREEMPT_KEEP best, earliest first among equals, for the full score (preemptive RANSAC, as in ``fit_ground_plane``). Of the
+    proposals scored in full, the earliest best wins, except that for a
+    solid class (not a table) the winner is the best proposal, from the
+    best score down to half of it, whose box the sensor's rays do not cross
+    (see ``_first_clear``); the best one when every such box is crossed.
     Degenerate proposals never win but still consume an iteration. A class
     without proposal functions raises ConfigError before any work.
     """
@@ -488,6 +503,13 @@ def refine_label(
             f"all {cfg.iterations} proposals were degenerate"
         )
     yaws = np.arctan2(lengths[live, 1], lengths[live, 0])
+    if len(pts) >= _PREEMPT_MIN_CROP:
+        subset = shell_scores(
+            centers[live], yaws, spec.dims, pts[::_PREEMPT_STRIDE], cfg.shell_delta
+        )
+        # the best of the subset scores, earliest first, back in iteration order
+        kept = np.sort(np.argsort(-subset, kind="stable")[:_PREEMPT_KEEP])
+        live, yaws = live[kept], yaws[kept]
     scores = shell_scores(centers[live], yaws, spec.dims, pts, cfg.shell_delta)
     ranked = np.argsort(-scores, kind="stable")
     # Below half the best score a box explains too little of the object to

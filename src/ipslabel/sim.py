@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -187,7 +187,10 @@ def true_transforms(scene: SceneConfig, pose) -> dict:
 # LiDAR ray casting
 
 
+@lru_cache
 def _lidar_directions(cfg: LidarConfig) -> np.ndarray:
+    """The read-only unit direction of every ray of the scan pattern, built
+    once per process for each config."""
     elevations = np.radians(np.linspace(cfg.vfov_min_deg, cfg.vfov_max_deg, cfg.channels))
     n_az = int(round(360.0 / cfg.azimuth_step_deg))
     azimuths = np.radians(np.arange(n_az) * cfg.azimuth_step_deg)
@@ -197,7 +200,7 @@ def _lidar_directions(cfg: LidarConfig) -> np.ndarray:
     dx = np.outer(ce, ca).ravel()
     dy = np.outer(ce, sa).ravel()
     dz = np.repeat(se, n_az)
-    return np.column_stack([dx, dy, dz])
+    return frozen(np.column_stack([dx, dy, dz]), (-1, 3))
 
 
 def raycast_lidar(scene: SceneConfig, pose) -> np.ndarray:
@@ -207,6 +210,13 @@ def raycast_lidar(scene: SceneConfig, pose) -> np.ndarray:
     Rays start at the LiDAR origin; each returns the closest intersection
     with any object face or the ground plane within max range, so
     surfaces facing away from the sensor receive no points.
+
+    A solid is cast only against the rays of the cone around its bounding
+    sphere (radius half its diagonal), widened by 1e-6 in cosine for the
+    rounding of the unit directions; the rays outside it miss the sphere
+    and so the box. When the sensor lies inside the sphere, every ray is
+    cast. A ray's entry does not depend on the other rays, so the cloud is
+    the one a cast of every ray against every solid gives.
     """
     chain = true_transforms(scene, pose)["lidar_from_ips"]
     solids = [
@@ -221,7 +231,12 @@ def raycast_lidar(scene: SceneConfig, pose) -> np.ndarray:
         t_ground = ground_z / dz
     best = np.where((dz < 0) & (t_ground > 1e-9), t_ground, np.inf)
     for solid in solids:
-        best = np.minimum(best, solid.ray_entry(dirs))
+        reach, dist = np.linalg.norm(solid.dims) / 2.0, np.linalg.norm(solid.center)
+        rows = slice(None)
+        if dist > reach:
+            cone = math.sqrt(1.0 - (reach / dist) ** 2) - 1e-6
+            rows = np.flatnonzero(dirs @ (solid.center / dist) >= cone)
+        best[rows] = np.minimum(best[rows], solid.ray_entry(dirs[rows]))
     valid = best <= scene.lidar.max_range
     hits = best[valid]
     # column-major, each axis contiguous, as read_ply returns a cloud: the

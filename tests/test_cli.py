@@ -199,7 +199,7 @@ STAGE_IMPORTS = [
     ("refine", ["refine", "--dataset", "{d}/ds", "--labels", "{d}/labels", "--out", "{o}"],
      {"sim", "eval"}),
     ("evaluate", ["evaluate", "--auto", "{d}/labels", "--reference", "{d}/ds/truth", "--out", "{o}"],
-     {"sim"}),
+     {"sim", "refine", "cloud"}),
 ]
 
 SUBCOMMANDS = [

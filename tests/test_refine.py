@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ipslabel import refine as refine_module
 from ipslabel.config import ObjectSpec, RefineConfig
 from ipslabel.errors import (
     AllProposalsDegenerate,
@@ -18,6 +19,9 @@ from ipslabel.errors import (
 from ipslabel.labelgen import OrientedBox3, normalize_yaw
 from ipslabel.refine import (
     _CROSSING_RAYS,
+    _PREEMPT_KEEP,
+    _PREEMPT_MIN_CROP,
+    _PREEMPT_STRIDE,
     _RAY_STRIDES,
     _SHELL_TESTS,
     CLASS_KINDS,
@@ -54,6 +58,19 @@ def cabinet_sample():
 
     scene = replace(SceneConfig(), beacon_noise=0.0, pixel_noise_sigma=0.0)
     return make_sample(scene, seed=5, index=0)
+
+
+@functools.lru_cache(maxsize=1)
+def dense_sample():
+    """Sample 0 at seed 7 of the default scene seen by a 32-channel 0.1
+    degree LiDAR."""
+    from dataclasses import replace
+
+    from ipslabel.config import LidarConfig, SceneConfig
+    from ipslabel.sim import make_sample
+
+    scene = replace(SceneConfig(), lidar=LidarConfig(channels=32, azimuth_step_deg=0.1))
+    return make_sample(scene, seed=7, index=0)
 
 
 def refine_fitted(pcd, unrefined, spec, cfg, seed=0):
@@ -606,27 +623,34 @@ def reference_draws(kinds, n, iterations, seed):
 def reference_refine(pcd, unrefined, spec, cfg, seed):
     """Scalar best-of-n search.
 
-    It takes the draws of ``reference_draws`` and builds and scores one
-    proposal per iteration. For a cabinet it then tests the proposals from
-    the best score down to half of it, earliest first, on every ray of the
-    cloud."""
+    It takes the draws of ``reference_draws`` and builds one proposal per
+    iteration. On a crop of at least _PREEMPT_MIN_CROP points it keeps the
+    _PREEMPT_KEEP best proposals on every _PREEMPT_STRIDE-th point, earliest
+    first among equals, and scores only those on every point. For a cabinet
+    it then tests the proposals from the best score down to half of it,
+    earliest first, on every ray of the cloud."""
     kinds = kinds_for_class(spec.class_name)
     plane = fit_ground_plane(pcd, cfg, seed)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None
     pts = crop_and_strip(pcd, unrefined, plane, cfg, min_height=min_height)
-    scored = []
+    proposals = []
     for i, (kind, picks) in enumerate(reference_draws(kinds, len(pts), cfg.iterations, seed)):
         sample = pts[picks]
         side = 0
         if kind is MpfKind.CABINET_TWO_POINT_FACE:
             side = reference_side(sample[0], sample[1], plane)
         try:
-            box = propose(kind, sample, plane, spec, side)
+            proposals.append((i, propose(kind, sample, plane, spec, side)))
         except DegenerateSample:
             continue
-        scored.append((-fitness(box, pts, cfg.shell_delta), i, box))
-    if not scored:
+    if not proposals:
         raise AllProposalsDegenerate("every reference proposal was degenerate")
+    if len(pts) >= _PREEMPT_MIN_CROP:
+        subset = pts[::_PREEMPT_STRIDE]
+        proposals = sorted(
+            proposals, key=lambda p: (-fitness(p[1], subset, cfg.shell_delta), p[0])
+        )[:_PREEMPT_KEEP]
+    scored = [(-fitness(box, pts, cfg.shell_delta), i, box) for i, box in proposals]
     ranked = sorted(scored, key=lambda t: t[:2])
     best = ranked[0][2]
     if MpfKind.TABLE_STEM in kinds:
@@ -702,6 +726,25 @@ class TestBatchedRefineMatchesScalarLoop:
         np.testing.assert_array_equal(got.center, expected.center)
         assert got.yaw == expected.yaw
 
+    @pytest.mark.parametrize("cls", ["cabinet", "table"])
+    def test_dense_lidar_object(self, cls):
+        # crops of the 32-channel 0.1 degree scan hold enough points to be
+        # scored preemptively
+        sample = dense_sample()
+        entry = next(e for e in sample.truth_objects if e["class"] == cls)
+        truth = OrientedBox3.from_dict(entry["box3d_lidar"])
+        nudged = OrientedBox3(truth.center + (0.06, -0.05, 0), truth.dims, truth.yaw + 0.05)
+        spec = ObjectSpec(cls, *entry["dims_spec"])
+        cfg = RefineConfig(iterations=600)
+        plane = fit_ground_plane(sample.cloud, cfg, 1)
+        min_height = cfg.table_min_height if cls == "table" else None
+        crop = crop_and_strip(sample.cloud, nudged, plane, cfg, min_height=min_height)
+        assert len(crop) >= _PREEMPT_MIN_CROP
+        expected = reference_refine(sample.cloud, nudged, spec, cfg, 1)
+        got = refine_label(sample.cloud, nudged, spec, cfg, 1, plane=plane)
+        np.testing.assert_array_equal(got.center, expected.center)
+        assert got.yaw == expected.yaw
+
     def test_all_degenerate_proposals_raise(self):
         # every point above the floor lies on one vertical line, so all
         # proposals have coincident projected points
@@ -733,6 +776,110 @@ class TestBatchedRefineMatchesScalarLoop:
         assert scores.tolist() == [
             fitness_oracle(c, (1.1, 0.6, 1.4), y, pts, 0.05) for c, y in zip(centers, yaws)
         ]
+
+
+# ---------------------------------------------------------------------------
+# preemptive scoring: a dense crop ranks every proposal on every
+# _PREEMPT_STRIDE-th point and scores only the _PREEMPT_KEEP best on all
+
+
+PREEMPT_TRUTH = OrientedBox3((2.0, 0.5, 0.65), (0.9, 0.5, 1.3), 0.3)
+
+
+def preempt_crop(cloud, cls, cfg):
+    """The crop that refine_label scores for class ``cls`` around PREEMPT_TRUTH on FLAT."""
+    min_height = cfg.table_min_height if cls == "table" else None
+    return crop_and_strip(cloud, PREEMPT_TRUTH, FLAT, cfg, min_height=min_height)
+
+
+def preempt_cloud(n, cls, cfg):
+    """A cloud whose crop is exactly ``n`` of the box's shell points, and the
+    floor below them."""
+    cloud = shell_scene(np.random.default_rng(n), PREEMPT_TRUTH, n_shell=3 * n, n_floor=1000)
+    crop = preempt_crop(cloud, cls, cfg)
+    assert len(crop) >= n
+    return np.vstack([crop[:n], cloud[3 * n :]])
+
+
+def live_centers(cloud, cls, spec, cfg, seed):
+    """The centres of the live proposals that refine_label builds, in
+    iteration order."""
+    kinds = kinds_for_class(cls)
+    projected = FLAT.project(preempt_crop(cloud, cls, cfg))
+    rng = substream(seed, NS_REFINE_DRAWS)
+    kind, idx, side = _draw(kinds, projected, FLAT, cfg.iterations, rng)
+    centers, _, degenerate = _proposals(kinds, kind, projected[idx], side, FLAT, spec)
+    return centers[~degenerate]
+
+
+def record_shell_scores(monkeypatch, scorer=shell_scores):
+    """Route refine's shell_scores through ``scorer``, recording each call's
+    centres, points and scores."""
+    calls = []
+
+    def recorder(centers, yaws, dims, points, delta):
+        scores = scorer(centers, yaws, dims, points, delta)
+        calls.append((np.array(centers), np.array(points), scores))
+        return scores
+
+    monkeypatch.setattr(refine_module, "shell_scores", recorder)
+    return calls
+
+
+class TestPreemption:
+    SPEC = ObjectSpec("cabinet", 0.9, 0.5, 1.3)
+    CFG = RefineConfig(iterations=1000)
+
+    @pytest.mark.parametrize("n", [512, 517])
+    def test_a_dense_crop_is_scored_on_a_subset_then_in_full(self, monkeypatch, n):
+        cloud = preempt_cloud(n, "cabinet", self.CFG)
+        crop = preempt_crop(cloud, "cabinet", self.CFG)
+        live = live_centers(cloud, "cabinet", self.SPEC, self.CFG, 3)
+        assert len(crop) == n and len(live) > _PREEMPT_KEEP
+        calls = record_shell_scores(monkeypatch)
+        got = refine_label(cloud, PREEMPT_TRUTH, self.SPEC, self.CFG, 3, plane=FLAT)
+        (rough, subset, rough_scores), (kept, points, _) = calls
+        np.testing.assert_array_equal(rough, live)
+        assert len(subset) == math.ceil(n / _PREEMPT_STRIDE)
+        np.testing.assert_array_equal(subset, crop[::_PREEMPT_STRIDE])
+        np.testing.assert_array_equal(points, crop)
+        # the best on the subset, earliest first among equals, in iteration order
+        best = np.sort(np.argsort(-rough_scores, kind="stable")[:_PREEMPT_KEEP])
+        np.testing.assert_array_equal(kept, live[best])
+        assert min(rough_scores[best]) >= max(np.delete(rough_scores, best))
+        assert got.center.tolist() in kept.tolist()
+
+    def test_a_crop_below_the_floor_is_scored_once_in_full(self, monkeypatch):
+        n = _PREEMPT_MIN_CROP - 1
+        cloud = preempt_cloud(n, "cabinet", self.CFG)
+        crop = preempt_crop(cloud, "cabinet", self.CFG)
+        live = live_centers(cloud, "cabinet", self.SPEC, self.CFG, 3)
+        assert len(crop) == n and len(live) > _PREEMPT_KEEP
+        calls = record_shell_scores(monkeypatch)
+        refine_label(cloud, PREEMPT_TRUTH, self.SPEC, self.CFG, 3, plane=FLAT)
+        ((centers, points, _),) = calls
+        np.testing.assert_array_equal(centers, live)
+        np.testing.assert_array_equal(points, crop)
+
+    def test_subset_ties_keep_the_earliest_and_it_wins_full_ties(self, monkeypatch):
+        # every third live proposal ties on the subset above the rest, and
+        # every kept one ties in full: the kept are the earliest of the
+        # tied, and the earliest kept wins
+        spec = ObjectSpec("table", 0.9, 0.5, 1.3)
+        cloud = preempt_cloud(600, "table", self.CFG)
+        live = live_centers(cloud, "table", spec, self.CFG, 4)
+        assert len(live) > 3 * _PREEMPT_KEEP
+
+        def tied(centers, yaws, dims, points, delta):
+            rows = np.arange(len(centers))
+            return (rows % 3 == 2).astype(np.int64) if len(points) < 600 else 0 * rows
+
+        calls = record_shell_scores(monkeypatch, tied)
+        got = refine_label(cloud, PREEMPT_TRUTH, spec, self.CFG, 4, plane=FLAT)
+        (_, subset, _), (kept, _, _) = calls
+        assert len(subset) == 75
+        np.testing.assert_array_equal(kept, live[2::3][:_PREEMPT_KEEP])
+        np.testing.assert_array_equal(got.center, live[2])
 
 
 # ---------------------------------------------------------------------------

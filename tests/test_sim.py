@@ -9,15 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ipslabel import sim
 from ipslabel.calib import correspondences_csv, parse_correspondences_csv
 from ipslabel.cloud import read_ply, write_ply
 from ipslabel.config import LidarConfig, ObjectPlacement, ObjectSpec, SceneConfig
 from ipslabel.fileio import from_dict, to_dict
 from ipslabel.geom import beacons_csv, inverse, parse_beacons_csv
-from ipslabel.labelgen import OrientedBox3
+from ipslabel.labelgen import OrientedBox3, box_to_lidar
 from ipslabel.sim import (
     TABLE_SLAB_THICKNESS,
     TABLE_STEM_WIDTH,
+    _lidar_directions,
     emit_beacons,
     generate_dataset,
     make_calibration_set,
@@ -165,6 +167,94 @@ class TestRaycast:
     def test_range_limit_respected(self):
         scene, pose, cloud = default_pose_and_cloud()
         assert np.linalg.norm(cloud, axis=1).max() <= scene.lidar.max_range + 1e-9
+
+
+def full_cast(solids, dirs, ground_z, max_range):
+    """The cloud of a cast of every ray against every solid (in the LiDAR
+    frame) and the floor, ``ground_z`` below the sensor."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = ground_z / dirs[:, 2]
+    best = np.where((dirs[:, 2] < 0) & (t_ground > 1e-9), t_ground, np.inf)
+    for solid in solids:
+        best = np.minimum(best, solid.ray_entry(dirs))
+    valid = best <= max_range
+    return dirs[valid] * best[valid, None]
+
+
+def full_cast_of(scene, pose):
+    chain = true_transforms(scene, pose)["lidar_from_ips"]
+    solids = [box_to_lidar(solid.vertices(), chain) for solid in scene_solids_ips(scene)]
+    ground_z = chain.apply(np.array([pose[0], pose[1], scene.floor_z]))[2]
+    dirs = _lidar_directions(scene.lidar)
+    return solids, full_cast(solids, dirs, ground_z, scene.lidar.max_range)
+
+
+def cabinet_at(x, y, dims, yaw=0.3):
+    return ObjectPlacement("obj0", ObjectSpec("cabinet", *dims), x, y, yaw)
+
+
+class TestRaycastCone:
+    """raycast_lidar casts a solid only against the rays of the cone around
+    its bounding sphere; its cloud is the cast of every ray."""
+
+    SCENES = {
+        "default": {},
+        "dense_lidar": {"lidar": LidarConfig(channels=32, azimuth_step_deg=0.1)},
+        "table_only": {
+            "objects": (ObjectPlacement("obj1", ObjectSpec("table", 1.2, 0.8, 0.75), 3.4, -1.6, -0.3),),
+        },
+        # a heading drawn over the whole circle: at seed 7 every object lies
+        # behind the sensor, at negative LiDAR x
+        "objects_behind_the_sensor": {"heading_jitter_deg": 180.0},
+        # the sensor stands 1 m from the centre of a 2 m tall cabinet: outside
+        # the box, inside its bounding sphere
+        "sensor_inside_a_bounding_sphere": {
+            "objects": (cabinet_at(0.0, 0.0, (1.0, 1.0, 2.0)),),
+            "robot_radius_min": 1.0,
+            "robot_radius_max": 1.05,
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_equals_the_cast_of_every_ray(self, name, index):
+        scene = replace(SceneConfig(), **self.SCENES[name])
+        pose = robot_pose_for_sample(scene, seed=7, index=index)
+        solids, expected = full_cast_of(scene, pose)
+        got = raycast_lidar(scene, pose)
+        assert len(got) > 1000
+        assert np.array_equal(got, expected)
+        if name == "sensor_inside_a_bounding_sphere":
+            assert any(np.linalg.norm(s.center) <= np.linalg.norm(s.dims) / 2 for s in solids)
+        if name == "objects_behind_the_sensor":
+            assert all(s.center[0] < -1.0 for s in solids)
+
+    def test_a_ray_grazing_a_corner_at_the_tangent_point(self, monkeypatch):
+        # a square box turned 45 degrees whose corner (2, 0, 0) is where the
+        # ray along +x touches its bounding sphere: the ray's cosine to the
+        # centre rounds just below the cone's, and the slab cast hits the corner
+        h, hz = 0.25, 0.65
+        box = OrientedBox3((2.0, -h * math.sqrt(2.0), -hz), (2 * h, 2 * h, 2 * hz), math.pi / 4)
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, -0.8]])
+        dist = np.linalg.norm(box.center)
+        cone = math.sqrt(1.0 - (np.linalg.norm(box.dims) / 2.0 / dist) ** 2)
+        assert dirs[0] @ (box.center / dist) < cone
+        scene = replace(SceneConfig(), objects=(cabinet_at(0.0, 0.0, (0.9, 0.5, 1.3)),))
+        monkeypatch.setattr(sim, "box_to_lidar", lambda vertices, chain: box)
+        monkeypatch.setattr(sim, "_lidar_directions", lambda cfg: dirs)
+        pose = (3.0, 0.0, 0.0)
+        chain = true_transforms(scene, pose)["lidar_from_ips"]
+        ground_z = chain.apply(np.array([pose[0], pose[1], scene.floor_z]))[2]
+        got = raycast_lidar(scene, pose)
+        assert np.array_equal(got, full_cast([box], dirs, ground_z, scene.lidar.max_range))
+        assert [2.0, 0.0, 0.0] in got.tolist()
+
+    def test_the_scan_pattern_is_built_once_and_read_only(self):
+        cfg = LidarConfig(channels=4, azimuth_step_deg=1.0)
+        dirs = _lidar_directions(cfg)
+        assert _lidar_directions(LidarConfig(channels=4, azimuth_step_deg=1.0)) is dirs
+        assert dirs.shape == (4 * 360, 3) and not dirs.flags.writeable
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
