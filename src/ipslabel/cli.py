@@ -2,9 +2,9 @@
 
 Every subcommand is a pure function of (inputs, config, seed): re-running
 with the same arguments on the same numpy/BLAS build produces byte-identical
-output files, including with --jobs > 1. --jobs fans out simulate and refine,
-whose per-sample work outweighs a worker's start-up (workers compute, the
-parent writes in order); the other stages run in one process. The
+output files, including with --jobs > 1. --jobs fans out only refine (its
+workers compute, the parent writes in order); the other stages run in one
+process, and simulate writes each sample before it makes the next. The
 calibration report is also byte-identical across BLAS builds; see
 calib.REPORT_DECIMALS. Each command calls its stage's driver, a function
 of the stage's module (see the package docstring), and prints a summary line.
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", metavar="FILE", help="YAML pipeline config")
     parser.add_argument("--seed", type=_SEED, default=None, help="override config seed")
-    parser.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for simulate and refine")
+    parser.add_argument("--jobs", type=_COUNT, default=1, help="worker processes for refine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write a synthetic dataset with ground truth")
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(ns, cfg) -> None:
     from . import sim
 
-    sim.generate_dataset(cfg.scene, ns.out, ns.samples, cfg.seed, jobs=ns.jobs)
+    sim.generate_dataset(cfg.scene, ns.out, ns.samples, cfg.seed)
     print(f"wrote {ns.samples} samples to {ns.out}")
 
 

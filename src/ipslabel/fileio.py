@@ -1,7 +1,6 @@
 """Atomic file writes, the checked reading of input files (JSON and CSV rows),
-deterministic JSON, the checked dict form of what config, manifest, label and
-report files hold, and the ordered worker map whose results the writers
-consume.
+deterministic JSON, and the checked dict form of what config, manifest, label
+and report files hold.
 """
 
 from __future__ import annotations
@@ -115,26 +114,6 @@ def from_dict(typ, value, path: str):
             _reject(path, "a mapping with string keys", value)
         return {k: from_dict(typing.get_args(typ)[1], v, f"{path}.{k}") for k, v in value.items()}
     raise TypeError(f"{path}: no dict form for type {typ!r}")
-
-
-def ordered_map(fn, items, jobs: int) -> list:
-    """``[fn(x) for x in items]``, on min(jobs, len(items)) worker processes
-    when that is more than one.
-
-    Results come back in input order, so a caller that writes them in turn
-    writes the same files for every ``jobs``. A stage fans out when its
-    per-sample work outweighs a worker's start-up: refine (tens of ms per
-    sample, faster at 2 jobs) and simulate (whose raycast temporaries then
-    stay out of the parent, holding its peak memory down) do; generate (about
-    1 ms per sample, slower at 2 jobs) does not.
-    """
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing: only a pool pays it
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def require_empty_dir(path: str, command: str) -> None:

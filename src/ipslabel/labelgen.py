@@ -338,7 +338,7 @@ def write_labels(dataset: str, calibration: str, out: str) -> int:
     given the calibration report ``calibration``, into the empty or new
     directory ``out``; returns the number of files. It runs in one process,
     whatever ``--jobs`` says: a sample's labels take about a millisecond, less
-    than a worker's start-up (see fileio.ordered_map)."""
+    than a worker's start-up (see refine.write_refined_labels)."""
     require_empty_dir(out, "generate")
     rig = _manifest_rig(os.path.join(dataset, "manifest.json"))
     sids = _sample_ids(dataset)

@@ -29,7 +29,7 @@ from .errors import (
     NumericalError, TooFewPoints, UsageError, error_text,
 )
 from .fileio import (
-    _sample_ids, atomic_write_text, dump_json, ordered_map, read_bytes, read_input, read_json,
+    _sample_ids, atomic_write_text, dump_json, read_bytes, read_input, read_json,
     require_empty_dir,
 )
 from .geom import chunks, frozen, inverse, row_norms
@@ -477,8 +477,9 @@ def refine_label(
     proposals are then built and scored on the cropped cloud in fixed-size
     batches. A crop of at least _PREEMPT_MIN_CROP points first scores every
     live proposal on every _PREEMPT_STRIDE-th point and keeps only the
-    _PREEMPT_KEEP best, earliest first among equals, for the full score (preemptive RANSAC, as in ``fit_ground_plane``). Of the
-    proposals scored in full, the earliest best wins, except that for a
+    _PREEMPT_KEEP best, earliest first among equals, for the full score
+    (preemptive RANSAC, as in ``fit_ground_plane``). Of the proposals
+    scored in full, the earliest best wins, except that for a
     solid class (not a table) the winner is the best proposal, from the
     best score down to half of it, whose box the sensor's rays do not cross
     (see ``_first_clear``); the best one when every such box is crossed.
@@ -568,7 +569,13 @@ def write_refined_labels(
 ) -> int:
     """The refine stage: refine each label file in ``labels`` against its
     sample's cloud in ``dataset`` into the empty or new directory ``out``;
-    returns the number of files."""
+    returns the number of files.
+
+    With ``jobs`` > 1 the files are refined on min(jobs, files) worker
+    processes, the one pool of the pipeline. Every text is made, in file
+    order, before the first is written, so the files are the same for every
+    ``jobs`` and a bad label file writes none.
+    """
     require_empty_dir(out, "refine")
     rig = _manifest_rig(os.path.join(dataset, "manifest.json"))
     # seeds follow the sample's place in the dataset, so refining some of the
@@ -584,6 +591,15 @@ def write_refined_labels(
             raise UsageError(f"{label_path} names no sample of dataset {dataset}")
         tasks.append((sid, sample_index[sid], label_path))
     worker = partial(_refine_sample, dataset, rig, cfg, seed)
-    for (sid, _, _), text in zip(tasks, ordered_map(worker, tasks, jobs)):
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        # imports multiprocessing, which only a pool should pay for
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            texts = list(pool.map(worker, tasks))
+    else:
+        texts = [worker(task) for task in tasks]
+    for (sid, _, _), text in zip(tasks, texts):
         atomic_write_text(os.path.join(out, f"{sid}.json"), text)
     return len(tasks)

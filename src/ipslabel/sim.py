@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +28,6 @@ from .fileio import (
     atomic_write_bytes,
     atomic_write_text,
     dump_json,
-    ordered_map,
     require_empty_dir,
     to_dict,
 )
@@ -393,24 +392,18 @@ def _truth_json(sample: GroundTruthSample) -> str:
     return dump_json(doc)
 
 
-def render_sample_files(scene: SceneConfig, seed: int, index: int) -> dict:
-    """All files of one sample as {relative path: bytes}."""
-    sample = make_sample(scene, seed, index)
+def _write_sample(out_dir: str, sample: GroundTruthSample) -> None:
+    """Write the files of one sample. The sample dies with this call, since
+    generate_dataset passes make_sample's result straight in."""
     sid = sample.sample_id
-    return {
-        f"samples/{sid}/cloud.ply": write_ply(sample.cloud),
-        f"samples/{sid}/beacons.csv": beacons_csv(sample.readings).encode("utf-8"),
-        f"truth/{sid}.json": _truth_json(sample).encode("utf-8"),
-    }
-
-
-def render_calibration_files(calset: CalibrationSet) -> dict:
-    return {
-        "calibration/correspondences.csv": correspondences_csv(calset.correspondences),
-        "calibration/robot_beacons.csv": beacons_csv(
-            {"robot": calset.robot_readings}
-        ),
-    }
+    atomic_write_bytes(os.path.join(out_dir, "samples", sid, "cloud.ply"), write_ply(sample.cloud))
+    atomic_write_bytes(
+        os.path.join(out_dir, "samples", sid, "beacons.csv"),
+        beacons_csv(sample.readings).encode("utf-8"),
+    )
+    atomic_write_bytes(
+        os.path.join(out_dir, "truth", f"{sid}.json"), _truth_json(sample).encode("utf-8")
+    )
 
 
 def manifest_json(scene: SceneConfig, seed: int, n_samples: int, calset: CalibrationSet) -> str:
@@ -430,25 +423,30 @@ def manifest_json(scene: SceneConfig, seed: int, n_samples: int, calset: Calibra
     )
 
 
-def generate_dataset(
-    scene: SceneConfig, out_dir: str, n_samples: int, seed: int, jobs: int = 1
-) -> None:
+def generate_dataset(scene: SceneConfig, out_dir: str, n_samples: int, seed: int) -> None:
     """Write the full dataset tree; byte-identical for a given seed.
 
-    With jobs > 1 samples are rendered in parallel worker processes, but
-    the parent performs every write in sample order, so the tree is
-    identical to a sequential run.
+    It runs in one process and holds one sample at a time: each sample is
+    made, written and released before the next is made, which keeps the
+    peak memory at that of one sample. The calibration set is made first,
+    so a rig whose camera sees no target writes nothing; its files and the
+    manifest are written last. A sample that raises leaves the samples
+    before it on disk.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     require_empty_dir(out_dir, "simulate")
-    calset = make_calibration_set(scene, seed)  # first, so a rig that sees no target writes nothing
-    rendered = ordered_map(partial(render_sample_files, scene, seed), range(n_samples), jobs)
-    for files in rendered:
-        for rel, data in sorted(files.items()):
-            atomic_write_bytes(os.path.join(out_dir, rel), data)
-    for rel, text in sorted(render_calibration_files(calset).items()):
-        atomic_write_text(os.path.join(out_dir, rel), text)
+    calset = make_calibration_set(scene, seed)
+    for index in range(n_samples):
+        _write_sample(out_dir, make_sample(scene, seed, index))
+    atomic_write_text(
+        os.path.join(out_dir, "calibration", "correspondences.csv"),
+        correspondences_csv(calset.correspondences),
+    )
+    atomic_write_text(
+        os.path.join(out_dir, "calibration", "robot_beacons.csv"),
+        beacons_csv({"robot": calset.robot_readings}),
+    )
     atomic_write_text(
         os.path.join(out_dir, "manifest.json"), manifest_json(scene, seed, n_samples, calset)
     )

@@ -20,7 +20,7 @@ from ipslabel.cli import main
 from ipslabel.cloud import read_ply, write_ply
 from ipslabel.config import RefineConfig, SceneConfig, _manifest_rig
 from ipslabel.eval import compare_labels
-from ipslabel.fileio import ordered_map, to_dict
+from ipslabel.fileio import to_dict
 from ipslabel.geom import BeaconPair, beacons_csv, inverse, parse_beacons_csv
 from ipslabel.labelgen import OrientedBox3, project_box, write_labels
 from ipslabel.refine import write_refined_labels
@@ -137,6 +137,21 @@ class TestSimulate:
         assert err.startswith("error: ") and ds in err and "Traceback" not in err
         assert tree_digest(ds) == before
 
+    def test_jobs_load_no_pool_and_do_not_change_output(self, tmp_path):
+        # simulate runs in one process whatever --jobs says, one sample at a time
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        code, _, err = run_cli(["--seed", "3", "simulate", "--out", a, "--samples", "2"])
+        assert code == 0, err
+        probe = (
+            "import sys; from ipslabel.cli import main; code = main(sys.argv[1:]); "
+            "print('concurrent.futures' in sys.modules); sys.exit(code)"
+        )
+        proc = run_python(["-c", probe, "--seed", "3", "--jobs", "2", "simulate", "--out", b,
+                           "--samples", "2"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert tree_digest(b) == tree_digest(a)
+
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         code, _, err = run_cli(["--config", str(tmp_path / "nope.yaml"), "simulate", "--out", str(tmp_path / "d"), "--samples", "1"])
         assert code == 3
@@ -251,7 +266,7 @@ class TestConfigValidation:
 
     def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool(self):
         # every stage, --version included, pays for what the CLI imports;
-        # yaml is loaded by a config file and the pool by --jobs > 1
+        # yaml is loaded by a config file and the pool by refine --jobs > 1
         probe = "import sys, ipslabel.cli; print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
         proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
@@ -577,6 +592,24 @@ class TestRefine:
         part = json.loads(read(out / "sample_000.json"))["objects"]
         assert [e["id"] for e in part] == ["obj1"]
         assert part == [e for e in full if e["id"] == "obj1"]
+
+    def test_a_bad_label_file_writes_no_label_file(self, pipeline, tmp_path):
+        # every file is refined before the first is written, so the good file
+        # sorted before the bad one is not written either
+        labels, out = tmp_path / "labels", tmp_path / "refined"
+        labels.mkdir()
+        out.mkdir()
+        shutil.copy(os.path.join(pipeline["labels"], "sample_000.json"), labels)
+        doc = json.loads(read(os.path.join(pipeline["labels"], "sample_001.json")))
+        doc["objects"][0]["id"] = "obj9"
+        (labels / "sample_001.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            ["--config", pipeline["cfg"], "--seed", "9", "--jobs", "1", "refine",
+             "--dataset", pipeline["dataset"], "--labels", str(labels), "--out", str(out)]
+        )
+        assert code == 2
+        assert "'obj9'" in err and "names no manifest object" in err
+        assert os.listdir(out) == []
 
     def test_unknown_class_is_a_usage_error(self, pipeline, tmp_path):
         # refine takes the class from the manifest object the label names,
@@ -1168,23 +1201,33 @@ def pools(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("count, jobs, started", [(3, 64, [3]), (1, 8, []), (0, 8, [])])
-def test_ordered_map_starts_no_more_workers_than_items(pools, count, jobs, started):
-    assert ordered_map(math.sqrt, [float(i * i) for i in range(count)], jobs) == list(range(count))
+@pytest.mark.parametrize("count, jobs, started", [(3, 64, [3]), (1, 8, [])])
+def test_refine_starts_no_more_workers_than_label_files(
+    pools, pipeline, tmp_path, count, jobs, started
+):
+    labels, out = tmp_path / "labels", tmp_path / "refined"
+    labels.mkdir()
+    fnames = sorted(os.listdir(pipeline["labels"]))[:count]
+    for fname in fnames:
+        shutil.copy(os.path.join(pipeline["labels"], fname), labels)
+    cfg = RefineConfig(iterations=1500)
+    assert write_refined_labels(pipeline["dataset"], str(labels), str(out), cfg, 9, jobs) == count
     assert pools == started
+    for fname in fnames:
+        assert read(out / fname) == read(os.path.join(pipeline["refined"], fname))
 
 
-def test_jobs_fans_out_simulate_and_refine(pools, pipeline, tmp_path):
-    # the stages whose per-sample work outweighs a worker's start-up
+def test_jobs_start_a_pool_for_refine_only(pools, pipeline, tmp_path):
+    # refine is the one stage that fans out; simulate makes one sample at a time
     code, _, err = run_cli(["--jobs", "2", "simulate", "--out", str(tmp_path / "ds"), "--samples", "2"])
     assert code == 0, err
-    assert pools == [2]
+    assert pools == []
     code, _, err = run_cli(
         ["--config", pipeline["cfg"], "--seed", "9", "--jobs", "2", "refine", "--dataset",
          pipeline["dataset"], "--labels", pipeline["labels"], "--out", str(tmp_path / "refined")]
     )
     assert code == 0, err
-    assert pools == [2, 2]
+    assert pools == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -502,6 +503,26 @@ class TestGenerateDataset:
             body = data[data.index(b"end_header\n") + len(b"end_header\n"):]
             assert body == points.astype("<f4").tobytes()
             assert read_ply(data).tobytes() == points.astype("<f4").astype("<f8").tobytes()
+
+    def test_holds_one_sample_at_a_time(self, monkeypatch, tmp_path):
+        # each sample is written and released before the next is made, so
+        # simulate's peak memory is that of one sample
+        made = []  # (sample id, weak reference to its cloud)
+
+        def checked(scene, seed, index):
+            if made:
+                sid, cloud = made[-1]
+                for rel in (f"samples/{sid}/cloud.ply", f"samples/{sid}/beacons.csv",
+                            f"truth/{sid}.json"):
+                    assert os.path.isfile(tmp_path / rel), rel
+                assert cloud() is None, f"the cloud of {sid} outlived its writing"
+            sample = make_sample(scene, seed, index)
+            made.append((sample.sample_id, weakref.ref(sample.cloud)))
+            return sample
+
+        monkeypatch.setattr(sim, "make_sample", checked)
+        generate_dataset(noise_free_scene(), str(tmp_path), n_samples=3, seed=5)
+        assert [sid for sid, _ in made] == ["sample_000", "sample_001", "sample_002"]
 
     def test_rejects_empty_request(self, tmp_path):
         with pytest.raises(ValueError):

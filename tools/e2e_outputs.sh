@@ -9,7 +9,8 @@
 #
 # For each of six configs (none; pixel_noise_sigma 1.0; the same with a
 # 32-channel 0.1-degree LiDAR at --jobs 2 over 10 samples, the dense_jobs2
-# benchmark workload, whose cabinets in sample_004 and sample_009 have every
+# benchmark workload, where --jobs 2 exercises refine's worker pool, the only
+# one, and whose cabinets in sample_004 and sample_009 have every
 # free-space candidate crossed; the default objects plus a third one that is
 # wholly behind the camera in sample_000; pixel_noise_sigma 1.0 with a 2 px
 # inlier gate, so calibration keeps only part of the 63 correspondences and
