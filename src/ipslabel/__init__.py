@@ -16,12 +16,15 @@ its driver, the function from the stage's input files to its output files:
 - ``ipslabel.eval``: IoU comparison and the downsample study (``write_comparison``,
   ``write_downsample_study``)
 
-They share ``geom`` (rigid transforms, beacon frames, and beacon readings:
-``BeaconPair`` and ``beacons.csv``), ``cloud`` (PLY files of clouds, which
-are read-only (N, 3) arrays), ``fileio`` (files and the checked dict form),
-``config`` (the config dataclasses of every stage, ``ObjectSpec``, and
+They share ``geom`` (rigid transforms, the pinhole projection of
+camera-frame points, beacon frames, and beacon readings: ``BeaconPair`` and
+``beacons.csv``), ``cloud`` (PLY files of clouds, which are read-only (N, 3)
+arrays), ``fileio`` (files and the checked dict form), ``config`` (the config
+dataclasses of every stage, ``CameraIntrinsics``, ``ObjectSpec``, and
 ``Rig``: all that the stages read of a dataset's manifest), ``errors``
-(typed errors) and ``rng`` (seeded streams).
+(typed errors) and ``rng`` (seeded streams). ``labelgen`` reads the
+calibration report, so only the stages that calibrate or simulate load
+``calib``.
 """
 
 __version__ = "0.1.0"

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import MIN_PNP_POINTS, CalibOptions, CameraIntrinsics
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -27,18 +27,13 @@ from .errors import (
     TooFewInliers,
     UsageError,
 )
-from .fileio import _csv_rows, atomic_write_text, dump_json, from_dict, read_input, read_json
+from .fileio import _csv_rows, atomic_write_text, dump_json, read_input
 from .geom import (
-    RigidTransform, _robot_transform_from_readings, chunks, compose, frozen, parse_beacons_csv,
-    row_norms,
+    MIN_DEPTH, RigidTransform, _project_cam, _robot_transform_from_readings, chunks, compose,
+    frozen, parse_beacons_csv, row_norms,
 )
 from .rng import NS_CALIB_RANSAC, distinct_rows, substream
 
-if TYPE_CHECKING:
-    from .config import CalibOptions
-
-MIN_PNP_POINTS = 6
-MIN_DEPTH = 1e-6  # meters; camera-frame z below this counts as behind the camera
 # RANSAC: Gauss-Newton steps per hypothesis (a rough pose is enough to score
 # it), how many of the best hypotheses are refit on their inliers, the
 # chance of having drawn an all-inlier sample at which the hypotheses stop
@@ -50,30 +45,6 @@ LOCAL_OPTIMISED = 8
 GN_TOL_PX = 1e-10
 CONFIDENCE = 1.0 - 1e-6
 FIRST_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    """Pinhole intrinsics; images are assumed rectified (no distortion)."""
-
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int = 640
-    height: int = 480
-
-    def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("image size must be positive")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
 
 @dataclass(frozen=True)
@@ -149,15 +120,6 @@ def project(intr: CameraIntrinsics, t_cam_from_ips: RigidTransform, p) -> tuple:
         raise BehindCamera(f"point has camera-frame depth {pc[2]:.3e} m")
     u, v = _project_cam(intr, pc)
     return float(u), float(v)
-
-
-def _project_cam(intr: CameraIntrinsics, pts_cam: np.ndarray):
-    """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2).
-    No depth checks."""
-    z = pts_cam[..., 2]
-    u = intr.fx * pts_cam[..., 0] / z + intr.cx
-    v = intr.fy * pts_cam[..., 1] / z + intr.cy
-    return np.stack([u, v], axis=-1)
 
 
 def _pixel_errors(intr, rot, tra, pts_robot, pixels) -> np.ndarray:
@@ -553,12 +515,3 @@ def write_calibration(
     atomic_write_text(out, dump_json(report))
     return result, len(corrs)
 
-
-def _extrinsic_from_report(path: str) -> RigidTransform:
-    """The cam <- robot extrinsic of the calibration report at ``path``."""
-
-    def parse(report):
-        matrix = from_dict(tuple[(float,) * 16], report["extrinsic"], "extrinsic")
-        return RigidTransform.from_matrix(matrix, src="robot", dst="cam")
-
-    return read_json(path, parse)

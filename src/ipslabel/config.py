@@ -1,9 +1,13 @@
 """Layered pipeline configuration: defaults < config file < CLI flags.
 
-The config file is YAML; its shape is the dict form of PipelineConfig (see
-fileio.from_dict). Unknown keys and mistyped values are rejected with the
-dotted key named; a key given twice in one mapping, and YAML syntax errors,
-surface with their line/column.
+The config file is YAML, or strict JSON, which is YAML too and which json
+reads, with no PyYAML, to the value that YAML gives (see _YAML_ONLY); its
+shape is the dict form of PipelineConfig (see fileio.from_dict). Unknown keys
+and mistyped values are rejected with the dotted key named; a key given twice
+in one mapping, and YAML syntax errors, surface with their line/column.
+
+CameraIntrinsics and MIN_PNP_POINTS, which the rig and the scene use, live
+here too, so that a stage that calibrates nothing does not load calib.
 
 The config dataclasses of every stage live here, so that a stage loads only
 the modules it runs. fileio.from_dict resolves their string annotations in
@@ -13,16 +17,44 @@ this module's globals, so the annotation types are imported at module level.
 from __future__ import annotations
 
 import io
+import json
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Annotated
 
 import numpy as np
 
-from .calib import MIN_PNP_POINTS, CameraIntrinsics
 from .errors import ConfigError
 from .fileio import from_dict, read_json, read_text
 from .geom import EPS_BEACON, RigidTransform, compose, inverse
+
+
+MIN_PNP_POINTS = 6  # correspondences that a PnP pose needs (see calib)
+
+
+@dataclass(frozen=True)
+class CameraIntrinsics:
+    """Pinhole intrinsics; images are assumed rectified (no distortion)."""
+
+    fx: float
+    fy: float
+    cx: float
+    cy: float
+    width: int = 640
+    height: int = 480
+
+    def __post_init__(self):
+        if not (self.fx > 0 and self.fy > 0):
+            raise ValueError("focal lengths must be positive")
+        if not (self.width > 0 and self.height > 0):
+            raise ValueError("image size must be positive")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array(
+            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
+        )
 
 
 def _check_beacon_sep(name: str, value: float) -> None:
@@ -265,8 +297,58 @@ def load_config(path: str | None, seed: int | None = None) -> PipelineConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
+# json reads a strict-JSON config, with no PyYAML, unless YAML 1.1 would read
+# the text otherwise or reject it. YAML reads that text, so every config loads
+# to the same value, or fails with the same message, as when YAML read them all;
+# only JSON with tabs between its tokens, which YAML rejects, loads now. Such a
+# text holds a character outside printable ASCII (YAML folds a raw NEL and
+# rejects DEL), an escaped surrogate (YAML keeps both halves of a pair), space
+# before a key's colon (YAML rejects a line break there), or what the hooks
+# below reject.
+_YAML_ONLY = re.compile(r'[^\t\n\r -~]|\\u[dD][89abAB]|"[ \t\r\n]+:')
+# YAML rejects a key that starts over 1024 characters before its colon, and an
+# escaped character takes up to 6
+_MAX_JSON_KEY = 1020 // 6
+
+
+def _json_object(pairs) -> dict:
+    """A JSON object; ValueError for a key given twice or a long one, which YAML reports."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs) or any(len(key) > _MAX_JSON_KEY for key in obj):
+        raise ValueError("a key given twice or a long key")
+    return obj
+
+
+def _json_number(token: str) -> float:
+    """A JSON float or constant; ValueError where YAML reads it as a string:
+    NaN, Infinity, and a number with no "." or with an unsigned exponent."""
+    mantissa, _, exponent = token.lower().partition("e")
+    if "." not in mantissa or exponent[:1].isdigit():
+        raise ValueError(f"YAML reads {token} as a string")
+    return float(token)
+
+
 def _read_yaml(path: str):
-    import yaml  # imported here: a run without a config file does not pay for it
+    """The config file at ``path`` as YAML reads it; strict JSON, which is YAML,
+    is read by json where YAML reads it the same way (see _YAML_ONLY)."""
+    try:
+        text = read_text(path)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"malformed config {path}: {e}") from e
+    if not _YAML_ONLY.search(text):
+        try:
+            return json.loads(
+                text, object_pairs_hook=_json_object, parse_float=_json_number,
+                parse_constant=_json_number,
+            )
+        except (ValueError, RecursionError):
+            pass  # not JSON, or JSON that YAML reads otherwise
+    return _load_yaml(path, text)
+
+
+def _load_yaml(path: str, text: str):
+    """The YAML document ``text`` of the config file at ``path``."""
+    import yaml  # imported here: a run without a config file, or with JSON, does not pay for it
 
     class UniqueKeyLoader(yaml.SafeLoader):
         """SafeLoader that rejects a mapping key given twice, where YAML keeps the last."""
@@ -286,8 +368,8 @@ def _read_yaml(path: str):
             return mapping
 
     try:
-        stream = io.StringIO(read_text(path))
+        stream = io.StringIO(text)
         stream.name = path  # the name that yaml's error marks give, for "<unicode string>"
         return yaml.load(stream, Loader=UniqueKeyLoader)
-    except (yaml.YAMLError, UnicodeDecodeError) as e:
+    except yaml.YAMLError as e:
         raise ConfigError(f"malformed config {path}: {e}") from e

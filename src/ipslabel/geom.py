@@ -1,4 +1,4 @@
-"""Rigid transforms and beacon-pair frame construction.
+"""Rigid transforms, pinhole projection and beacon-pair frame construction.
 
 Conventions:
   - A ``RigidTransform`` with ``src=A, dst=B`` maps coordinates of a point
@@ -22,17 +22,22 @@ A sample's or the calibration run's beacon readings are stored as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError
 from .fileio import _csv_rows
 
+if TYPE_CHECKING:
+    from .config import CameraIntrinsics
+
 # |R^T R - I| of every rotation; compose() re-orthonormalizes a product whose
 # drift exceeds half of it, so two accepted factors always compose.
 ORTHONORMALITY_TOL = 1e-9
 
 EPS_BEACON = 1e-3  # meters; minimum planar beacon separation
+MIN_DEPTH = 1e-6  # meters; camera-frame z below this counts as behind the camera
 
 # Most hypothesis x point tests that calib's batched RANSAC loop evaluates in
 # one array; it bounds its buffers to a few MB.
@@ -139,6 +144,15 @@ def inverse(t: RigidTransform) -> RigidTransform:
     """Swap frames: R -> R^T, t -> -R^T t."""
     rot = t.rotation.T
     return RigidTransform(rot, -rot @ t.translation, src=t.dst, dst=t.src)
+
+
+def _project_cam(intr: CameraIntrinsics, pts_cam: np.ndarray):
+    """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2).
+    No depth checks: a caller keeps the points past MIN_DEPTH."""
+    z = pts_cam[..., 2]
+    u = intr.fx * pts_cam[..., 0] / z + intr.cx
+    v = intr.fy * pts_cam[..., 1] / z + intr.cy
+    return np.stack([u, v], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib import MIN_DEPTH, CameraIntrinsics, _extrinsic_from_report, _project_cam
-from .config import ObjectSpec, _manifest_rig
+from .config import CameraIntrinsics, ObjectSpec, _manifest_rig
 from .errors import (
     AllVerticesBehindCamera, DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError,
     error_text,
 )
 from .fileio import (
-    _sample_ids, atomic_write_text, dump_json, from_dict, read_input, require_empty_dir, to_dict,
+    _sample_ids, atomic_write_text, dump_json, from_dict, read_input, read_json, require_empty_dir,
+    to_dict,
 )
 from .geom import (
-    VEC3, BeaconPair, RigidTransform, _robot_transform_from_readings, average_beacon_readings,
-    beacon_yaw, compose, frozen, parse_beacons_csv,
+    MIN_DEPTH, VEC3, BeaconPair, RigidTransform, _project_cam, _robot_transform_from_readings,
+    average_beacon_readings, beacon_yaw, compose, frozen, parse_beacons_csv,
 )
 
 # Vertex order: bottom face counter-clockwise (viewed from +z) starting at
@@ -331,6 +331,16 @@ def _generate_sample(dataset, rig, extrinsic, sid) -> str:
         except (DegenerateBeaconPair, EmptyReadings) as e:
             entries.append({"id": object_id, "class": spec.class_name, "error": error_text(e)})
     return dump_json(labels_to_dict(sid, entries))
+
+
+def _extrinsic_from_report(path: str) -> RigidTransform:
+    """The cam <- robot extrinsic of the calibration report at ``path``."""
+
+    def parse(report):
+        matrix = from_dict(tuple[(float,) * 16], report["extrinsic"], "extrinsic")
+        return RigidTransform.from_matrix(matrix, src="robot", dst="cam")
+
+    return read_json(path, parse)
 
 
 def write_labels(dataset: str, calibration: str, out: str) -> int:

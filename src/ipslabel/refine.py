@@ -386,20 +386,26 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
         crossing = ray_entries(centers[rows], yaws, shrunk, dirs) < 1.0
         return np.count_nonzero(crossing, axis=1) <= _CROSSING_RAYS
 
-    def first(rows, strides):
-        if not strides:
-            return next((i for i in rows if clear([i], rays)[0]), None)
-        sparse = rays[:: strides[0]]
-        for part in chunks(len(rows), len(sparse), _SHELL_TESTS):
-            found = first(rows[part][clear(rows[part], sparse)], strides[1:])
-            if found is not None:
-                return found
-        return None
-
     if clear(order[:1], rays)[0]:
         return order[0]
-    found = first(order[1:], _RAY_STRIDES)
+    found = _first_passing(order[1:], _RAY_STRIDES, clear, rays)
     return order[0] if found is None else found
+
+
+def _first_passing(rows, strides, clear, rays):
+    """The first of ``rows`` that ``clear(rows, rays)`` passes, or None: each
+    chunk is prefiltered against every ``strides[0]``-th ray, its survivors
+    against the next stride's, and the last survivors get ``rays`` in order.
+    A module function, not a closure that calls itself: such a closure is a
+    reference cycle, which keeps every call's arrays until the cyclic GC runs."""
+    if not strides:
+        return next((i for i in rows if clear([i], rays)[0]), None)
+    sparse = rays[:: strides[0]]
+    for part in chunks(len(rows), len(sparse), _SHELL_TESTS):
+        found = _first_passing(rows[part][clear(rows[part], sparse)], strides[1:], clear, rays)
+        if found is not None:
+            return found
+    return None
 
 
 def _proposals(kinds, kind, q, side, plane: GroundPlane, spec: ObjectSpec):

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .calib import Correspondence, _project_cam, correspondences_csv
+from .calib import Correspondence, correspondences_csv
 from .cloud import write_ply
 from .errors import UsageError
 from .fileio import (
@@ -34,6 +34,7 @@ from .fileio import (
 from .geom import (
     BeaconPair,
     RigidTransform,
+    _project_cam,
     beacons_csv,
     compose,
     frame_from_beacons,

@@ -15,14 +15,13 @@ import pytest
 
 import ipslabel
 from ipslabel import sim
-from ipslabel.calib import _extrinsic_from_report
 from ipslabel.cli import main
 from ipslabel.cloud import read_ply, write_ply
 from ipslabel.config import RefineConfig, SceneConfig, _manifest_rig
 from ipslabel.eval import compare_labels
 from ipslabel.fileio import to_dict
 from ipslabel.geom import BeaconPair, beacons_csv, inverse, parse_beacons_csv
-from ipslabel.labelgen import OrientedBox3, project_box, write_labels
+from ipslabel.labelgen import OrientedBox3, _extrinsic_from_report, project_box, write_labels
 from ipslabel.refine import write_refined_labels
 
 from .conftest import FIXTURES, run_cli, tree_digest
@@ -210,12 +209,22 @@ STAGE_IMPORTS = [
     ("calibrate", ["calibrate", "--dataset", "{d}/ds", "--iterations", "20", "--out", "{o}"],
      {"sim", "labelgen", "refine", "eval", "cloud"}),
     ("generate", ["generate", "--dataset", "{d}/ds", "--calibration", "{d}/cal.json", "--out", "{o}"],
-     {"sim", "refine", "eval", "cloud"}),
+     {"sim", "calib", "refine", "eval", "cloud"}),
     ("refine", ["refine", "--dataset", "{d}/ds", "--labels", "{d}/labels", "--out", "{o}"],
-     {"sim", "eval"}),
+     {"sim", "calib", "eval"}),
     ("evaluate", ["evaluate", "--auto", "{d}/labels", "--reference", "{d}/ds/truth", "--out", "{o}"],
-     {"sim", "refine", "cloud"}),
+     {"sim", "calib", "refine", "cloud"}),
 ]
+
+# Runs a CLI stage with the arguments that follow -c, then prints whether it
+# loaded PyYAML on its last line.
+YAML_PROBE = """
+import sys
+from ipslabel.cli import main
+code = main(sys.argv[1:])
+print("yaml" in sys.modules)
+sys.exit(code)
+"""
 
 SUBCOMMANDS = [
     ["simulate", "--out", "{d}/ds"],
@@ -266,7 +275,8 @@ class TestConfigValidation:
 
     def test_importing_the_cli_loads_neither_yaml_nor_a_process_pool(self):
         # every stage, --version included, pays for what the CLI imports;
-        # yaml is loaded by a config file and the pool by refine --jobs > 1
+        # yaml is loaded by a config file that is not strict JSON, and the pool by
+        # refine --jobs > 1
         probe = "import sys, ipslabel.cli; print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
         proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
@@ -292,6 +302,23 @@ class TestConfigValidation:
             assert loaded <= {"ipslabel.cli", "ipslabel.errors"}
         else:
             assert not loaded & {f"ipslabel.{name}" for name in unloaded}
+
+    def test_a_json_config_loads_no_yaml_and_reads_as_its_yaml_twin(self, small_run, tmp_path):
+        # strict JSON is read by json; the same config written as YAML needs PyYAML
+        reports = {}
+        for name, text, loads_yaml in [
+            ("cfg.json", '{"calibration": {"delta_px": 4.0, "iterations": 20}}', "False"),
+            ("cfg.yaml", "calibration:\n  delta_px: 4.0\n  iterations: 20\n", "True"),
+        ]:
+            cfg, out = tmp_path / name, tmp_path / f"{name}.cal.json"
+            cfg.write_text(text)
+            argv = ["--config", str(cfg), "calibrate", "--dataset", f"{small_run}/ds", "--out", str(out)]
+            proc = run_python(["-c", YAML_PROBE, *argv])
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == loads_yaml
+            reports[name] = read(out)
+        assert reports["cfg.json"] == reports["cfg.yaml"]
+        assert json.loads(reports["cfg.json"])["delta_px"] == 4.0
 
     def test_int_for_a_float_field_is_written_as_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -3,14 +3,16 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipslabel.calib import MIN_PNP_POINTS
+from ipslabel import config
 from ipslabel.config import (
+    MIN_PNP_POINTS,
     CalibOptions,
     LidarConfig,
     PipelineConfig,
@@ -218,3 +220,59 @@ def test_junk_value_is_accepted_or_a_config_error(path, junk):
         config_from_dict(_replaced(DEFAULT_CONFIG, path, junk))
     except ConfigError:
         pass
+
+
+# (config file bytes, the parser that reads them: "json", "yaml", or None
+# when they do not decode); each reads as YAML alone reads it
+JSON_OR_YAML = [
+    (b'{"seed": 3, "refine": {"shell_delta": 0.04}}', "json"),
+    (b'{"a": [[1, [2.5, -0.0]], {"b": [true, null, "x"]}], "c": -0}', "json"),
+    (b'{"x": 1.5e+3, "y": 2.5E-3, "z": 1.0e+400}', "json"),
+    (b'{"x": "\\/\\u00e9", "y": "#:"}', "json"),
+    (b'{\n  "scene": {\n    "lidar": {"channels": 32}\n  }\n}\n', "json"),
+    (b'{"x": 1e5}', "yaml"),  # YAML 1.1 reads a number with no "." as a string
+    (b'{"x": 1.5e3}', "yaml"),  # and one with an unsigned exponent
+    (b'{"x": NaN}', "yaml"),
+    (b'{"x": Infinity, "y": -Infinity}', "yaml"),
+    (b'{"seed": 1, "seed": 2}', "yaml"),  # YAML names the repeated key's line
+    (b'{"scene": {"lidar": {"channels": 16, "channels": 32}}}', "yaml"),
+    (b'{"x": [[1, 2], [3, {"y": 1, "y": 1}]]}', "yaml"),
+    (b'\xef\xbb\xbf{"seed": 3}', "yaml"),  # a byte order mark
+    (b'{"id": "a\xc2\x85b"}', "yaml"),  # YAML folds a raw NEL
+    (b'{"id": "a\x7fb"}', "yaml"),  # YAML rejects a raw DEL
+    (b'{"id": "\\ud83d\\ude00"}', "yaml"),  # YAML keeps both halves of a pair
+    (b'{"seed"\n: 3}', "yaml"),  # YAML rejects a line break before a colon
+    (b'{"' + b"k" * 200 + b'": 3}', "yaml"),  # and a key 1024 characters before it
+    (b"seed: 3\n", "yaml"),
+    (b"", "yaml"),
+    (b'{"id": "\xff"}', None),  # not UTF-8
+]
+
+
+def _read_outcome(path):
+    try:
+        return "value", repr(config._read_yaml(str(path)))
+    except ConfigError as e:
+        return "error", str(e)
+
+
+@pytest.mark.parametrize("raw, reader", JSON_OR_YAML)
+def test_a_json_config_reads_as_yaml_alone_reads_it(tmp_path, monkeypatch, raw, reader):
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(raw)
+    yaml_reads = []
+    load_yaml = config._load_yaml
+    monkeypatch.setattr(config, "_load_yaml", lambda *args: yaml_reads.append(1) or load_yaml(*args))
+    got = _read_outcome(path)
+    assert yaml_reads == ([1] if reader == "yaml" else [])
+    assert reader is not None or got[0] == "error"
+    monkeypatch.setattr(config, "_YAML_ONLY", re.compile(""))  # matches every text
+    assert got == _read_outcome(path)
+
+
+def test_a_tab_indented_json_config_loads(tmp_path):
+    # the one kind of config that loads now and failed when YAML read them all
+    path = tmp_path / "cfg.json"
+    path.write_text('{\n\t"seed": 3,\n\t"refine": {"iterations": 40}\n}\n')
+    cfg = load_config(str(path))
+    assert (cfg.seed, cfg.refine.iterations) == (3, 40)

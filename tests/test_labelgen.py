@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ipslabel.calib import CameraIntrinsics
+from ipslabel.config import CameraIntrinsics
 from ipslabel.config import ObjectSpec
 from ipslabel.errors import AllVerticesBehindCamera, ConfigError, FrameMismatch
 from ipslabel.fileio import to_dict

@@ -1,6 +1,7 @@
 """Ground plane fitting, cropping, model proposals, and RANSAC refinement."""
 
 import functools
+import gc
 import math
 
 import numpy as np
@@ -927,6 +928,26 @@ class TestFreeSpace:
         cloud, truth, unrefined, spec = seed7_cabinet()
         refined = refine_fitted(cloud, unrefined, spec, RefineConfig(iterations=1000))
         assert iou_3d(refined, truth) > 0.8
+
+    def test_a_crossed_first_box_leaves_no_reference_cycle(self, monkeypatch):
+        # a cycle would keep the search's arrays until the cyclic GC ran
+        cloud, _, unrefined, spec = seed7_cabinet()
+        cfg = RefineConfig(iterations=1000)
+        plane = fit_ground_plane(cloud, cfg, 0)
+        ray_tests = []
+        ray_entries = refine_module.ray_entries
+        monkeypatch.setattr(
+            refine_module, "ray_entries", lambda *args: ray_tests.append(1) or ray_entries(*args)
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            refine_label(cloud, unrefined, spec, cfg, 0, plane=plane)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert len(ray_tests) > 1  # the first box was crossed, so the others were tested
+        assert unreachable == 0
 
 
 def walk_first_clear(order, centers, lengths, spec, delta, points):

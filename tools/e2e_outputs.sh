@@ -7,8 +7,9 @@
 #   SRC  directory holding the ipslabel package (a checkout's src/)
 #   OUT  output directory (created if missing; an earlier run's files are replaced)
 #
-# For each of six configs (none; pixel_noise_sigma 1.0; the same with a
-# 32-channel 0.1-degree LiDAR at --jobs 2 over 10 samples, the dense_jobs2
+# For each of seven configs (none; pixel_noise_sigma 1.0; the same written as
+# strict JSON, which ipslabel reads with json rather than PyYAML;
+# pixel_noise_sigma 1.0 with a 32-channel 0.1-degree LiDAR at --jobs 2 over 10 samples, the dense_jobs2
 # benchmark workload, where --jobs 2 exercises refine's worker pool, the only
 # one, and whose cabinets in sample_004 and sample_009 have every
 # free-space candidate crossed; the default objects plus a third one that is
@@ -19,7 +20,7 @@
 # changes in the proposal geometry that 3 samples miss) it runs, at --seed 7:
 # simulate --samples N (3; 10 with the dense LiDAR; 20 for the last) ->
 # calibrate --dataset -> generate -> refine -> evaluate --auto refined
-# --reference ds/truth, plus one downsample study. A seventh config,
+# --reference ds/truth, plus one downsample study. An eighth config,
 # frozen_fixture, calibrates the correspondences frozen in SRC/../tests/fixtures
 # (so each tree reads fixtures in the format it parses) at the default 2000
 # RANSAC iterations and --seed 20, with and without the planar constraint, at
@@ -63,6 +64,7 @@ run_config() {  # run_config NAME JOBS SAMPLES [CONFIG TEXT]; runs inside OUT/NA
 
 run_config default 1 3
 run_config pixel_noise 1 3 "scene: {pixel_noise_sigma: 1.0}"
+run_config pixel_noise_json 1 3 '{"scene": {"pixel_noise_sigma": 1.0}}'
 run_config dense_lidar 2 10 \
     "scene: {pixel_noise_sigma: 1.0, lidar: {channels: 32, azimuth_step_deg: 0.1}}"
 run_config behind_camera 1 3 "scene: {objects: [
