@@ -406,7 +406,9 @@ def solve_pnp_ransac(
     ends it. The best of these hypotheses and refits, by the same ranking
     (a refit ranks as its hypothesis's iteration), gives the inlier set.
     The final model is a PnP refit on that set; ``rmse_px`` is reported
-    over those inliers only.
+    over those inliers only. Each inlier set is fit once: a set that several
+    refits reach is fit the first time, and the final model is the local
+    optimisation's fit of the winning set.
     """
     corrs = list(corrs)
     n = len(corrs)
@@ -444,6 +446,14 @@ def solve_pnp_ransac(
             best = np.lexsort((rmses, -counts))[:LOCAL_OPTIMISED]
             top += [(int(counts[j]), -float(rmses[j]), -int(iteration[j]), masks[j]) for j in best if counts[j]]
             top = sorted(top, key=rank, reverse=True)[:LOCAL_OPTIMISED]
+    fits = {}  # the solve_pnp fit of each inlier mask, by its bytes; a failed one raises again
+
+    def fit_of(mask):
+        key = mask.tobytes()
+        if key not in fits:
+            fits[key] = solve_pnp([corrs[j] for j in np.flatnonzero(mask)], intr, t_robot_from_ips)
+        return fits[key]
+
     ranked, refit = list(top), set()
     for count, _, order, mask in top:
         # the refits of a better hypothesis's mask, one rank lower, cannot win
@@ -452,7 +462,7 @@ def solve_pnp_ransac(
         refit.add(mask.tobytes())
         while True:
             try:
-                fit = solve_pnp([corrs[j] for j in np.flatnonzero(mask)], intr, t_robot_from_ips)
+                fit = fit_of(mask)
             except (DegenerateConfiguration, NoConvergence):
                 break
             err = _pixel_errors(intr, fit.rotation, fit.translation, pts_robot, pixels)
@@ -465,7 +475,7 @@ def solve_pnp_ransac(
     if count < MIN_PNP_POINTS:
         raise TooFewInliers(f"best hypothesis has {count} inliers, need {MIN_PNP_POINTS}")
     inliers = tuple(int(j) for j in np.flatnonzero(best_mask))
-    final = solve_pnp([corrs[j] for j in inliers], intr, t_robot_from_ips)
+    final = fit_of(best_mask)
     rmse = reprojection_rmse(corrs, intr, final, t_robot_from_ips, subset=inliers)
     return CalibrationResult(
         extrinsic=final,

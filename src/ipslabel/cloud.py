@@ -136,7 +136,8 @@ def _binary_values(data: bytes, offset: int, n: int, props: list, order: str) ->
 
 def read_ply(data: bytes) -> np.ndarray:
     """Parse the bytes of a PLY file with one ``vertex`` element, ASCII or
-    binary of either byte order, into a read-only (N, 3) cloud.
+    binary of either byte order, into a read-only (N, 3) cloud: one
+    float64 copy of the points, column-major (each axis contiguous).
 
     The point columns are found by the names of the ``property`` lines, so
     any column order reads the same cloud; other properties are ignored. A
@@ -156,12 +157,13 @@ def read_ply(data: bytes) -> np.ndarray:
     else:
         records = _binary_values(data, offset, n, props, _FORMATS[fmt])
         columns = [records[axis] for axis in "xyz"]
-    # column-major, each axis contiguous: the stages' per-point arithmetic
-    # (cloud - centre, norms of rows) runs 3-5x faster on it than row-major
-    pts = np.array(columns, dtype=float).T
+    # one float64 copy, column-major with each axis contiguous: the stages'
+    # per-point arithmetic (cloud - centre, norms of rows) runs 3-5x faster
+    # on it than row-major
+    pts = frozen(columns, (3, -1)).T
     finite = np.isfinite(pts)
     if not finite.all():
         bad = finite.all(axis=1).argmin()
         where = f"line {header_lines + 1 + bad}" if fmt == "ascii" else f"vertex {bad}"
         raise UsageError(f"PLY {where}: non-finite point")
-    return frozen(pts, (-1, 3))
+    return pts

@@ -61,6 +61,10 @@ _PREEMPT_KEEP = 256
 # points, and a smaller subset cannot tell 5,000 boxes apart (an end-on
 # cabinet's 182-point crop lost its winner). Smaller crops are scored in full.
 _PREEMPT_MIN_CROP = 512
+# Most box x ray tests that the free-space check makes at a time, and rows
+# of its per-ray pass: ray_entries allocates about 90 bytes per test, so a
+# chunk stays well below a dense scan's cloud.
+_RAY_TESTS = 1 << 13
 # Strides of the free-space check's prefilter passes over the rays, sparse
 # first; (16,) and (16, 4) measured slower.
 _RAY_STRIDES = (32, 8)
@@ -141,6 +145,10 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RefineConfig, seed: int = 0) -> Gro
     the points. Hypotheses tilted more than ~60 degrees from horizontal
     are rejected: a ground plane faces up, and without this guard a
     densely scanned vertical object face can out-vote the floor.
+
+    The refit's normal comes from the SVD of the centred inliers' 3 x 3 R
+    factor, which gives the bits of their thin SVD (see the comment in the
+    body) without building their left singular vectors.
     """
     n = len(cloud)
     if n < 3:
@@ -156,19 +164,31 @@ def fit_ground_plane(cloud: np.ndarray, cfg: RefineConfig, seed: int = 0) -> Gro
         raise NoPlaneFound(f"no plane hypothesis of {cfg.plane_iterations} faces up")
     normals, ds = normals[upright], (normals[upright] * p1[upright]).sum(axis=1)
     subset = cloud if n <= _PLANE_SUBSET else cloud[rng.choice(n, _PLANE_SUBSET, replace=False)]
-    counts = (np.abs(subset @ normals.T - ds) <= cfg.ground_threshold).sum(axis=0)
+    counts = (_abs_offsets(subset @ normals.T, ds) <= cfg.ground_threshold).sum(axis=0)
     best = int(np.argmax(counts))
-    mask = np.abs(cloud @ normals[best] - ds[best]) <= cfg.ground_threshold
+    # over the whole cloud: a row's BLAS dot takes bits from its place in it
+    mask = _abs_offsets(cloud @ normals[best], ds[best]) <= cfg.ground_threshold
     count = int(mask.sum())
     if count < max(3, 0.1 * n):
         raise NoPlaneFound(f"best plane hypothesis covers {count}/{n} points (< 10%)")
     inl = cloud[mask]
     centroid = inl.mean(axis=0)
-    _, _, vt = np.linalg.svd(inl - centroid, full_matrices=False)
+    inl -= centroid
+    # LAPACK's dgesdd QR-factors a matrix of 3 columns and at least 5 rows (its
+    # crossover) and bidiagonalises R, so the SVD of R has the same vt bits and
+    # builds no U; with 3 or 4 rows it bidiagonalises the rows themselves.
+    factor = np.linalg.qr(inl, mode="r") if len(inl) >= 5 else inl
+    _, _, vt = np.linalg.svd(factor, full_matrices=False)
     normal = vt[-1]
     if normal[2] < 0:
         normal = -normal
     return GroundPlane(normal, float(normal @ centroid))
+
+
+def _abs_offsets(values: np.ndarray, offsets) -> np.ndarray:
+    """|values - offsets|, computed in the fresh array ``values``."""
+    values -= offsets
+    return np.abs(values, out=values)
 
 
 def neighborhood(points: np.ndarray, unrefined: OrientedBox3, cfg: RefineConfig) -> np.ndarray:
@@ -189,17 +209,24 @@ def crop_and_strip(
     Keeps points within ``cfg.radius`` of the unrefined center whose
     height above the plane exceeds ``cfg.ground_threshold``. When
     ``min_height`` is given (table refinement), points lower than that are
-    dropped as well.
+    dropped as well. Only the points in the square (widened by 1e-9
+    relative) that holds the radius ball around the center are measured
+    with ``neighborhood``: a point's norm is taken along its row, so it is
+    the same on any subset of the cloud.
     """
-    height = plane.height(cloud)
-    keep = neighborhood(cloud, unrefined, cfg) & (height > cfg.ground_threshold)
+    reach = cfg.radius * (1.0 + 1e-9)
+    x, y = unrefined.center[:2]
+    near = np.flatnonzero((np.abs(cloud[:, 0] - x) <= reach) & (np.abs(cloud[:, 1] - y) <= reach))
+    # over the whole cloud: a row's BLAS dot takes bits from its place in it
+    height = plane.height(cloud)[near]
+    keep = neighborhood(cloud[near], unrefined, cfg) & (height > cfg.ground_threshold)
     if min_height is not None:
         keep &= height >= min_height
     if not keep.any():
         raise EmptyNeighborhood(
             f"no points within {cfg.radius} m of the label after ground removal"
         )
-    return frozen(cloud[keep], (-1, 3))
+    return frozen(cloud[near[keep]], (-1, 3))
 
 
 def _propose_one(kind: MpfKind, points, plane: GroundPlane, spec: ObjectSpec, side: int = 0):
@@ -376,15 +403,24 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
     if gap > 0:
         near = np.flatnonzero(dots >= np.linalg.norm(around) * gap)
         points, dots = points[near], dots[near]
-    along = np.clip(dots / np.maximum((points * points).sum(axis=1), 1e-12), 0.0, 1.0)
-    rays = points[row_norms(along[:, None] * points - around) <= reach]
+    # in row blocks: each value is its row's own, so a block gives its bits
+    reaching = np.zeros(len(points), dtype=bool)
+    for part in chunks(len(points), 1, _RAY_TESTS):
+        block = points[part]
+        along = np.clip(dots[part] / np.maximum((block * block).sum(axis=1), 1e-12), 0.0, 1.0)
+        reaching[part] = row_norms(along[:, None] * block - around) <= reach
+    rays = points[reaching]
     shrunk = np.asarray(spec.dims) - 2.0 * delta
 
     def clear(rows, dirs):
         # the yaw of _box's OrientedBox3, so each row has its ray_entry bits
         yaws = [normalize_yaw(math.atan2(y, x)) for x, y in lengths[rows, :2].tolist()]
-        crossing = ray_entries(centers[rows], yaws, shrunk, dirs) < 1.0
-        return np.count_nonzero(crossing, axis=1) <= _CROSSING_RAYS
+        crossings = np.zeros(len(rows), dtype=np.int64)
+        for part in chunks(len(dirs), len(rows), _RAY_TESTS):
+            crossings += np.count_nonzero(
+                ray_entries(centers[rows], yaws, shrunk, dirs[part]) < 1.0, axis=1
+            )
+        return crossings <= _CROSSING_RAYS
 
     if clear(order[:1], rays)[0]:
         return order[0]
@@ -401,7 +437,7 @@ def _first_passing(rows, strides, clear, rays):
     if not strides:
         return next((i for i in rows if clear([i], rays)[0]), None)
     sparse = rays[:: strides[0]]
-    for part in chunks(len(rows), len(sparse), _SHELL_TESTS):
+    for part in chunks(len(rows), len(sparse), _RAY_TESTS):
         found = _first_passing(rows[part][clear(rows[part], sparse)], strides[1:], clear, rays)
         if found is not None:
             return found

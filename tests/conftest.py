@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import os
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,19 @@ def run_cli(argv):
         except SystemExit as e:  # argparse errors exit instead of returning
             code = int(e.code) if e.code is not None else 0
     return code, out.getvalue(), err.getvalue()
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, bytes): ``fn``'s result and the peak of the memory that
+    tracemalloc traced during the call (numpy reports its array buffers)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def tree_digest(root):

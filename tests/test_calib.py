@@ -16,6 +16,7 @@ from ipslabel.calib import (
     reprojection_rmse,
     solve_pnp,
     solve_pnp_ransac,
+    write_calibration,
 )
 from ipslabel.calib import (
     CONFIDENCE,
@@ -38,7 +39,7 @@ from ipslabel.errors import (
     NoConvergence,
     TooFewInliers,
 )
-from ipslabel.config import _manifest_rig
+from ipslabel.config import CalibOptions, _manifest_rig
 from ipslabel.fileio import read_input
 from ipslabel.geom import (
     RigidTransform,
@@ -558,6 +559,63 @@ def test_local_optimisation_never_shrinks_the_consensus():
         assert len(result.inlier_indices) >= plain
         grew += len(result.inlier_indices) > plain
     assert grew > 0  # the local optimisation added inliers somewhere
+
+
+class TestEachInlierSetIsFitOnce:
+    """solve_pnp_ransac fits each inlier set once: a set that two local
+    optimisations reach is fit for the first, and the final model is the
+    local optimisation's fit of the winning set."""
+
+    @staticmethod
+    def counted_fits(monkeypatch):
+        """The correspondence sets solve_pnp fits from now on, in call order."""
+        fits = []
+
+        def counting(corrs, intr, t_ri):
+            fits.append(tuple(map(id, corrs)))
+            return solve_pnp(corrs, intr, t_ri)
+
+        monkeypatch.setattr(calib, "solve_pnp", counting)
+        return fits
+
+    def check(self, monkeypatch, corrs, intr, t_ri, delta_px, iterations, seed):
+        """solve_pnp_ransac fits no set twice and returns the inliers and
+        rmse of the scalar rule, and the solve_pnp fit of those inliers."""
+        inliers, rmse, _ = reference_ransac(corrs, intr, t_ri, delta_px, iterations, seed)
+        final = solve_pnp([corrs[j] for j in inliers], intr, t_ri)
+        fits = self.counted_fits(monkeypatch)
+        result = solve_pnp_ransac(corrs, intr, t_ri, delta_px, iterations, seed)
+        assert len(fits) == len(set(fits)) > 0
+        assert result.inlier_indices == inliers
+        assert result.rmse_px == rmse
+        assert result.extrinsic.matrix.tobytes() == final.matrix.tobytes()
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 33])
+    @pytest.mark.parametrize("delta_px", [2.0, 8.0])
+    def test_corrupted_targets(self, monkeypatch, seed, delta_px):
+        corrs, t_ri = corrupted_target(seed)
+        self.check(monkeypatch, corrs, INTR, t_ri, delta_px, 120, seed)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_the_fixture_at_a_2_px_gate(self, monkeypatch, planar):
+        corrs, t_ri, intr = fixture_target(planar)
+        self.check(monkeypatch, corrs, intr, t_ri, 2.0, 300, 20)
+
+    @pytest.mark.parametrize(
+        "planar, fits, frozen",
+        # every correspondence is an inlier, and the final model is the
+        # local optimisation's fit of them all, not a second fit
+        [(True, 1, "expected_planar.json"), (False, 4, "expected_noplanar.json")],
+    )
+    def test_the_frozen_reports_keep_their_bytes(self, monkeypatch, tmp_path, planar, fits, frozen):
+        intr = _manifest_rig(os.path.join(FIXTURES, "manifest.json")).intrinsics
+        paths = [os.path.join(FIXTURES, name) for name in ("correspondences.csv", "robot_beacons.csv")]
+        counted = self.counted_fits(monkeypatch)
+        out = str(tmp_path / "cal.json")
+        write_calibration(*paths, intr, CalibOptions(planar=planar), 20, out)
+        assert len(counted) == len(set(counted)) == fits
+        with open(out, "rb") as got, open(os.path.join(FIXTURES, frozen), "rb") as want:
+            assert got.read() == want.read()
 
 
 # ---------------------------------------------------------------------------

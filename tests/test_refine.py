@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipslabel import refine as refine_module
 from ipslabel.config import ObjectSpec, RefineConfig
@@ -24,6 +26,7 @@ from ipslabel.refine import (
     _PREEMPT_MIN_CROP,
     _PREEMPT_STRIDE,
     _RAY_STRIDES,
+    _RAY_TESTS,
     _SHELL_TESTS,
     CLASS_KINDS,
     GroundPlane,
@@ -44,6 +47,7 @@ from ipslabel.refine import (
 )
 from ipslabel.rng import NS_REFINE_DRAWS, distinct_rows, substream
 
+from .conftest import traced_peak
 from .oracles import crop_filter_oracle, fitness_oracle, yaw_rotation
 
 FLAT = GroundPlane((0, 0, 1), 0.0)
@@ -132,6 +136,26 @@ class TestKinds:
 # fit_ground_plane
 
 
+def test_a_dense_scan_is_refined_in_about_two_copies_of_its_cloud():
+    """Besides the cloud, fit_ground_plane holds its inliers and the QR's
+    copies of them, and refine_label fixed-size blocks and its crop: their
+    traced peak is 1.9-2.0 times the cloud's bytes on the dense scans of
+    seed 7. With the thin SVD of the inliers and full-length per-point
+    passes, it was 3.0 times."""
+    cloud = dense_sample().cloud
+    cfg = RefineConfig()
+
+    def fit_and_refine():
+        plane = fit_ground_plane(cloud, cfg, 0)
+        for entry in dense_sample().truth_objects:
+            spec = ObjectSpec(entry["class"], *entry["dims_spec"])
+            refine_label(cloud, OrientedBox3.from_dict(entry["box3d_lidar"]), spec, cfg, 0, plane=plane)
+
+    _, peak = traced_peak(fit_and_refine)
+    assert len(cloud) > 50_000
+    assert peak <= 2.5 * cloud.nbytes
+
+
 class TestFitGroundPlane:
     # 20000 floor points are more than the subset the hypotheses are scored on
     @pytest.mark.parametrize("n_floor", [400, 20000])
@@ -200,6 +224,78 @@ class TestFitGroundPlane:
         assert plane.normal[2] > 0.99
         # wall-base points inside the inlier band shift the refit slightly
         assert abs(plane.d) <= 0.01
+
+
+def thin_svd_fit(cloud, cfg, seed):
+    """``fit_ground_plane`` with its refit's normal taken from the thin SVD
+    of the centred inliers themselves: with ``np.linalg.qr`` the identity,
+    the SVD that follows it gets the inliers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", lambda a, mode: a)
+        return fit_ground_plane(cloud, cfg, seed)
+
+
+def assert_same_fit(cloud, cfg, seed):
+    plane, reference = fit_ground_plane(cloud, cfg, seed), thin_svd_fit(cloud, cfg, seed)
+    assert plane.normal.tobytes() == reference.normal.tobytes()
+    assert plane.d == reference.d
+
+
+class TestPlaneRefitThroughR:
+    """fit_ground_plane's normal, from the SVD of the inliers' R factor (at
+    least 5 inliers) or of the inliers (3 or 4), has the bits of the thin
+    SVD of the inliers. The claim holds for this machine's LAPACK, where
+    dgesdd QR-factors a 3-column matrix of at least 5 rows before it
+    bidiagonalises it; across LAPACK builds the last bits of either may
+    differ, as they already can."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.sampled_from([0.0, 0.002, 0.01, 0.03]),
+        fortran=st.booleans(),
+    )
+    def test_random_floors(self, n, seed, sigma, fortran):
+        rng = np.random.default_rng(seed)
+        cloud = np.column_stack(
+            [rng.uniform(-5, 5, n), rng.uniform(-5, 5, n), 0.3 + rng.normal(0.0, sigma, n)]
+        )
+        cloud = np.asfortranarray(cloud) if fortran else cloud
+        cfg = RefineConfig()
+        try:
+            assert_same_fit(cloud, cfg, seed)
+        except NoPlaneFound:
+            with pytest.raises(NoPlaneFound):
+                thin_svd_fit(cloud, cfg, seed)
+
+    @pytest.mark.parametrize("inliers", [3, 4, 5, 6])
+    def test_both_sides_of_the_five_row_crossover(self, inliers):
+        # every point of a flat floor is an inlier
+        rng = np.random.default_rng(inliers)
+        cloud = np.column_stack(
+            [rng.uniform(-5, 5, inliers), rng.uniform(-5, 5, inliers), 0.01 * rng.random(inliers)]
+        )
+        assert_same_fit(cloud, RefineConfig(), 0)
+
+    @pytest.mark.parametrize(
+        "lidar, samples",
+        # the clouds of the pipeline20 and calib_outliers workloads, and of dense_jobs2
+        [({}, 20), ({"channels": 32, "azimuth_step_deg": 0.1}, 10)],
+    )
+    def test_the_benchmark_clouds(self, lidar, samples):
+        from dataclasses import replace
+
+        from ipslabel.cloud import read_ply, write_ply
+        from ipslabel.config import LidarConfig, SceneConfig
+        from ipslabel.rng import NS_JOB, derive_seed
+        from ipslabel.sim import raycast_lidar, robot_pose_for_sample
+
+        scene = replace(SceneConfig(), lidar=LidarConfig(**lidar))
+        for index in range(samples):
+            # as refine reads and seeds the cloud of each sample at --seed 7
+            cloud = read_ply(write_ply(raycast_lidar(scene, robot_pose_for_sample(scene, 7, index))))
+            assert_same_fit(cloud, RefineConfig(), derive_seed(7, NS_JOB, index))
 
 
 # ---------------------------------------------------------------------------
@@ -1012,7 +1108,7 @@ class TestFirstClearMatchesTheWalk:
 
     def test_first_clear_box_beyond_the_first_prefilter_chunk(self):
         # every JITTERED box is crossed; the first pass's chunks hold fewer
-        chunk = _SHELL_TESTS // -(-len(self.WALL) // _RAY_STRIDES[0])
+        chunk = _RAY_TESTS // -(-len(self.WALL) // _RAY_STRIDES[0])
         assert self.JITTERED > 2 * chunk
         order = [0, *range(3, 3 + self.JITTERED), 1]
         assert self.check(order, self.WALL) == 1
@@ -1035,6 +1131,14 @@ class TestFirstClearMatchesTheWalk:
     def test_no_rays_near_the_object(self):
         far = self.WALL * [1.0, -1.0, 1.0] + [-20.0, 0.0, 0.0]
         assert self.check([0, 3, 1], far) == 0
+
+    @pytest.mark.parametrize("crossing", [_CROSSING_RAYS, _CROSSING_RAYS + 1])
+    def test_rays_of_several_blocks_add_up(self, crossing):
+        # box 2's crossing rays lie in different blocks of _RAY_TESTS rays,
+        # none of them a prefilter ray, so only the sum over blocks tells
+        rows = [1 + k * _RAY_TESTS for k in range(crossing)]
+        points = self.points_crossing_box_2(rows)
+        assert self.check([0, 2, 1], points) == (2 if crossing <= _CROSSING_RAYS else 1)
 
 
 # ---------------------------------------------------------------------------

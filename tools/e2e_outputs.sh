@@ -7,7 +7,7 @@
 #   SRC  directory holding the ipslabel package (a checkout's src/)
 #   OUT  output directory (created if missing; an earlier run's files are replaced)
 #
-# For each of seven configs (none; pixel_noise_sigma 1.0; the same written as
+# For each of eight configs (none; pixel_noise_sigma 1.0; the same written as
 # strict JSON, which ipslabel reads with json rather than PyYAML;
 # pixel_noise_sigma 1.0 with a 32-channel 0.1-degree LiDAR at --jobs 2 over 10 samples, the dense_jobs2
 # benchmark workload, where --jobs 2 exercises refine's worker pool, the only
@@ -17,10 +17,12 @@
 # inlier gate, so calibration keeps only part of the 63 correspondences and
 # its output depends on which RANSAC hypothesis wins; the fixed 20-sample
 # pixel_noise_sigma 1.0 workload, whose 40 refined objects show last-bit
-# changes in the proposal geometry that 3 samples miss) it runs, at --seed 7:
-# simulate --samples N (3; 10 with the dense LiDAR; 20 for the last) ->
+# changes in the proposal geometry that 3 samples miss; a 64-channel
+# 0.1-degree LiDAR at --jobs 1, whose scans of about 111K points end every
+# block of rays and of points ragged) it runs, at --seed 7:
+# simulate --samples N (3; 10 with the dense LiDAR; 20 for pipeline20) ->
 # calibrate --dataset -> generate -> refine -> evaluate --auto refined
-# --reference ds/truth, plus one downsample study. An eighth config,
+# --reference ds/truth, plus one downsample study. A ninth config,
 # frozen_fixture, calibrates the correspondences frozen in SRC/../tests/fixtures
 # (so each tree reads fixtures in the format it parses) at the default 2000
 # RANSAC iterations and --seed 20, with and without the planar constraint, at
@@ -74,6 +76,7 @@ run_config behind_camera 1 3 "scene: {objects: [
 run_config tight_gate 1 3 "scene: {pixel_noise_sigma: 1.0}
 calibration: {delta_px: 2.0}"
 run_config pipeline20 1 20 "scene: {pixel_noise_sigma: 1.0}"
+run_config wide_lidar 1 3 "scene: {lidar: {channels: 64, azimuth_step_deg: 0.1}}"
 
 rm -rf "${out:?}/frozen_fixture"
 mkdir -p "$out/frozen_fixture"
