@@ -454,12 +454,8 @@ def solve_pnp_ransac(
             fits[key] = solve_pnp([corrs[j] for j in np.flatnonzero(mask)], intr, t_robot_from_ips)
         return fits[key]
 
-    ranked, refit = list(top), set()
+    ranked = list(top)
     for count, _, order, mask in top:
-        # the refits of a better hypothesis's mask, one rank lower, cannot win
-        if mask.tobytes() in refit:
-            continue
-        refit.add(mask.tobytes())
         while True:
             try:
                 fit = fit_of(mask)

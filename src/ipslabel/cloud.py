@@ -57,7 +57,7 @@ def write_ply(cloud: np.ndarray) -> bytes:
         "end_header",
         "",
     ])
-    return header.encode("ascii") + body.tobytes()
+    return b"".join((header.encode("ascii"), body))  # one copy of the body
 
 
 def _header(data: bytes) -> tuple:

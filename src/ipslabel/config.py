@@ -1,10 +1,11 @@
 """Layered pipeline configuration: defaults < config file < CLI flags.
 
-The config file is YAML, or strict JSON, which is YAML too and which json
-reads, with no PyYAML, to the value that YAML gives (see _YAML_ONLY); its
-shape is the dict form of PipelineConfig (see fileio.from_dict). Unknown keys
-and mistyped values are rejected with the dotted key named; a key given twice
-in one mapping, and YAML syntax errors, surface with their line/column.
+The config file is strict JSON, read with no PyYAML by fileio.decode_json as
+every JSON input is, or YAML, which also reads the JSON that decode_json
+rejects; its shape is the dict form of PipelineConfig (see fileio.from_dict).
+Unknown keys and mistyped values are rejected with the dotted key named; a
+key given twice in one mapping, and YAML syntax errors, surface with their
+line/column.
 
 CameraIntrinsics and MIN_PNP_POINTS, which the rig and the scene use, live
 here too, so that a stage that calibrates nothing does not load calib.
@@ -17,16 +18,14 @@ this module's globals, so the annotation types are imported at module level.
 from __future__ import annotations
 
 import io
-import json
 import math
-import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Annotated
 
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import from_dict, read_json, read_text
+from .fileio import decode_json, from_dict, read_json, read_text
 from .geom import EPS_BEACON, RigidTransform, compose, inverse
 
 
@@ -297,52 +296,17 @@ def load_config(path: str | None, seed: int | None = None) -> PipelineConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-# json reads a strict-JSON config, with no PyYAML, unless YAML 1.1 would read
-# the text otherwise or reject it. YAML reads that text, so every config loads
-# to the same value, or fails with the same message, as when YAML read them all;
-# only JSON with tabs between its tokens, which YAML rejects, loads now. Such a
-# text holds a character outside printable ASCII (YAML folds a raw NEL and
-# rejects DEL), an escaped surrogate (YAML keeps both halves of a pair), space
-# before a key's colon (YAML rejects a line break there), or what the hooks
-# below reject.
-_YAML_ONLY = re.compile(r'[^\t\n\r -~]|\\u[dD][89abAB]|"[ \t\r\n]+:')
-# YAML rejects a key that starts over 1024 characters before its colon, and an
-# escaped character takes up to 6
-_MAX_JSON_KEY = 1020 // 6
-
-
-def _json_object(pairs) -> dict:
-    """A JSON object; ValueError for a key given twice or a long one, which YAML reports."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs) or any(len(key) > _MAX_JSON_KEY for key in obj):
-        raise ValueError("a key given twice or a long key")
-    return obj
-
-
-def _json_number(token: str) -> float:
-    """A JSON float or constant; ValueError where YAML reads it as a string:
-    NaN, Infinity, and a number with no "." or with an unsigned exponent."""
-    mantissa, _, exponent = token.lower().partition("e")
-    if "." not in mantissa or exponent[:1].isdigit():
-        raise ValueError(f"YAML reads {token} as a string")
-    return float(token)
-
-
 def _read_yaml(path: str):
-    """The config file at ``path`` as YAML reads it; strict JSON, which is YAML,
-    is read by json where YAML reads it the same way (see _YAML_ONLY)."""
+    """The config file at ``path``: strict JSON as fileio.decode_json reads
+    it, with no PyYAML; any other text, and JSON that it rejects, as YAML."""
     try:
         text = read_text(path)
     except UnicodeDecodeError as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
-    if not _YAML_ONLY.search(text):
-        try:
-            return json.loads(
-                text, object_pairs_hook=_json_object, parse_float=_json_number,
-                parse_constant=_json_number,
-            )
-        except (ValueError, RecursionError):
-            pass  # not JSON, or JSON that YAML reads otherwise
+    try:
+        return decode_json(text)
+    except (ValueError, RecursionError):
+        pass  # YAML reads it, and names the line of a fault
     return _load_yaml(path, text)
 
 

@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 import typing
-from functools import partial
 
 from .errors import ConfigError, UsageError
 
@@ -137,12 +136,17 @@ def _sample_ids(dataset: str) -> list:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write a file via temp-then-rename so readers never see partial data."""
+    """Write a file via temp-then-rename so readers never see partial data.
+    The file gets the mode that ``open(path, "w")`` gives, 0o666 less the
+    umask (mkstemp makes it 0o600, and the rename keeps that)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -194,13 +198,18 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def read_json(path: str, parse):
-    """read_input for a JSON file; NaN, Infinity, numbers beyond the float
-    range and a key given twice in one object are rejected."""
-    decode = partial(
-        json.loads, parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
+def decode_json(text: str):
+    """The value of the strict JSON (RFC 8259) ``text``; ValueError for text
+    that is not JSON, and for NaN, Infinity, a number beyond the float range
+    or a key given twice in one object."""
+    return json.loads(
+        text, parse_float=_finite, parse_constant=_finite, object_pairs_hook=_unique_keys
     )
-    return read_input(path, lambda text: parse(decode(text)))
+
+
+def read_json(path: str, parse):
+    """read_input for a JSON file, which decode_json reads."""
+    return read_input(path, lambda text: parse(decode_json(text)))
 
 
 def _csv_rows(text: str, header: str, numeric: slice, what: str):

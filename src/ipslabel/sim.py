@@ -36,6 +36,7 @@ from .geom import (
     RigidTransform,
     _project_cam,
     beacons_csv,
+    chunks,
     compose,
     frame_from_beacons,
     frozen,
@@ -213,9 +214,8 @@ def _direction_blocks(cfg: LidarConfig):
     any block.
     """
     ce, se, ca, sa = _scan_factors(cfg)
-    step = max(1, _CAST_RAYS // max(1, len(ca)))
-    for lo in range(0, len(ce), step):
-        c, s = ce[lo : lo + step, None], se[lo : lo + step, None]
+    for part in chunks(len(ce), len(ca), _CAST_RAYS):
+        c, s = ce[part, None], se[part, None]
         block = np.empty((len(c), len(ca), 3))
         np.multiply(c, ca, out=block[..., 0])
         np.multiply(c, sa, out=block[..., 1])

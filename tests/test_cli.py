@@ -7,6 +7,7 @@ import os
 import platform
 import re
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ import ipslabel
 from ipslabel import sim
 from ipslabel.cli import main
 from ipslabel.cloud import read_ply, write_ply
-from ipslabel.config import RefineConfig, SceneConfig, _manifest_rig
+from ipslabel.config import RefineConfig, SceneConfig, _manifest_rig, load_config
 from ipslabel.eval import compare_labels
 from ipslabel.fileio import to_dict
 from ipslabel.geom import BeaconPair, beacons_csv, inverse, parse_beacons_csv
@@ -319,6 +320,30 @@ class TestConfigValidation:
             reports[name] = read(out)
         assert reports["cfg.json"] == reports["cfg.yaml"]
         assert json.loads(reports["cfg.json"])["delta_px"] == 4.0
+
+    def test_a_json_exponent_is_a_number_and_a_yaml_one_a_string(self, small_run, tmp_path):
+        # JSON reads 4e-2 as 0.04; YAML 1.1 reads a number with no "." as a string
+        refined = {}
+        for name, text in [
+            ("cfg.json", '{"refine": {"shell_delta": 4e-2}}'),
+            ("twin.yaml", "refine: {shell_delta: 0.04}\n"),
+            ("cfg.yaml", "refine: {shell_delta: 4e-2}\n"),
+        ]:
+            cfg, out = tmp_path / name, tmp_path / f"{name}.refined"
+            cfg.write_text(text)
+            code, _, err = run_cli([
+                "--config", str(cfg), "refine", "--dataset", f"{small_run}/ds",
+                "--labels", f"{small_run}/labels", "--out", str(out),
+            ])
+            if name == "cfg.yaml":
+                assert code == 2
+                assert "error: refine.shell_delta: expected a finite number, got '4e-2'" in err
+                assert not out.exists()
+            else:
+                assert code == 0, err
+                refined[name] = tree_digest(out)
+        assert refined["cfg.json"] == refined["twin.yaml"]
+        assert load_config(str(tmp_path / "cfg.json")).refine.shell_delta == 0.04
 
     def test_int_for_a_float_field_is_written_as_a_float(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -1274,3 +1299,33 @@ def test_generate_and_refine_drivers_write_the_files_the_cli_writes(small_run, t
                             "--labels", labels, "--out", cli_refined])
     assert code == 0, err
     assert tree_digest(refined) == tree_digest(cli_refined)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_every_output_file_gets_the_mode_that_open_gives(tmp_path, umask, mode):
+    # the atomic writes go through mkstemp's 0o600 file, which the rename keeps
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("refine: {iterations: 300}\n")
+    out = tmp_path / "out"
+    ds, cal, labels, refined = (str(out / name) for name in ("ds", "cal.json", "labels", "refined"))
+    previous = os.umask(umask)
+    try:
+        for argv in (
+            ["simulate", "--out", ds, "--samples", "1"],
+            ["calibrate", "--dataset", ds, "--iterations", "300", "--out", cal],
+            ["generate", "--dataset", ds, "--calibration", cal, "--out", labels],
+            ["refine", "--dataset", ds, "--labels", labels, "--out", refined],
+            ["evaluate", "--auto", refined, "--reference", labels, "--out", str(out / "rep.json")],
+        ):
+            code, _, err = run_cli(["--config", str(cfg), *argv])
+            assert code == 0, err
+    finally:
+        os.umask(previous)
+    modes = {
+        os.path.relpath(os.path.join(d, name), out): stat.S_IMODE(os.stat(os.path.join(d, name)).st_mode)
+        for d, _, names in os.walk(out) for name in names
+    }
+    assert {"ds/manifest.json", "cal.json", "rep.json"} <= set(modes)
+    assert {os.path.basename(p) for p in modes} >= {"cloud.ply", "beacons.csv"}
+    assert {p.split(os.sep)[0] for p in modes} == {"ds", "cal.json", "labels", "refined", "rep.json"}
+    assert set(modes.values()) == {mode}

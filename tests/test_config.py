@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -222,52 +221,88 @@ def test_junk_value_is_accepted_or_a_config_error(path, junk):
         pass
 
 
-# (config file bytes, the parser that reads them: "json", "yaml", or None
-# when they do not decode); each reads as YAML alone reads it
-JSON_OR_YAML = [
-    (b'{"seed": 3, "refine": {"shell_delta": 0.04}}', "json"),
-    (b'{"a": [[1, [2.5, -0.0]], {"b": [true, null, "x"]}], "c": -0}', "json"),
-    (b'{"x": 1.5e+3, "y": 2.5E-3, "z": 1.0e+400}', "json"),
-    (b'{"x": "\\/\\u00e9", "y": "#:"}', "json"),
-    (b'{\n  "scene": {\n    "lidar": {"channels": 32}\n  }\n}\n', "json"),
-    (b'{"x": 1e5}', "yaml"),  # YAML 1.1 reads a number with no "." as a string
-    (b'{"x": 1.5e3}', "yaml"),  # and one with an unsigned exponent
-    (b'{"x": NaN}', "yaml"),
-    (b'{"x": Infinity, "y": -Infinity}', "yaml"),
-    (b'{"seed": 1, "seed": 2}', "yaml"),  # YAML names the repeated key's line
-    (b'{"scene": {"lidar": {"channels": 16, "channels": 32}}}', "yaml"),
-    (b'{"x": [[1, 2], [3, {"y": 1, "y": 1}]]}', "yaml"),
-    (b'\xef\xbb\xbf{"seed": 3}', "yaml"),  # a byte order mark
-    (b'{"id": "a\xc2\x85b"}', "yaml"),  # YAML folds a raw NEL
-    (b'{"id": "a\x7fb"}', "yaml"),  # YAML rejects a raw DEL
-    (b'{"id": "\\ud83d\\ude00"}', "yaml"),  # YAML keeps both halves of a pair
-    (b'{"seed"\n: 3}', "yaml"),  # YAML rejects a line break before a colon
-    (b'{"' + b"k" * 200 + b'": 3}', "yaml"),  # and a key 1024 characters before it
-    (b"seed: 3\n", "yaml"),
-    (b"", "yaml"),
-    (b'{"id": "\xff"}', None),  # not UTF-8
-]
+KEY = "k" * 200
+# (config file bytes, the reader that reads them: "json", "yaml", or None when
+# they do not decode, and the value read, or an error message that it starts
+# with). Strict JSON is read by json; YAML reads any other text, and JSON that
+# fileio.decode_json rejects.
+CONFIG_TEXTS = {
+    "json": (
+        b'{"seed": 3, "refine": {"shell_delta": 0.04}}', "json",
+        {"seed": 3, "refine": {"shell_delta": 0.04}},
+    ),
+    "nested": (
+        b'{"a": [[1, [2.5, -0.0]], {"b": [true, null, "x"]}], "c": -0}', "json",
+        {"a": [[1, [2.5, -0.0]], {"b": [True, None, "x"]}], "c": 0},
+    ),
+    "out of range": (
+        b'{"x": 1.5e+3, "y": 2.5E-3, "z": 1.0e+400}', "yaml",
+        {"x": 1500.0, "y": 0.0025, "z": math.inf},
+    ),
+    "escapes": (b'{"x": "\\/\\u00e9", "y": "#:"}', "json", {"x": "/\u00e9", "y": "#:"}),
+    "indented": (
+        b'{\n  "scene": {\n    "lidar": {"channels": 32}\n  }\n}\n', "json",
+        {"scene": {"lidar": {"channels": 32}}},
+    ),
+    "no point": (b'{"x": 1e5}', "json", {"x": 1e5}),
+    "unsigned exponent": (b'{"x": 1.5e3}', "json", {"x": 1500.0}),
+    "negative exponent": (b'{"x": 1e-3}', "json", {"x": 0.001}),
+    "nan": (b'{"x": NaN}', "yaml", {"x": "NaN"}),
+    "infinity": (b'{"x": Infinity, "y": -Infinity}', "yaml", {"x": "Infinity", "y": "-Infinity"}),
+    "repeated key": (
+        b'{"seed": 1, "seed": 2}', "yaml", "found duplicate key 'seed'\n  in \"CFG\", line 1, column 13"
+    ),
+    "nested repeated key": (
+        b'{"scene": {"lidar": {"channels": 16, "channels": 32}}}', "yaml",
+        "found duplicate key 'channels'\n  in \"CFG\", line 1, column 38",
+    ),
+    "repeated key in a list": (b'{"x": [[1, 2], [3, {"y": 1, "y": 1}]]}', "yaml", "found duplicate key 'y'"),
+    "byte order mark": (b'\xef\xbb\xbf{"seed": 3}', "yaml", {"seed": 3}),
+    "raw NEL": (b'{"id": "a\xc2\x85b"}', "json", {"id": "a\x85b"}),
+    "raw DEL": (b'{"id": "a\x7fb"}', "json", {"id": "a\x7fb"}),
+    "surrogate pair": (b'{"id": "\\ud83d\\ude00"}', "json", {"id": "\U0001f600"}),
+    "line break before a colon": (b'{"seed"\n: 3}', "json", {"seed": 3}),
+    "long key": (b'{"' + KEY.encode() + b'": 3}', "json", {KEY: 3}),
+    "yaml": (b"seed: 3\n", "yaml", {"seed": 3}),
+    "empty": (b"", "yaml", None),
+    "not utf-8": (b'{"id": "\xff"}', None, "'utf-8' codec can't decode byte 0xff"),
+}
+# the texts that read otherwise than when YAML 1.1 read every config: YAML reads
+# a number with no "." or an unsigned exponent as a string, folds a raw NEL,
+# rejects a raw DEL, keeps both halves of a surrogate pair and rejects a line
+# break before a colon
+READ_OTHERWISE_THAN_YAML = {
+    "no point", "unsigned exponent", "negative exponent", "raw NEL", "raw DEL",
+    "surrogate pair", "line break before a colon",
+}
 
 
-def _read_outcome(path):
+def _outcome(read, path):
+    """("value", value) or ("error", message with the path as CFG) of ``read(path)``."""
     try:
-        return "value", repr(config._read_yaml(str(path)))
+        return "value", read(str(path))
     except ConfigError as e:
-        return "error", str(e)
+        return "error", str(e).replace(str(path), "CFG")
 
 
-@pytest.mark.parametrize("raw, reader", JSON_OR_YAML)
-def test_a_json_config_reads_as_yaml_alone_reads_it(tmp_path, monkeypatch, raw, reader):
+@pytest.mark.parametrize("name", CONFIG_TEXTS)
+def test_a_strict_json_config_is_read_by_json(tmp_path, monkeypatch, name):
+    raw, reader, expected = CONFIG_TEXTS[name]
     path = tmp_path / "cfg.yaml"
     path.write_bytes(raw)
     yaml_reads = []
     load_yaml = config._load_yaml
     monkeypatch.setattr(config, "_load_yaml", lambda *args: yaml_reads.append(1) or load_yaml(*args))
-    got = _read_outcome(path)
+    kind, got = _outcome(config._read_yaml, path)
     assert yaml_reads == ([1] if reader == "yaml" else [])
-    assert reader is not None or got[0] == "error"
-    monkeypatch.setattr(config, "_YAML_ONLY", re.compile(""))  # matches every text
-    assert got == _read_outcome(path)
+    if reader is None or isinstance(expected, str):
+        assert kind == "error" and got.startswith(f"malformed config CFG: {expected}")
+    else:
+        assert (kind, got) == ("value", expected)
+        assert repr(got) == repr(expected)  # -0.0 stays -0.0, and 1e5 a float
+    if reader is not None:  # what YAML alone reads
+        yaml_alone = _outcome(lambda p: load_yaml(p, raw.decode("utf-8")), path)
+        assert (yaml_alone != (kind, got)) == (name in READ_OTHERWISE_THAN_YAML)
 
 
 def test_a_tab_indented_json_config_loads(tmp_path):

@@ -344,3 +344,14 @@ def test_a_dense_cloud_is_read_into_one_copy():
     back, peak = traced_peak(read_ply, data)
     assert back.tobytes() == cloud.astype(np.float32).astype(float).tobytes()
     assert peak <= 1.5 * back.nbytes
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_dense_cloud_is_written_from_one_copy_of_its_body(order):
+    """write_ply copies the float32 body once, into the bytes it returns: its
+    traced peak is 1.13 times the float64 cloud's bytes. Joining the header to
+    a ``tobytes()`` copy of the body took 1.63 times."""
+    cloud = np.asarray(np.random.default_rng(0).uniform(-30.0, 30.0, (100_000, 3)), order=order)
+    data, peak = traced_peak(write_ply, cloud)
+    assert read_ply(data).tobytes() == cloud.astype(np.float32).astype(float).tobytes()
+    assert peak <= 1.3 * cloud.nbytes
