@@ -30,6 +30,10 @@ from .geom import EPS_BEACON, RigidTransform, compose, inverse
 
 
 MIN_PNP_POINTS = 6  # correspondences that a PnP pose needs (see calib)
+# Smallest object dimension (metres) and focal length (pixels): a positive
+# but microscopic one, or a subnormal, leaves a box of no size or an image
+# no solver can fit.
+MIN_SIZE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,10 @@ class CameraIntrinsics:
     height: int = 480
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (self.fx >= MIN_SIZE and self.fy >= MIN_SIZE):
+            raise ValueError(f"focal lengths must be positive, at least {MIN_SIZE} px")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("image size must be positive")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
 
 def _check_beacon_sep(name: str, value: float) -> None:
@@ -105,8 +103,8 @@ class ObjectSpec:
     height: float
 
     def __post_init__(self):
-        if not (self.length > 0 and self.width > 0 and self.height > 0):
-            raise ValueError("object dimensions must be positive")
+        if not all(d >= MIN_SIZE for d in self.dims):
+            raise ValueError(f"object dimensions must be positive, at least {MIN_SIZE} m")
 
     @property
     def dims(self) -> tuple:
@@ -135,12 +133,15 @@ class Rig:
         if not self.objects:
             raise ValueError("objects: needs at least one object")
         for object_id in self.objects:
-            # beacons.csv names each row's frame: "robot" is the robot's, and
-            # a comma or a line break in an id would split its rows
+            # beacons.csv names each row's frame: "robot" is the robot's, a
+            # comma or a line break in an id would split its rows, and a lone
+            # surrogate has no UTF-8, the file's encoding
             breaks = "".join(object_id.splitlines()) != object_id
-            if object_id == "robot" or "," in object_id or breaks:
+            surrogate = any("\ud800" <= c <= "\udfff" for c in object_id)
+            if object_id == "robot" or "," in object_id or breaks or surrogate:
                 raise ValueError(
-                    f"objects: id {object_id!r} must not be 'robot' or hold a comma or line break"
+                    f"objects: id {object_id!r} must not be 'robot' or hold a comma, "
+                    "line break or surrogate"
                 )
         object.__setattr__(self, "objects", dict(sorted(self.objects.items())))
 

@@ -9,7 +9,6 @@ import dataclasses
 import json
 import math
 import os
-import sys
 import tempfile
 import typing
 
@@ -69,25 +68,32 @@ def _build(types: dict, make, value, path: str):
 
 
 _SCALARS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+# Largest magnitude of a number read from an input file: far beyond any
+# length of a scene in metres or pixels, and small enough that products and
+# sums of squares of a few such numbers stay finite and keep their precision.
+MAX_MAGNITUDE = 1e6
 
 
 def from_dict(typ, value, path: str):
     """Inverse of to_dict: build ``typ`` from ``value``, checking every key and value.
 
     Each value must match its field's type: bool for bool, int (not bool) for
-    int, a finite int or float (stored as float) for float, str for str, a
-    list for a tuple, a mapping (with string keys for a dict) for a dict or a
-    nested dataclass. A type whose dict form is not its fields declares that
-    form as ``FORM`` ({key: type}) and builds itself in ``from_dict(d, *args)``,
-    with the args of an ``Annotated[type, *args]`` field. A bad key or value
-    raises ConfigError naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
+    int, an int or float of magnitude at most MAX_MAGNITUDE (stored as float)
+    for float, str for str, a list for a tuple, a mapping (with string keys
+    for a dict) for a dict or a nested dataclass. A type whose dict form is
+    not its fields declares that form as ``FORM`` ({key: type}) and builds
+    itself in ``from_dict(d, *args)``, with the args of an
+    ``Annotated[type, *args]`` field. A bad key or value raises ConfigError
+    naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
     """
     if typ in _SCALARS:  # most leaves: checked before the container forms
         if typ is float:
-            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if ok and not abs(value) <= MAX_MAGNITUDE:
+                _reject(path, f"a finite number of magnitude at most {MAX_MAGNITUDE:,.0f}", value)
         else:
-            ok = isinstance(value, typ)
-        if not ok or isinstance(value, bool) != (typ is bool):
+            ok = isinstance(value, typ) and isinstance(value, bool) == (typ is bool)
+        if not ok:
             _reject(path, _SCALARS[typ], value)
         return float(value) if typ is float else value
     args = ()
@@ -213,8 +219,9 @@ def read_json(path: str, parse):
 
 
 def _csv_rows(text: str, header: str, numeric: slice, what: str):
-    """(line number, fields, ``numeric`` fields as finite floats) of each row
-    after ``header``, skipping blank lines; a bad row is a UsageError naming it."""
+    """(line number, fields, ``numeric`` fields as floats of magnitude at most
+    MAX_MAGNITUDE) of each row after ``header``, skipping blank lines; a bad
+    row is a UsageError naming it."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != header:
         raise UsageError(f"{what} CSV must start with header {header!r}")
@@ -225,8 +232,8 @@ def _csv_rows(text: str, header: str, numeric: slice, what: str):
             if len(parts) != width:
                 raise ValueError(f"expected {width} fields, got {len(parts)}")
             values = [float(v) for v in parts[numeric]]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite value")
+            if not all(abs(v) <= MAX_MAGNITUDE for v in values):
+                raise ValueError(f"non-finite value, or one of magnitude over {MAX_MAGNITUDE:,.0f}")
         except ValueError as e:
             raise UsageError(f"{what} CSV line {line_no}: {e}") from None
         yield line_no, parts, values

@@ -65,7 +65,7 @@ _PREEMPT_MIN_CROP = 512
 # of its per-ray pass: ray_entries allocates about 90 bytes per test, so a
 # chunk stays well below a dense scan's cloud.
 _RAY_TESTS = 1 << 13
-# Strides of the free-space check's prefilter passes over the rays, sparse
+# Strides of the free-space check's two prefilter passes over the rays, sparse
 # first; (16,) and (16, 4) measured slower.
 _RAY_STRIDES = (32, 8)
 # Meters by which the free-space check's plane prefilter widens the reach,
@@ -389,8 +389,8 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
 
     ``order[0]``, which is usually clear, gets the full test first. The rest
     are prefiltered in chunks against every _RAY_STRIDES[0]-th ray, the
-    survivors of a chunk against every _RAY_STRIDES[1]-th ray, and so on;
-    only the last survivors get the full test, in order. The rays of a
+    survivors of a chunk in chunks against every _RAY_STRIDES[1]-th ray;
+    only the survivors of those get the full test, in order. The rays of a
     stride are a subset of all the rays, and a ray's entry does not depend
     on the other rays, so a box that more than _CROSSING_RAYS of them cross
     is crossed, and the first clear box is the one a walk of full tests
@@ -424,24 +424,14 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
 
     if clear(order[:1], rays)[0]:
         return order[0]
-    found = _first_passing(order[1:], _RAY_STRIDES, clear, rays)
-    return order[0] if found is None else found
-
-
-def _first_passing(rows, strides, clear, rays):
-    """The first of ``rows`` that ``clear(rows, rays)`` passes, or None: each
-    chunk is prefiltered against every ``strides[0]``-th ray, its survivors
-    against the next stride's, and the last survivors get ``rays`` in order.
-    A module function, not a closure that calls itself: such a closure is a
-    reference cycle, which keeps every call's arrays until the cyclic GC runs."""
-    if not strides:
-        return next((i for i in rows if clear([i], rays)[0]), None)
-    sparse = rays[:: strides[0]]
-    for part in chunks(len(rows), len(sparse), _RAY_TESTS):
-        found = _first_passing(rows[part][clear(rows[part], sparse)], strides[1:], clear, rays)
-        if found is not None:
-            return found
-    return None
+    rest, coarse, fine = order[1:], rays[:: _RAY_STRIDES[0]], rays[:: _RAY_STRIDES[1]]
+    for part in chunks(len(rest), len(coarse), _RAY_TESTS):
+        kept = rest[part][clear(rest[part], coarse)]
+        for sub in chunks(len(kept), len(fine), _RAY_TESTS):
+            for i in kept[sub][clear(kept[sub], fine)]:
+                if clear([i], rays)[0]:
+                    return i
+    return order[0]
 
 
 def _proposals(kinds, kind, q, side, plane: GroundPlane, spec: ObjectSpec):

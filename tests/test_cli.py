@@ -118,6 +118,17 @@ class TestSimulate:
         assert code == 2
         assert "sede" in err
 
+    def test_an_id_with_a_lone_surrogate_is_a_usage_error(self, tmp_path):
+        # beacons.csv is UTF-8, which has no lone surrogate: rejected before any file is written
+        cfg = tmp_path / "cfg.json"
+        obj = {**to_dict(SceneConfig().objects[0]), "id": "\ud800"}
+        cfg.write_text(json.dumps({"scene": {"objects": [obj]}}))
+        out = tmp_path / "ds"
+        code, _, err = run_cli(["--config", str(cfg), "simulate", "--out", str(out), "--samples", "1"])
+        assert code == 2, err
+        assert err.startswith("error: scene: ") and "'\\ud800'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_existing_dataset_is_left_as_it_is(self, tmp_path):
         # A second dataset written over the first would leave the first's other
         # samples beside its own, and generate would label them all.
@@ -850,6 +861,16 @@ MALFORMED_INPUTS = [
     ("manifest-bad-rig", "ds/manifest.json",
      _json_edit("rig", "objects", "obj0", "dims", 1, value=0.0), GENERATE,
      ["manifest.json", "rig.objects.obj0", "positive"]),
+    # positive, but a box that small has a dim of 0 once it is rotated
+    ("tiny-rig-dim", "ds/manifest.json",
+     _json_edit("rig", "objects", "obj0", "dims", 2, value=1e-300), GENERATE,
+     ["manifest.json", "rig.objects.obj0", "at least 0.001 m"]),
+    ("subnormal-rig-dim", "ds/manifest.json",
+     _json_edit("rig", "objects", "obj0", "dims", 2, value=1e-320), GENERATE,
+     ["manifest.json", "rig.objects.obj0", "at least 0.001 m"]),
+    ("subnormal-focal-length", "ds/manifest.json",
+     _json_edit("rig", "intrinsics", "fy", value=1e-320), CALIBRATE,
+     ["manifest.json", "rig.intrinsics", "at least 0.001 px"]),
     ("rig-object-robot", "ds/manifest.json", _rename_rig_object("obj0", "robot"), GENERATE,
      ["manifest.json", "rig: objects", "'robot'"]),
     ("rig-object-id-with-comma", "ds/manifest.json", _rename_rig_object("obj1", "obj,1"), REFINE,
@@ -871,6 +892,8 @@ MALFORMED_INPUTS = [
      ["cal.json", "NaN"]),
     ("huge-int-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=10**400), GENERATE,
      ["cal.json", "extrinsic[3]", "a finite number"]),
+    ("huge-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=1e308), GENERATE,
+     ["cal.json", "extrinsic[3]", "magnitude at most 1,000,000"]),
     ("string-extrinsic", "cal.json", _json_edit("extrinsic", 3, value=str), GENERATE,
      ["cal.json", "extrinsic[3]", "a finite number"]),
     ("15-entry-extrinsic", "cal.json", _json_edit("extrinsic", value=lambda v: v[:15]), GENERATE,
@@ -909,6 +932,9 @@ MALFORMED_INPUTS = [
      ["beacons.csv", "line 2", "abc"]),
     ("beacons-inf", BEACONS, _field_edit(3, 4, "inf"), GENERATE,
      ["beacons.csv", "line 4", "non-finite"]),
+    # finite, but the pair's length axis would be vertical
+    ("beacons-huge", BEACONS, _field_edit(3, 4, "1e30"), GENERATE,
+     ["beacons.csv", "line 4", "magnitude over 1,000,000"]),
     # a mistyped frame would leave obj0 without readings and say nothing of why
     ("beacons-unknown-frame", BEACONS, lambda t: t.replace("\nobj0,", "\nob0,"), GENERATE,
      ["beacons.csv", "['ob0']", "rig object"]),

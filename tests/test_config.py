@@ -13,6 +13,7 @@ from ipslabel import config
 from ipslabel.config import (
     MIN_PNP_POINTS,
     CalibOptions,
+    CameraIntrinsics,
     LidarConfig,
     PipelineConfig,
     RefineConfig,
@@ -22,11 +23,12 @@ from ipslabel.config import (
     load_config,
 )
 from ipslabel.errors import ConfigError
-from ipslabel.fileio import from_dict, to_dict
+from ipslabel.fileio import MAX_MAGNITUDE, from_dict, to_dict
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# the numbers an input may hold: of magnitude at most MAX_MAGNITUDE
+finite = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
 positive = st.floats(min_value=1e-3, max_value=1e3)
 # a beacon pair must be wider than geom.EPS_BEACON (1 mm) to give a heading
 separations = st.floats(min_value=1e-3, max_value=1e3, exclude_min=True)
@@ -161,6 +163,7 @@ def test_scene_dict_round_trips(d):
         (["a\nb"], "'a\\nb'"),
         (["obj0", "a\r"], "'a\\r'"),
         (["\u2028"], "'\\u2028'"),
+        (["a\ud800"], "'a\\ud800'"),  # has no UTF-8, so beacons.csv cannot hold it
     ],
 )
 def test_object_ids_that_break_the_dataset_are_rejected(ids, name):
@@ -196,6 +199,7 @@ def test_scene_rig_is_its_measured_part_in_id_order():
         ({"t": {"class": "table"}}, "rig.objects.t: missing key 'dims'"),
         ({"t": {"class": "table", "dims": [1.0, 1.0, 1.0], "x": 0.0}}, "'x'"),
         ({}, "rig: objects: needs at least one object"),
+        ({"t": {"class": "table", "dims": [1.0, 1e-320, 1.0]}}, "rig.objects.t: object dimensions"),
     ],
 )
 def test_malformed_rig_objects_are_rejected(objects, expected):
@@ -203,6 +207,27 @@ def test_malformed_rig_objects_are_rejected(objects, expected):
     with pytest.raises(ConfigError) as info:
         from_dict(Rig, d, "rig")
     assert expected in str(info.value)
+
+
+@pytest.mark.parametrize("fx, fy", [(1e-3, 1e-320), (1e-300, 500.0), (0.0, 500.0)])
+def test_a_focal_length_below_a_thousandth_of_a_pixel_is_rejected(fx, fy):
+    d = {**to_dict(SceneConfig().rig.intrinsics), "fx": fx, "fy": fy}
+    with pytest.raises(ConfigError, match=r"^rig.intrinsics: focal lengths .* at least 0.001 px"):
+        from_dict(CameraIntrinsics, d, "rig.intrinsics")
+
+
+@pytest.mark.parametrize("value", [1e6, -1e6, 0.0, 5e-324, 10**6])
+def test_a_number_up_to_the_bound_is_read(value):
+    assert from_dict(float, value, "x") == value
+
+
+@pytest.mark.parametrize(
+    "value", [math.nextafter(1e6, math.inf), -1e30, 1e308, 10**400, math.inf, math.nan],
+    ids=["above-1e6", "-1e30", "1e308", "10**400", "inf", "nan"],
+)
+def test_a_number_beyond_the_bound_is_rejected(value):
+    with pytest.raises(ConfigError, match="^x: expected a finite number of magnitude at most 1,000,000"):
+        from_dict(float, value, "x")
 
 
 def test_a_merged_key_may_be_overridden(tmp_path):

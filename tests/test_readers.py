@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ipslabel.calib import Correspondence, correspondences_csv, parse_correspondences_csv
 from ipslabel.cloud import read_ply, write_ply
 from ipslabel.errors import UsageError
+from ipslabel.fileio import MAX_MAGNITUDE
 from ipslabel.geom import BeaconPair, beacons_csv, parse_beacons_csv
 
 from .conftest import traced_peak
@@ -21,6 +22,9 @@ PROPERTY = settings(max_examples=200, deadline=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(finite, finite, finite)
+# The numbers a CSV cell may hold: of magnitude at most MAX_MAGNITUDE (a cloud has no such bound).
+bounded = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
+bounded3 = st.tuples(bounded, bounded, bounded)
 names = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
 
 clouds = st.lists(vec3, max_size=20).map(lambda pts: np.array(pts).reshape(-1, 3))
@@ -31,9 +35,9 @@ f32_clouds = st.lists(st.tuples(f32_range, f32_range, f32_range), max_size=20).m
     lambda pts: np.array(pts).reshape(-1, 3)
 )
 correspondence_lists = st.lists(
-    st.builds(Correspondence, vec3, st.tuples(finite, finite), names), max_size=10
+    st.builds(Correspondence, bounded3, st.tuples(bounded, bounded), names), max_size=10
 )
-readings = st.builds(BeaconPair, vec3, vec3)
+readings = st.builds(BeaconPair, bounded3, bounded3)
 
 
 @st.composite
@@ -224,7 +228,7 @@ def test_corrupted_beacons_csv_is_parsed_or_a_usage_error(text):
     parsed = _parsed_or_usage_error(parse_beacons_csv, text)
     for frame_readings in (parsed or {}).values():
         for r in frame_readings:
-            assert np.isfinite((r.front, r.rear)).all()
+            assert (np.abs((r.front, r.rear)) <= MAX_MAGNITUDE).all()
 
 
 @PROPERTY
@@ -232,7 +236,8 @@ def test_corrupted_beacons_csv_is_parsed_or_a_usage_error(text):
 def test_corrupted_correspondences_csv_is_parsed_or_a_usage_error(text):
     parsed = _parsed_or_usage_error(parse_correspondences_csv, text)
     for c in parsed or []:
-        assert np.isfinite(c.beacon_ips).all() and np.isfinite(c.pixel).all()
+        assert (np.abs(c.beacon_ips) <= MAX_MAGNITUDE).all()
+        assert (np.abs(c.pixel) <= MAX_MAGNITUDE).all()
 
 
 def test_ply_is_its_header_then_the_little_endian_float32_bits():
