@@ -65,9 +65,11 @@ _PREEMPT_MIN_CROP = 512
 # of its per-ray pass: ray_entries allocates about 90 bytes per test, so a
 # chunk stays well below a dense scan's cloud.
 _RAY_TESTS = 1 << 13
-# Strides of the free-space check's two prefilter passes over the rays, sparse
-# first; (16,) and (16, 4) measured slower.
-_RAY_STRIDES = (32, 8)
+# Strides of the free-space check's two prefilter passes over the rays, the
+# coarse one first; one pass of 16, or passes of 16 and 4, measured slower.
+_COARSE_STRIDE = 32
+_FINE_STRIDE = 8
+_RAY_STRIDES = (_COARSE_STRIDE, _FINE_STRIDE)  # both passes' strides
 # Meters by which the free-space check's plane prefilter widens the reach,
 # far above the rounding of the distances it stands in for.
 _RAY_MARGIN = 1e-3
@@ -388,8 +390,8 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
     the points past it (less _RAY_MARGIN) are measured.
 
     ``order[0]``, which is usually clear, gets the full test first. The rest
-    are prefiltered in chunks against every _RAY_STRIDES[0]-th ray, the
-    survivors of a chunk in chunks against every _RAY_STRIDES[1]-th ray;
+    are prefiltered in chunks against every _COARSE_STRIDE-th ray, the
+    survivors of a chunk in chunks against every _FINE_STRIDE-th ray;
     only the survivors of those get the full test, in order. The rays of a
     stride are a subset of all the rays, and a ray's entry does not depend
     on the other rays, so a box that more than _CROSSING_RAYS of them cross
@@ -424,7 +426,7 @@ def _first_clear(order, centers, lengths, spec: ObjectSpec, delta: float, points
 
     if clear(order[:1], rays)[0]:
         return order[0]
-    rest, coarse, fine = order[1:], rays[:: _RAY_STRIDES[0]], rays[:: _RAY_STRIDES[1]]
+    rest, coarse, fine = order[1:], rays[::_COARSE_STRIDE], rays[::_FINE_STRIDE]
     for part in chunks(len(rest), len(coarse), _RAY_TESTS):
         kept = rest[part][clear(rest[part], coarse)]
         for sub in chunks(len(kept), len(fine), _RAY_TESTS):

@@ -25,6 +25,7 @@ from .calib import Correspondence, correspondences_csv
 from .cloud import write_ply
 from .errors import UsageError
 from .fileio import (
+    MAX_MAGNITUDE,
     atomic_write_bytes,
     atomic_write_text,
     dump_json,
@@ -392,6 +393,11 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
             )
         measured = true_pos + rng.uniform(-scene.beacon_noise, scene.beacon_noise, size=3)
         pixel = uv + scene.pixel_noise_sigma * rng.standard_normal(2)
+        if not np.all(np.abs(pixel) <= MAX_MAGNITUDE):  # calibrate could not read it
+            raise UsageError(
+                f"scene.pixel_noise_sigma: a noisy calibration pixel lies beyond "
+                f"{MAX_MAGNITUDE:,.0f} px"
+            )
         corrs.append(Correspondence(measured, pixel, tag))
     true_pair = robot_beacons(scene, pose)
     robot_reads = tuple(

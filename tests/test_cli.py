@@ -129,6 +129,33 @@ class TestSimulate:
         assert err.startswith("error: scene: ") and "'\\ud800'" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_a_scene_at_the_edge_of_its_reach_runs_every_stage(self, tmp_path):
+        # the default scene reaches 11.34 m above a floor at floor_z, so its
+        # farthest point is 499,991.34 m from the origin, within the 500,000 m
+        # that keeps every number of the dataset within the readers' bound
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": {"floor_z": 499980.0}}))
+        d = str(tmp_path)
+        for argv in (
+            ["simulate", "--out", f"{d}/ds", "--samples", "1"],
+            ["calibrate", "--dataset", f"{d}/ds", "--iterations", "300", "--out", f"{d}/cal.json"],
+            ["generate", "--dataset", f"{d}/ds", "--calibration", f"{d}/cal.json", "--out", f"{d}/labels"],
+            ["refine", "--dataset", f"{d}/ds", "--labels", f"{d}/labels", "--out", f"{d}/refined"],
+            ["evaluate", "--auto", f"{d}/refined", "--reference", f"{d}/ds/truth", "--out", f"{d}/rep.json"],
+        ):
+            code, _, err = run_cli(["--config", str(cfg), *argv])
+            assert code == 0, (argv[0], err)
+
+    def test_calibration_pixels_beyond_the_bound_write_nothing(self, tmp_path):
+        # calibrate reads no pixel beyond 10**6, and noise of this size puts one there
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": {"pixel_noise_sigma": 1e6}}))
+        out = tmp_path / "ds"
+        code, _, err = run_cli(["--config", str(cfg), "simulate", "--out", str(out), "--samples", "1"])
+        assert code == 2, err
+        assert err.startswith("error: scene.pixel_noise_sigma: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_existing_dataset_is_left_as_it_is(self, tmp_path):
         # A second dataset written over the first would leave the first's other
         # samples beside its own, and generate would label them all.
@@ -197,6 +224,13 @@ MALFORMED_CONFIGS = [
     ("seed: [1", "but got '<stream end>'\n  in \"{cfg}\", line 2, column 1"),
     ("scene: {objects: [" + _OBJECT[:-1] + ", beacon_sep: 0.001}]}", "scene.objects[0]: beacon_sep"),
     ("scene: {robot_beacon_sep: -0.4}", "scene: robot_beacon_sep"),
+    # a dataset of these scenes would hold numbers beyond the readers' bound of 10**6
+    ("scene: {objects: [" + _OBJECT.replace("x: 4.0", "x: 999999.9") + "]}", "scene: the scene reaches"),
+    ("scene: {floor_z: 499990.0}", "scene: the scene reaches 500,001 m"),
+    ("scene: {cam_from_robot: {rotation: [[0, -1, 0], [0, 0, -1], [1, 0, 0]], translation: [0, 0, 1000000.0]}}",
+     "scene: the scene reaches"),
+    ("scene: {intrinsics: {fx: 500, fy: 500, cx: 320, cy: 240, width: 1000001, height: 480}}",
+     "scene.intrinsics: image size must be positive, at most 1,000,000 px"),
 ]
 
 # Runs a CLI stage with the arguments that follow -c, then prints the numpy and

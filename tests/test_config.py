@@ -29,6 +29,9 @@ PROPERTY = settings(max_examples=200, deadline=None)
 
 # the numbers an input may hold: of magnitude at most MAX_MAGNITUDE
 finite = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
+# a scene's positions, heights and radii: small enough that the whole scene
+# stays within the reach that SceneConfig allows
+lengths = st.floats(-MAX_MAGNITUDE / 16, MAX_MAGNITUDE / 16)
 positive = st.floats(min_value=1e-3, max_value=1e3)
 # a beacon pair must be wider than geom.EPS_BEACON (1 mm) to give a heading
 separations = st.floats(min_value=1e-3, max_value=1e3, exclude_min=True)
@@ -47,7 +50,7 @@ def _rotation(a: float, b: float, c: float) -> list:
 angle = st.floats(min_value=-math.pi, max_value=math.pi)
 transforms = st.fixed_dictionaries({
     "rotation": st.builds(_rotation, angle, angle, angle),
-    "translation": st.lists(finite, min_size=3, max_size=3),
+    "translation": st.lists(lengths, min_size=3, max_size=3),
 })
 
 
@@ -60,8 +63,8 @@ objects = st.fixed_dictionaries({
     "id": st.text(max_size=8).filter(_valid_id),
     "class": st.sampled_from(["cabinet", "table"]),
     "dims": st.lists(positive, min_size=3, max_size=3),
-    "x": finite,
-    "y": finite,
+    "x": lengths,
+    "y": lengths,
     "yaw": finite,
     "beacon_sep": separations,
 })
@@ -79,15 +82,15 @@ SCENE_KEYS = {
     }),
     "beacon_noise": st.floats(min_value=0.0, max_value=1.0),
     "pixel_noise_sigma": st.floats(min_value=0.0, max_value=5.0),
-    "robot_beacon_height": finite,
+    "robot_beacon_height": lengths,
     "robot_beacon_sep": separations,
     "collection_readings": counts,
     "calibration_readings": counts,
     "calibration_points": st.integers(min_value=MIN_PNP_POINTS, max_value=100),
-    "floor_z": finite,
-    "table_z": finite,
-    "robot_radius_min": finite,
-    "robot_radius_max": finite,
+    "floor_z": lengths,
+    "table_z": lengths,
+    "robot_radius_min": lengths,
+    "robot_radius_max": lengths,
     "heading_jitter_deg": finite,
 }
 

@@ -4,9 +4,10 @@ It archives REV into a temporary directory, as tools/e2e_diff.sh does, and
 copies beside it the working tree's files that git tracks or would track
 (so neither tree has a bytecode cache or an earlier run's output). For each
 workload it then runs each tree's own `perfbench/run.py` once per pair,
-alternating which tree runs first: the parent (REV) runs first in even
-pairs, the change (the working tree) in odd ones. So drift of the host over
-a batch falls on both trees alike.
+for the working tree's BENCHMARK.json `run_seconds`, alternating which tree
+runs first: the parent (REV) runs first in even pairs, the change (the
+working tree) in odd ones. So drift of the host over a batch falls on both
+trees alike.
 
 It writes one JSON with every run (tree, workload, pair, place in the pair,
 exit code, `correct`, `failed` and every metric) and, per workload and
@@ -17,7 +18,7 @@ tied. It prints that summary as the table that a BENCH file quotes.
 
 Usage:
     python tools/bench_pairs.py REV [--workload W ...] [--seed 7] [--pairs 5]
-        [--seconds 10] [--trace 0] [--json FILE]
+        [--trace 0] [--json FILE]
 
 REV is any git revision of this repository. --workload may be given more
 than once; the default is every workload of the working tree's
@@ -118,12 +119,12 @@ def table(summary: dict) -> str:
     return "\n".join(lines)
 
 
-def perfbench(tree: str, workload: str, ns) -> dict:
-    """One run of ``tree``'s own perfbench: its exit code, and the last stdout
-    line's `correct`, `failed` and metric values (`correct` False and no
-    metrics when that line is not its JSON)."""
+def perfbench(tree: str, workload: str, seconds, ns) -> dict:
+    """One run of ``tree``'s own perfbench, ``seconds`` long: its exit code,
+    and the last stdout line's `correct`, `failed` and metric values
+    (`correct` False and no metrics when that line is not its JSON)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(ns.seed),
-            "--seconds", str(ns.seconds), "--trace", str(ns.trace)]
+            "--seconds", str(seconds), "--trace", str(ns.trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -162,7 +163,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--json", default=os.path.join(ROOT, ".perfbench_out", "bench_pairs.json"))
     ns = parser.parse_args(argv)
@@ -179,14 +179,14 @@ def main(argv=None) -> int:
 
         def run(tree, workload):
             print(f"{workload} {tree}", file=sys.stderr, flush=True)
-            return perfbench(trees[tree], workload, ns)
+            return perfbench(trees[tree], workload, spec["run_seconds"], ns)
 
         records = collect(workloads, ns.pairs, run)
 
     summary = summarize(records, spec["per_layer" if ns.trace else "end_to_end"])
     doc = {
         "rev": ns.rev, "commit": commit, "seed": ns.seed, "pairs": ns.pairs,
-        "seconds": ns.seconds, "trace": ns.trace, "runs": records, "summary": summary,
+        "seconds": spec["run_seconds"], "trace": ns.trace, "runs": records, "summary": summary,
     }
     os.makedirs(os.path.dirname(os.path.abspath(ns.json)), exist_ok=True)
     with open(ns.json, "w", encoding="utf-8") as fh:
