@@ -27,7 +27,7 @@ from .errors import (
     TooFewInliers,
     UsageError,
 )
-from .fileio import _csv_rows, atomic_write_text, dump_json, read_input
+from .fileio import _csv_rows, atomic_write_text, csv_numbers, dump_json, read_input
 from .geom import (
     MIN_DEPTH, RigidTransform, _project_cam, _robot_transform_from_readings, chunks, compose,
     frozen, parse_beacons_csv, row_norms,
@@ -77,8 +77,8 @@ class CalibrationResult:
 def correspondences_csv(corrs) -> str:
     lines = ["beacon_x,beacon_y,beacon_z,u,v,plane_tag"]
     for c in corrs:
-        vals = [repr(float(v)) for v in (*c.beacon_ips, *c.pixel)]
-        lines.append(",".join(vals) + f",{c.plane_tag}")
+        where = f"correspondence CSV line {len(lines) + 1}"
+        lines.append(csv_numbers((*c.beacon_ips, *c.pixel), where) + f",{c.plane_tag}")
     return "\n".join(lines) + "\n"
 
 

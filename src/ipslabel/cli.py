@@ -17,7 +17,6 @@ other exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -44,7 +43,9 @@ def _checked(convert, valid, expected: str):
 
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+# at most fileio.MAX_MAGNITUDE, as a config's numbers are, so that the report
+# can hold it (cli imports no fileio, which --version and --help do not need)
+_POSITIVE = _checked(float, lambda x: 0.0 < x <= 1e6, "a number in (0, 1,000,000]")
 _PROPORTIONS = _checked(
     lambda text: [float(p) for p in text.split(",") if p],
     lambda ps: ps and all(0.0 < p <= 1.0 for p in ps),

@@ -260,35 +260,6 @@ class SceneConfig:
         if len(set(ids)) != len(ids):
             raise ValueError(f"object ids must be unique, got {ids}")
         self.rig  # checks the ids as a manifest's rig is checked
-        # every coordinate that simulate writes must read back
-        # (fileio.MAX_MAGNITUDE): a point of the scene lies within reach of
-        # the origin, and so in the LiDAR frame within twice that plus the
-        # mounts' offsets
-        reach = self._reach()
-        mounts = np.linalg.norm(self.cam_from_robot.translation)
-        mounts += np.linalg.norm(self.lidar_from_cam.translation)
-        if not 2.0 * reach + mounts <= MAX_MAGNITUDE:
-            limit = (MAX_MAGNITUDE - mounts) / 2.0
-            raise ValueError(
-                f"the scene reaches {reach:,.0f} m from the origin, beyond {limit:,.0f} m"
-            )
-
-    def _reach(self) -> float:
-        """A bound on the distance from the origin of every point that simulate
-        places: the objects and their beacons, the robot's beacons in each
-        sample (the robot radius from the objects' centroid) and at
-        calibration (5 m from it), and the calibration points (less than 5 m
-        from it), each with its beacon noise."""
-        objects = [
-            (math.hypot(o.x, o.y), max(math.hypot(o.spec.length, o.spec.width), o.beacon_sep) / 2.0)
-            for o in self.objects
-        ]
-        robot = max(abs(self.robot_radius_min), abs(self.robot_radius_max), 5.0)
-        across = max(max(d + r for d, r in objects), max(d for d, _ in objects) + robot)
-        across += self.robot_beacon_sep
-        heights = [o.spec.height for o in self.objects]
-        up = abs(self.floor_z) + max(abs(self.robot_beacon_height), abs(self.table_z), *heights)
-        return across + up + 2.0 * self.beacon_noise  # noise of at most sqrt(3) * beacon_noise
 
     @property
     def rig(self) -> Rig:

@@ -16,8 +16,37 @@ from .errors import ConfigError, UsageError
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 2-space indent, trailing newline."""
+    """Deterministic JSON: sorted keys, 2-space indent, trailing newline. A
+    float that no reader accepts (see from_dict) is a UsageError naming its
+    dotted key, e.g. ``objects[1].box3d_lidar.center[1]``."""
+    _check_written(obj, "")
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _check_written(value, path: str) -> None:
+    """Raise a UsageError naming the dotted key ``path`` of the first float in
+    ``value`` that no reader accepts: the writers' side of MAX_MAGNITUDE."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_written(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _check_written(v, f"{path}[{i}]")
+    elif isinstance(value, float) and not abs(value) <= MAX_MAGNITUDE:
+        raise UsageError(
+            f"{path or '<root>'}: cannot write {value!r}, beyond {MAX_MAGNITUDE:,.0f}, "
+            "the largest magnitude that a reader accepts"
+        )
+
+
+def csv_numbers(values, where: str) -> str:
+    """``values`` as comma-separated CSV fields that _csv_rows reads back: the
+    repr of each as a float. A number beyond MAX_MAGNITUDE, or not finite, is
+    a UsageError naming ``where``."""
+    values = [float(v) for v in values]
+    for v in values:
+        _check_written(v, where)
+    return ",".join(map(repr, values))
 
 
 def to_dict(obj):

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError
-from .fileio import _csv_rows
+from .fileio import _csv_rows, csv_numbers
 
 if TYPE_CHECKING:
     from .config import CameraIntrinsics
@@ -227,7 +227,8 @@ def beacons_csv(readings: dict) -> str:
         for frame in frames:
             pair = readings[frame][r]
             for beacon_id, position in (("front", pair.front), ("rear", pair.rear)):
-                lines.append(f"{frame},{beacon_id}," + ",".join(repr(float(v)) for v in position))
+                where = f"beacon CSV line {len(lines) + 1}"
+                lines.append(f"{frame},{beacon_id}," + csv_numbers(position, where))
     return "\n".join(lines) + "\n"
 
 

@@ -69,7 +69,6 @@ _RAY_TESTS = 1 << 13
 # coarse one first; one pass of 16, or passes of 16 and 4, measured slower.
 _COARSE_STRIDE = 32
 _FINE_STRIDE = 8
-_RAY_STRIDES = (_COARSE_STRIDE, _FINE_STRIDE)  # both passes' strides
 # Meters by which the free-space check's plane prefilter widens the reach,
 # far above the rounding of the distances it stands in for.
 _RAY_MARGIN = 1e-3

@@ -25,7 +25,6 @@ from .calib import Correspondence, correspondences_csv
 from .cloud import write_ply
 from .errors import UsageError
 from .fileio import (
-    MAX_MAGNITUDE,
     atomic_write_bytes,
     atomic_write_text,
     dump_json,
@@ -393,11 +392,6 @@ def make_calibration_set(scene: SceneConfig, seed: int) -> CalibrationSet:
             )
         measured = true_pos + rng.uniform(-scene.beacon_noise, scene.beacon_noise, size=3)
         pixel = uv + scene.pixel_noise_sigma * rng.standard_normal(2)
-        if not np.all(np.abs(pixel) <= MAX_MAGNITUDE):  # calibrate could not read it
-            raise UsageError(
-                f"scene.pixel_noise_sigma: a noisy calibration pixel lies beyond "
-                f"{MAX_MAGNITUDE:,.0f} px"
-            )
         corrs.append(Correspondence(measured, pixel, tag))
     true_pair = robot_beacons(scene, pose)
     robot_reads = tuple(
@@ -430,17 +424,14 @@ def _truth_json(sample: GroundTruthSample) -> str:
 
 
 def _write_sample(out_dir: str, sample: GroundTruthSample) -> None:
-    """Write the files of one sample. The sample dies with this call, since
-    generate_dataset passes make_sample's result straight in."""
+    """Write the files of one sample, whose texts are made before the first
+    is written. The sample dies with this call, since generate_dataset passes
+    make_sample's result straight in."""
     sid = sample.sample_id
+    beacons, truth = beacons_csv(sample.readings), _truth_json(sample)
     atomic_write_bytes(os.path.join(out_dir, "samples", sid, "cloud.ply"), write_ply(sample.cloud))
-    atomic_write_bytes(
-        os.path.join(out_dir, "samples", sid, "beacons.csv"),
-        beacons_csv(sample.readings).encode("utf-8"),
-    )
-    atomic_write_bytes(
-        os.path.join(out_dir, "truth", f"{sid}.json"), _truth_json(sample).encode("utf-8")
-    )
+    atomic_write_text(os.path.join(out_dir, "samples", sid, "beacons.csv"), beacons)
+    atomic_write_text(os.path.join(out_dir, "truth", f"{sid}.json"), truth)
 
 
 def manifest_json(scene: SceneConfig, seed: int, n_samples: int, calset: CalibrationSet) -> str:
@@ -465,25 +456,23 @@ def generate_dataset(scene: SceneConfig, out_dir: str, n_samples: int, seed: int
 
     It runs in one process and holds one sample at a time: each sample is
     made, written and released before the next is made, which keeps the
-    peak memory at that of one sample. The calibration set is made first,
-    so a rig whose camera sees no target writes nothing; its files and the
-    manifest are written last. A sample that raises leaves the samples
-    before it on disk.
+    peak memory at that of one sample. The texts of the calibration set and
+    the manifest are made first, so a rig whose camera sees no target, or
+    whose texts would hold a number that no reader accepts, writes nothing;
+    they are written last. A sample that raises leaves the samples before
+    it on disk.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     require_empty_dir(out_dir, "simulate")
     calset = make_calibration_set(scene, seed)
+    cal = os.path.join(out_dir, "calibration")
+    last = {
+        os.path.join(cal, "correspondences.csv"): correspondences_csv(calset.correspondences),
+        os.path.join(cal, "robot_beacons.csv"): beacons_csv({"robot": calset.robot_readings}),
+        os.path.join(out_dir, "manifest.json"): manifest_json(scene, seed, n_samples, calset),
+    }
     for index in range(n_samples):
         _write_sample(out_dir, make_sample(scene, seed, index))
-    atomic_write_text(
-        os.path.join(out_dir, "calibration", "correspondences.csv"),
-        correspondences_csv(calset.correspondences),
-    )
-    atomic_write_text(
-        os.path.join(out_dir, "calibration", "robot_beacons.csv"),
-        beacons_csv({"robot": calset.robot_readings}),
-    )
-    atomic_write_text(
-        os.path.join(out_dir, "manifest.json"), manifest_json(scene, seed, n_samples, calset)
-    )
+    for path, text in last.items():
+        atomic_write_text(path, text)

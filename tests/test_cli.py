@@ -130,11 +130,10 @@ class TestSimulate:
         assert not out.exists()
 
     def test_a_scene_at_the_edge_of_its_reach_runs_every_stage(self, tmp_path):
-        # the default scene reaches 11.34 m above a floor at floor_z, so its
-        # farthest point is 499,991.34 m from the origin, within the 500,000 m
-        # that keeps every number of the dataset within the readers' bound
+        # every number that the stages write of this scene is within the
+        # readers' bound of 10**6; the largest is about 999,981
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scene": {"floor_z": 499980.0}}))
+        cfg.write_text(json.dumps({"scene": {"floor_z": 999980.0}}))
         d = str(tmp_path)
         for argv in (
             ["simulate", "--out", f"{d}/ds", "--samples", "1"],
@@ -153,7 +152,18 @@ class TestSimulate:
         out = tmp_path / "ds"
         code, _, err = run_cli(["--config", str(cfg), "simulate", "--out", str(out), "--samples", "1"])
         assert code == 2, err
-        assert err.startswith("error: scene.pixel_noise_sigma: ") and "Traceback" not in err
+        assert err.startswith("error: correspondence CSV line ") and "Traceback" not in err
+        assert "beyond 1,000,000" in err
+        assert not out.exists()
+
+    def test_a_scene_beyond_the_bound_writes_nothing(self, tmp_path):
+        # its beacons and calibration points lie beyond the readers' bound of 10**6
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scene: {objects: [" + _OBJECT.replace("x: 4.0", "x: 999999.9") + "]}\n")
+        out = tmp_path / "ds"
+        code, _, err = run_cli(["--config", str(cfg), "simulate", "--out", str(out), "--samples", "1"])
+        assert code == 2, err
+        assert err.startswith("error: ") and "beyond 1,000,000" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_existing_dataset_is_left_as_it_is(self, tmp_path):
@@ -224,11 +234,6 @@ MALFORMED_CONFIGS = [
     ("seed: [1", "but got '<stream end>'\n  in \"{cfg}\", line 2, column 1"),
     ("scene: {objects: [" + _OBJECT[:-1] + ", beacon_sep: 0.001}]}", "scene.objects[0]: beacon_sep"),
     ("scene: {robot_beacon_sep: -0.4}", "scene: robot_beacon_sep"),
-    # a dataset of these scenes would hold numbers beyond the readers' bound of 10**6
-    ("scene: {objects: [" + _OBJECT.replace("x: 4.0", "x: 999999.9") + "]}", "scene: the scene reaches"),
-    ("scene: {floor_z: 499990.0}", "scene: the scene reaches 500,001 m"),
-    ("scene: {cam_from_robot: {rotation: [[0, -1, 0], [0, 0, -1], [1, 0, 0]], translation: [0, 0, 1000000.0]}}",
-     "scene: the scene reaches"),
     ("scene: {intrinsics: {fx: 500, fy: 500, cx: 320, cy: 240, width: 1000001, height: 480}}",
      "scene.intrinsics: image size must be positive, at most 1,000,000 px"),
 ]
@@ -1005,6 +1010,7 @@ BAD_FLAGS = [
     ([*STUDY, "--proportions", "0.5,1.5"], "--proportions"),
     ([*CALIBRATE, "--delta-px", "0"], "--delta-px"),
     ([*CALIBRATE, "--delta-px", "nan"], "--delta-px"),
+    ([*CALIBRATE, "--delta-px", "1e300"], "--delta-px"),  # beyond what a config may give
     ([*CALIBRATE, "--iterations", "0"], "--iterations"),
     (["--seed", "-2", "simulate", "--out", "{o}", "--samples", "1"], "--seed"),
 ]
@@ -1102,6 +1108,21 @@ class TestMalformedInputs:
         assert code == 2, err
         assert err.startswith("error: ") and "Traceback" not in err
         assert named.format(d=d) in err
+        assert not out.exists()
+
+    def test_a_report_that_puts_a_label_beyond_the_bound_writes_nothing(self, small_run, tmp_path):
+        # each extrinsic entry is within the bound, but a box centre in the LiDAR frame is not
+        d = tmp_path / "in"
+        shutil.copytree(small_run, d)
+        report = d / "cal.json"
+        edits = (_json_edit("extrinsic", 7, value=-999999.0), _json_edit("extrinsic", 11, value=999999.0))
+        for edit in edits:
+            report.write_text(edit(report.read_text()))
+        out = tmp_path / "out"
+        code, _, err = run_cli([a.format(d=d, o=out) for a in GENERATE])
+        assert code == 2, err
+        assert err.startswith("error: objects[") and "Traceback" not in err
+        assert ".box3d_lidar.center[" in err and "beyond 1,000,000" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[flag for _, flag in BAD_FLAGS])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ipslabel.calib import Correspondence, correspondences_csv, parse_correspondences_csv
 from ipslabel.cloud import read_ply, write_ply
 from ipslabel.errors import UsageError
-from ipslabel.fileio import MAX_MAGNITUDE
+from ipslabel.fileio import MAX_MAGNITUDE, dump_json
 from ipslabel.geom import BeaconPair, beacons_csv, parse_beacons_csv
 
 from .conftest import traced_peak
@@ -360,3 +360,15 @@ def test_a_dense_cloud_is_written_from_one_copy_of_its_body(order):
     data, peak = traced_peak(write_ply, cloud)
     assert read_ply(data).tobytes() == cloud.astype(np.float32).astype(float).tobytes()
     assert peak <= 1.3 * cloud.nbytes
+
+
+@pytest.mark.parametrize("value", [math.nextafter(MAX_MAGNITUDE, math.inf), -1e300, math.inf, math.nan])
+def test_no_writer_writes_a_number_that_its_reader_rejects(value):
+    pair = BeaconPair((0.0, 0.0, 0.0), (0.0, value, 0.0))
+    with pytest.raises(UsageError, match=r"^beacon CSV line 3: cannot write .*, beyond 1,000,000"):
+        beacons_csv({"robot": [pair]})
+    corr = Correspondence((0.0, 0.0, 0.0), (value, 0.0), "floor")
+    with pytest.raises(UsageError, match=r"^correspondence CSV line 2: cannot write"):
+        correspondences_csv([corr])
+    with pytest.raises(UsageError, match=r"^objects\[1\]\.center\[2\]: cannot write"):
+        dump_json({"objects": [{}, {"center": (0.0, 1, value)}]})

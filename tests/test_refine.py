@@ -21,11 +21,12 @@ from ipslabel.errors import (
 )
 from ipslabel.labelgen import OrientedBox3, normalize_yaw
 from ipslabel.refine import (
+    _COARSE_STRIDE,
     _CROSSING_RAYS,
+    _FINE_STRIDE,
     _PREEMPT_KEEP,
     _PREEMPT_MIN_CROP,
     _PREEMPT_STRIDE,
-    _RAY_STRIDES,
     _RAY_TESTS,
     _SHELL_TESTS,
     CLASS_KINDS,
@@ -1108,7 +1109,7 @@ class TestFirstClearMatchesTheWalk:
 
     def test_first_clear_box_beyond_the_first_prefilter_chunk(self):
         # every JITTERED box is crossed; the first pass's chunks hold fewer
-        chunk = _RAY_TESTS // -(-len(self.WALL) // _RAY_STRIDES[0])
+        chunk = _RAY_TESTS // -(-len(self.WALL) // _COARSE_STRIDE)
         assert self.JITTERED > 2 * chunk
         order = [0, *range(3, 3 + self.JITTERED), 1]
         assert self.check(order, self.WALL) == 1
@@ -1118,13 +1119,13 @@ class TestFirstClearMatchesTheWalk:
 
     def test_a_box_the_sparse_rays_miss_still_gets_the_full_test(self):
         # box 2 is crossed by one ray too many, none of them a prefilter ray
-        rows = [i for i in range(1, 1000) if all(i % s for s in _RAY_STRIDES)]
+        rows = [i for i in range(1, 1000) if all(i % s for s in (_COARSE_STRIDE, _FINE_STRIDE))]
         points = self.points_crossing_box_2(rows[: _CROSSING_RAYS + 1])
         assert self.check([0, 2, 1], points) == 1
 
     def test_a_box_crossed_by_as_many_prefilter_rays_as_allowed_is_clear(self):
         # box 2 is crossed by _CROSSING_RAYS rays, each in every prefilter pass
-        step = int(np.lcm.reduce(_RAY_STRIDES))
+        step = int(np.lcm.reduce((_COARSE_STRIDE, _FINE_STRIDE)))
         points = self.points_crossing_box_2([step * i for i in range(_CROSSING_RAYS)])
         assert self.check([0, 2, 1], points) == 2
 
