@@ -166,6 +166,18 @@ class TestSimulate:
         assert err.startswith("error: ") and "beyond 1,000,000" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_a_sample_beyond_the_bound_writes_nothing(self, tmp_path):
+        # the calibration set lies within the readers' bound of 10**6, but the
+        # beacons atop the first object, line 4 of the first sample's
+        # beacons.csv, do not: that sample's cloud is not written either
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": {"floor_z": 999999.0}}))
+        out = tmp_path / "ds"
+        code, _, err = run_cli(["--config", str(cfg), "simulate", "--out", str(out), "--samples", "2"])
+        assert code == 2, err
+        assert err.startswith("error: beacon CSV line 4: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_existing_dataset_is_left_as_it_is(self, tmp_path):
         # A second dataset written over the first would leave the first's other
         # samples beside its own, and generate would label them all.

@@ -1,5 +1,6 @@
 """The PLY and CSV readers: valid files round-trip, junk files are a UsageError."""
 
+import json
 import math
 import string
 import struct
@@ -372,3 +373,22 @@ def test_no_writer_writes_a_number_that_its_reader_rejects(value):
         correspondences_csv([corr])
     with pytest.raises(UsageError, match=r"^objects\[1\]\.center\[2\]: cannot write"):
         dump_json({"objects": [{}, {"center": (0.0, 1, value)}]})
+
+
+@pytest.mark.parametrize("value", [MAX_MAGNITUDE, -MAX_MAGNITUDE])
+def test_every_writer_writes_a_number_at_the_bound_that_its_reader_accepts(value):
+    pair = BeaconPair((0.0, 0.0, 0.0), (0.0, value, 0.0))
+    assert parse_beacons_csv(beacons_csv({"robot": [pair]}))["robot"][0].rear[1] == value
+    corr = Correspondence((0.0, 0.0, 0.0), (value, 0.0), "floor")
+    assert parse_correspondences_csv(correspondences_csv([corr]))[0].pixel[0] == value
+    assert json.loads(dump_json({"center": [0.0, value]})) == {"center": [0.0, value]}
+
+
+@pytest.mark.parametrize("obj, key", [
+    (2e6, "<root>"),
+    ([{"a": {"b": (0.0, -math.inf)}}], r"\[0\]\.a\.b\[1\]"),
+    ({"x": np.float64(-1e7)}, "x"),
+], ids=["root", "nested", "numpy-float64"])
+def test_dump_json_names_the_key_of_a_number_beyond_the_bound(obj, key):
+    with pytest.raises(UsageError, match=rf"^{key}: cannot write .*, beyond 1,000,000"):
+        dump_json(obj)
