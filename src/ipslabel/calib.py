@@ -18,15 +18,7 @@ from operator import itemgetter
 import numpy as np
 
 from .config import MIN_PNP_POINTS, CalibOptions, CameraIntrinsics
-from .errors import (
-    BehindCamera,
-    DegenerateConfiguration,
-    EmptySubset,
-    MissingPlaneTag,
-    NoConvergence,
-    TooFewInliers,
-    UsageError,
-)
+from .errors import DegenerateConfiguration, NoConvergence, NumericalError, TooFewInliers, UsageError
 from .fileio import _csv_rows, atomic_write_text, csv_numbers, dump_json, read_input
 from .geom import (
     MIN_DEPTH, RigidTransform, _project_cam, _robot_transform_from_readings, chunks, compose,
@@ -100,7 +92,7 @@ def apply_planar_constraint(corrs) -> list:
     corrs = list(corrs)
     for i, c in enumerate(corrs):
         if not c.plane_tag:
-            raise MissingPlaneTag(f"correspondence {i} has no plane_tag")
+            raise UsageError(f"correspondence {i} has no plane_tag")
     mean_z = {}
     for tag in {c.plane_tag for c in corrs}:
         mean_z[tag] = float(
@@ -114,10 +106,10 @@ def apply_planar_constraint(corrs) -> list:
 
 
 def project(intr: CameraIntrinsics, t_cam_from_ips: RigidTransform, p) -> tuple:
-    """Pinhole-project an IPS-frame point; raises BehindCamera when z <= 1e-6."""
+    """Pinhole-project an IPS-frame point; raises NumericalError when z <= 1e-6."""
     pc = t_cam_from_ips.apply(np.asarray(p, dtype=float))
     if pc[2] <= MIN_DEPTH:
-        raise BehindCamera(f"point has camera-frame depth {pc[2]:.3e} m")
+        raise NumericalError(f"point has camera-frame depth {pc[2]:.3e} m")
     u, v = _project_cam(intr, pc)
     return float(u), float(v)
 
@@ -351,7 +343,7 @@ def reprojection_rmse(corrs, intr, extrinsic, t_robot_from_ips, subset=None) -> 
     corrs = list(corrs)
     idx = np.arange(len(corrs)) if subset is None else np.asarray(list(subset), dtype=int)
     if idx.size == 0:
-        raise EmptySubset("empty correspondence subset")
+        raise UsageError("empty correspondence subset")
     t = compose(extrinsic, t_robot_from_ips)
     beacons = np.stack([corrs[i].beacon_ips for i in idx])
     pixels = np.stack([corrs[i].pixel for i in idx])

@@ -43,6 +43,8 @@ def _checked(convert, valid, expected: str):
 
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
+# at most config.MAX_ITERATIONS, as a config's iterations are
+_ITERATIONS = _checked(int, lambda n: 1 <= n <= 10_000, "an integer in [1, 10,000]")
 # at most fileio.MAX_MAGNITUDE, as a config's numbers are, so that the report
 # can hold it (cli imports no fileio, which --version and --help do not need)
 _POSITIVE = _checked(float, lambda x: 0.0 < x <= 1e6, "a number in (0, 1,000,000]")
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration report JSON")
     p.add_argument("--planar", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--delta-px", type=_POSITIVE, default=None)
-    p.add_argument("--iterations", type=_COUNT, default=None,
+    p.add_argument("--iterations", type=_ITERATIONS, default=None,
                    help="at most this many RANSAC hypotheses (config default 2000)")
 
     p = sub.add_parser("generate", help="produce 2D/3D labels from beacons + calibration")

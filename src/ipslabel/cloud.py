@@ -18,6 +18,7 @@ import re
 import numpy as np
 
 from .errors import UsageError
+from .fileio import number_text
 from .geom import frozen
 
 # One header line: it ends where str.splitlines ends a line of UTF-8 text,
@@ -108,15 +109,17 @@ def _ascii_values(body: bytes, n: int, width: int, first_line: int) -> np.ndarra
     for line_no, line in enumerate(lines[n:], start=first_line + n):
         if line.strip():
             raise UsageError(f"PLY line {line_no}: a row past the {n} vertices the header promised")
-    try:
-        return np.array(rows, dtype=float).reshape(n, width)
-    except ValueError:  # name the first row that does not parse on its own
-        for line_no, row in enumerate(rows, start=first_line):
-            try:
-                np.array(row, dtype=float).reshape(width)
-            except ValueError as e:
-                raise UsageError(f"PLY line {line_no}: {e}") from None
-        raise
+    if body.isascii() and b"_" not in body:  # else numpy, as float(), reads 4_20 as 420
+        try:
+            return np.array(rows, dtype=float).reshape(n, width)
+        except ValueError:
+            pass
+    for line_no, line in enumerate(lines[:n], start=first_line):  # name the first bad row
+        try:
+            np.array(number_text(line).split(), dtype=float).reshape(width)
+        except ValueError as e:
+            raise UsageError(f"PLY line {line_no}: {e}") from None
+    return np.array(rows, dtype=float).reshape(n, width)  # a line end or a blank line was not ASCII
 
 
 def _binary_values(data: bytes, offset: int, n: int, props: list, order: str) -> np.ndarray:
@@ -143,8 +146,9 @@ def read_ply(data: bytes) -> np.ndarray:
     any column order reads the same cloud; other properties are ignored. A
     binary body is read through one structured dtype of the header's
     property types, so x, y and z may be of any PLY scalar type. A
-    malformed header, a non-finite point, an ASCII row that does not parse
-    or is non-blank past the vertex count, a binary property of a type PLY
+    malformed header, a non-finite point, an ASCII row that does not parse,
+    holds text other than ASCII or a '_' (see fileio.number_text), or is
+    non-blank past the vertex count, a binary property of a type PLY
     does not define, or a binary body of another size than the header
     promises, raises UsageError. Errors name ASCII rows by line and binary
     ones by vertex, counted from 0.

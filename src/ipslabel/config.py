@@ -24,7 +24,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import UsageError
 from .fileio import MAX_MAGNITUDE, decode_json, from_dict, read_json, read_text
 from .geom import EPS_BEACON, RigidTransform, compose, inverse
 
@@ -34,6 +34,10 @@ MIN_PNP_POINTS = 6  # correspondences that a PnP pose needs (see calib)
 # but microscopic one, or a subnormal, leaves a box of no size or an image
 # no solver can fit.
 MIN_SIZE = 1e-3
+# Most RANSAC hypotheses a config or flag may ask for: every stage draws its
+# hypotheses as one array, and the ground-plane fit scores its hypotheses on
+# 1,024 points at once, about 9 kB each.
+MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,8 @@ class CalibOptions:
     def __post_init__(self):
         if self.delta_px <= 0:
             raise ValueError("delta_px must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must be in [1, {MAX_ITERATIONS:,}]")
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,9 @@ class RefineConfig:
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError(f"RefineConfig.{f.name} must be positive")
+        for name in ("iterations", "plane_iterations"):
+            if getattr(self, name) > MAX_ITERATIONS:
+                raise ValueError(f"RefineConfig.{name} must be at most {MAX_ITERATIONS:,}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +311,7 @@ def _read_yaml(path: str):
     try:
         text = read_text(path)
     except UnicodeDecodeError as e:
-        raise ConfigError(f"malformed config {path}: {e}") from e
+        raise UsageError(f"malformed config {path}: {e}") from e
     try:
         return decode_json(text)
     except (ValueError, RecursionError):
@@ -338,4 +345,4 @@ def _load_yaml(path: str, text: str):
         stream.name = path  # the name that yaml's error marks give, for "<unicode string>"
         return yaml.load(stream, Loader=UniqueKeyLoader)
     except yaml.YAMLError as e:
-        raise ConfigError(f"malformed config {path}: {e}") from e
+        raise UsageError(f"malformed config {path}: {e}") from e

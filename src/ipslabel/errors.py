@@ -1,5 +1,9 @@
-"""Exception hierarchy shared across the pipeline: every leaf is a UsageError
+"""Exception hierarchy shared across the pipeline: every error is a UsageError
 (the CLI exits 2) or a NumericalError (exit 4); any other exception is a bug.
+
+A fault gets a class of its own only where a caller catches it by type (the
+benchmark's tracer counts some) or error_text writes its name into an
+output; any other fault raises its base with its message.
 """
 
 
@@ -8,20 +12,12 @@ def error_text(e: BaseException) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-class IpsLabelError(Exception):
-    """Base class for all ipslabel errors."""
-
-
-class UsageError(IpsLabelError, ValueError):
+class UsageError(ValueError):
     """The input, configuration or arguments are wrong; the caller can fix them."""
 
 
-class NumericalError(IpsLabelError):
+class NumericalError(Exception):
     """The input is well formed, but the computation on it failed."""
-
-
-class ConfigError(UsageError):
-    """Bad or inconsistent configuration input."""
 
 
 # --- geometry ---------------------------------------------------------------
@@ -30,23 +26,11 @@ class DegenerateBeaconPair(NumericalError):
     """Beacons coincide in the xy-plane; heading is undefined."""
 
 
-class FrameMismatch(UsageError):
-    """Transform frames do not chain."""
-
-
 class EmptyReadings(UsageError):
     """No beacon readings to average."""
 
 
 # --- camera / calibration ---------------------------------------------------
-
-class BehindCamera(NumericalError):
-    """Point has non-positive depth in the camera frame."""
-
-
-class MissingPlaneTag(UsageError):
-    """Correspondence lacks a plane tag while the planar constraint is on."""
-
 
 class DegenerateConfiguration(NumericalError):
     """Point configuration leaves the pose underdetermined."""
@@ -58,10 +42,6 @@ class NoConvergence(NumericalError):
 
 class TooFewInliers(NumericalError):
     """RANSAC consensus too small to refit a pose."""
-
-
-class EmptySubset(UsageError):
-    """RMSE requested over an empty index set."""
 
 
 # --- label generation -------------------------------------------------------
@@ -90,13 +70,3 @@ class DegenerateSample(NumericalError):
 
 class AllProposalsDegenerate(NumericalError):
     """Every RANSAC iteration produced a degenerate proposal."""
-
-
-# --- evaluation / IO --------------------------------------------------------
-
-class MissingSample(UsageError):
-    """Sample ids do not match between label directories."""
-
-
-class ClassMismatch(UsageError):
-    """Labelled object classes cannot be paired."""

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ObjectSpec, RefineConfig, _manifest_rig
-from .errors import (
-    ClassMismatch, FrameMismatch, MissingSample, NumericalError, UsageError, error_text
-)
+from .errors import NumericalError, UsageError, error_text
 from .fileio import atomic_write_text, dump_json, read_bytes, read_input, read_json, to_dict
 from .labelgen import Box2, OrientedBox3, _entry_spec, label_objects
 
@@ -78,7 +76,7 @@ def _polygon_area(poly: np.ndarray) -> float:
 def iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
     """Volume IoU of two yaw-only boxes sharing a frame."""
     if a.frame != b.frame:
-        raise FrameMismatch(f"boxes live in different frames: {a.frame!r} vs {b.frame!r}")
+        raise UsageError(f"boxes live in different frames: {a.frame!r} vs {b.frame!r}")
     fa, fb = _footprint(a), _footprint(b)
     inter_area = _polygon_area(_clip_polygon(fa, fb))
     za0, za1 = a.center[2] - a.dims[2] / 2.0, a.center[2] + a.dims[2] / 2.0
@@ -245,16 +243,14 @@ def compare_labels(auto_dir: str, reference_dir: str) -> EvalReport:
     auto = _load_label_dir(auto_dir)
     ref = _load_label_dir(reference_dir)
     if not set(ref) & set(auto):
-        raise MissingSample(
-            f"no common sample ids between {auto_dir!r} and {reference_dir!r}"
-        )
+        raise UsageError(f"no common sample ids between {auto_dir!r} and {reference_dir!r}")
     per_sample = []
     all_3d, all_2d = [], []
     matched = 0
     unmatched_auto = 0
     for sid in sorted(ref):
         if sid not in auto:
-            raise MissingSample(f"reference sample {sid!r} has no auto labels")
+            raise UsageError(f"reference sample {sid!r} has no auto labels")
         auto_objs = auto[sid]
         used = [False] * len(auto_objs)
         matches = []
@@ -267,7 +263,7 @@ def compare_labels(auto_dir: str, reference_dir: str) -> EvalReport:
                 if d <= best_d:
                     best_j, best_d = j, d
             if best_j is None:
-                raise ClassMismatch(
+                raise UsageError(
                     f"sample {sid!r}: no auto label of class {rclass!r} "
                     f"within {MATCH_GATE} m of the reference box"
                 )

@@ -12,7 +12,7 @@ import os
 import tempfile
 import typing
 
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 
 
 def dump_json(obj) -> str:
@@ -72,14 +72,14 @@ def to_dict(obj):
 def _check_keys(d: dict, allowed, section: str) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
-        raise ConfigError(
+        raise UsageError(
             f"unknown key(s) {sorted(unknown)} in section {section or '<root>'!r}; "
             f"allowed: {sorted(allowed)}"
         )
 
 
 def _reject(path: str, expected: str, value):
-    raise ConfigError(f"{path or '<root>'}: expected {expected}, got {value!r}")
+    raise UsageError(f"{path or '<root>'}: expected {expected}, got {value!r}")
 
 
 def _build(types: dict, make, value, path: str):
@@ -91,9 +91,9 @@ def _build(types: dict, make, value, path: str):
     try:
         return make(kwargs)
     except KeyError as e:
-        raise ConfigError(f"{path}: missing key {e}") from e
+        raise UsageError(f"{path}: missing key {e}") from e
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path or '<root>'}: {e}") from e
+        raise UsageError(f"{path or '<root>'}: {e}") from e
 
 
 _SCALARS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
@@ -112,7 +112,7 @@ def from_dict(typ, value, path: str):
     for a dict) for a dict or a nested dataclass. A type whose dict form is
     not its fields declares that form as ``FORM`` ({key: type}) and builds
     itself in ``from_dict(d, *args)``, with the args of an
-    ``Annotated[type, *args]`` field. A bad key or value raises ConfigError
+    ``Annotated[type, *args]`` field. A bad key or value raises UsageError
     naming the dotted key ``path``, e.g. ``scene.lidar.channels``.
     """
     if typ in _SCALARS:  # most leaves: checked before the container forms
@@ -247,10 +247,19 @@ def read_json(path: str, parse):
     return read_input(path, lambda text: parse(decode_json(text)))
 
 
+def number_text(text: str) -> str:
+    """``text``, which holds numbers, if it is ASCII and holds no '_': float()
+    and numpy also read '4_20' as 420 and non-ASCII digits, which C's strtod
+    rejects; ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"number text must be ASCII and hold no '_', got {text!r}")
+    return text
+
+
 def _csv_rows(text: str, header: str, numeric: slice, what: str):
     """(line number, fields, ``numeric`` fields as floats of magnitude at most
     MAX_MAGNITUDE) of each row after ``header``, skipping blank lines; a bad
-    row is a UsageError naming it."""
+    row, or a number whose text is not number_text, is a UsageError naming it."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != header:
         raise UsageError(f"{what} CSV must start with header {header!r}")
@@ -260,7 +269,7 @@ def _csv_rows(text: str, header: str, numeric: slice, what: str):
         try:
             if len(parts) != width:
                 raise ValueError(f"expected {width} fields, got {len(parts)}")
-            values = [float(v) for v in parts[numeric]]
+            values = [float(number_text(v)) for v in parts[numeric]]
             if not all(abs(v) <= MAX_MAGNITUDE for v in values):
                 raise ValueError(f"non-finite value, or one of magnitude over {MAX_MAGNITUDE:,.0f}")
         except ValueError as e:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError
+from .errors import DegenerateBeaconPair, EmptyReadings, UsageError
 from .fileio import _csv_rows, csv_numbers
 
 if TYPE_CHECKING:
@@ -126,9 +126,7 @@ class RigidTransform:
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Chain two transforms: ``b`` maps X->Y, ``a`` maps Y->Z, result maps X->Z."""
     if b.dst != a.src:
-        raise FrameMismatch(
-            f"cannot chain {b.src}->{b.dst} into {a.src}->{a.dst}"
-        )
+        raise UsageError(f"cannot chain {b.src}->{b.dst} into {a.src}->{a.dst}")
     rot = a.rotation @ b.rotation
     tra = a.rotation @ b.translation + a.translation
     drift = np.abs(rot.T @ rot - np.eye(3)).max()

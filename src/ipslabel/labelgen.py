@@ -16,8 +16,7 @@ import numpy as np
 
 from .config import CameraIntrinsics, ObjectSpec, _manifest_rig
 from .errors import (
-    AllVerticesBehindCamera, DegenerateBeaconPair, EmptyReadings, FrameMismatch, UsageError,
-    error_text,
+    AllVerticesBehindCamera, DegenerateBeaconPair, EmptyReadings, UsageError, error_text,
 )
 from .fileio import (
     _sample_ids, atomic_write_text, dump_json, from_dict, read_input, read_json, require_empty_dir,
@@ -215,7 +214,7 @@ def box_to_camera(
 ) -> np.ndarray:
     """All 8 box vertices expressed in the camera frame, shape (8, 3)."""
     if box.frame != t_robot_from_ips.src:
-        raise FrameMismatch(
+        raise UsageError(
             f"box is in frame {box.frame!r}, transform consumes {t_robot_from_ips.src!r}"
         )
     chain = compose(t_cam_from_robot, t_robot_from_ips)

@@ -25,7 +25,7 @@ import numpy as np
 from .cloud import read_ply
 from .config import ObjectSpec, RefineConfig, _manifest_rig
 from .errors import (
-    AllProposalsDegenerate, ConfigError, DegenerateSample, EmptyNeighborhood, NoPlaneFound,
+    AllProposalsDegenerate, DegenerateSample, EmptyNeighborhood, NoPlaneFound,
     NumericalError, TooFewPoints, UsageError, error_text,
 )
 from .fileio import (
@@ -130,7 +130,7 @@ def kinds_for_class(class_name: str):
             f"{cls}: {', '.join(k.value for k in kinds)}"
             for cls, kinds in sorted(CLASS_KINDS.items())
         )
-        raise ConfigError(
+        raise UsageError(
             f"no model proposal functions for class {class_name!r}; available: {known}"
         ) from None
 
@@ -517,7 +517,7 @@ def refine_label(
     best score down to half of it, whose box the sensor's rays do not cross
     (see ``_first_clear``); the best one when every such box is crossed.
     Degenerate proposals never win but still consume an iteration. A class
-    without proposal functions raises ConfigError before any work.
+    without proposal functions raises UsageError before any work.
     """
     kinds = kinds_for_class(spec.class_name)
     min_height = cfg.table_min_height if MpfKind.TABLE_STEM in kinds else None

@@ -32,12 +32,11 @@ from ipslabel.calib import (
     hypotheses_needed,
 )
 from ipslabel.errors import (
-    BehindCamera,
     DegenerateConfiguration,
-    EmptySubset,
-    MissingPlaneTag,
     NoConvergence,
+    NumericalError,
     TooFewInliers,
+    UsageError,
 )
 from ipslabel.config import CalibOptions, _manifest_rig
 from ipslabel.fileio import read_input
@@ -145,7 +144,7 @@ class TestApplyPlanarConstraint:
 
     def test_missing_tag_rejected(self):
         corrs = [Correspondence((0, 0, 0), (0, 0), "floor"), Correspondence((1, 1, 1), (5, 5))]
-        with pytest.raises(MissingPlaneTag):
+        with pytest.raises(UsageError, match="correspondence 1 has no plane_tag"):
             apply_planar_constraint(corrs)
 
 
@@ -179,7 +178,7 @@ class TestProject:
             assert v == pytest.approx(ev, abs=1e-9)
 
     def test_point_behind_camera_raises(self):
-        with pytest.raises(BehindCamera):
+        with pytest.raises(NumericalError, match="camera-frame depth"):
             project(self.intr, self.ident, (0, 0, -1.0))
 
 
@@ -318,7 +317,7 @@ class TestReprojectionRmse:
         rng = np.random.default_rng(11)
         t_true, t_ri = make_pose_pair(rng)
         corrs = synth_corrs(4, rng, t_true, t_ri)
-        with pytest.raises(EmptySubset):
+        with pytest.raises(UsageError, match="empty correspondence subset"):
             reprojection_rmse(corrs, INTR, t_true, t_ri, subset=[])
 
     def test_point_behind_camera_scores_infinite(self):

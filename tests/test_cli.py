@@ -16,9 +16,9 @@ import pytest
 
 import ipslabel
 from ipslabel import sim
-from ipslabel.cli import main
+from ipslabel.cli import build_parser, main
 from ipslabel.cloud import read_ply, write_ply
-from ipslabel.config import RefineConfig, SceneConfig, _manifest_rig, load_config
+from ipslabel.config import MAX_ITERATIONS, RefineConfig, SceneConfig, _manifest_rig, load_config
 from ipslabel.eval import compare_labels
 from ipslabel.fileio import to_dict
 from ipslabel.geom import BeaconPair, beacons_csv, inverse, parse_beacons_csv
@@ -248,6 +248,11 @@ MALFORMED_CONFIGS = [
     ("scene: {robot_beacon_sep: -0.4}", "scene: robot_beacon_sep"),
     ("scene: {intrinsics: {fx: 500, fy: 500, cx: 320, cy: 240, width: 1000001, height: 480}}",
      "scene.intrinsics: image size must be positive, at most 1,000,000 px"),
+    # each stage draws its hypotheses as one array: 10**13 of them would not fit in memory
+    ("calibration: {iterations: 10000000000000}", "calibration: iterations must be in [1, 10,000]"),
+    ("refine: {iterations: 10000000000000}", "refine: RefineConfig.iterations must be at most 10,000"),
+    ("refine: {plane_iterations: 10000000000000}",
+     "refine: RefineConfig.plane_iterations must be at most 10,000"),
 ]
 
 # Runs a CLI stage with the arguments that follow -c, then prints the numpy and
@@ -807,6 +812,31 @@ class TestEvaluate:
         assert "--sample" in err
 
 
+def test_every_stage_is_byte_identical_under_another_hash_seed(tmp_path):
+    """Each stage in a new interpreter, as the benchmark runs them, under two
+    hash seeds, which reorder every set of strings: the trees are the same bytes."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("refine: {iterations: 400}\n")
+    trees = []
+    for hash_seed in ("0", "1"):
+        d = tmp_path / f"hash_seed_{hash_seed}"
+        for argv in (
+            ["simulate", "--out", d / "ds", "--samples", "2"],
+            ["calibrate", "--dataset", d / "ds", "--out", d / "cal.json"],
+            ["generate", "--dataset", d / "ds", "--calibration", d / "cal.json", "--out", d / "labels"],
+            ["--jobs", "2", "refine", "--dataset", d / "ds", "--labels", d / "labels",
+             "--out", d / "refined"],
+            ["evaluate", "--auto", d / "refined", "--reference", d / "ds" / "truth",
+             "--out", d / "report.json"],
+        ):
+            argv = ["-m", "ipslabel.cli", "--config", str(cfg), *map(str, argv)]
+            proc = run_python(argv, PYTHONHASHSEED=hash_seed)
+            assert proc.returncode == 0, proc.stderr
+        trees.append(tree_digest(d))
+    assert "refined/sample_001.json" in trees[0]
+    assert trees[0] == trees[1]
+
+
 # ---------------------------------------------------------------------------
 # malformed inputs and the error-to-exit-code mapping
 
@@ -866,10 +896,12 @@ def _v1_manifest(text):
 
 
 def _field_edit(line_index, field_index, value, sep=","):
+    """Set a field of a line, to ``value`` or, if it is callable, to ``value(field)``."""
+
     def mutate(text):
         lines = text.splitlines()
         fields = lines[line_index].split(sep)
-        fields[field_index] = value
+        fields[field_index] = value(fields[field_index]) if callable(value) else value
         lines[line_index] = sep.join(fields)
         return "\n".join(lines) + "\n"
 
@@ -893,6 +925,8 @@ EVALUATE = ["evaluate", "--auto", "{d}/labels", "--reference", "{d}/ds/truth", "
 CALIBRATE = ["calibrate", "--dataset", "{d}/ds", "--iterations", "20", "--out", "{o}"]
 STUDY = ["evaluate", "--study", "downsample", "--dataset", "{d}/ds", "--labels", "{d}/labels",
          "--sample", "sample_000", "--trials", "1", "--out", "{o}"]
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 MALFORMED_INPUTS = [
     # (id, file to corrupt, corruption, argv, what the error must name);
@@ -981,6 +1015,9 @@ MALFORMED_INPUTS = [
      EVALUATE, ["sample_000.json", "no box3d_lidar"]),
     ("beacons-non-numeric", BEACONS, _field_edit(1, 2, "abc"), GENERATE,
      ["beacons.csv", "line 2", "abc"]),
+    # float() reads 4_20 as 420, and obj0's label would move 420 m
+    ("beacons-underscore", BEACONS, _field_edit(3, 2, "4_20"), GENERATE,
+     ["beacons.csv", "line 4", "'4_20'"]),
     ("beacons-inf", BEACONS, _field_edit(3, 4, "inf"), GENERATE,
      ["beacons.csv", "line 4", "non-finite"]),
     # finite, but the pair's length axis would be vertical
@@ -997,6 +1034,13 @@ MALFORMED_INPUTS = [
      ["robot_beacons.csv", "['obj0']", "not 'robot'"]),
     ("correspondences-non-numeric", "ds/calibration/correspondences.csv", _field_edit(5, 3, "1.0.0"),
      CALIBRATE, ["correspondences.csv", "line 6"]),
+    # the same number in Arabic-Indic digits, which float() reads and C's strtod does not
+    ("correspondences-non-ascii-digits", "ds/calibration/correspondences.csv",
+     _field_edit(5, 3, lambda v: v.translate(ARABIC_INDIC_DIGITS)),
+     CALIBRATE, ["correspondences.csv", "line 6", "ASCII"]),
+    # the same number with a '_' before its last digit, which numpy reads
+    ("ply-underscore", CLOUD, _field_edit(16, 0, lambda v: v[:-1] + "_" + v[-1], sep=" "), REFINE,
+     ["cloud.ply", "line 17", "'_'"]),
     # 7 header lines, then 10 vertex rows; line 18 is the first row past them
     ("ply-longer-than-its-header", CLOUD, lambda t: re.sub(r"element vertex \d+", "element vertex 10", t),
      REFINE, ["cloud.ply", "line 18"]),
@@ -1024,6 +1068,7 @@ BAD_FLAGS = [
     ([*CALIBRATE, "--delta-px", "nan"], "--delta-px"),
     ([*CALIBRATE, "--delta-px", "1e300"], "--delta-px"),  # beyond what a config may give
     ([*CALIBRATE, "--iterations", "0"], "--iterations"),
+    ([*CALIBRATE, "--iterations", "10000000000000"], "--iterations"),  # beyond what a config may give
     (["--seed", "-2", "simulate", "--out", "{o}", "--samples", "1"], "--seed"),
 ]
 
@@ -1136,6 +1181,13 @@ class TestMalformedInputs:
         assert err.startswith("error: objects[") and "Traceback" not in err
         assert ".box3d_lidar.center[" in err and "beyond 1,000,000" in err
         assert not out.exists()
+
+    def test_the_iterations_flag_has_the_bound_of_a_config(self):
+        argv = ["calibrate", "--dataset", "ds", "--out", "cal.json", "--iterations"]
+        ns = build_parser().parse_args([*argv, str(MAX_ITERATIONS)])
+        assert ns.iterations == MAX_ITERATIONS
+        code, _, err = run_cli([*argv, str(MAX_ITERATIONS + 1)])
+        assert code == 2 and "argument --iterations" in err
 
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[flag for _, flag in BAD_FLAGS])
     def test_bad_flag_exits_2_naming_the_flag(self, small_run, tmp_path, argv, flag):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ipslabel import config
 from ipslabel.config import (
+    MAX_ITERATIONS,
     MIN_PNP_POINTS,
     CalibOptions,
     CameraIntrinsics,
@@ -22,7 +23,7 @@ from ipslabel.config import (
     config_from_dict,
     load_config,
 )
-from ipslabel.errors import ConfigError
+from ipslabel.errors import UsageError
 from ipslabel.fileio import MAX_MAGNITUDE, from_dict, to_dict
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -169,7 +170,7 @@ def test_scene_dict_round_trips(d):
 def test_object_ids_that_break_the_dataset_are_rejected(ids, name):
     scene = DEFAULT_CONFIG["scene"]
     objects = [{**scene["objects"][0], "id": object_id} for object_id in ids]
-    with pytest.raises(ConfigError, match="^scene: ") as info:
+    with pytest.raises(UsageError, match="^scene: ") as info:
         config_from_dict({"scene": {**scene, "objects": objects}})
     assert name in str(info.value)
 
@@ -204,7 +205,7 @@ def test_scene_rig_is_its_measured_part_in_id_order():
 )
 def test_malformed_rig_objects_are_rejected(objects, expected):
     d = {**to_dict(SceneConfig().rig), "objects": objects}
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(UsageError) as info:
         from_dict(Rig, d, "rig")
     assert expected in str(info.value)
 
@@ -212,7 +213,7 @@ def test_malformed_rig_objects_are_rejected(objects, expected):
 @pytest.mark.parametrize("fx, fy", [(1e-3, 1e-320), (1e-300, 500.0), (0.0, 500.0)])
 def test_a_focal_length_below_a_thousandth_of_a_pixel_is_rejected(fx, fy):
     d = {**to_dict(SceneConfig().rig.intrinsics), "fx": fx, "fy": fy}
-    with pytest.raises(ConfigError, match=r"^rig.intrinsics: focal lengths .* at least 0.001 px"):
+    with pytest.raises(UsageError, match=r"^rig.intrinsics: focal lengths .* at least 0.001 px"):
         from_dict(CameraIntrinsics, d, "rig.intrinsics")
 
 
@@ -226,8 +227,18 @@ def test_a_number_up_to_the_bound_is_read(value):
     ids=["above-1e6", "-1e30", "1e308", "10**400", "inf", "nan"],
 )
 def test_a_number_beyond_the_bound_is_rejected(value):
-    with pytest.raises(ConfigError, match="^x: expected a finite number of magnitude at most 1,000,000"):
+    with pytest.raises(UsageError, match="^x: expected a finite number of magnitude at most 1,000,000"):
         from_dict(float, value, "x")
+
+
+@pytest.mark.parametrize(
+    "section, key", [("calibration", "iterations"), ("refine", "iterations"), ("refine", "plane_iterations")]
+)
+def test_an_iteration_count_up_to_the_bound_is_read(section, key):
+    cfg = config_from_dict({section: {key: MAX_ITERATIONS}})
+    assert getattr(getattr(cfg, section), key) == MAX_ITERATIONS
+    with pytest.raises(UsageError, match=f"^{section}: .*{key} must .* 10,000"):
+        config_from_dict({section: {key: MAX_ITERATIONS + 1}})
 
 
 def test_a_merged_key_may_be_overridden(tmp_path):
@@ -242,7 +253,7 @@ def test_a_merged_key_may_be_overridden(tmp_path):
 def test_junk_value_is_accepted_or_a_config_error(path, junk):
     try:
         config_from_dict(_replaced(DEFAULT_CONFIG, path, junk))
-    except ConfigError:
+    except UsageError:
         pass
 
 
@@ -306,7 +317,7 @@ def _outcome(read, path):
     """("value", value) or ("error", message with the path as CFG) of ``read(path)``."""
     try:
         return "value", read(str(path))
-    except ConfigError as e:
+    except UsageError as e:
         return "error", str(e).replace(str(path), "CFG")
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ipslabel.config import ObjectSpec, RefineConfig
-from ipslabel.errors import ClassMismatch, ConfigError, FrameMismatch, MissingSample
+from ipslabel.errors import UsageError
 from ipslabel.eval import (
     EvalReport,
     compare_labels,
@@ -79,7 +79,7 @@ class TestIou3d:
     def test_frame_mismatch_rejected(self):
         a = OrientedBox3((0, 0, 0), (1, 1, 1), 0.0, frame="lidar")
         b = OrientedBox3((0, 0, 0), (1, 1, 1), 0.0, frame="ips")
-        with pytest.raises(FrameMismatch):
+        with pytest.raises(UsageError, match="boxes live in different frames"):
             iou_3d(a, b)
 
     def test_symmetric(self):
@@ -157,7 +157,7 @@ class TestCompareLabels:
     def test_no_common_samples_rejected(self, tmp_path):
         write_labels(tmp_path / "a", [{"sample": "s0", "objects": []}])
         write_labels(tmp_path / "b", [{"sample": "s1", "objects": []}])
-        with pytest.raises(MissingSample):
+        with pytest.raises(UsageError, match="no common sample ids"):
             compare_labels(str(tmp_path / "a"), str(tmp_path / "b"))
 
     def test_reference_sample_without_auto_labels_rejected(self, tmp_path):
@@ -166,7 +166,7 @@ class TestCompareLabels:
             {"sample": "s0", "objects": []},
             {"sample": "s1", "objects": [entry("cabinet", (0, 0, 0))]},
         ])
-        with pytest.raises(MissingSample):
+        with pytest.raises(UsageError, match="reference sample 's1' has no auto labels"):
             compare_labels(str(tmp_path / "auto"), str(tmp_path / "ref"))
 
     def test_only_the_reference_samples_are_scored(self, tmp_path):
@@ -184,13 +184,13 @@ class TestCompareLabels:
     def test_wrong_class_within_gate_rejected(self, tmp_path):
         write_labels(tmp_path / "auto", [{"sample": "s0", "objects": [entry("table", (2, 0, 0.5))]}])
         write_labels(tmp_path / "ref", [{"sample": "s0", "objects": [entry("cabinet", (2, 0, 0.5))]}])
-        with pytest.raises(ClassMismatch):
+        with pytest.raises(UsageError, match=r"no auto label of class 'cabinet' within 2\.0 m"):
             compare_labels(str(tmp_path / "auto"), str(tmp_path / "ref"))
 
     def test_match_beyond_gate_rejected(self, tmp_path):
         write_labels(tmp_path / "auto", [{"sample": "s0", "objects": [entry("cabinet", (9, 0, 0.5))]}])
         write_labels(tmp_path / "ref", [{"sample": "s0", "objects": [entry("cabinet", (2, 0, 0.5))]}])
-        with pytest.raises(ClassMismatch):
+        with pytest.raises(UsageError, match=r"no auto label of class 'cabinet' within 2\.0 m"):
             compare_labels(str(tmp_path / "auto"), str(tmp_path / "ref"))
 
     def test_extra_auto_labels_counted_unmatched(self, tmp_path):
@@ -273,7 +273,7 @@ class TestDownsampleStudy:
         rng = np.random.default_rng(0)
         wall = np.column_stack([np.full(500, 2.0), rng.uniform(-1, 1, 500), rng.uniform(0, 2, 500)])
         box = OrientedBox3((2.0, 0.0, 0.5), (1, 1, 1), 0.0)
-        with pytest.raises(ConfigError, match="sofa"):
+        with pytest.raises(UsageError, match="sofa"):
             downsample_study(
                 wall, box, ObjectSpec("sofa", 1, 1, 1), (1.0,), 1,
                 RefineConfig(iterations=10),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ipslabel.errors import DegenerateBeaconPair, EmptyReadings, FrameMismatch
+from ipslabel.errors import DegenerateBeaconPair, EmptyReadings, UsageError
 from ipslabel.geom import (
     EPS_BEACON,
     ORTHONORMALITY_TOL,
@@ -210,7 +210,7 @@ class TestComposeInverse:
         rng = np.random.default_rng(7)
         a = random_transform(rng, src="a", dst="b")
         c = random_transform(rng, src="c", dst="d")
-        with pytest.raises(FrameMismatch, match="cannot chain"):
+        with pytest.raises(UsageError, match="cannot chain"):
             compose(c, a)  # a lands in b, c starts from c
 
     def test_compose_matches_matrix_product_oracle(self):

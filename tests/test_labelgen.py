@@ -7,7 +7,7 @@ import pytest
 
 from ipslabel.config import CameraIntrinsics
 from ipslabel.config import ObjectSpec
-from ipslabel.errors import AllVerticesBehindCamera, ConfigError, FrameMismatch
+from ipslabel.errors import AllVerticesBehindCamera, UsageError
 from ipslabel.fileio import to_dict
 from ipslabel.geom import BeaconPair, RigidTransform
 from ipslabel.labelgen import (
@@ -303,7 +303,7 @@ class TestBoxToCamera:
 
     def test_frame_mismatch_rejected(self):
         box = OrientedBox3((0, 0, 0), (1, 1, 1), 0.0, frame="lidar")
-        with pytest.raises(FrameMismatch):
+        with pytest.raises(UsageError, match="box is in frame 'lidar', transform consumes 'ips'"):
             box_to_camera(box, identity_between("robot", "cam"), identity_between("ips", "robot"))
 
 
@@ -467,7 +467,7 @@ class TestLabelSchema:
     )
     def test_mistyped_box_is_rejected_naming_its_key(self, key, value, names):
         entry = {"id": "obj0", "class": "cabinet", "box3d_lidar": None, "box2d": None, key: value}
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(UsageError) as info:
             label_objects({"objects": [entry]})
         assert names in str(info.value)
 

@@ -275,6 +275,17 @@ def test_ply_rows_past_the_vertex_count_are_rejected_naming_the_first():
     assert ascii_ply(read_ascii_ply(text + "\n \n")) == text  # trailing blank lines are fine
 
 
+# float() and numpy read each as 420; C's strtod, as other PLY and CSV tools use, does not
+@pytest.mark.parametrize("text", ["4_20", "\u0664\u0662\u0660", "4.2_0e2"])
+def test_a_number_that_strtod_does_not_read_is_rejected_naming_its_line(text):
+    ply = ascii_ply(np.eye(3))  # rows on lines 8-10
+    with pytest.raises(UsageError, match="^PLY line 9: number text must be ASCII and hold no '_'"):
+        read_ascii_ply(ply.replace("\n0.0 1.0 0.0\n", f"\n0.0 {text} 0.0\n"))
+    csv = correspondences_csv([Correspondence((1.0, 2.0, 3.0), (4.0, 5.0), "floor")])
+    with pytest.raises(UsageError, match="^correspondence CSV line 2: number text must be ASCII"):
+        parse_correspondences_csv(csv.replace("4.0", text))
+
+
 def test_ply_without_a_format_line_is_rejected():
     text = ascii_ply(np.eye(3))
     with pytest.raises(UsageError, match="format ascii"):

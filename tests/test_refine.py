@@ -13,11 +13,11 @@ from ipslabel import refine as refine_module
 from ipslabel.config import ObjectSpec, RefineConfig
 from ipslabel.errors import (
     AllProposalsDegenerate,
-    ConfigError,
     DegenerateSample,
     EmptyNeighborhood,
     NoPlaneFound,
     TooFewPoints,
+    UsageError,
 )
 from ipslabel.labelgen import OrientedBox3, normalize_yaw
 from ipslabel.refine import (
@@ -127,7 +127,7 @@ class TestKinds:
         assert kinds_for_class("table") == (MpfKind.TABLE_STEM,)
 
     def test_unknown_class_lists_available_kinds(self):
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(UsageError) as exc:
             kinds_for_class("sofa")
         msg = str(exc.value)
         assert "cabinet_two_point_face" in msg and "table_stem" in msg
